@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -19,8 +20,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import requests
+from requests.adapters import HTTPAdapter
 
 from .errors import LumberkitError
+from .parallel import WORKERS
 
 logger = logging.getLogger(__name__)
 
@@ -29,6 +32,10 @@ API_KEY_ENV_VAR = "LUMBERKIT_API_KEY"
 
 class BackendError(LumberkitError):
     """A backend failed to produce a usable response."""
+
+
+class CacheError(LumberkitError):
+    """A cache file holds a record that cannot be read."""
 
 
 def prompt_key(model_id: str, prompt: str) -> str:
@@ -71,30 +78,79 @@ class ScriptedBackend(CompletionBackend):
             raise BackendError("no scripted response for this prompt") from None
 
 
-class ResponseCache:
-    """Append-only JSONL store of completion responses keyed by prompt hash.
+class _JsonlStore:
+    """Append-only JSONL file of {"key": ..., <field>: ...} records.
 
-    Records look like {"key": ..., "response": ...}. On load the last record
-    for a key wins, so re-recording a prompt overwrites it and concurrent
-    writers appending distinct keys do not corrupt each other.
+    On load the last record for a key wins, so re-recording overwrites and
+    concurrent writers appending distinct keys do not corrupt each other. A
+    record that cannot be read raises CacheError naming the file and line,
+    except on the final line: a crash mid-append leaves it torn, so it is
+    skipped with a warning and cut off before the next append, which lets a
+    re-run resume from the finished prefix.
     """
 
-    def __init__(self, path: str | Path, model_id: str = "default"):
+    field: str  # record field holding the value; subclasses also define _decode
+
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.model_id = model_id
         self._lock = threading.Lock()
-        self._entries: dict[str, str] = {}
+        self._entries: dict = {}
+        self._torn_at: int | None = None
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        with open(self.path, "rb") as fh:
+            lines = fh.readlines()
+        last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+        offset = 0
+        for i, line in enumerate(lines):
+            start, offset = offset, offset + len(line)
+            if not line.strip():
+                continue
+            try:
                 record = json.loads(line)
-                self._entries[record["key"]] = record["response"]
+                self._entries[record["key"]] = self._decode(record[self.field])
+            except (ValueError, KeyError, TypeError) as exc:
+                if i < last:
+                    raise CacheError(f"{self.path}, line {i + 1}: unreadable record: {exc}") from exc
+                logger.warning(
+                    "%s, line %d: skipping torn final record: %s", self.path, i + 1, exc
+                )
+                self._torn_at = start
+
+    def _append(self, key: str, value, stored) -> None:
+        line = json.dumps({"key": key, self.field: stored}, ensure_ascii=False)
+        with self._lock:
+            self._entries[key] = value
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self._torn_at is not None:
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
+            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
+                fh.write(line + "\n")
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+class ResponseCache(_JsonlStore):
+    """Completion responses keyed by sha256(model_id, prompt).
+
+    Records look like {"key": ..., "response": ...}; see _JsonlStore for the
+    load and append rules.
+    """
+
+    field = "response"
+
+    def __init__(self, path: str | Path, model_id: str = "default"):
+        self.model_id = model_id
+        super().__init__(path)
+
+    def _decode(self, value) -> str:
+        if not isinstance(value, str):
+            raise TypeError(f"response is {type(value).__name__}, not a string")
+        return value
 
     def key_for(self, prompt: str) -> str:
         return prompt_key(self.model_id, prompt)
@@ -103,16 +159,7 @@ class ResponseCache:
         return self._entries.get(self.key_for(prompt))
 
     def put(self, prompt: str, response: str) -> None:
-        key = self.key_for(prompt)
-        line = json.dumps({"key": key, "response": response}, ensure_ascii=False)
-        with self._lock:
-            self._entries[key] = response
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(line + "\n")
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        self._append(self.key_for(prompt), response, response)
 
 
 class ReplayBackend(CompletionBackend):
@@ -134,6 +181,20 @@ class ReplayBackend(CompletionBackend):
                 f"no recorded response for prompt key {self.cache.key_for(prompt)[:12]}..."
             )
         return response
+
+
+def _bounded_session() -> requests.Session:
+    """A session that opens at most WORKERS connections per host.
+
+    Callers beyond that wait for a free connection instead of opening another
+    one, so concurrent workers never hold more connections than there are
+    workers; servers that serve one keep-alive connection per thread rely on it.
+    """
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=WORKERS, pool_block=True)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
 
 
 class HttpCompletionBackend(CompletionBackend):
@@ -162,7 +223,7 @@ class HttpCompletionBackend(CompletionBackend):
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.retry_wait = retry_wait
-        self._session = session or requests.Session()
+        self._session = session or _bounded_session()
         self.backend_id = f"http:{model}"
 
     def _headers(self) -> dict[str, str]:
@@ -281,7 +342,7 @@ class HttpEmbeddingBackend(EmbeddingBackend):
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.retry_wait = retry_wait
-        self._session = session or requests.Session()
+        self._session = session or _bounded_session()
         self.backend_id = f"http-embed:{model}"
         self.dimension = 0  # learned from the first response
 
@@ -331,29 +392,24 @@ class HttpEmbeddingBackend(EmbeddingBackend):
         )
 
 
-class EmbeddingCache:
+class EmbeddingCache(_JsonlStore):
     """JSONL sidecar of embedding vectors keyed by (backend id, text hash).
 
     Vectors are stored as JSON float lists, which round-trip float64 exactly.
     The file is safe to delete at any time; it only saves backend calls.
     """
 
-    def __init__(self, path: str | Path, backend_id: str):
-        self.path = Path(path)
-        self.backend_id = backend_id
-        self._lock = threading.Lock()
-        self._entries: dict[str, np.ndarray] = {}
-        if self.path.exists():
-            self._load()
+    field = "vector"
 
-    def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                self._entries[record["key"]] = np.asarray(record["vector"], dtype=np.float64)
+    def __init__(self, path: str | Path, backend_id: str):
+        self.backend_id = backend_id
+        super().__init__(path)
+
+    def _decode(self, value) -> np.ndarray:
+        row = np.asarray(value, dtype=np.float64)
+        if row.ndim != 1:
+            raise ValueError(f"vector has shape {row.shape}, not one row")
+        return row
 
     def key_for(self, text: str) -> str:
         return prompt_key(self.backend_id, text)
@@ -362,14 +418,5 @@ class EmbeddingCache:
         return self._entries.get(self.key_for(text))
 
     def put(self, text: str, vector: np.ndarray) -> None:
-        key = self.key_for(text)
         row = np.asarray(vector, dtype=np.float64)
-        line = json.dumps({"key": key, "vector": row.tolist()}, ensure_ascii=False)
-        with self._lock:
-            self._entries[key] = row
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(line + "\n")
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        self._append(self.key_for(text), row, row.tolist())

@@ -56,6 +56,7 @@ from .evaluation import (
     write_reports,
 )
 from .index import bm25_build, embed_chunks
+from .parallel import ordered_map
 from .ragpipe import answer_question, qa_accuracy
 
 logger = logging.getLogger(__name__)
@@ -177,6 +178,15 @@ def _record_cache(args: argparse.Namespace) -> ResponseCache | None:
     return None
 
 
+def _reject_record_cache(args: argparse.Namespace, command: str) -> None:
+    """Refuse --record-cache where nothing would be recorded into it."""
+    if getattr(args, "record_cache", None):
+        raise CliError(
+            f"--record-cache is not supported by {command}; only "
+            f"'chunk --method lumber' and 'sweep' record completions"
+        )
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     document = load_document(args.input, args.format, doc_id=args.doc_id, title=args.title)
     output = Path(args.output)
@@ -199,6 +209,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_chunk(args: argparse.Namespace) -> int:
+    if args.method != "lumber":
+        _reject_record_cache(args, f"chunk --method {args.method}")
     document = load_document(args.document, "paragraph_records")
     chunker_settings: dict = {"method": args.method}
     started = time.perf_counter()
@@ -279,6 +291,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _reject_record_cache(args, "eval")
     qa_pairs = load_qa(args.qa)
     embed_backend = _embedding_backend(args)
     embed_cache = _embedding_cache(args, embed_backend)
@@ -375,6 +388,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_rag(args: argparse.Namespace) -> int:
+    _reject_record_cache(args, "rag")
     chunks = read_chunks(args.chunks)
     qa_pairs = load_qa(args.questions)
     backend = _completion_backend(args, needed_for="rag")
@@ -382,22 +396,23 @@ def cmd_rag(args: argparse.Namespace) -> int:
     embed_cache = _embedding_cache(args, embed_backend)
     vector_index = embed_chunks(chunks, embed_backend, embed_cache)
     bm25_index = bm25_build(chunks)
-    records = []
-    scored: list[tuple[str, str]] = []
-    for pair in qa_pairs:
-        result = answer_question(
+    results = ordered_map(
+        lambda pair: answer_question(
             pair.question, bm25_index, vector_index, embed_backend, backend
-        )
-        records.append(
-            {
-                "question": result.question,
-                "mentions": list(result.decision.mention_strings),
-                "bm25_k": result.decision.bm25_k,
-                "retrieved": list(result.retrieved_ids),
-                "answer": result.answer,
-            }
-        )
-        scored.append((result.answer, pair.answer))
+        ),
+        qa_pairs,
+    )
+    records = [
+        {
+            "question": result.question,
+            "mentions": list(result.decision.mention_strings),
+            "bm25_k": result.decision.bm25_k,
+            "retrieved": list(result.retrieved_ids),
+            "answer": result.answer,
+        }
+        for result in results
+    ]
+    scored = [(result.answer, pair.answer) for result, pair in zip(results, qa_pairs)]
     accuracy = qa_accuracy(scored)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -429,6 +444,7 @@ def cmd_rag(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_qa(args: argparse.Namespace) -> int:
+    _reject_record_cache(args, "gen-qa")
     document = load_document(args.document, "paragraph_records")
     backend = _completion_backend(args, needed_for="gen-qa")
     pairs = generate_qa(document, backend, args.n, seed=args.seed)

@@ -22,6 +22,7 @@ from .chunker import Chunk, ChunkerConfig, lumberchunk
 from .corpus import Document, QAPair, TokenCounter
 from .errors import LumberkitError
 from .index import VectorIndex, cosine_topk, embed_chunks
+from .parallel import ordered_map
 
 logger = logging.getLogger(__name__)
 
@@ -256,19 +257,35 @@ def sweep_theta(
     """Chunk every document at each theta and evaluate each result.
 
     Reports come back sorted by ascending theta, labeled
-    "lumberchunker(θ=<value>)", each carrying its wall-clock chunking time.
+    "lumberchunker(θ=<value>)", each carrying its chunking time summed over
+    the documents. Documents are chunked concurrently, each on one worker
+    that runs its thetas in ascending order: windows recur across thetas, and
+    only that order makes a later theta replay the earlier theta's cached
+    answer with the same backend calls as a sequential run. Duplicate doc_ids
+    raise EvaluationError.
     """
     if not thetas:
         raise ValueError("thetas must be non-empty")
+    seen: set[str] = set()
+    for document in documents:
+        if document.doc_id in seen:
+            raise EvaluationError(f"duplicate doc_id {document.doc_id!r} in sweep documents")
+        seen.add(document.doc_id)
     base = config or ChunkerConfig()
+    ordered = sorted(set(thetas))
+
+    def chunk_document(document: Document) -> list[tuple[list[Chunk], float]]:
+        timed = []
+        for theta in ordered:
+            started = time.perf_counter()
+            chunks = lumberchunk(document, replace(base, theta=theta), backend, counter, cache)
+            timed.append((chunks, time.perf_counter() - started))
+        return timed
+
+    per_document = ordered_map(chunk_document, documents)
     reports: list[MetricsReport] = []
-    for theta in sorted(set(thetas)):
-        theta_config = replace(base, theta=theta)
-        started = time.perf_counter()
-        all_chunks: list[Chunk] = []
-        for document in documents:
-            all_chunks.extend(lumberchunk(document, theta_config, backend, counter, cache))
-        seconds = time.perf_counter() - started
+    for position, theta in enumerate(ordered):
+        all_chunks = [chunk for timed in per_document for chunk in timed[position][0]]
         reports.append(
             evaluate(
                 all_chunks,
@@ -277,7 +294,7 @@ def sweep_theta(
                 ks=ks,
                 judge=judge,
                 method=f"lumberchunker(θ={theta})",
-                chunking_seconds=seconds,
+                chunking_seconds=sum(timed[position][1] for timed in per_document),
                 theta=theta,
                 embed_cache=embed_cache,
             )

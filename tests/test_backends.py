@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import logging
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
 from lumberkit.backends import (
     BackendError,
+    CacheError,
     EmbeddingCache,
     HttpCompletionBackend,
     HttpEmbeddingBackend,
@@ -20,6 +24,7 @@ from lumberkit.backends import (
     ScriptedBackend,
     prompt_key,
 )
+from lumberkit.parallel import WORKERS
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -171,6 +176,66 @@ class TestHttpCompletionBackend:
         assert _StubHandler.requests_seen[-1]["auth"] is None
 
 
+class _ConnectionCountingHandler(BaseHTTPRequestHandler):
+    """Keep-alive chat endpoint that records how many connections are open at once."""
+
+    protocol_version = "HTTP/1.1"
+    lock = threading.Lock()
+    open_now = 0
+    most_open = 0
+
+    def setup(self):
+        super().setup()
+        cls = type(self)
+        with cls.lock:
+            cls.open_now += 1
+            cls.most_open = max(cls.most_open, cls.open_now)
+
+    def finish(self):
+        cls = type(self)
+        with cls.lock:
+            cls.open_now -= 1
+        super().finish()
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        time.sleep(0.01)
+        body = json.dumps(
+            {"choices": [{"message": {"content": payload["messages"][0]["content"]}}]}
+        ).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_default_session_opens_at_most_one_connection_per_worker():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ConnectionCountingHandler)
+    server.daemon_threads = True
+    _ConnectionCountingHandler.open_now = _ConnectionCountingHandler.most_open = 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        backend = HttpCompletionBackend(
+            f"http://127.0.0.1:{server.server_port}", "m", max_attempts=1, timeout=10
+        )
+        prompts = [f"p{i}" for i in range(12 * WORKERS)]
+        # more callers than workers: the pool must make the extra ones wait
+        with ThreadPoolExecutor(max_workers=4 * WORKERS) as callers:
+            replies = list(callers.map(backend.complete, prompts))
+        assert replies == prompts
+        assert 1 <= _ConnectionCountingHandler.most_open <= WORKERS
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 class TestHttpEmbeddingBackend:
     def test_rows_are_normalized(self, stub_server):
         backend = HttpEmbeddingBackend(stub_server, "embed-model")
@@ -236,3 +301,45 @@ class TestEmbeddingCache:
         cache.put("text", np.ones(3))
         other = EmbeddingCache(tmp_path / "emb.jsonl", backend_id="two")
         assert other.get("text") is None
+
+
+CACHE_KINDS = [
+    pytest.param(lambda path: ResponseCache(path, model_id="m"), "response", id="response"),
+    pytest.param(lambda path: EmbeddingCache(path, backend_id="b"), [0.5, 1.5], id="embedding"),
+]
+
+
+class TestCacheFileDamage:
+    @pytest.mark.parametrize("make, value", CACHE_KINDS)
+    def test_bad_middle_line_names_file_and_line(self, tmp_path, make, value):
+        path = tmp_path / "cache.jsonl"
+        make(path).put("first", value)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"key": "abc", "oops"\n')
+            fh.write(path.read_text(encoding="utf-8").splitlines()[0] + "\n")
+        with pytest.raises(CacheError, match=r"cache\.jsonl, line 2"):
+            make(path)
+
+    @pytest.mark.parametrize("make, value", CACHE_KINDS)
+    def test_torn_final_line_is_skipped_and_cut_on_resume(self, tmp_path, make, value, caplog):
+        path = tmp_path / "cache.jsonl"
+        make(path).put("first", value)
+        intact = path.read_bytes()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"key": "9f2c", "resp')  # a crash mid-append
+        with caplog.at_level(logging.WARNING, logger="lumberkit.backends"):
+            resumed = make(path)
+        assert "line 2" in caplog.text
+        assert len(resumed) == 1
+        assert resumed.get("first") is not None
+        resumed.put("second", value)
+        assert path.read_bytes().startswith(intact)
+        reloaded = make(path)
+        assert len(reloaded) == 2
+        np.testing.assert_array_equal(reloaded.get("second"), value)
+
+    def test_non_string_response_is_rejected(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key": "a", "response": 7}\n{"key": "b", "response": "x"}\n')
+        with pytest.raises(CacheError, match="line 1"):
+            ResponseCache(path)

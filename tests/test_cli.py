@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import CountingBackend, make_document
-from lumberkit.backends import MockEmbeddingBackend, ResponseCache, ScriptedBackend
+from lumberkit import cli, parallel
+from lumberkit.backends import (
+    BackendError,
+    CompletionBackend,
+    MockEmbeddingBackend,
+    ResponseCache,
+    ScriptedBackend,
+)
 from lumberkit.baselines import HYDE_PROMPT_TEMPLATE
 from lumberkit.chunker import ChunkerConfig, lumberchunk, read_chunks, write_chunks
 from lumberkit.cli import main
 from lumberkit.corpus import QAPair, generate_qa, load_document, write_document, write_qa
 from lumberkit.evaluation import evaluate
 from lumberkit.index import bm25_build, embed_chunks
-from lumberkit.ragpipe import answer_question
+from lumberkit.ragpipe import answer_question, qa_accuracy
 
 from conftest import last_id_responder
 
@@ -557,3 +567,186 @@ class TestGenQaCommand:
         assert code == 0
         assert "wrote 0 QA pair(s)" in capsys.readouterr().out
         assert out.read_text(encoding="utf-8") == ""
+
+
+class JitteredBackend(CompletionBackend):
+    """Thread-safe scripted backend: replies are a pure function of the prompt,
+    delayed by a few ms chosen from its hash so concurrent callers finish out
+    of order. Raises BackendError on every call after fail_after calls."""
+
+    def __init__(self, fail_after: int | None = None):
+        self.fail_after = fail_after
+        self.lock = threading.Lock()
+        self.calls = 0
+
+    @staticmethod
+    def reply(prompt: str) -> str:
+        digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        if "Order the numbered documents" in prompt:
+            return f"{int(digest[0], 16) % 3 + 1}, 1, 2"
+        return "a1" if digest[1] in "0123" else f"answer {digest[:8]}"
+
+    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+        with self.lock:
+            self.calls += 1
+            failing = self.fail_after is not None and self.calls > self.fail_after
+        time.sleep(int(hashlib.sha256(prompt.encode("utf-8")).hexdigest()[2], 16) / 3000)
+        if failing:
+            raise BackendError("connection refused")
+        return self.reply(prompt)
+
+
+class TestConcurrentRag:
+    QUESTIONS = 60
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, book_records, monkeypatch):
+        monkeypatch.setattr(parallel, "WORKERS", 4)
+        document = load_document(book_records, "paragraph_records")
+        chunks = lumberchunk(document, ChunkerConfig(theta=120), ScriptedBackend(last_id_responder))
+        chunk_path = tmp_path / "chunks.jsonl"
+        write_chunks(chunks, chunk_path)
+        pairs = [
+            QAPair("book", f"What did Person{i % 7} see in part {i}?", "a1", "p")
+            for i in range(self.QUESTIONS)
+        ]
+        qa_path = tmp_path / "questions.jsonl"
+        write_qa(pairs, qa_path)
+        return chunks, pairs, chunk_path, qa_path
+
+    def run_rag(self, inputs, backend, out_dir, monkeypatch):
+        _, _, chunk_path, qa_path = inputs
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        return main(
+            [
+                "rag", "--chunks", str(chunk_path), "--questions", str(qa_path),
+                "--output-dir", str(out_dir),
+            ]
+        )
+
+    def test_outputs_match_sequential_loop(self, tmp_path, inputs, monkeypatch):
+        chunks, pairs, _, _ = inputs
+        embedder = MockEmbeddingBackend(dimension=64, seed=0)
+        vector_index = embed_chunks(chunks, embedder)
+        bm25_index = bm25_build(chunks)
+        backend = ScriptedBackend(JitteredBackend.reply)
+        lines = []
+        scored = []
+        for pair in pairs:
+            result = answer_question(pair.question, bm25_index, vector_index, embedder, backend)
+            record = {
+                "question": result.question,
+                "mentions": list(result.decision.mention_strings),
+                "bm25_k": result.decision.bm25_k,
+                "retrieved": list(result.retrieved_ids),
+                "answer": result.answer,
+            }
+            lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+            scored.append((result.answer, pair.answer))
+        summary = {"qa_accuracy": qa_accuracy(scored), "questions": len(pairs)}
+        assert 0.0 < summary["qa_accuracy"] < 100.0
+
+        out_dir = tmp_path / "rag"
+        assert self.run_rag(inputs, JitteredBackend(), out_dir, monkeypatch) == 0
+        assert (out_dir / "answers.jsonl").read_text(encoding="utf-8") == "".join(lines)
+        assert (out_dir / "summary.json").read_text(encoding="utf-8") == (
+            json.dumps(summary, ensure_ascii=False, indent=2) + "\n"
+        )
+
+    def test_backend_dying_mid_run_stops_queued_questions(self, tmp_path, inputs, monkeypatch, capsys):
+        backend = JitteredBackend(fail_after=6)
+        code = self.run_rag(inputs, backend, tmp_path / "rag", monkeypatch)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "connection refused" in err
+        assert "Traceback" not in err
+        # two calls per question; in-flight questions may finish failing
+        assert backend.calls <= 6 + 4 * parallel.WORKERS < 2 * self.QUESTIONS
+        assert not (tmp_path / "rag" / "answers.jsonl").exists()
+
+
+class TestRecordCacheFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rag", "--chunks", "c.jsonl", "--questions", "q.jsonl", "--replay-cache", "r.jsonl"],
+            ["gen-qa", "--document", "d.jsonl", "-n", "1", "--replay-cache", "r.jsonl"],
+            ["eval", "--chunks", "c.jsonl", "--qa", "q.jsonl", "--hyde", "--replay-cache", "r.jsonl"],
+            ["chunk", "--document", "d.jsonl", "--method", "paragraph"],
+            ["chunk", "--document", "d.jsonl", "--method", "proposition", "--replay-cache", "r.jsonl"],
+        ],
+        ids=["rag", "gen-qa", "eval", "chunk-paragraph", "chunk-proposition"],
+    )
+    def test_rejected_where_nothing_is_recorded(self, tmp_path, argv, capsys):
+        record = tmp_path / "record.jsonl"
+        out = tmp_path / "out"
+        output_flag = "--output" if argv[0] == "gen-qa" else "--output-dir"
+        code = main([*argv, "--record-cache", str(record), output_flag, str(out)])
+        assert code == 1
+        assert "--record-cache is not supported" in capsys.readouterr().err
+        assert not record.exists()
+        assert not out.exists()
+
+    def test_listed_in_run_config_when_used(self, tmp_path, book_records):
+        record = tmp_path / "record.jsonl"
+        seed_lumber_cache(book_records, tmp_path / "replay.jsonl")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "chunk", "--document", str(book_records), "--method", "lumber",
+                "--replay-cache", str(tmp_path / "replay.jsonl"),
+                "--record-cache", str(record), "--output-dir", str(out),
+            ]
+        )
+        assert code == 0
+        assert record.exists()
+        run_config = json.loads((out / "run_config.json").read_text())
+        assert run_config["caches"]["completion"] == str(record)
+
+    def test_paragraph_run_config_lists_no_completion_cache(self, tmp_path, book_records):
+        out = tmp_path / "out"
+        code = main(
+            ["chunk", "--document", str(book_records), "--method", "paragraph", "--output-dir", str(out)]
+        )
+        assert code == 0
+        assert json.loads((out / "run_config.json").read_text())["caches"]["completion"] is None
+
+
+class TestDamagedCache:
+    def chunk_lumber(self, book_records, out_dir, *flags):
+        return main(
+            [
+                "chunk", "--document", str(book_records), "--method", "lumber",
+                "--theta", "120", "--output-dir", str(out_dir), *flags,
+            ]
+        )
+
+    def test_corrupt_middle_line_is_a_clean_error(self, tmp_path, book_records, capsys):
+        cache_path = tmp_path / "splits.jsonl"
+        seed_lumber_cache(book_records, cache_path, thetas=(120,))
+        lines = cache_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(1, '{"key": "x", "response": \n')
+        cache_path.write_text("".join(lines), encoding="utf-8")
+        code = self.chunk_lumber(book_records, tmp_path / "out", "--replay-cache", str(cache_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "splits.jsonl, line 2" in err
+        assert "Traceback" not in err
+
+    def test_record_resumes_after_torn_final_line(self, tmp_path, book_records, monkeypatch):
+        backend = CountingBackend(last_id_responder)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        cache_path = tmp_path / "splits.jsonl"
+        flags = ("--record-cache", str(cache_path))
+        assert self.chunk_lumber(book_records, tmp_path / "first", *flags) == 0
+        recorded_calls = backend.calls
+        assert recorded_calls >= 2
+        data = cache_path.read_bytes()
+        cache_path.write_bytes(data[:-10])  # the last append was cut short
+
+        assert self.chunk_lumber(book_records, tmp_path / "second", *flags) == 0
+        assert backend.calls == recorded_calls + 1  # only the torn prompt is asked again
+        assert cache_path.read_bytes() == data
+        assert (tmp_path / "first" / "chunks.jsonl").read_bytes() == (
+            tmp_path / "second" / "chunks.jsonl"
+        ).read_bytes()

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,10 +20,19 @@ from conftest import (
     StubEmbeddingBackend,
     last_id_responder,
     make_document,
+    prompt_ids,
+    words,
 )
-from lumberkit.backends import EmbeddingCache, MockEmbeddingBackend, ScriptedBackend
-from lumberkit.chunker import Chunk
-from lumberkit.corpus import QAPair
+from lumberkit import parallel
+from lumberkit.backends import (
+    CompletionBackend,
+    EmbeddingCache,
+    MockEmbeddingBackend,
+    ResponseCache,
+    ScriptedBackend,
+)
+from lumberkit.chunker import Chunk, ChunkerConfig, lumberchunk
+from lumberkit.corpus import Document, Paragraph, QAPair
 from lumberkit.evaluation import (
     DEFAULT_KS,
     DEFAULT_THETAS,
@@ -340,6 +352,116 @@ class TestSweepTheta:
 
     def test_default_sweep_values(self):
         assert DEFAULT_THETAS == (450, 550, 650, 1000)
+
+    def test_duplicate_doc_ids_rejected(self):
+        documents, qas = self.make_inputs()
+        with pytest.raises(EvaluationError, match="'book'"):
+            sweep_theta(
+                documents * 2, qas, [450], ScriptedBackend(last_id_responder), MockEmbeddingBackend()
+            )
+
+
+class FirstRequestGarbler(CompletionBackend):
+    """Split answers that depend on whether a prompt was asked before.
+
+    Like the benchmark endpoint, about a third of prompts get garbage on
+    their first request only, so a run's calls and answers depend on the
+    order in which each prompt is asked. Replies are delayed by a few ms
+    chosen from the prompt hash, so concurrent documents interleave. Every
+    call is logged per prompt.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.calls: dict[str, list[str]] = {}
+
+    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+        digest = hashlib.sha256(prompt.encode("utf-8")).digest()
+        time.sleep(digest[1] / 255 * 0.004)
+        ids = prompt_ids(prompt)
+        with self.lock:
+            earlier = self.calls.setdefault(prompt, [])
+            if len(ids) < 2 or (not earlier and digest[0] % 3 == 0):
+                reply = "no clear shift"
+            else:
+                reply = f"Answer: ID {ids[1 + digest[2] % (len(ids) - 1)]:04d}"
+            earlier.append(reply)
+        return reply
+
+
+class HitCountingCache(ResponseCache):
+    def __init__(self, path):
+        super().__init__(path)
+        self.hits = 0
+
+    def get(self, prompt):
+        response = super().get(prompt)
+        if response is not None:
+            with self._lock:
+                self.hits += 1
+        return response
+
+
+class TestConcurrentSweep:
+    THETAS = (60, 75, 90, 120)
+
+    def make_inputs(self):
+        documents = []
+        qas = []
+        for d in range(5):
+            doc_id = f"doc{d}"
+            paragraphs = tuple(
+                Paragraph(i, words(8 + (7 * i + 11 * d) % 33, tag=f"{doc_id}p{i}w"))
+                for i in range(1, 31)
+            )
+            documents.append(Document(doc_id, doc_id, paragraphs))
+            qas += [
+                QAPair(doc_id, f"{doc_id} q{i}?", "a", paragraphs[i].text) for i in (3, 17, 28)
+            ]
+        return documents, qas
+
+    def sequential_sweep(self, documents, qas, backend, cache):
+        """The reference: every theta in ascending order, documents in turn."""
+        reports = []
+        for theta in self.THETAS:
+            chunks = [
+                chunk
+                for document in documents
+                for chunk in lumberchunk(document, ChunkerConfig(theta=theta), backend, cache=cache)
+            ]
+            reports.append(
+                evaluate(
+                    chunks, qas, MockEmbeddingBackend(), method=f"lumberchunker(θ={theta})",
+                    theta=theta,
+                )
+            )
+        return reports
+
+    def test_same_reports_and_calls_as_sequential(self, tmp_path, monkeypatch):
+        documents, qas = self.make_inputs()
+        reference = FirstRequestGarbler()
+        reference_cache = HitCountingCache(tmp_path / "reference.jsonl")
+        expected = self.sequential_sweep(documents, qas, reference, reference_cache)
+
+        monkeypatch.setattr(parallel, "WORKERS", 4)
+        backend = FirstRequestGarbler()
+        cache = HitCountingCache(tmp_path / "sweep.jsonl")
+        reports = sweep_theta(
+            documents, qas, list(reversed(self.THETAS)), backend, MockEmbeddingBackend(),
+            cache=cache,
+        )
+
+        def records(found):
+            return [
+                {k: v for k, v in report_to_record(r).items() if k != "chunking_seconds"}
+                for r in found
+            ]
+
+        assert records(reports) == records(expected)
+        assert reference_cache.hits > 0  # windows recur across thetas
+        assert cache.hits == reference_cache.hits
+        assert backend.calls == reference.calls
+        assert any(replies[0] == "no clear shift" for replies in backend.calls.values())
 
 
 class TestReportOutput:

@@ -1,0 +1,57 @@
+"""Tests for the order-preserving worker pool."""
+
+from __future__ import annotations
+
+import threading
+import time
+
+import pytest
+
+from lumberkit import parallel
+from lumberkit.parallel import ordered_map
+
+
+@pytest.fixture(autouse=True)
+def four_workers(monkeypatch):
+    monkeypatch.setattr(parallel, "WORKERS", 4)
+
+
+def test_results_keep_input_order():
+    # later items finish first
+    def slow_for_early(i: int) -> int:
+        time.sleep(0.002 * (20 - i))
+        return i * i
+
+    assert ordered_map(slow_for_early, range(20)) == [i * i for i in range(20)]
+
+
+def test_runs_items_concurrently():
+    both_running = threading.Barrier(2, timeout=10)
+
+    def meet(item: str) -> str:
+        both_running.wait()
+        return item
+
+    assert ordered_map(meet, ["a", "b"]) == ["a", "b"]
+
+
+def test_empty_input():
+    assert ordered_map(lambda item: item, []) == []
+
+
+def test_first_failure_cancels_queued_items():
+    started = []
+    lock = threading.Lock()
+
+    def work(i: int) -> int:
+        with lock:
+            started.append(i)
+        if i == 3:
+            raise ValueError("item 3 failed")
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(ValueError, match="item 3 failed"):
+        ordered_map(work, range(200))
+    assert len(started) < 200
+    assert 3 in started
