@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from .baselines import (
 )
 from .chunker import (
     ChunkerConfig,
+    ChunkingAborted,
     chunk_stats,
     lumberchunk,
     read_chunks,
@@ -88,18 +90,24 @@ class RunConfig:
         return asdict(self)
 
 
+def _model_id(args: argparse.Namespace) -> str:
+    """The model id in completion cache keys: --model-id, else --model, else 'default'."""
+    return args.model_id or args.model or "default"
+
+
 def _backend_settings(args: argparse.Namespace) -> dict:
     if getattr(args, "replay_cache", None):
         return {
             "kind": "replay",
             "cache_path": str(args.replay_cache),
-            "model_id": args.model_id or "default",
+            "model_id": _model_id(args),
         }
     if getattr(args, "backend_url", None):
         return {
             "kind": "http",
             "url": args.backend_url,
             "model": args.model,
+            "model_id": _model_id(args),
             "api_key_source": f"env:{API_KEY_ENV_VAR}",
         }
     return {"kind": "none"}
@@ -146,7 +154,7 @@ def _completion_backend(args: argparse.Namespace, *, needed_for: str) -> Complet
 
 def _optional_completion_backend(args: argparse.Namespace) -> CompletionBackend | None:
     if getattr(args, "replay_cache", None):
-        return ReplayBackend.from_file(args.replay_cache, model_id=args.model_id or "default")
+        return ReplayBackend.from_file(args.replay_cache, model_id=_model_id(args))
     if getattr(args, "backend_url", None):
         if not args.model:
             raise CliError("--backend-url requires --model")
@@ -174,8 +182,23 @@ def _embedding_cache(args: argparse.Namespace, backend: EmbeddingBackend) -> Emb
 
 def _record_cache(args: argparse.Namespace) -> ResponseCache | None:
     if getattr(args, "record_cache", None):
-        return ResponseCache(args.record_cache, model_id=args.model_id or "default")
+        return ResponseCache(args.record_cache, model_id=_model_id(args))
     return None
+
+
+@contextmanager
+def _resume_hint(cache: ResponseCache | None):
+    """If chunking aborts while recording into cache, say how to resume."""
+    try:
+        yield
+    except ChunkingAborted as exc:
+        if cache is None:
+            raise
+        raise ChunkingAborted(
+            f"{exc}; re-run the same command to resume from the {len(cache)} "
+            f"answers recorded in {cache.path}",
+            exc.chunks,
+        ) from exc
 
 
 def _reject_record_cache(args: argparse.Namespace, command: str) -> None:
@@ -184,6 +207,19 @@ def _reject_record_cache(args: argparse.Namespace, command: str) -> None:
         raise CliError(
             f"--record-cache is not supported by {command}; only "
             f"'chunk --method lumber' and 'sweep' record completions"
+        )
+
+
+def _reject_completion_flags(args: argparse.Namespace, command: str) -> None:
+    """Refuse completion-backend flags where no completion backend is built."""
+    given = [
+        "--" + name.replace("_", "-")
+        for name in ("replay_cache", "backend_url", "model", "model_id")
+        if getattr(args, name)
+    ]
+    if given:
+        raise CliError(
+            f"{', '.join(given)} not supported by {command}, which makes no completion calls"
         )
 
 
@@ -211,6 +247,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_chunk(args: argparse.Namespace) -> int:
     if args.method != "lumber":
         _reject_record_cache(args, f"chunk --method {args.method}")
+    if args.method in ("paragraph", "recursive", "semantic"):
+        _reject_completion_flags(args, f"chunk --method {args.method}")
     document = load_document(args.document, "paragraph_records")
     chunker_settings: dict = {"method": args.method}
     started = time.perf_counter()
@@ -241,7 +279,9 @@ def cmd_chunk(args: argparse.Namespace) -> int:
             min_tail_paragraphs=args.min_tail_paragraphs,
             id_width=args.id_width,
         )
-        chunks = lumberchunk(document, config, backend, cache=_record_cache(args))
+        cache = _record_cache(args)
+        with _resume_hint(cache):
+            chunks = lumberchunk(document, config, backend, cache=cache)
     elif args.method == "proposition":
         backend = _completion_backend(args, needed_for="method 'proposition'")
         chunks = proposition_chunks(document, backend)
@@ -292,6 +332,8 @@ def cmd_chunk(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _reject_record_cache(args, "eval")
+    if not args.hyde:
+        _reject_completion_flags(args, "eval without --hyde")
     qa_pairs = load_qa(args.qa)
     embed_backend = _embedding_backend(args)
     embed_cache = _embedding_cache(args, embed_backend)
@@ -348,17 +390,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         min_tail_paragraphs=args.min_tail_paragraphs,
         id_width=args.id_width,
     )
-    reports = sweep_theta(
-        documents,
-        qa_pairs,
-        args.thetas,
-        backend,
-        embed_backend,
-        config=base_config,
-        cache=_record_cache(args),
-        ks=tuple(args.ks),
-        embed_cache=embed_cache,
-    )
+    cache = _record_cache(args)
+    with _resume_hint(cache):
+        reports = sweep_theta(
+            documents,
+            qa_pairs,
+            args.thetas,
+            backend,
+            embed_backend,
+            config=base_config,
+            cache=cache,
+            ks=tuple(args.ks),
+            embed_cache=embed_cache,
+        )
     table = format_report_table(reports)
     print(table)
     out_dir = Path(args.output_dir)
@@ -483,7 +527,7 @@ def _add_completion_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--model-id",
         metavar="ID",
-        help="identifier used in completion cache keys (default: 'default')",
+        help="identifier used in completion cache keys (default: --model, else 'default')",
     )
     group.add_argument(
         "--record-cache",

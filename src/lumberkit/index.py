@@ -104,10 +104,20 @@ def cosine_topk(
     denominators = row_norms * query_norm
     safe = denominators > 0.0
     scores = np.where(safe, dots / np.where(safe, denominators, 1.0), 0.0)
-    order = sorted(
-        range(len(index)), key=lambda i: (-scores[i], index.chunks[i].chunk_id)
-    )
-    return [(index.chunks[i], float(scores[i])) for i in order[:k]]
+    return _ranked(index.chunks, scores, k)
+
+
+def _ranked(
+    chunks: Sequence[Chunk], scores: np.ndarray, k: int
+) -> list[tuple[Chunk, float]]:
+    """The k best chunks by descending score, ties by ascending chunk_id.
+
+    lexsort is stable, so chunks tied on both (equal chunk_ids from different
+    documents) keep their index order.
+    """
+    chunk_ids = np.fromiter((c.chunk_id for c in chunks), dtype=np.int64, count=len(chunks))
+    order = np.lexsort((chunk_ids, -scores))[:k]
+    return [(chunks[i], float(scores[i])) for i in order.tolist()]
 
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -120,16 +130,24 @@ def bm25_tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Bm25Index:
-    """Okapi BM25 statistics over a chunk list."""
+    """Okapi BM25 over a chunk list, with every (term, chunk) weight precomputed.
+
+    The weights are stored as one flat CSR: term t (id terms[t]) occurs in the
+    chunks rows[starts[id]:starts[id + 1]], in ascending order, with the Okapi
+    weights weights[starts[id]:starts[id + 1]].
+    """
 
     chunks: tuple[Chunk, ...]
     k1: float
     b: float
     tokenizer: Tokenizer
-    term_frequencies: tuple[Counter, ...]
-    document_frequency: dict[str, int] = field(repr=False, default_factory=dict)
-    lengths: tuple[int, ...] = ()
-    average_length: float = 0.0
+    document_frequency: dict[str, int] = field(repr=False)
+    lengths: tuple[int, ...]
+    average_length: float
+    terms: dict[str, int] = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -142,54 +160,70 @@ def bm25_build(
     k1: float = BM25_K1,
     b: float = BM25_B,
 ) -> Bm25Index:
-    """Build a BM25 index over chunk texts with the given analyzer."""
+    """Build a BM25 index over chunk texts with the given analyzer.
+
+    idf(t) = log(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive.
+    Each weight is evaluated with the same float64 operations in the same
+    order as the per-chunk textbook loop, so scores are bit-identical to it.
+    """
     if not chunks:
         raise IndexingError("no chunks to index")
     tokenizer = tokenizer or bm25_tokenize
-    term_frequencies: list[Counter] = []
-    document_frequency: dict[str, int] = {}
+    terms: dict[str, int] = {}
+    posting_terms: list[int] = []
+    posting_rows: list[int] = []
+    posting_tfs: list[int] = []
     lengths: list[int] = []
-    for chunk in chunks:
+    for row, chunk in enumerate(chunks):
         tokens = tokenizer(chunk.text)
-        counts = Counter(tokens)
-        term_frequencies.append(counts)
         lengths.append(len(tokens))
-        for term in counts:
-            document_frequency[term] = document_frequency.get(term, 0) + 1
-    average_length = sum(lengths) / len(lengths)
+        for term, tf in Counter(tokens).items():
+            posting_terms.append(terms.setdefault(term, len(terms)))
+            posting_rows.append(row)
+            posting_tfs.append(tf)
+    n = len(chunks)
+    average_length = sum(lengths) / n
+    term_ids = np.array(posting_terms, dtype=np.intp)
+    order = np.argsort(term_ids, kind="stable")
+    term_ids = term_ids[order]
+    rows = np.array(posting_rows, dtype=np.intp)[order]
+    tf = np.array(posting_tfs, dtype=np.int64)[order]
+    df = np.bincount(term_ids, minlength=len(terms))
+    starts = np.zeros(len(terms) + 1, dtype=np.intp)
+    np.cumsum(df, out=starts[1:])
+    df_list = df.tolist()
+    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df_list])
+    norm_average = average_length if average_length > 0.0 else 1.0
+    length_norm = 1.0 - b + b * np.array(lengths, dtype=np.int64) / norm_average
+    weights = idf[term_ids] * tf * (k1 + 1.0) / (tf + k1 * length_norm[rows])
     return Bm25Index(
         chunks=tuple(chunks),
         k1=k1,
         b=b,
         tokenizer=tokenizer,
-        term_frequencies=tuple(term_frequencies),
-        document_frequency=document_frequency,
+        document_frequency=dict(zip(terms, df_list)),
         lengths=tuple(lengths),
         average_length=average_length,
+        terms=terms,
+        starts=starts,
+        rows=rows,
+        weights=weights,
     )
 
 
 def bm25_scores(index: Bm25Index, query: str) -> np.ndarray:
     """Score every chunk against the query.
 
-    idf(t) = log(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive,
-    so a chunk scores exactly 0 iff it shares no term with the query. Each
-    query token occurrence contributes separately.
+    A chunk scores exactly 0 iff it shares no term with the query. Each query
+    token occurrence adds its term's weights once more, in query order.
     """
-    n = len(index)
-    scores = np.zeros(n, dtype=np.float64)
-    average_length = index.average_length if index.average_length > 0.0 else 1.0
+    scores = np.zeros(len(index), dtype=np.float64)
     for token in index.tokenizer(query):
-        df = index.document_frequency.get(token, 0)
-        if df == 0:
+        term = index.terms.get(token)
+        if term is None:
             continue
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        for i in range(n):
-            tf = index.term_frequencies[i].get(token, 0)
-            if tf == 0:
-                continue
-            length_norm = 1.0 - index.b + index.b * index.lengths[i] / average_length
-            scores[i] += idf * tf * (index.k1 + 1.0) / (tf + index.k1 * length_norm)
+        begin, end = index.starts[term], index.starts[term + 1]
+        scores[index.rows[begin:end]] += index.weights[begin:end]
     return scores
 
 
@@ -197,8 +231,4 @@ def bm25_topk(index: Bm25Index, query: str, k: int) -> list[tuple[Chunk, float]]
     """Top-k chunks by BM25 score; ties break by ascending chunk_id."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = bm25_scores(index, query)
-    order = sorted(
-        range(len(index)), key=lambda i: (-scores[i], index.chunks[i].chunk_id)
-    )
-    return [(index.chunks[i], float(scores[i])) for i in order[:k]]
+    return _ranked(index.chunks, bm25_scores(index, query), k)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CountingBackend, make_document
+from conftest import CountingBackend, FailingBackend, make_document, prompt_ids
 from lumberkit import cli, parallel
 from lumberkit.backends import (
     BackendError,
@@ -710,6 +710,106 @@ class TestRecordCacheFlag:
         )
         assert code == 0
         assert json.loads((out / "run_config.json").read_text())["caches"]["completion"] is None
+
+
+class TestUnusedCompletionFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chunk", "--document", "d.jsonl", "--method", "paragraph"],
+            ["chunk", "--document", "d.jsonl", "--method", "recursive"],
+            ["chunk", "--document", "d.jsonl", "--method", "semantic"],
+            ["eval", "--chunks", "c.jsonl", "--qa", "q.jsonl"],
+        ],
+        ids=["chunk-paragraph", "chunk-recursive", "chunk-semantic", "eval"],
+    )
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--replay-cache", "nothere.jsonl"),
+            ("--backend-url", "http://127.0.0.1:9"),
+            ("--model", "m"),
+            ("--model-id", "m"),
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_rejected_where_no_backend_is_built(self, tmp_path, argv, flag, capsys):
+        out = tmp_path / "out"
+        code = main([*argv, *flag, "--output-dir", str(out)])
+        assert code == 1
+        assert f"{flag[0]} not supported by" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def first_split_responder(prompt: str) -> str:
+    return f"Answer: ID {prompt_ids(prompt)[1]:04d}"
+
+
+class TestModelKeyedCache:
+    def test_two_models_in_one_file_replay_their_own_answers(
+        self, tmp_path, book_records, monkeypatch
+    ):
+        cache_path = tmp_path / "splits.jsonl"
+        responders = {"model-a": last_id_responder, "model-b": first_split_responder}
+
+        def chunk(out_dir, *flags):
+            argv = [
+                "chunk", "--document", str(book_records), "--method", "lumber",
+                "--theta", "120", "--output-dir", str(out_dir), *flags,
+            ]
+            assert main(argv) == 0
+            return (out_dir / "chunks.jsonl").read_bytes()
+
+        recorded = {}
+        for model, respond in responders.items():
+            with monkeypatch.context() as patch:
+                backend = ScriptedBackend(respond)
+                patch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+                recorded[model] = chunk(
+                    tmp_path / f"record-{model}", "--model", model, "--record-cache", str(cache_path)
+                )
+        assert recorded["model-a"] != recorded["model-b"]
+        for model in responders:
+            out_dir = tmp_path / f"replay-{model}"
+            assert chunk(out_dir, "--model", model, "--replay-cache", str(cache_path)) == recorded[model]
+            run_config = json.loads((out_dir / "run_config.json").read_text())
+            assert run_config["backend"]["model_id"] == model
+
+
+class TestResumeHint:
+    @pytest.mark.parametrize("command", ["chunk", "sweep"])
+    def test_abort_while_recording_says_how_to_resume(
+        self, tmp_path, book_records, qa_file, monkeypatch, capsys, command
+    ):
+        backend = FailingBackend(respond=last_id_responder, fail_after=2)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        cache_path = tmp_path / "splits.jsonl"
+        if command == "chunk":
+            argv = ["chunk", "--document", str(book_records), "--method", "lumber", "--theta", "120"]
+        else:
+            argv = ["sweep", "--documents", str(book_records), "--qa", str(qa_file), "--thetas", "120"]
+        code = main(
+            [*argv, "--record-cache", str(cache_path), "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "transport down" in err and "Traceback" not in err
+        assert (
+            f"re-run the same command to resume from the 2 answers recorded in {cache_path}" in err
+        )
+
+    def test_no_hint_without_record_cache(self, tmp_path, book_records, monkeypatch, capsys):
+        backend = FailingBackend(respond=last_id_responder, fail_after=2)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        code = main(
+            [
+                "chunk", "--document", str(book_records), "--method", "lumber",
+                "--theta", "120", "--output-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "transport down" in err and "re-run" not in err
 
 
 class TestDamagedCache:

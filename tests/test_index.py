@@ -309,6 +309,103 @@ class TestBm25:
         )
 
 
+def loop_bm25_scores(
+    chunks: list[Chunk], query: str, k1: float = 1.2, b: float = 0.75
+) -> np.ndarray:
+    """The original per-chunk BM25 loop, kept as the bit-exactness reference."""
+    term_frequencies = []
+    document_frequency: dict[str, int] = {}
+    lengths = []
+    for chunk in chunks:
+        tokens = bm25_tokenize(chunk.text)
+        counts = Counter(tokens)
+        term_frequencies.append(counts)
+        lengths.append(len(tokens))
+        for term in counts:
+            document_frequency[term] = document_frequency.get(term, 0) + 1
+    average_length = sum(lengths) / len(lengths)
+    n = len(chunks)
+    scores = np.zeros(n, dtype=np.float64)
+    average_length = average_length if average_length > 0.0 else 1.0
+    for token in bm25_tokenize(query):
+        df = document_frequency.get(token, 0)
+        if df == 0:
+            continue
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for i in range(n):
+            tf = term_frequencies[i].get(token, 0)
+            if tf == 0:
+                continue
+            length_norm = 1.0 - b + b * lengths[i] / average_length
+            scores[i] += idf * tf * (k1 + 1.0) / (tf + k1 * length_norm)
+    return scores
+
+
+VOCABULARY = "cat dog rain mat sun tree door harbor quiet the a".split()
+
+
+class TestBm25Exactness:
+    """Precomputed postings must add the same floats in the same order."""
+
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(VOCABULARY), max_size=12).map(" ".join),
+            min_size=1,
+            max_size=10,
+        ),
+        query=st.lists(
+            st.sampled_from([*VOCABULARY, "boat", "zeppelin"]), max_size=8
+        ).map(" ".join),
+        k1=st.floats(0.0, 3.0),
+        b=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scores_bit_identical_to_loop(self, texts, query, k1, b):
+        chunks = make_chunks(texts)
+        index = bm25_build(chunks, k1=k1, b=b)
+        expected = loop_bm25_scores(chunks, query, k1=k1, b=b)
+        assert bm25_scores(index, query).tobytes() == expected.tobytes()
+
+    def test_repeated_and_unknown_tokens_match_loop(self):
+        chunks = make_chunks(FIVE_TEXTS)
+        index = bm25_build(chunks)
+        for query in ("cat zeppelin cat the cat", "zeppelin", "door door door boat", ""):
+            expected = loop_bm25_scores(chunks, query)
+            assert bm25_scores(index, query).tobytes() == expected.tobytes()
+
+    def test_postings_are_one_flat_csr(self):
+        index = bm25_build(make_chunks(FIVE_TEXTS))
+        assert len(index.starts) == len(index.terms) + 1
+        assert index.starts[0] == 0
+        assert index.starts[-1] == index.rows.size == index.weights.size
+        assert index.rows.ndim == index.weights.ndim == 1
+        cat = index.terms["cat"]
+        rows = index.rows[index.starts[cat] : index.starts[cat + 1]]
+        assert rows.tolist() == [0, 2, 4]
+
+
+def two_document_chunks(text: str) -> list[Chunk]:
+    """Chunks 0 and 1 of document "b" followed by chunks 0 and 1 of "a"."""
+    return make_chunks([text, text], doc_id="b") + make_chunks([text, text], doc_id="a")
+
+
+class TestTiesAcrossDocuments:
+    """Equal score and equal chunk_id: index order decides, in both rankers."""
+
+    EXPECTED = [("b", 0), ("a", 0), ("b", 1), ("a", 1)]
+
+    def test_bm25_topk(self):
+        index = bm25_build(two_document_chunks("same text"))
+        ranked = bm25_topk(index, "same", k=4)
+        assert [(c.doc_id, c.chunk_id) for c, _ in ranked] == self.EXPECTED
+
+    def test_cosine_topk(self):
+        chunks = two_document_chunks("same text")
+        index = VectorIndex(tuple(chunks), np.ones((4, 3)))
+        ranked = cosine_topk(index, np.ones(3), k=4)
+        assert [(c.doc_id, c.chunk_id) for c, _ in ranked] == self.EXPECTED
+
+
 class TestUnrelatedChunkInvariance:
     def test_added_chunk_preserves_pairwise_cosine_order(self):
         backend = MockEmbeddingBackend()
