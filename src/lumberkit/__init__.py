@@ -1,5 +1,8 @@
 """Dynamic LLM-driven document chunking with retrieval evaluation tooling."""
 
+# set before the submodule imports: backends sends it as its User-Agent
+__version__ = "0.1.0"
+
 from .backends import (
     BackendError,
     CompletionBackend,
@@ -80,5 +83,3 @@ from .ragpipe import (
     qa_accuracy,
     rerank,
 )
-
-__version__ = "0.1.0"

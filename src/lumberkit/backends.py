@@ -8,20 +8,26 @@ key all come from configuration.
 
 from __future__ import annotations
 
+import base64
+import functools
 import hashlib
+import http.client
 import json
 import logging
 import os
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
+import weakref
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import requests
-from requests.adapters import HTTPAdapter
 
+from . import __version__
 from .errors import LumberkitError
 from .parallel import WORKERS
 
@@ -87,6 +93,10 @@ class _JsonlStore:
     except on the final line: a crash mid-append leaves it torn, so it is
     skipped with a warning and cut off before the next append, which lets a
     re-run resume from the finished prefix.
+
+    The file is opened for appending on the first put and kept open until
+    close(), or until the store is collected; each record is flushed as it
+    is written.
     """
 
     field: str  # record field holding the value; subclasses also define _decode
@@ -96,6 +106,7 @@ class _JsonlStore:
         self._lock = threading.Lock()
         self._entries: dict = {}
         self._torn_at: int | None = None
+        self._handle = None
         if self.path.exists():
             self._load()
 
@@ -123,12 +134,28 @@ class _JsonlStore:
         line = json.dumps({"key": key, self.field: stored}, ensure_ascii=False)
         with self._lock:
             self._entries[key] = value
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self._torn_at is not None:
-                os.truncate(self.path, self._torn_at)
-                self._torn_at = None
-            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(line + "\n")
+            if self._handle is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                if self._torn_at is not None:
+                    os.truncate(self.path, self._torn_at)
+                    self._torn_at = None
+                self._handle = open(self.path, "a", encoding="utf-8", newline="\n")
+                weakref.finalize(self, self._handle.close)
+            self._handle.write(line + "\n")
+            # a crash then tears at most the final line
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -183,18 +210,157 @@ class ReplayBackend(CompletionBackend):
         return response
 
 
-def _bounded_session() -> requests.Session:
-    """A session that opens at most WORKERS connections per host.
+def _parse_url(url: str, schemes: tuple[str, ...]) -> urllib.parse.SplitResult:
+    parts = urllib.parse.urlsplit(url)
+    try:
+        parts.port  # a malformed port raises here
+    except ValueError as exc:
+        raise BackendError(f"bad URL {url!r}: {exc}") from None
+    if parts.scheme not in schemes or not parts.hostname:
+        wanted = " or ".join(f"{scheme}://" for scheme in schemes)
+        raise BackendError(f"bad URL {url!r}: expected {wanted} and a host")
+    return parts
 
-    Callers beyond that wait for a free connection instead of opening another
-    one, so concurrent workers never hold more connections than there are
-    workers; servers that serve one keep-alive connection per thread rely on it.
+
+def _proxy_authorization(proxy: urllib.parse.SplitResult) -> dict[str, str]:
+    if proxy.username is None:
+        return {}
+    user = urllib.parse.unquote(proxy.username)
+    password = urllib.parse.unquote(proxy.password or "")
+    token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+    return {"Proxy-Authorization": f"Basic {token}"}
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+
+
+class _JsonClient:
+    """POSTs JSON to one origin over a bounded pool of keep-alive connections.
+
+    At most WORKERS connections are open at once and each serves one thread
+    at a time; callers beyond that wait for a free one, so concurrent workers
+    never hold more connections than there are workers (servers that serve
+    one keep-alive connection per thread rely on it). Failed requests,
+    non-2xx replies and replies that `parse` rejects are retried with linear
+    backoff. A pooled connection that the server dropped while it was idle
+    is reopened at once, without a backoff sleep or a spent attempt.
+
+    Proxies come from HTTP_PROXY/HTTPS_PROXY/NO_PROXY, resolved once; HTTPS
+    goes through a CONNECT tunnel and verifies certificates against the
+    system trust store (SSL_CERT_FILE overrides it). Redirects are not
+    followed.
     """
-    session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=WORKERS, pool_block=True)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
+
+    def __init__(
+        self,
+        base_url: str,
+        api_key: str | None,
+        *,
+        what: str,
+        timeout: float,
+        max_attempts: int,
+        retry_wait: float,
+    ):
+        url = _parse_url(base_url, ("http", "https"))
+        self.what = what
+        self.max_attempts = max_attempts
+        self.retry_wait = retry_wait
+        self._headers = {
+            "Content-Type": "application/json",
+            "User-Agent": f"lumberkit/{__version__}",
+        }
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        address = url.netloc.rpartition("@")[2]
+        self._prefix = url.path.rstrip("/")
+        host, port, tunnel = url.hostname, url.port, None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(address):
+            via = _parse_url(proxy if "://" in proxy else f"http://{proxy}", ("http",))
+            if url.scheme == "https":
+                tunnel = (host, port, _proxy_authorization(via))
+            else:
+                # a plain-HTTP proxy takes the absolute URL as request target
+                self._prefix = f"http://{address}{self._prefix}"
+                self._headers.update(_proxy_authorization(via))
+            host, port = via.hostname, via.port or 80
+        connection_class, options = http.client.HTTPConnection, {"timeout": timeout}
+        if url.scheme == "https":
+            connection_class = http.client.HTTPSConnection
+            options["context"] = ssl.create_default_context()
+        self._new_connection = functools.partial(connection_class, host, port, **options)
+        self._tunnel = tunnel
+        self._idle: list[http.client.HTTPConnection] = []  # LIFO: the warmest first
+        self._slots = threading.BoundedSemaphore(WORKERS)
+        weakref.finalize(self, _close_all, self._idle)
+
+    def post(self, path: str, payload: dict, parse: Callable[[object], object]):
+        """POST payload as JSON to path; return parse(decoded reply body)."""
+        body = json.dumps(payload).encode("utf-8")
+        last_error: Exception | None = None
+        for attempt in range(self.max_attempts):
+            if attempt:
+                time.sleep(self.retry_wait * attempt)
+            try:
+                return parse(self._exchange(self._prefix + path, body))
+            except (
+                OSError,
+                http.client.HTTPException,
+                KeyError,
+                IndexError,
+                TypeError,
+                ValueError,
+            ) as exc:
+                last_error = exc
+                logger.warning(
+                    "%s request failed (attempt %d/%d): %s",
+                    self.what,
+                    attempt + 1,
+                    self.max_attempts,
+                    exc,
+                )
+        raise BackendError(
+            f"{self.what} request failed after {self.max_attempts} attempts: {last_error}"
+        )
+
+    def _connect(self) -> http.client.HTTPConnection:
+        connection = self._new_connection()
+        if self._tunnel is not None:
+            connection.set_tunnel(*self._tunnel)
+        return connection
+
+    def _exchange(self, target: str, body: bytes):
+        with self._slots:
+            try:
+                connection, reused = self._idle.pop(), True
+            except IndexError:
+                connection, reused = self._connect(), False
+            try:
+                while True:
+                    try:
+                        connection.request("POST", target, body, self._headers)
+                        response = connection.getresponse()
+                        break
+                    except (ConnectionResetError, BrokenPipeError):
+                        if not reused:
+                            raise
+                        # dropped while idle: the request never reached the
+                        # server, so send it again on a new socket
+                        connection.close()
+                        reused = False
+                data = response.read()
+            except BaseException:
+                connection.close()
+                raise
+            if response.will_close:
+                connection.close()
+            else:
+                self._idle.append(connection)
+        if not 200 <= response.status < 300:
+            raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
+        return json.loads(data)
 
 
 class HttpCompletionBackend(CompletionBackend):
@@ -203,7 +369,7 @@ class HttpCompletionBackend(CompletionBackend):
     Sends POST {base_url}/chat/completions with a single user message and
     reads choices[0].message.content; see the README for the exact wire
     shape. Transient failures are retried with linear backoff before a
-    BackendError is raised.
+    BackendError is raised; an unusable base_url raises BackendError here.
     """
 
     def __init__(
@@ -215,22 +381,17 @@ class HttpCompletionBackend(CompletionBackend):
         timeout: float = 60.0,
         max_attempts: int = 3,
         retry_wait: float = 1.0,
-        session: requests.Session | None = None,
     ):
-        self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.retry_wait = retry_wait
-        self._session = session or _bounded_session()
         self.backend_id = f"http:{model}"
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
+        self._http = _JsonClient(
+            base_url,
+            api_key,
+            what="completion",
+            timeout=timeout,
+            max_attempts=max_attempts,
+            retry_wait=retry_wait,
+        )
 
     def complete(self, prompt: str, temperature: float = 0.0) -> str:
         payload = {
@@ -238,30 +399,8 @@ class HttpCompletionBackend(CompletionBackend):
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
         }
-        last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
-            if attempt:
-                time.sleep(self.retry_wait * attempt)
-            try:
-                response = self._session.post(
-                    f"{self.base_url}/chat/completions",
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.timeout,
-                )
-                response.raise_for_status()
-                body = response.json()
-                return body["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
-                last_error = exc
-                logger.warning(
-                    "completion request failed (attempt %d/%d): %s",
-                    attempt + 1,
-                    self.max_attempts,
-                    exc,
-                )
-        raise BackendError(
-            f"completion request failed after {self.max_attempts} attempts: {last_error}"
+        return self._http.post(
+            "/chat/completions", payload, lambda body: body["choices"][0]["message"]["content"]
         )
 
 
@@ -334,62 +473,36 @@ class HttpEmbeddingBackend(EmbeddingBackend):
         timeout: float = 60.0,
         max_attempts: int = 3,
         retry_wait: float = 1.0,
-        session: requests.Session | None = None,
     ):
-        self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.retry_wait = retry_wait
-        self._session = session or _bounded_session()
         self.backend_id = f"http-embed:{model}"
         self.dimension = 0  # learned from the first response
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
+        self._http = _JsonClient(
+            base_url,
+            api_key,
+            what="embedding",
+            timeout=timeout,
+            max_attempts=max_attempts,
+            retry_wait=retry_wait,
+        )
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         payload = {"model": self.model, "input": list(texts)}
-        last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
-            if attempt:
-                time.sleep(self.retry_wait * attempt)
-            try:
-                response = self._session.post(
-                    f"{self.base_url}/embeddings",
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.timeout,
-                )
-                response.raise_for_status()
-                body = response.json()
-                rows = np.asarray([item["embedding"] for item in body["data"]], dtype=np.float64)
-                if rows.ndim != 2 or rows.shape[0] != len(texts):
-                    raise ValueError(f"unexpected embedding shape {rows.shape}")
-                if self.dimension == 0:
-                    self.dimension = int(rows.shape[1])
-                elif rows.shape[1] != self.dimension:
-                    raise ValueError(
-                        f"embedding dimension changed from {self.dimension} to {rows.shape[1]}"
-                    )
-                norms = np.linalg.norm(rows, axis=1, keepdims=True)
-                norms[norms == 0.0] = 1.0
-                return rows / norms
-            except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
-                last_error = exc
-                logger.warning(
-                    "embedding request failed (attempt %d/%d): %s",
-                    attempt + 1,
-                    self.max_attempts,
-                    exc,
-                )
-        raise BackendError(
-            f"embedding request failed after {self.max_attempts} attempts: {last_error}"
-        )
+        return self._http.post("/embeddings", payload, lambda body: self._rows(body, len(texts)))
+
+    def _rows(self, body, count: int) -> np.ndarray:
+        rows = np.asarray([item["embedding"] for item in body["data"]], dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[0] != count:
+            raise ValueError(f"unexpected embedding shape {rows.shape}")
+        if self.dimension == 0:
+            self.dimension = int(rows.shape[1])
+        elif rows.shape[1] != self.dimension:
+            raise ValueError(
+                f"embedding dimension changed from {self.dimension} to {rows.shape[1]}"
+            )
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        return rows / norms
 
 
 class EmbeddingCache(_JsonlStore):

@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -174,16 +174,20 @@ def _embedding_backend(args: argparse.Namespace) -> EmbeddingBackend:
     return MockEmbeddingBackend(dimension=args.embed_dim, seed=args.embed_seed)
 
 
-def _embedding_cache(args: argparse.Namespace, backend: EmbeddingBackend) -> EmbeddingCache | None:
+def _embedding_cache(
+    args: argparse.Namespace, backend: EmbeddingBackend
+) -> EmbeddingCache | nullcontext:
+    """The --embed-cache store, or a stand-in for `with` that yields None."""
     if getattr(args, "embed_cache", None):
         return EmbeddingCache(args.embed_cache, backend.backend_id)
-    return None
+    return nullcontext()
 
 
-def _record_cache(args: argparse.Namespace) -> ResponseCache | None:
+def _record_cache(args: argparse.Namespace) -> ResponseCache | nullcontext:
+    """The --record-cache store, or a stand-in for `with` that yields None."""
     if getattr(args, "record_cache", None):
         return ResponseCache(args.record_cache, model_id=_model_id(args))
-    return None
+    return nullcontext()
 
 
 @contextmanager
@@ -223,6 +227,24 @@ def _reject_completion_flags(args: argparse.Namespace, command: str) -> None:
         )
 
 
+def _reject_embedding_flags(args: argparse.Namespace, command: str, *, embeds: bool) -> None:
+    """Refuse embedding flags that command never reads.
+
+    A command that embeds reads the embedder flags but may still ignore the
+    embedding cache; one that does not embed reads none of them.
+    """
+    flags = {} if embeds else {
+        "--embed http": args.embed == "http",
+        "--embed-url": args.embed_url,
+        "--embed-model": args.embed_model,
+    }
+    flags["--embed-cache"] = args.embed_cache
+    given = [flag for flag, value in flags.items() if value]
+    if given:
+        reason = "reads no embedding cache" if embeds else "makes no embedding calls"
+        raise CliError(f"{', '.join(given)} not supported by {command}, which {reason}")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     document = load_document(args.input, args.format, doc_id=args.doc_id, title=args.title)
     output = Path(args.output)
@@ -249,6 +271,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
         _reject_record_cache(args, f"chunk --method {args.method}")
     if args.method in ("paragraph", "recursive", "semantic"):
         _reject_completion_flags(args, f"chunk --method {args.method}")
+    _reject_embedding_flags(args, f"chunk --method {args.method}", embeds=args.method == "semantic")
     document = load_document(args.document, "paragraph_records")
     chunker_settings: dict = {"method": args.method}
     started = time.perf_counter()
@@ -279,8 +302,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
             min_tail_paragraphs=args.min_tail_paragraphs,
             id_width=args.id_width,
         )
-        cache = _record_cache(args)
-        with _resume_hint(cache):
+        with _record_cache(args) as cache, _resume_hint(cache):
             chunks = lumberchunk(document, config, backend, cache=cache)
     elif args.method == "proposition":
         backend = _completion_backend(args, needed_for="method 'proposition'")
@@ -336,7 +358,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _reject_completion_flags(args, "eval without --hyde")
     qa_pairs = load_qa(args.qa)
     embed_backend = _embedding_backend(args)
-    embed_cache = _embedding_cache(args, embed_backend)
     transform = None
     suffix = ""
     if args.hyde:
@@ -344,19 +365,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         transform = lambda query: hyde_transform(query, hyde_backend)  # noqa: E731
         suffix = "+hyde"
     reports = []
-    for chunk_path in args.chunks:
-        chunks = read_chunks(chunk_path)
-        reports.append(
-            evaluate(
-                chunks,
-                qa_pairs,
-                embed_backend,
-                transform,
-                tuple(args.ks),
-                method=Path(chunk_path).stem + suffix,
-                embed_cache=embed_cache,
+    with _embedding_cache(args, embed_backend) as embed_cache:
+        for chunk_path in args.chunks:
+            chunks = read_chunks(chunk_path)
+            reports.append(
+                evaluate(
+                    chunks,
+                    qa_pairs,
+                    embed_backend,
+                    transform,
+                    tuple(args.ks),
+                    method=Path(chunk_path).stem + suffix,
+                    embed_cache=embed_cache,
+                )
             )
-        )
     table = format_report_table(reports)
     print(table)
     out_dir = Path(args.output_dir)
@@ -384,14 +406,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     qa_pairs = load_qa(args.qa)
     backend = _completion_backend(args, needed_for="sweep")
     embed_backend = _embedding_backend(args)
-    embed_cache = _embedding_cache(args, embed_backend)
     base_config = ChunkerConfig(
         max_retries=args.max_retries,
         min_tail_paragraphs=args.min_tail_paragraphs,
         id_width=args.id_width,
     )
-    cache = _record_cache(args)
-    with _resume_hint(cache):
+    with (
+        _embedding_cache(args, embed_backend) as embed_cache,
+        _record_cache(args) as cache,
+        _resume_hint(cache),
+    ):
         reports = sweep_theta(
             documents,
             qa_pairs,
@@ -437,8 +461,8 @@ def cmd_rag(args: argparse.Namespace) -> int:
     qa_pairs = load_qa(args.questions)
     backend = _completion_backend(args, needed_for="rag")
     embed_backend = _embedding_backend(args)
-    embed_cache = _embedding_cache(args, embed_backend)
-    vector_index = embed_chunks(chunks, embed_backend, embed_cache)
+    with _embedding_cache(args, embed_backend) as embed_cache:
+        vector_index = embed_chunks(chunks, embed_backend, embed_cache)
     bm25_index = bm25_build(chunks)
     results = ordered_map(
         lambda pair: answer_question(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,14 +32,37 @@ class _StubHandler(BaseHTTPRequestHandler):
     """Speaks the chat-completion and embedding wire shapes for tests."""
 
     fail_next: int = 0
+    raw_reply: bytes | None = None  # sent as a 200 body in place of JSON
     requests_seen: list = []
+
+    def _record(self, payload):
+        type(self).requests_seen.append(
+            {
+                "method": self.command,
+                "path": self.path,
+                "payload": payload,
+                "auth": self.headers.get("Authorization"),
+                "proxy_auth": self.headers.get("Proxy-Authorization"),
+                "user_agent": self.headers.get("User-Agent"),
+                "accept_encoding": self.headers.get("Accept-Encoding"),
+            }
+        )
+
+    def do_CONNECT(self):
+        self._record(None)
+        self.send_response(502)
+        self.end_headers()
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append(
-            {"path": self.path, "payload": payload, "auth": self.headers.get("Authorization")}
-        )
+        self._record(payload)
+        if type(self).raw_reply is not None:
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(type(self).raw_reply)))
+            self.end_headers()
+            self.wfile.write(type(self).raw_reply)
+            return
         if type(self).fail_next > 0:
             type(self).fail_next -= 1
             self.send_response(500)
@@ -77,6 +101,7 @@ def stub_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _StubHandler.fail_next = 0
+    _StubHandler.raw_reply = None
     _StubHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
@@ -125,6 +150,22 @@ class TestResponseCache:
         assert merged.get("pb") == "rb"
         assert len(merged) == 2
 
+    def test_puts_open_the_file_once(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr("lumberkit.backends.open", counting_open, raising=False)
+        path = tmp_path / "cache.jsonl"
+        with ResponseCache(path, model_id="m") as cache:
+            for i in range(100):
+                cache.put(f"p{i}", f"r{i}")
+                assert len(path.read_text(encoding="utf-8").splitlines()) == i + 1
+        assert opened == [path]
+        assert len(ResponseCache(path, model_id="m")) == 100
+
     def test_key_depends_on_model_id(self):
         assert prompt_key("m1", "p") != prompt_key("m2", "p")
 
@@ -155,6 +196,8 @@ class TestHttpCompletionBackend:
         assert request["payload"]["temperature"] == 0.0
         assert request["payload"]["messages"] == [{"role": "user", "content": "hello"}]
         assert request["auth"] == "Bearer sk-test"
+        assert request["user_agent"] == "lumberkit/0.1.0"
+        assert request["accept_encoding"] in (None, "identity")
 
     def test_retries_then_succeeds(self, stub_server):
         _StubHandler.fail_next = 1
@@ -183,11 +226,13 @@ class _ConnectionCountingHandler(BaseHTTPRequestHandler):
     lock = threading.Lock()
     open_now = 0
     most_open = 0
+    opened = 0
 
     def setup(self):
         super().setup()
         cls = type(self)
         with cls.lock:
+            cls.opened += 1
             cls.open_now += 1
             cls.most_open = max(cls.most_open, cls.open_now)
 
@@ -234,6 +279,123 @@ def test_default_session_opens_at_most_one_connection_per_worker():
         server.server_close()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+class _DroppingHandler(_ConnectionCountingHandler):
+    """Replies as if keeping the connection alive, then closes it anyway."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+@pytest.fixture()
+def keep_alive_server(request):
+    handler = getattr(request, "param", _ConnectionCountingHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    handler.opened = handler.open_now = handler.most_open = 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestHttpConnections:
+    def test_sequential_calls_reuse_one_connection(self, keep_alive_server):
+        backend = HttpCompletionBackend(keep_alive_server, "m", max_attempts=1, timeout=10)
+        replies = [backend.complete(f"p{i}") for i in range(10)]
+        assert replies == [f"p{i}" for i in range(10)]
+        assert _ConnectionCountingHandler.opened == 1
+
+    @pytest.mark.parametrize("keep_alive_server", [_DroppingHandler], indirect=True)
+    def test_connection_dropped_while_idle_is_reopened_without_backoff(
+        self, keep_alive_server, caplog
+    ):
+        backend = HttpCompletionBackend(
+            keep_alive_server, "m", max_attempts=2, retry_wait=30, timeout=10
+        )
+        replies = []
+        # a backoff sleep (30 s) would outlast the join deadline
+        caller = threading.Thread(
+            target=lambda: replies.extend(backend.complete(f"p{i}") for i in range(5)),
+            daemon=True,
+        )
+        with caplog.at_level(logging.WARNING, logger="lumberkit.backends"):
+            caller.start()
+            caller.join(timeout=10)
+        assert not caller.is_alive()
+        assert replies == [f"p{i}" for i in range(5)]
+        assert _DroppingHandler.opened == 5
+        assert "request failed" not in caplog.text
+
+
+class TestProxies:
+    @pytest.fixture(autouse=True)
+    def clean_proxy_environment(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy", "REQUEST_METHOD"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+
+    def test_http_goes_through_proxy_with_absolute_target(self, stub_server, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", stub_server.replace("http://", "http://u:p%40ss@"))
+        backend = HttpCompletionBackend("http://backend.invalid:8080/v1", "m", max_attempts=1)
+        assert backend.complete("hi") == "echo:hi"
+        request = _StubHandler.requests_seen[-1]
+        assert request["path"] == "http://backend.invalid:8080/v1/chat/completions"
+        assert request["proxy_auth"] == "Basic dTpwQHNz"  # base64 of "u:p@ss"
+
+    def test_no_proxy_bypasses_proxy(self, stub_server, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        backend = HttpCompletionBackend(stub_server + "/v1", "m", max_attempts=1)
+        assert backend.complete("hi") == "echo:hi"
+        assert _StubHandler.requests_seen[-1]["path"] == "/v1/chat/completions"
+
+    def test_https_goes_through_connect_tunnel(self, stub_server, monkeypatch):
+        monkeypatch.setenv("HTTPS_PROXY", stub_server)
+        backend = HttpCompletionBackend(
+            "https://backend.invalid/v1", "m", max_attempts=1, retry_wait=0.0
+        )
+        with pytest.raises(BackendError, match="502"):
+            backend.complete("hi")
+        request = _StubHandler.requests_seen[-1]
+        assert (request["method"], request["path"]) == ("CONNECT", "backend.invalid:443")
+
+
+class TestHttpFailures:
+    def test_read_timeout_raises_after_max_attempts(self, caplog):
+        # the kernel completes each connect from the listen backlog, but
+        # nothing ever reads the request or replies
+        with socket.create_server(("127.0.0.1", 0), backlog=8) as silent:
+            backend = HttpCompletionBackend(
+                f"http://127.0.0.1:{silent.getsockname()[1]}",
+                "m",
+                timeout=0.2,
+                max_attempts=2,
+                retry_wait=0.0,
+            )
+            with caplog.at_level(logging.WARNING, logger="lumberkit.backends"):
+                with pytest.raises(BackendError, match="after 2 attempts.*timed out"):
+                    backend.complete("hi")
+        assert caplog.text.count("timed out") == 2
+
+    @pytest.mark.parametrize("make", [HttpCompletionBackend, HttpEmbeddingBackend])
+    def test_non_json_reply_raises(self, stub_server, make):
+        _StubHandler.raw_reply = b"<html>gateway says hello</html>"
+        backend = make(stub_server, "m", max_attempts=2, retry_wait=0.0)
+        with pytest.raises(BackendError, match="after 2 attempts"):
+            backend.embed(["x"]) if make is HttpEmbeddingBackend else backend.complete("x")
+        assert len(_StubHandler.requests_seen) == 2
+
+    @pytest.mark.parametrize("make", [HttpCompletionBackend, HttpEmbeddingBackend])
+    @pytest.mark.parametrize("url", ["ftp://x", "http://", "http://host:port"])
+    def test_unusable_url_raises_at_construction(self, make, url):
+        with pytest.raises(BackendError, match="bad URL"):
+            make(url, "m")
 
 
 class TestHttpEmbeddingBackend:

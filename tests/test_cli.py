@@ -741,6 +741,59 @@ class TestUnusedCompletionFlags:
         assert not out.exists()
 
 
+class TestUnusedEmbeddingFlags:
+    @pytest.mark.parametrize("method", ["paragraph", "recursive", "lumber", "proposition"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--embed", "http"),
+            ("--embed-url", "http://127.0.0.1:9"),
+            ("--embed-model", "m"),
+            ("--embed-cache", "nothere.jsonl"),
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_rejected_where_nothing_embeds(self, tmp_path, method, flag, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["chunk", "--document", "d.jsonl", "--method", method, *flag, "--output-dir", str(out)]
+        )
+        assert code == 1
+        assert f"{' '.join(flag) if flag[0] == '--embed' else flag[0]} not supported by" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_semantic_rejects_embedding_cache(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "chunk", "--document", "d.jsonl", "--method", "semantic",
+                "--embed-cache", "nothere.jsonl", "--output-dir", str(out),
+            ]
+        )
+        assert code == 1
+        assert "--embed-cache not supported by chunk --method semantic" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnusableBackendUrl:
+    @pytest.mark.parametrize("url", ["ftp://x", "http://"])
+    def test_exits_1_before_any_request(self, tmp_path, book_records, url, capsys):
+        started = time.perf_counter()
+        code = main(
+            [
+                "chunk", "--document", str(book_records), "--method", "lumber",
+                "--backend-url", url, "--model", "m", "--output-dir", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: bad URL")
+        assert "Traceback" not in err
+        assert time.perf_counter() - started < 1.0  # no backoff sleeps
+
+
 def first_split_responder(prompt: str) -> str:
     return f"Answer: ID {prompt_ids(prompt)[1]:04d}"
 

@@ -1,13 +1,11 @@
-"""The runtime dependencies stay numpy and requests (see pyproject.toml)."""
+"""numpy is the only runtime dependency (see pyproject.toml)."""
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
-from importlib import metadata
 from pathlib import Path
 
 import lumberkit
@@ -26,14 +24,7 @@ print(json.dumps({name: owners.get(name, []) for name in third_party}))
 """
 
 
-def _distribution(requirement: str) -> str:
-    return re.match(r"[A-Za-z0-9._-]+", requirement).group().lower().replace("_", "-")
-
-
-def test_import_loads_only_numpy_requests_and_requests_dependencies():
-    allowed = {"numpy", "requests"} | {
-        _distribution(requirement) for requirement in metadata.requires("requests") or []
-    }
+def test_import_loads_only_numpy():
     src = str(Path(lumberkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = subprocess.run(
@@ -41,10 +32,4 @@ def test_import_loads_only_numpy_requests_and_requests_dependencies():
     )
     assert probe.returncode == 0, probe.stderr
     loaded = json.loads(probe.stdout)
-    assert "numpy" in loaded
-    outside = {
-        module: owners
-        for module, owners in loaded.items()
-        if not owners or any(_distribution(owner) not in allowed for owner in owners)
-    }
-    assert outside == {}, f"undeclared runtime dependencies loaded: {outside}"
+    assert list(loaded) == ["numpy"], f"third-party modules loaded besides numpy: {loaded}"
