@@ -9,6 +9,7 @@ deterministic given fixed seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -62,6 +63,11 @@ from .parallel import ordered_map
 from .ragpipe import answer_question, qa_accuracy
 
 logger = logging.getLogger(__name__)
+
+
+# --embed-dim and --embed-seed when not given
+MOCK_EMBED_DIM = 64
+MOCK_EMBED_SEED = 0
 
 
 class CliError(LumberkitError):
@@ -121,10 +127,18 @@ def _embedding_settings(args: argparse.Namespace) -> dict:
             "model": args.embed_model,
             "api_key_source": f"env:{API_KEY_ENV_VAR}",
         }
+    return {"kind": "mock", **_mock_embedding_options(args)}
+
+
+def _mock_embedding_options(args: argparse.Namespace) -> dict:
+    """--embed-dim and --embed-seed as MockEmbeddingBackend arguments.
+
+    Both flags default to None so chunk can tell given from unset; unset
+    ones resolve to the mock's defaults here.
+    """
     return {
-        "kind": "mock",
-        "dimension": getattr(args, "embed_dim", 64),
-        "seed": getattr(args, "embed_seed", 0),
+        "dimension": MOCK_EMBED_DIM if args.embed_dim is None else args.embed_dim,
+        "seed": MOCK_EMBED_SEED if args.embed_seed is None else args.embed_seed,
     }
 
 
@@ -171,7 +185,7 @@ def _embedding_backend(args: argparse.Namespace) -> EmbeddingBackend:
         return HttpEmbeddingBackend(
             args.embed_url, args.embed_model, api_key=os.environ.get(API_KEY_ENV_VAR)
         )
-    return MockEmbeddingBackend(dimension=args.embed_dim, seed=args.embed_seed)
+    return MockEmbeddingBackend(**_mock_embedding_options(args))
 
 
 def _embedding_cache(
@@ -245,6 +259,44 @@ def _reject_embedding_flags(args: argparse.Namespace, command: str, *, embeds: b
         raise CliError(f"{', '.join(given)} not supported by {command}, which {reason}")
 
 
+# The chunk flags each method reads; a flag given to any other method is
+# rejected. The mock embedder's flags count only with --embed mock.
+_CHUNK_METHOD_FLAGS = {
+    "lumber": ("theta", "max_retries", "min_tail_paragraphs", "id_width"),
+    "recursive": ("max_tokens",),
+    "semantic": ("percentile", "min_unit", "embed_dim", "embed_seed"),
+}
+
+
+def _reject_unread_chunk_flags(args: argparse.Namespace) -> None:
+    """Refuse chunk flags that the chosen method never reads."""
+    read = set(_CHUNK_METHOD_FLAGS.get(args.method, ()))
+    if args.embed != "mock":
+        read -= {"embed_dim", "embed_seed"}
+    given = [
+        "--" + name.replace("_", "-")
+        for names in _CHUNK_METHOD_FLAGS.values()
+        for name in names
+        if name not in read and getattr(args, name) is not None
+    ]
+    if given:
+        raise CliError(f"{', '.join(given)} not supported by chunk --method {args.method}")
+
+
+def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
+    """Config keyword arguments for the flags given; unset ones keep the config's defaults.
+
+    names are config fields set by the flag of the same name; renamed maps a
+    config field to the flag's attribute name where the two differ.
+    """
+    fields = {name: name for name in names} | renamed
+    return {
+        field: getattr(args, name)
+        for field, name in fields.items()
+        if getattr(args, name) is not None
+    }
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     document = load_document(args.input, args.format, doc_id=args.doc_id, title=args.title)
     output = Path(args.output)
@@ -272,36 +324,30 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     if args.method in ("paragraph", "recursive", "semantic"):
         _reject_completion_flags(args, f"chunk --method {args.method}")
     _reject_embedding_flags(args, f"chunk --method {args.method}", embeds=args.method == "semantic")
+    _reject_unread_chunk_flags(args)
     document = load_document(args.document, "paragraph_records")
     chunker_settings: dict = {"method": args.method}
     started = time.perf_counter()
     if args.method == "paragraph":
         chunks = paragraph_chunks(document)
     elif args.method == "recursive":
-        recursive_config = RecursiveConfig(max_tokens=args.max_tokens)
-        chunker_settings["max_tokens"] = args.max_tokens
+        recursive_config = RecursiveConfig(**_given(args, "max_tokens"))
+        chunker_settings["max_tokens"] = recursive_config.max_tokens
         chunks = recursive_chunks(document, recursive_config)
     elif args.method == "semantic":
         embed_backend = _embedding_backend(args)
         semantic_config = SemanticConfig(
-            breakpoint_percentile=args.percentile, min_unit=args.min_unit
+            **_given(args, "min_unit", breakpoint_percentile="percentile")
         )
-        chunker_settings.update(percentile=args.percentile, min_unit=args.min_unit)
+        chunker_settings.update(
+            percentile=semantic_config.breakpoint_percentile, min_unit=semantic_config.min_unit
+        )
         chunks = semantic_chunks(document, embed_backend, semantic_config)
     elif args.method == "lumber":
         backend = _completion_backend(args, needed_for="method 'lumber'")
-        config = ChunkerConfig(
-            theta=args.theta,
-            max_retries=args.max_retries,
-            min_tail_paragraphs=args.min_tail_paragraphs,
-            id_width=args.id_width,
-        )
-        chunker_settings.update(
-            theta=args.theta,
-            max_retries=args.max_retries,
-            min_tail_paragraphs=args.min_tail_paragraphs,
-            id_width=args.id_width,
-        )
+        names = _CHUNK_METHOD_FLAGS["lumber"]
+        config = ChunkerConfig(**_given(args, *names))
+        chunker_settings.update({name: getattr(config, name) for name in names})
         with _record_cache(args) as cache, _resume_hint(cache):
             chunks = lumberchunk(document, config, backend, cache=cache)
     elif args.method == "proposition":
@@ -362,7 +408,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     suffix = ""
     if args.hyde:
         hyde_backend = _completion_backend(args, needed_for="--hyde")
-        transform = lambda query: hyde_transform(query, hyde_backend)  # noqa: E731
+        # one rewrite per question for the whole command, shared by every chunk file
+        transform = functools.cache(lambda query: hyde_transform(query, hyde_backend))
         suffix = "+hyde"
     reports = []
     with _embedding_cache(args, embed_backend) as embed_cache:
@@ -395,7 +442,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         caches=_cache_settings(args),
         chunker={},
         ks=list(args.ks),
-        seed=getattr(args, "embed_seed", None),
+        seed=_mock_embedding_options(args)["seed"],
     )
     _write_run_config(config_record, out_dir / "run_config.json")
     return 0
@@ -449,7 +496,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "id_width": args.id_width,
         },
         ks=list(args.ks),
-        seed=getattr(args, "embed_seed", None),
+        seed=_mock_embedding_options(args)["seed"],
     )
     _write_run_config(config_record, out_dir / "run_config.json")
     return 0
@@ -504,7 +551,7 @@ def cmd_rag(args: argparse.Namespace) -> int:
         caches=_cache_settings(args),
         chunker={},
         ks=None,
-        seed=getattr(args, "embed_seed", None),
+        seed=_mock_embedding_options(args)["seed"],
     )
     _write_run_config(config_record, out_dir / "run_config.json")
     print(f"qa_accuracy {accuracy:.2f} over {len(qa_pairs)} question(s)")
@@ -568,8 +615,8 @@ def _add_embedding_flags(parser: argparse.ArgumentParser) -> None:
         default="mock",
         help="embedding backend (default: deterministic mock)",
     )
-    group.add_argument("--embed-dim", type=int, default=64, help="mock embedding dimension")
-    group.add_argument("--embed-seed", type=int, default=0, help="mock embedding seed")
+    group.add_argument("--embed-dim", type=int, help="mock embedding dimension")
+    group.add_argument("--embed-seed", type=int, help="mock embedding seed")
     group.add_argument("--embed-url", metavar="URL", help="embedding endpoint base URL")
     group.add_argument("--embed-model", metavar="NAME", help="embedding model name")
     group.add_argument(
@@ -606,25 +653,25 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="chunking method",
     )
-    chunk.add_argument("--theta", type=int, default=550, help="token threshold for lumber")
-    chunk.add_argument("--max-retries", type=int, default=3, help="split re-asks for lumber")
+    # method flags default to None, so a flag the chosen method does not read
+    # can be rejected; the method's config supplies the default
+    chunk.add_argument("--theta", type=int, help="token threshold for lumber")
+    chunk.add_argument("--max-retries", type=int, help="split re-asks for lumber")
     chunk.add_argument(
         "--min-tail-paragraphs",
         type=int,
-        default=2,
         help="smallest tail group worth splitting",
     )
-    chunk.add_argument("--id-width", type=int, default=4, help="prompt ID zero-padding width")
+    chunk.add_argument("--id-width", type=int, help="prompt ID zero-padding width")
     chunk.add_argument(
-        "--max-tokens", type=int, default=450, help="chunk size cap for recursive"
+        "--max-tokens", type=int, help="chunk size cap for recursive"
     )
     chunk.add_argument(
-        "--percentile", type=float, default=95.0, help="semantic breakpoint percentile"
+        "--percentile", type=float, help="semantic breakpoint percentile"
     )
     chunk.add_argument(
         "--min-unit",
         choices=("sentence", "paragraph"),
-        default="paragraph",
         help="semantic unit granularity",
     )
     chunk.add_argument("--output-dir", required=True, help="directory for chunk outputs")

@@ -228,34 +228,36 @@ def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, dict]]:
             yield line_number, record
 
 
-def _iter_delimited_rows(path: Path) -> Iterator[tuple[int, dict]]:
+def _iter_delimited_rows(path: Path, columns: Iterable[str]) -> Iterator[tuple[int, dict]]:
     delimiter = "\t" if path.suffix.lower() == ".tsv" else ","
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         header = reader.fieldnames or []
-        for column in _QA_COLUMNS:
+        for column in columns:
             if column not in header:
                 raise MissingColumnError(column, path)
         for line_number, row in enumerate(reader, start=2):
             yield line_number, row
 
 
-def _pairs_from_rows(rows: Iterable[tuple[int, dict]], path: Path) -> list[QAPair]:
+def _pairs_from_rows(
+    rows: Iterable[tuple[int, dict]], path: Path, column_map: Mapping[str, str]
+) -> list[QAPair]:
     pairs: list[QAPair] = []
     skipped = 0
     for _line_number, row in rows:
         for column in ("doc_id", "question", "answer"):
-            if column not in row or row[column] is None:
-                raise MissingColumnError(column, path)
-        passage = str(row.get("supporting_passage") or "").strip()
+            if row.get(column_map[column]) is None:
+                raise MissingColumnError(column_map[column], path)
+        passage = str(row.get(column_map["supporting_passage"]) or "").strip()
         if not passage:
             skipped += 1
             continue
         pairs.append(
             QAPair(
-                doc_id=str(row["doc_id"]),
-                question=str(row["question"]),
-                answer=str(row["answer"]),
+                doc_id=str(row[column_map["doc_id"]]),
+                question=str(row[column_map["question"]]),
+                answer=str(row[column_map["answer"]]),
                 supporting_passage=passage,
             )
         )
@@ -271,12 +273,7 @@ def load_qa(path: str | Path) -> list[QAPair]:
     an empty supporting passage are skipped and counted in a logged warning;
     a structurally absent column raises MissingColumnError.
     """
-    path = Path(path)
-    if path.suffix.lower() in {".csv", ".tsv"}:
-        rows: Iterable[tuple[int, dict]] = _iter_delimited_rows(path)
-    else:
-        rows = _iter_jsonl_rows(path)
-    return _pairs_from_rows(rows, path)
+    return load_qa_mapped(path, {column: column for column in _QA_COLUMNS})
 
 
 def load_qa_mapped(path: str | Path, column_map: Mapping[str, str]) -> list[QAPair]:
@@ -284,32 +281,21 @@ def load_qa_mapped(path: str | Path, column_map: Mapping[str, str]) -> list[QAPa
 
     column_map maps each of our column names (doc_id, question, answer,
     supporting_passage) to the name used in the file, so externally published
-    question sets import without renaming files by hand.
+    question sets import without renaming files by hand. Otherwise rows are
+    read as by load_qa, and a missing column is reported by its name in the
+    file.
     """
     for column in _QA_COLUMNS:
         if column not in column_map:
             raise MissingColumnError(column, path)
     path = Path(path)
     if path.suffix.lower() in {".csv", ".tsv"}:
-        delimiter = "\t" if path.suffix.lower() == ".tsv" else ","
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh, delimiter=delimiter)
-            header = reader.fieldnames or []
-            for ours, theirs in column_map.items():
-                if theirs not in header:
-                    raise MissingColumnError(theirs, path)
-            raw_rows = [(i, dict(row)) for i, row in enumerate(reader, start=2)]
+        rows: Iterable[tuple[int, dict]] = _iter_delimited_rows(
+            path, (column_map[column] for column in _QA_COLUMNS)
+        )
     else:
-        raw_rows = list(_iter_jsonl_rows(path))
-        for line_number, row in raw_rows:
-            for ours, theirs in column_map.items():
-                if ours != "supporting_passage" and theirs not in row:
-                    raise MissingColumnError(theirs, path)
-    renamed = (
-        (line_number, {ours: row.get(theirs) for ours, theirs in column_map.items()})
-        for line_number, row in raw_rows
-    )
-    return _pairs_from_rows(renamed, path)
+        rows = _iter_jsonl_rows(path)
+    return _pairs_from_rows(rows, path, column_map)
 
 
 def write_qa(pairs: Iterable[QAPair], path: str | Path) -> None:

@@ -21,13 +21,19 @@ from .backends import CompletionBackend, EmbeddingBackend, EmbeddingCache, Respo
 from .chunker import Chunk, ChunkerConfig, lumberchunk
 from .corpus import Document, QAPair, TokenCounter
 from .errors import LumberkitError
-from .index import VectorIndex, cosine_topk, embed_chunks
+from .index import cosine_topk, embed_chunks
 from .parallel import ordered_map
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_KS = (1, 2, 5, 10, 20)
 DEFAULT_THETAS = (450, 550, 650, 1000)
+# judge_relevance's defaults: a chunk holding 80% of the passage's word
+# trigrams is relevant.
+NGRAM_SIZE = 3
+NGRAM_THRESHOLD = 0.8
+# Questions embedded per backend request in build_runs.
+QUERY_BATCH = 64
 
 RelevanceJudge = Callable[[Chunk, QAPair], bool]
 QueryTransform = Callable[[str], str]
@@ -77,12 +83,41 @@ def normalize_for_matching(text: str) -> str:
     return " ".join(_PUNCTUATION_RE.sub(" ", text.lower()).split())
 
 
+def _passage_matches(
+    text: str, passage: str, ngram_size: int, ngram_threshold: float
+) -> bool:
+    """The relevance rule on texts already normalized for matching.
+
+    Normalized texts are whitespace-free words joined by single spaces, so a
+    word n-gram occurs in the text's word list exactly when " w1 ... wn " is
+    a substring of the text padded with one space on each side. Counting
+    stops once even a hit on every remaining n-gram could not reach the
+    threshold; the final ratio could only be lower, so the answer is exact.
+    """
+    if not passage:
+        return False
+    if passage in text:
+        return True
+    passage_words = passage.split()
+    total = len(passage_words) - ngram_size + 1
+    if total < 1:
+        return False
+    padded = f" {text} "
+    hits = 0
+    for start in range(total):
+        if f" {' '.join(passage_words[start : start + ngram_size])} " in padded:
+            hits += 1
+        elif (hits + total - start - 1) / total < ngram_threshold:
+            return False
+    return hits / total >= ngram_threshold
+
+
 def judge_relevance(
     chunk: Chunk,
     qa: QAPair,
     *,
-    ngram_size: int = 3,
-    ngram_threshold: float = 0.8,
+    ngram_size: int = NGRAM_SIZE,
+    ngram_threshold: float = NGRAM_THRESHOLD,
 ) -> bool:
     """Decide whether a chunk contains the QA pair's supporting passage.
 
@@ -91,26 +126,37 @@ def judge_relevance(
     n-grams occur in the chunk. Passages shorter than ngram_size words rely on
     the substring rule alone.
     """
-    passage = normalize_for_matching(qa.supporting_passage)
-    text = normalize_for_matching(chunk.text)
-    if not passage:
-        return False
-    if passage in text:
-        return True
-    passage_words = passage.split()
-    if len(passage_words) < ngram_size:
-        return False
-    chunk_words = text.split()
-    chunk_grams = {
-        tuple(chunk_words[i : i + ngram_size])
-        for i in range(len(chunk_words) - ngram_size + 1)
-    }
-    passage_grams = [
-        tuple(passage_words[i : i + ngram_size])
-        for i in range(len(passage_words) - ngram_size + 1)
-    ]
-    hits = sum(1 for gram in passage_grams if gram in chunk_grams)
-    return hits / len(passage_grams) >= ngram_threshold
+    return _passage_matches(
+        normalize_for_matching(chunk.text),
+        normalize_for_matching(qa.supporting_passage),
+        ngram_size,
+        ngram_threshold,
+    )
+
+
+def _normalizing_judge() -> RelevanceJudge:
+    """judge_relevance with its defaults, normalizing each distinct text once.
+
+    The memo lives as long as the returned judge, so a caller bounds its
+    memory by how long it keeps the judge.
+    """
+    normalized: dict[str, str] = {}
+
+    def normalize(text: str) -> str:
+        result = normalized.get(text)
+        if result is None:
+            result = normalized[text] = normalize_for_matching(text)
+        return result
+
+    def judge(chunk: Chunk, qa: QAPair) -> bool:
+        return _passage_matches(
+            normalize(chunk.text),
+            normalize(qa.supporting_passage),
+            NGRAM_SIZE,
+            NGRAM_THRESHOLD,
+        )
+
+    return judge
 
 
 def _check_runs_and_k(runs: Sequence[RetrievalRun], k: int) -> None:
@@ -149,37 +195,51 @@ def build_runs(
 ) -> list[RetrievalRun]:
     """Rank each question against its own document's chunks.
 
-    Chunks are grouped by doc_id and embedded once per document. Questions
-    whose doc_id has no chunks get an absent gold rank and a warning. The
-    gold rank is the first position, scanning down the ranking, whose chunk
-    the judge accepts.
+    Chunks are grouped by doc_id and embedded once per document, in the order
+    the documents first appear among the questions; only documents with
+    questions are embedded. A document's questions are rewritten by
+    query_transform concurrently, once per distinct question, then embedded
+    in batches of QUERY_BATCH. Questions whose doc_id has no chunks get an
+    absent gold rank and a warning. The gold rank is the first position,
+    scanning down the ranking, whose chunk the judge accepts. Without a
+    judge, judge_relevance's rule runs on texts normalized once per
+    document. Runs come back in question order.
     """
-    judge = judge or judge_relevance
     by_doc: dict[str, list[Chunk]] = {}
     for chunk in chunks:
         by_doc.setdefault(chunk.doc_id, []).append(chunk)
-    indexes: dict[str, VectorIndex] = {}
-    runs: list[RetrievalRun] = []
+    questions_by_doc: dict[str, list[int]] = {}
+    for position, qa in enumerate(qa_pairs):
+        questions_by_doc.setdefault(qa.doc_id, []).append(position)
+    runs: list[RetrievalRun | None] = [None] * len(qa_pairs)
     missing = 0
-    for qa in qa_pairs:
-        doc_chunks = by_doc.get(qa.doc_id)
+    for doc_id, positions in questions_by_doc.items():
+        doc_chunks = by_doc.get(doc_id)
         if not doc_chunks:
-            runs.append(RetrievalRun(qa, (), None))
-            missing += 1
+            for position in positions:
+                runs[position] = RetrievalRun(qa_pairs[position], (), None)
+            missing += len(positions)
             continue
-        index = indexes.get(qa.doc_id)
-        if index is None:
-            index = embed_chunks(doc_chunks, embed_backend, embed_cache)
-            indexes[qa.doc_id] = index
-        query_text = query_transform(qa.question) if query_transform else qa.question
-        query_vector = embed_backend.embed([query_text])[0]
-        ranked = cosine_topk(index, query_vector, depth)
-        gold_rank = None
-        for position, (chunk, _score) in enumerate(ranked, start=1):
-            if judge(chunk, qa):
-                gold_rank = position
-                break
-        runs.append(RetrievalRun(qa, tuple(chunk for chunk, _ in ranked), gold_rank))
+        index = embed_chunks(doc_chunks, embed_backend, embed_cache)
+        query_texts = [qa_pairs[position].question for position in positions]
+        if query_transform:
+            distinct = list(dict.fromkeys(query_texts))
+            rewrites = dict(zip(distinct, ordered_map(query_transform, distinct)))
+            query_texts = [rewrites[text] for text in query_texts]
+        query_vectors = [
+            vector
+            for start in range(0, len(query_texts), QUERY_BATCH)
+            for vector in embed_backend.embed(query_texts[start : start + QUERY_BATCH])
+        ]
+        doc_judge = judge or _normalizing_judge()
+        for position, query_vector in zip(positions, query_vectors, strict=True):
+            qa = qa_pairs[position]
+            ranked = tuple(chunk for chunk, _score in cosine_topk(index, query_vector, depth))
+            gold_rank = next(
+                (rank for rank, chunk in enumerate(ranked, start=1) if doc_judge(chunk, qa)),
+                None,
+            )
+            runs[position] = RetrievalRun(qa, ranked, gold_rank)
     if missing:
         logger.warning("%d question(s) referenced documents with no chunks", missing)
     return runs

@@ -19,11 +19,11 @@ from lumberkit.backends import (
     ResponseCache,
     ScriptedBackend,
 )
-from lumberkit.baselines import HYDE_PROMPT_TEMPLATE
+from lumberkit.baselines import HYDE_PROMPT_TEMPLATE, hyde_transform
 from lumberkit.chunker import ChunkerConfig, lumberchunk, read_chunks, write_chunks
 from lumberkit.cli import main
 from lumberkit.corpus import QAPair, generate_qa, load_document, write_document, write_qa
-from lumberkit.evaluation import evaluate
+from lumberkit.evaluation import evaluate, write_reports
 from lumberkit.index import bm25_build, embed_chunks
 from lumberkit.ragpipe import answer_question, qa_accuracy
 
@@ -903,3 +903,184 @@ class TestDamagedCache:
         assert (tmp_path / "first" / "chunks.jsonl").read_bytes() == (
             tmp_path / "second" / "chunks.jsonl"
         ).read_bytes()
+
+
+class TestUnreadChunkFlags:
+    @pytest.mark.parametrize(
+        "method, flags, named",
+        [
+            ("paragraph", ["--embed-dim", "8", "--embed-seed", "3"], "--embed-dim, --embed-seed"),
+            ("recursive", ["--theta", "900", "--percentile", "10"], "--theta, --percentile"),
+            ("paragraph", ["--max-retries", "1"], "--max-retries"),
+            ("paragraph", ["--min-tail-paragraphs", "1"], "--min-tail-paragraphs"),
+            ("paragraph", ["--id-width", "6"], "--id-width"),
+            ("paragraph", ["--max-tokens", "100"], "--max-tokens"),
+            ("paragraph", ["--min-unit", "sentence"], "--min-unit"),
+            ("semantic", ["--theta", "900", "--max-tokens", "100"], "--theta, --max-tokens"),
+            ("lumber", ["--max-tokens", "100", "--embed-seed", "1"], "--max-tokens, --embed-seed"),
+            ("lumber", ["--percentile", "80", "--min-unit", "paragraph"], "--percentile, --min-unit"),
+            ("proposition", ["--theta", "550"], "--theta"),
+            (
+                "semantic",
+                ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "m",
+                 "--embed-dim", "8"],
+                "--embed-dim",
+            ),
+        ],
+    )
+    def test_rejected_where_the_method_does_not_read_them(
+        self, tmp_path, book_records, method, flags, named, capsys
+    ):
+        out = tmp_path / "out"
+        code = main(
+            ["chunk", "--document", str(book_records), "--method", method, *flags,
+             "--output-dir", str(out)]
+        )
+        assert code == 1
+        assert f"error: {named} not supported by chunk --method {method}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method, flags, chunker, embedding",
+        [
+            ("paragraph", [], {"method": "paragraph"}, {"kind": "none"}),
+            ("recursive", [], {"method": "recursive", "max_tokens": 450}, {"kind": "none"}),
+            ("recursive", ["--max-tokens", "100"], {"method": "recursive", "max_tokens": 100},
+             {"kind": "none"}),
+            (
+                "semantic",
+                [],
+                {"method": "semantic", "percentile": 95.0, "min_unit": "paragraph"},
+                {"kind": "mock", "dimension": 64, "seed": 0},
+            ),
+            (
+                "semantic",
+                ["--percentile", "80", "--min-unit", "sentence", "--embed-dim", "16",
+                 "--embed-seed", "3"],
+                {"method": "semantic", "percentile": 80.0, "min_unit": "sentence"},
+                {"kind": "mock", "dimension": 16, "seed": 3},
+            ),
+            (
+                "lumber",
+                [],
+                {"method": "lumber", "theta": 550, "max_retries": 3, "min_tail_paragraphs": 2,
+                 "id_width": 4},
+                {"kind": "none"},
+            ),
+            (
+                "lumber",
+                ["--theta", "120", "--max-retries", "1", "--min-tail-paragraphs", "3",
+                 "--id-width", "5"],
+                {"method": "lumber", "theta": 120, "max_retries": 1, "min_tail_paragraphs": 3,
+                 "id_width": 5},
+                {"kind": "none"},
+            ),
+        ],
+    )
+    def test_run_config_records_given_or_default_values(
+        self, tmp_path, book_records, monkeypatch, method, flags, chunker, embedding
+    ):
+        monkeypatch.setattr(
+            cli, "_completion_backend",
+            lambda args, needed_for: ScriptedBackend(last_id_responder),
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["chunk", "--document", str(book_records), "--method", method, *flags,
+             "--output-dir", str(out)]
+        )
+        assert code == 0
+        text = (out / "run_config.json").read_text(encoding="utf-8")
+        record = json.loads(text)
+        assert record["chunker"] == chunker
+        assert record["embedding"] == embedding
+        if method == "semantic":
+            assert f'"percentile": {chunker["percentile"]}' in text  # still a float
+
+    @pytest.mark.parametrize(
+        "flags, embedding, seed",
+        [
+            ([], {"kind": "mock", "dimension": 64, "seed": 0}, 0),
+            (["--embed-dim", "16", "--embed-seed", "5"], {"kind": "mock", "dimension": 16, "seed": 5}, 5),
+        ],
+    )
+    def test_eval_records_mock_embedder_and_seed(
+        self, tmp_path, book_records, qa_file, flags, embedding, seed
+    ):
+        chunk_path = tmp_path / "chunks.jsonl"
+        write_chunks(lumberchunk(
+            load_document(book_records, "paragraph_records"), ChunkerConfig(theta=200),
+            ScriptedBackend(last_id_responder),
+        ), chunk_path)
+        out = tmp_path / "eval"
+        code = main(
+            ["eval", "--chunks", str(chunk_path), "--qa", str(qa_file), *flags,
+             "--output-dir", str(out)]
+        )
+        assert code == 0
+        record = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+        assert record["embedding"] == embedding
+        assert record["seed"] == seed
+
+
+class CountingHydeBackend(CompletionBackend):
+    """Writes a hypothetical passage per question, counting calls per prompt.
+
+    Replies are delayed by a few ms chosen from the prompt hash, so
+    concurrent rewrites finish out of order.
+    """
+
+    backend_id = "counting-hyde"
+
+    def __init__(self, passages: dict[str, str]):
+        self.passages = passages
+        self.lock = threading.Lock()
+        self.calls: dict[str, int] = {}
+
+    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+        time.sleep(hashlib.sha256(prompt.encode("utf-8")).digest()[0] / 255 * 0.004)
+        with self.lock:
+            self.calls[prompt] = self.calls.get(prompt, 0) + 1
+        question = prompt.rsplit("Question: ", 1)[1]
+        return self.passages[question]
+
+
+class TestHydeRewrites:
+    def test_one_rewrite_per_question_for_all_chunk_files(
+        self, tmp_path, book_records, monkeypatch
+    ):
+        monkeypatch.setattr(parallel, "WORKERS", 4)
+        document = load_document(book_records, "paragraph_records")
+        pairs = [
+            QAPair("book", f"what happens in part {i}?", "a", document.paragraphs[i].text)
+            for i in range(10)
+        ]
+        pairs.append(pairs[3])  # a repeated question is rewritten once too
+        qa_path = tmp_path / "qa.jsonl"
+        write_qa(pairs, qa_path)
+        passages = {pair.question: document.paragraphs[(i * 7) % 12].text for i, pair in enumerate(pairs)}
+        chunk_files = TestEvalCommand().make_chunk_files(tmp_path, book_records)
+
+        # the reference: one sequential rewrite per question, then each file in turn
+        sequential = CountingHydeBackend(passages)
+        rewrites = {pair.question: hyde_transform(pair.question, sequential) for pair in pairs}
+        expected = [
+            evaluate(
+                read_chunks(path), pairs, MockEmbeddingBackend(dimension=64, seed=0),
+                rewrites.__getitem__, method=path.stem + "+hyde",
+            )
+            for path in chunk_files
+        ]
+        write_reports(expected, tmp_path / "expected.jsonl")
+
+        backend = CountingHydeBackend(passages)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        out = tmp_path / "eval"
+        code = main(
+            ["eval", "--chunks", *[str(p) for p in chunk_files], "--qa", str(qa_path), "--hyde",
+             "--output-dir", str(out)]
+        )
+        assert code == 0
+        assert sorted(backend.calls.values()) == [1] * 10
+        assert backend.calls.keys() == sequential.calls.keys()
+        assert (out / "reports.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()

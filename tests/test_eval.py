@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import math
+import random
 import threading
 import time
 
@@ -26,6 +27,7 @@ from conftest import (
 from lumberkit import parallel
 from lumberkit.backends import (
     CompletionBackend,
+    EmbeddingBackend,
     EmbeddingCache,
     MockEmbeddingBackend,
     ResponseCache,
@@ -51,6 +53,7 @@ from lumberkit.evaluation import (
     sweep_theta,
     write_reports,
 )
+from lumberkit.index import cosine_topk, embed_chunks
 
 
 def chunk_of(text: str, chunk_id: int = 0, doc_id: str = "doc") -> Chunk:
@@ -108,6 +111,97 @@ class TestJudgeRelevance:
         qa = qa_of(" ".join(passage_words))
         assert judge_relevance(chunk, qa, ngram_threshold=0.5)
         assert not judge_relevance(chunk, qa, ngram_threshold=0.7)
+
+
+def set_judge_relevance(
+    chunk: Chunk, qa: QAPair, *, ngram_size: int = 3, ngram_threshold: float = 0.8
+) -> bool:
+    """The set-based judge: every word n-gram of the chunk in a Python set.
+
+    Kept as the reference the substring judge must agree with exactly.
+    """
+    passage = normalize_for_matching(qa.supporting_passage)
+    text = normalize_for_matching(chunk.text)
+    if not passage:
+        return False
+    if passage in text:
+        return True
+    passage_words = passage.split()
+    if len(passage_words) < ngram_size:
+        return False
+    chunk_words = text.split()
+    chunk_grams = {
+        tuple(chunk_words[i : i + ngram_size])
+        for i in range(len(chunk_words) - ngram_size + 1)
+    }
+    passage_grams = [
+        tuple(passage_words[i : i + ngram_size])
+        for i in range(len(passage_words) - ngram_size + 1)
+    ]
+    hits = sum(1 for gram in passage_grams if gram in chunk_grams)
+    return hits / len(passage_grams) >= ngram_threshold
+
+
+# Short words over a tiny alphabet, so one word is often a prefix or suffix
+# of another ("a" in "ba"), plus Unicode letters and punctuation that
+# normalization turns into word breaks.
+_TOKENS = st.sampled_from(
+    ["a", "b", "ab", "ba", "aa", "É", "é", "éa", "ß", "Ω", "x1", "--", ",", "!", "it's", "a.b"]
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\n", "\t", ", "])
+# exact hit ratios such as 4/5, 2/3 and 3/4 sit on the threshold
+_THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.6, 2 / 3, 0.75, 0.8, 5 / 6, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def judge_cases(draw):
+    chunk_tokens = draw(st.lists(_TOKENS, max_size=30))
+    if chunk_tokens and draw(st.booleans()):
+        # a passage cut from the chunk, then edited, lands near the threshold
+        start = draw(st.integers(0, len(chunk_tokens) - 1))
+        stop = draw(st.integers(start + 1, len(chunk_tokens)))
+        passage_tokens = list(chunk_tokens[start:stop])
+        for _ in range(draw(st.integers(0, 3))):
+            position = draw(st.integers(0, len(passage_tokens)))
+            passage_tokens.insert(position, draw(_TOKENS))
+    else:
+        passage_tokens = draw(st.lists(_TOKENS, max_size=12))
+    separator = draw(_SEPARATORS)
+    passage = separator.join(passage_tokens)
+    if not passage.strip():
+        passage = "a"
+    return (
+        chunk_of(separator.join(chunk_tokens)),
+        qa_of(passage),
+        draw(st.integers(1, 4)),
+        draw(_THRESHOLDS),
+    )
+
+
+class TestJudgeExactness:
+    @settings(max_examples=600, deadline=None)
+    @given(judge_cases())
+    def test_substring_judge_matches_set_judge(self, case):
+        chunk, qa, ngram_size, ngram_threshold = case
+        options = {"ngram_size": ngram_size, "ngram_threshold": ngram_threshold}
+        assert judge_relevance(chunk, qa, **options) == set_judge_relevance(chunk, qa, **options)
+
+    def test_ngrams_match_whole_words_only(self):
+        # "a b c" is a substring of "xa b cx" but not one of its word trigrams
+        qa = qa_of("a b c d")
+        chunk = chunk_of("xa b cx b c d")
+        assert not set_judge_relevance(chunk, qa, ngram_threshold=0.6)  # 1 of 2 trigrams
+        assert not judge_relevance(chunk, qa, ngram_threshold=0.6)
+
+    def test_exact_ratio_on_the_threshold_is_relevant(self):
+        passage_words = [f"w{i}" for i in range(7)]  # 5 word trigrams
+        chunk = chunk_of(" ".join(passage_words[:6]) + " gap")  # holds 4 of 5
+        qa = qa_of(" ".join(passage_words))
+        assert judge_relevance(chunk, qa, ngram_threshold=0.8)
+        assert not judge_relevance(chunk, qa, ngram_threshold=0.81)
 
 
 class TestMetrics:
@@ -239,6 +333,141 @@ class TestBuildRuns:
         runs = build_runs(chunks, [qa], MockEmbeddingBackend())
         assert runs[0].ranked_chunks[0].doc_id == "b"
         assert len(runs[0].ranked_chunks) == 1
+
+
+def reference_runs(chunks, qa_pairs, backend, depth=max(DEFAULT_KS)):
+    """One question at a time: embed it alone, rank, judge with the set judge."""
+    runs = []
+    for qa in qa_pairs:
+        doc_chunks = [chunk for chunk in chunks if chunk.doc_id == qa.doc_id]
+        if not doc_chunks:
+            runs.append(RetrievalRun(qa, (), None))
+            continue
+        index = embed_chunks(doc_chunks, backend)
+        ranked = [chunk for chunk, _ in cosine_topk(index, backend.embed([qa.question])[0], depth)]
+        gold_rank = next(
+            (rank for rank, chunk in enumerate(ranked, 1) if set_judge_relevance(chunk, qa)),
+            None,
+        )
+        runs.append(RetrievalRun(qa, tuple(ranked), gold_rank))
+    return runs
+
+
+def interleaved_corpus(seed: int, documents: int = 3, chunks_per_doc: int = 25):
+    """Chunks over a small vocabulary and questions that cycle through documents.
+
+    Passages are cut from chunk text, sometimes across two chunks or with a
+    word changed or cut short, so some questions are judged relevant at
+    rank > 1 and some not at all. One question names a document that has no
+    chunks.
+    """
+    rng = random.Random(seed)
+    vocabulary = [f"w{i}" for i in range(40)] + ["The", "keeper's", "lamp,", "fog."]
+    chunks = []
+    texts: dict[str, list[str]] = {}
+    for d in range(documents):
+        doc_id = f"doc{d}"
+        for c in range(chunks_per_doc):
+            text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(5, 40)))
+            chunks.append(Chunk(doc_id, c, c + 1, c + 1, text, len(text.split())))
+            texts.setdefault(doc_id, []).append(text)
+    qa_pairs = []
+    for q in range(60):
+        doc_id = f"doc{q % documents}"
+        doc_texts = texts[doc_id]
+        first = rng.randrange(len(doc_texts))
+        joined = " ".join(doc_texts[first : first + 2]).split()
+        start = rng.randrange(len(joined))
+        passage_words = joined[start : start + rng.randint(1, 20)]
+        edited = rng.randrange(len(passage_words))
+        if rng.random() < 0.3:
+            passage_words[edited] = rng.choice(vocabulary)
+        elif rng.random() < 0.5:
+            # a proper prefix or suffix of the word: its n-grams occur in
+            # the chunk as substrings, never as whole words
+            word = passage_words[edited]
+            passage_words[edited] = word[1:] if rng.random() < 0.5 else word[:-1]
+        question = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(3, 12)))
+        qa_pairs.append(QAPair(doc_id, question, "a", " ".join(passage_words)))
+    qa_pairs.insert(7, QAPair("nowhere", "lost?", "a", "w1 w2 w3"))
+    return chunks, qa_pairs
+
+
+class TestBuildRunsExactness:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_question_reference(self, seed):
+        chunks, qa_pairs = interleaved_corpus(seed)
+        backend = MockEmbeddingBackend(dimension=16)
+        expected = reference_runs(chunks, qa_pairs, backend)
+        runs = build_runs(chunks, qa_pairs, backend)
+        assert [run.qa for run in runs] == qa_pairs
+        assert [run.ranked_chunks for run in runs] == [run.ranked_chunks for run in expected]
+        assert [run.gold_rank for run in runs] == [run.gold_rank for run in expected]
+        found = [run.gold_rank for run in runs if run.gold_rank is not None]
+        assert any(rank > 1 for rank in found)
+        assert sum(run.gold_rank is None for run in runs) > 1
+
+    def test_caller_judge_called_once_per_judged_pair(self):
+        chunks, qa_pairs = interleaved_corpus(0)
+        backend = MockEmbeddingBackend(dimension=16)
+        expected = reference_runs(chunks, qa_pairs, backend)
+        judged: list[tuple[int, str, QAPair]] = []
+
+        def judge(chunk, qa):
+            judged.append((chunk.chunk_id, chunk.doc_id, qa))
+            return set_judge_relevance(chunk, qa)
+
+        runs = build_runs(chunks, qa_pairs, backend, judge=judge)
+        assert [run.gold_rank for run in runs] == [run.gold_rank for run in expected]
+        expected_pairs = sorted(
+            ((chunk.chunk_id, chunk.doc_id, run.qa.question))
+            for run in expected
+            for chunk in run.ranked_chunks[: run.gold_rank or len(run.ranked_chunks)]
+        )
+        assert sorted((c, d, qa.question) for c, d, qa in judged) == expected_pairs
+
+
+class RecordingEmbeddingBackend(EmbeddingBackend):
+    """The mock embedder, keeping the texts of every embed call."""
+
+    def __init__(self):
+        self._inner = MockEmbeddingBackend(dimension=16)
+        self.backend_id = self._inner.backend_id
+        self.dimension = 16
+        self.calls: list[list[str]] = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return self._inner.embed(texts)
+
+
+class TestQueryBatching:
+    def test_two_query_calls_per_document_of_seventy_questions(self):
+        chunks = [
+            chunk_of(f"chunk {d} {i} text", i, doc_id=f"doc{d}") for d in range(4) for i in range(5)
+        ]
+        # doc3 has chunks but no questions; questions cycle through doc0..doc2
+        qa_pairs = [
+            qa_of(f"chunk {q % 3} 1 text", doc_id=f"doc{q % 3}", question=f"question {q}?")
+            for q in range(210)
+        ]
+        backend = RecordingEmbeddingBackend()
+        runs = build_runs(chunks, qa_pairs, backend)
+        assert [run.qa for run in runs] == qa_pairs
+        query_calls = [call for call in backend.calls if call[0].startswith("question")]
+        assert [len(call) for call in query_calls] == [64, 6] * 3
+        for d, (first, second) in enumerate(zip(query_calls[::2], query_calls[1::2])):
+            assert first + second == [f"question {q}?" for q in range(d, 210, 3)]
+        chunk_calls = [call for call in backend.calls if call[0].startswith("chunk")]
+        assert [call[0].split()[1] for call in chunk_calls] == ["0", "1", "2"]
+        assert not any("chunk 3" in text for call in backend.calls for text in call)
+
+    def test_transform_applied_before_batching(self):
+        chunks = [chunk_of("alpha beta", 0), chunk_of("gamma delta", 1)]
+        qa_pairs = [qa_of("gamma delta", question=f"q{i}") for i in range(3)]
+        backend = RecordingEmbeddingBackend()
+        build_runs(chunks, qa_pairs, backend, lambda question: question.upper())
+        assert backend.calls[-1] == ["Q0", "Q1", "Q2"]
 
 
 class TestEvaluate:
