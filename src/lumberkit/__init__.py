@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .backends import (
     BackendError,
+    CachingBackend,
     CompletionBackend,
     EmbeddingBackend,
     EmbeddingCache,
@@ -54,7 +55,7 @@ from .corpus import (
     write_document,
     write_qa,
 )
-from .errors import LumberkitError
+from .errors import ConfigError, LumberkitError
 from .evaluation import (
     MetricsReport,
     RetrievalRun,

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import LumberkitError
+from .errors import ConfigError, LumberkitError
 from .parallel import WORKERS
 
 logger = logging.getLogger(__name__)
@@ -61,6 +61,10 @@ class CompletionBackend(ABC):
     @abstractmethod
     def complete(self, prompt: str, temperature: float = 0.0) -> str:
         ...
+
+    def retry(self, prompt: str, temperature: float = 0.0) -> str:
+        """Ask again after an unusable answer; a caching backend must not serve it again."""
+        return self.complete(prompt, temperature)
 
 
 class ScriptedBackend(CompletionBackend):
@@ -189,25 +193,49 @@ class ResponseCache(_JsonlStore):
         self._append(self.key_for(prompt), response, response)
 
 
-class ReplayBackend(CompletionBackend):
+class CachingBackend(CompletionBackend):
+    """Answers from a ResponseCache, asking inner on a miss and recording its answer.
+
+    retry() skips the cache read, asks inner again and overwrites the stored
+    answer, so an unusable recorded answer cannot wedge a re-run. With no
+    inner backend a miss raises BackendError and retry() reads the cache too.
+    """
+
+    def __init__(self, inner: CompletionBackend | None, cache: ResponseCache):
+        self.inner = inner
+        self.cache = cache
+
+    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+        response = self.cache.get(prompt)
+        if response is not None:
+            return response
+        if self.inner is None:
+            raise BackendError(
+                f"no recorded response for prompt key {self.cache.key_for(prompt)[:12]}..."
+            )
+        response = self.inner.complete(prompt, temperature)
+        self.cache.put(prompt, response)
+        return response
+
+    def retry(self, prompt: str, temperature: float = 0.0) -> str:
+        if self.inner is None:
+            return self.complete(prompt, temperature)
+        response = self.inner.retry(prompt, temperature)
+        self.cache.put(prompt, response)
+        return response
+
+
+class ReplayBackend(CachingBackend):
     """Serves recorded responses from a ResponseCache; never hits the network."""
 
     backend_id = "replay"
 
     def __init__(self, cache: ResponseCache):
-        self.cache = cache
+        super().__init__(None, cache)
 
     @classmethod
     def from_file(cls, path: str | Path, model_id: str = "default") -> "ReplayBackend":
         return cls(ResponseCache(path, model_id=model_id))
-
-    def complete(self, prompt: str, temperature: float = 0.0) -> str:
-        response = self.cache.get(prompt)
-        if response is None:
-            raise BackendError(
-                f"no recorded response for prompt key {self.cache.key_for(prompt)[:12]}..."
-            )
-        return response
 
 
 def _parse_url(url: str, schemes: tuple[str, ...]) -> urllib.parse.SplitResult:
@@ -426,7 +454,7 @@ class MockEmbeddingBackend(EmbeddingBackend):
 
     def __init__(self, dimension: int = 64, seed: int = 0):
         if dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {dimension}")
+            raise ConfigError(f"dimension must be >= 2, got {dimension}")
         self.dimension = dimension
         self.seed = seed
         self.backend_id = f"mock:{dimension}:{seed}"

@@ -17,7 +17,7 @@ import numpy as np
 from .backends import BackendError, CompletionBackend, EmbeddingBackend
 from .chunker import Chunk
 from .corpus import PARAGRAPH_SEPARATOR, Document, TokenCounter, count_tokens
-from .errors import LumberkitError
+from .errors import ConfigError, LumberkitError
 
 logger = logging.getLogger(__name__)
 
@@ -58,9 +58,9 @@ class RecursiveConfig:
 
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if not self.separator_hierarchy or self.separator_hierarchy[-1] != "":
-            raise ValueError("separator_hierarchy must end with the empty string")
+            raise ConfigError("separator_hierarchy must end with the empty string")
 
 
 def _split_keep_separator(text: str, separator: str) -> list[str]:
@@ -178,11 +178,11 @@ class SemanticConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.breakpoint_percentile < 100.0:
-            raise ValueError(
+            raise ConfigError(
                 f"breakpoint_percentile must be in (0, 100), got {self.breakpoint_percentile}"
             )
         if self.min_unit not in ("sentence", "paragraph"):
-            raise ValueError(f"min_unit must be 'sentence' or 'paragraph', got {self.min_unit}")
+            raise ConfigError(f"min_unit must be 'sentence' or 'paragraph', got {self.min_unit}")
 
 
 @dataclass(frozen=True)
@@ -292,13 +292,13 @@ def propositionize(
     """Decompose one chunk into proposition-granularity chunks.
 
     Each non-empty response line becomes a chunk inheriting the parent's
-    paragraph span. An empty response is retried once; after that the parent
-    chunk passes through unchanged with a warning.
+    paragraph span. An empty response is asked again once, via backend.retry;
+    after that the parent chunk passes through unchanged with a warning.
     """
     template = prompt_template or PROPOSITION_PROMPT_TEMPLATE
     prompt = template.format(passage=chunk.text)
-    for _attempt in range(2):
-        response = backend.complete(prompt, temperature=0.0)
+    for ask in (backend.complete, backend.retry):
+        response = ask(prompt, temperature=0.0)
         lines = [line.strip() for line in response.splitlines()]
         statements = [line for line in lines if line]
         if statements:

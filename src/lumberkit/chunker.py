@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .backends import BackendError, CompletionBackend, ResponseCache
+from .backends import BackendError, CachingBackend, CompletionBackend, ResponseCache
 from .corpus import PARAGRAPH_SEPARATOR, Document, Paragraph, TokenCounter, count_tokens
-from .errors import LumberkitError
+from .errors import ConfigError, LumberkitError
 
 logger = logging.getLogger(__name__)
 
@@ -61,15 +61,15 @@ class ChunkerConfig:
 
     def __post_init__(self) -> None:
         if self.theta < 1:
-            raise ValueError(f"theta must be >= 1, got {self.theta}")
+            raise ConfigError(f"theta must be >= 1, got {self.theta}")
         if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.min_tail_paragraphs < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"min_tail_paragraphs must be >= 1, got {self.min_tail_paragraphs}"
             )
         if self.id_width < 1:
-            raise ValueError(f"id_width must be >= 1, got {self.id_width}")
+            raise ConfigError(f"id_width must be >= 1, got {self.id_width}")
 
 
 @dataclass(frozen=True)
@@ -220,28 +220,10 @@ def _make_chunk(
     return Chunk(document.doc_id, chunk_id, start, end, text, count_tokens(text, counter))
 
 
-def _complete(
-    prompt: str,
-    backend: CompletionBackend,
-    cache: ResponseCache | None,
-    *,
-    refresh: bool,
-) -> str:
-    if cache is not None and not refresh:
-        cached = cache.get(prompt)
-        if cached is not None:
-            return cached
-    response = backend.complete(prompt, temperature=0.0)
-    if cache is not None:
-        cache.put(prompt, response)
-    return response
-
-
 def _ask_for_split(
     group: Group,
     config: ChunkerConfig,
     backend: CompletionBackend | None,
-    cache: ResponseCache | None,
 ) -> tuple[int, int, bool]:
     """Return (split_id, attempts, fell_back); split_id is 0 on fallback."""
     if backend is None:
@@ -249,11 +231,9 @@ def _ask_for_split(
             "a completion backend is required to split groups larger than theta"
         )
     prompt = render_prompt(group, config)
-    attempts = 0
-    for attempt in range(config.max_retries + 1):
-        attempts += 1
-        # retries re-send the same prompt but must not be satisfied from cache
-        response = _complete(prompt, backend, cache, refresh=attempt > 0)
+    for attempts in range(1, config.max_retries + 2):
+        ask = backend.complete if attempts == 1 else backend.retry
+        response = ask(prompt, temperature=0.0)
         try:
             return parse_split_id(response, group), attempts, False
         except (ParseError, OutOfRangeError) as exc:
@@ -273,7 +253,6 @@ def lumber_steps(
     config: ChunkerConfig | None = None,
     backend: CompletionBackend | None = None,
     counter: TokenCounter | None = None,
-    cache: ResponseCache | None = None,
 ) -> Iterator[LumberStep]:
     """Yield one LumberStep per emitted chunk while walking the document.
 
@@ -299,7 +278,7 @@ def lumber_steps(
             chunk = _make_chunk(document, chunk_id, start, n, counter)
             yield LumberStep(group, chunk, used_llm=False, fell_back=False, attempts=0)
             return
-        split_id, attempts, fell_back = _ask_for_split(group, config, backend, cache)
+        split_id, attempts, fell_back = _ask_for_split(group, config, backend)
         if fell_back:
             end = group.end_index
             next_start = end + 1
@@ -322,13 +301,15 @@ def lumberchunk(
     """Chunk the whole document with the iterative split loop.
 
     Returns chunks whose paragraph spans partition the document in order.
-    Backend calls go through the cache when one is given, so a recorded run
-    replays to identical chunks. An unrecoverable backend failure raises
-    ChunkingAborted carrying the chunks emitted so far and naming the last one.
+    Given a cache, backend is wrapped in a CachingBackend over it, so a
+    recorded run replays to identical chunks. An unrecoverable backend failure
+    raises ChunkingAborted carrying the chunks emitted so far and naming the last one.
     """
+    if cache is not None and backend is not None:
+        backend = CachingBackend(backend, cache)
     chunks: list[Chunk] = []
     try:
-        for step in lumber_steps(document, config, backend, counter, cache):
+        for step in lumber_steps(document, config, backend, counter):
             chunks.append(step.chunk)
     except BackendError as exc:
         if chunks:

@@ -21,6 +21,8 @@ from pathlib import Path
 
 from .backends import (
     API_KEY_ENV_VAR,
+    BackendError,
+    CachingBackend,
     CompletionBackend,
     EmbeddingBackend,
     EmbeddingCache,
@@ -157,25 +159,18 @@ def _write_run_config(config: RunConfig, destination: Path) -> None:
 
 
 def _completion_backend(args: argparse.Namespace, *, needed_for: str) -> CompletionBackend:
-    backend = _optional_completion_backend(args)
-    if backend is None:
-        raise CliError(
-            f"{needed_for} needs a completion backend; pass --replay-cache FILE "
-            f"for an offline run or --backend-url URL --model NAME for a live one"
-        )
-    return backend
-
-
-def _optional_completion_backend(args: argparse.Namespace) -> CompletionBackend | None:
-    if getattr(args, "replay_cache", None):
+    if args.replay_cache:
         return ReplayBackend.from_file(args.replay_cache, model_id=_model_id(args))
-    if getattr(args, "backend_url", None):
+    if args.backend_url:
         if not args.model:
             raise CliError("--backend-url requires --model")
         return HttpCompletionBackend(
             args.backend_url, args.model, api_key=os.environ.get(API_KEY_ENV_VAR)
         )
-    return None
+    raise CliError(
+        f"{needed_for} needs a completion backend; pass --replay-cache FILE "
+        f"for an offline run or --backend-url URL --model NAME for a live one"
+    )
 
 
 def _embedding_backend(args: argparse.Namespace) -> EmbeddingBackend:
@@ -197,42 +192,31 @@ def _embedding_cache(
     return nullcontext()
 
 
-def _record_cache(args: argparse.Namespace) -> ResponseCache | nullcontext:
-    """The --record-cache store, or a stand-in for `with` that yields None."""
-    if getattr(args, "record_cache", None):
-        return ResponseCache(args.record_cache, model_id=_model_id(args))
-    return nullcontext()
-
-
 @contextmanager
-def _resume_hint(cache: ResponseCache | None):
-    """If chunking aborts while recording into cache, say how to resume."""
-    try:
-        yield
-    except ChunkingAborted as exc:
-        if cache is None:
-            raise
-        raise ChunkingAborted(
-            f"{exc}; re-run the same command to resume from the {len(cache)} "
-            f"answers recorded in {cache.path}",
-            exc.chunks,
-        ) from exc
+def _recorded(args: argparse.Namespace, backend: CompletionBackend | None):
+    """Yield backend wrapped in a CachingBackend over the --record-cache store, if given.
 
-
-def _reject_record_cache(args: argparse.Namespace, command: str) -> None:
-    """Refuse --record-cache where nothing would be recorded into it."""
-    if getattr(args, "record_cache", None):
-        raise CliError(
-            f"--record-cache is not supported by {command}; only "
-            f"'chunk --method lumber' and 'sweep' record completions"
-        )
+    The store is closed afterwards. If a backend failure ends the run while
+    recording, the error says how to resume.
+    """
+    if not args.record_cache:
+        yield backend
+        return
+    with ResponseCache(args.record_cache, model_id=_model_id(args)) as cache:
+        try:
+            yield CachingBackend(backend, cache)
+        except (BackendError, ChunkingAborted) as exc:
+            raise BackendError(
+                f"{exc}; re-run the same command to resume from the {len(cache)} "
+                f"answers recorded in {cache.path}"
+            ) from exc
 
 
 def _reject_completion_flags(args: argparse.Namespace, command: str) -> None:
     """Refuse completion-backend flags where no completion backend is built."""
     given = [
         "--" + name.replace("_", "-")
-        for name in ("replay_cache", "backend_url", "model", "model_id")
+        for name in ("replay_cache", "backend_url", "model", "model_id", "record_cache")
         if getattr(args, name)
     ]
     if given:
@@ -241,26 +225,28 @@ def _reject_completion_flags(args: argparse.Namespace, command: str) -> None:
         )
 
 
-def _reject_embedding_flags(args: argparse.Namespace, command: str, *, embeds: bool) -> None:
-    """Refuse embedding flags that command never reads.
+def _reject_embedder_flags(args: argparse.Namespace, command: str, *, embeds: bool) -> None:
+    """Refuse embedder flags that command never reads.
 
-    A command that embeds reads the embedder flags but may still ignore the
-    embedding cache; one that does not embed reads none of them.
+    --embed-dim and --embed-seed are read only by --embed mock, --embed-url
+    and --embed-model only by --embed http. A command that does not embed
+    reads none of them; chunk's method table rejects its --embed-dim and
+    --embed-seed.
     """
-    flags = {} if embeds else {
-        "--embed http": args.embed == "http",
-        "--embed-url": args.embed_url,
-        "--embed-model": args.embed_model,
-    }
-    flags["--embed-cache"] = args.embed_cache
-    given = [flag for flag, value in flags.items() if value]
+    if embeds and args.embed == "http":
+        flags = {"--embed-dim": args.embed_dim, "--embed-seed": args.embed_seed}
+    else:
+        flags = {"--embed-url": args.embed_url, "--embed-model": args.embed_model}
+        if not embeds and args.embed == "http":
+            flags = {"--embed http": True, **flags}
+    given = [flag for flag, value in flags.items() if value is not None]
     if given:
-        reason = "reads no embedding cache" if embeds else "makes no embedding calls"
-        raise CliError(f"{', '.join(given)} not supported by {command}, which {reason}")
+        context = f" with --embed {args.embed}" if embeds else ", which makes no embedding calls"
+        raise CliError(f"{', '.join(given)} not supported by {command}{context}")
 
 
 # The chunk flags each method reads; a flag given to any other method is
-# rejected. The mock embedder's flags count only with --embed mock.
+# rejected.
 _CHUNK_METHOD_FLAGS = {
     "lumber": ("theta", "max_retries", "min_tail_paragraphs", "id_width"),
     "recursive": ("max_tokens",),
@@ -270,9 +256,7 @@ _CHUNK_METHOD_FLAGS = {
 
 def _reject_unread_chunk_flags(args: argparse.Namespace) -> None:
     """Refuse chunk flags that the chosen method never reads."""
-    read = set(_CHUNK_METHOD_FLAGS.get(args.method, ()))
-    if args.embed != "mock":
-        read -= {"embed_dim", "embed_seed"}
+    read = _CHUNK_METHOD_FLAGS.get(args.method, ())
     given = [
         "--" + name.replace("_", "-")
         for names in _CHUNK_METHOD_FLAGS.values()
@@ -319,11 +303,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_chunk(args: argparse.Namespace) -> int:
-    if args.method != "lumber":
-        _reject_record_cache(args, f"chunk --method {args.method}")
     if args.method in ("paragraph", "recursive", "semantic"):
         _reject_completion_flags(args, f"chunk --method {args.method}")
-    _reject_embedding_flags(args, f"chunk --method {args.method}", embeds=args.method == "semantic")
+    _reject_embedder_flags(args, f"chunk --method {args.method}", embeds=args.method == "semantic")
+    if args.embed_cache:
+        raise CliError(f"--embed-cache not supported by chunk --method {args.method}")
     _reject_unread_chunk_flags(args)
     document = load_document(args.document, "paragraph_records")
     chunker_settings: dict = {"method": args.method}
@@ -348,11 +332,12 @@ def cmd_chunk(args: argparse.Namespace) -> int:
         names = _CHUNK_METHOD_FLAGS["lumber"]
         config = ChunkerConfig(**_given(args, *names))
         chunker_settings.update({name: getattr(config, name) for name in names})
-        with _record_cache(args) as cache, _resume_hint(cache):
-            chunks = lumberchunk(document, config, backend, cache=cache)
+        with _recorded(args, backend) as backend:
+            chunks = lumberchunk(document, config, backend)
     elif args.method == "proposition":
         backend = _completion_backend(args, needed_for="method 'proposition'")
-        chunks = proposition_chunks(document, backend)
+        with _recorded(args, backend) as backend:
+            chunks = proposition_chunks(document, backend)
     else:
         raise CliError(f"unknown method {args.method!r}")
     seconds = time.perf_counter() - started
@@ -399,20 +384,21 @@ def cmd_chunk(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _reject_record_cache(args, "eval")
     if not args.hyde:
         _reject_completion_flags(args, "eval without --hyde")
+    _reject_embedder_flags(args, "eval", embeds=True)
     qa_pairs = load_qa(args.qa)
     embed_backend = _embedding_backend(args)
-    transform = None
-    suffix = ""
-    if args.hyde:
-        hyde_backend = _completion_backend(args, needed_for="--hyde")
-        # one rewrite per question for the whole command, shared by every chunk file
-        transform = functools.cache(lambda query: hyde_transform(query, hyde_backend))
-        suffix = "+hyde"
+    hyde_backend = _completion_backend(args, needed_for="--hyde") if args.hyde else None
     reports = []
-    with _embedding_cache(args, embed_backend) as embed_cache:
+    with (
+        _embedding_cache(args, embed_backend) as embed_cache,
+        _recorded(args, hyde_backend) as hyde_backend,
+    ):
+        transform = None
+        if hyde_backend is not None:
+            # one rewrite per question for the whole command, shared by every chunk file
+            transform = functools.cache(lambda query: hyde_transform(query, hyde_backend))
         for chunk_path in args.chunks:
             chunks = read_chunks(chunk_path)
             reports.append(
@@ -422,7 +408,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     embed_backend,
                     transform,
                     tuple(args.ks),
-                    method=Path(chunk_path).stem + suffix,
+                    method=Path(chunk_path).stem + ("+hyde" if args.hyde else ""),
                     embed_cache=embed_cache,
                 )
             )
@@ -449,6 +435,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _reject_embedder_flags(args, "sweep", embeds=True)
     documents = [load_document(path, "paragraph_records") for path in args.documents]
     qa_pairs = load_qa(args.qa)
     backend = _completion_backend(args, needed_for="sweep")
@@ -460,8 +447,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     with (
         _embedding_cache(args, embed_backend) as embed_cache,
-        _record_cache(args) as cache,
-        _resume_hint(cache),
+        _recorded(args, backend) as backend,
     ):
         reports = sweep_theta(
             documents,
@@ -470,7 +456,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             backend,
             embed_backend,
             config=base_config,
-            cache=cache,
             ks=tuple(args.ks),
             embed_cache=embed_cache,
         )
@@ -503,7 +488,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_rag(args: argparse.Namespace) -> int:
-    _reject_record_cache(args, "rag")
+    _reject_embedder_flags(args, "rag", embeds=True)
     chunks = read_chunks(args.chunks)
     qa_pairs = load_qa(args.questions)
     backend = _completion_backend(args, needed_for="rag")
@@ -511,12 +496,13 @@ def cmd_rag(args: argparse.Namespace) -> int:
     with _embedding_cache(args, embed_backend) as embed_cache:
         vector_index = embed_chunks(chunks, embed_backend, embed_cache)
     bm25_index = bm25_build(chunks)
-    results = ordered_map(
-        lambda pair: answer_question(
-            pair.question, bm25_index, vector_index, embed_backend, backend
-        ),
-        qa_pairs,
-    )
+    with _recorded(args, backend) as backend:
+        results = ordered_map(
+            lambda pair: answer_question(
+                pair.question, bm25_index, vector_index, embed_backend, backend
+            ),
+            qa_pairs,
+        )
     records = [
         {
             "question": result.question,
@@ -559,10 +545,10 @@ def cmd_rag(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_qa(args: argparse.Namespace) -> int:
-    _reject_record_cache(args, "gen-qa")
     document = load_document(args.document, "paragraph_records")
     backend = _completion_backend(args, needed_for="gen-qa")
-    pairs = generate_qa(document, backend, args.n, seed=args.seed)
+    with _recorded(args, backend) as backend:
+        pairs = generate_qa(document, backend, args.n, seed=args.seed)
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_qa(pairs, output)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, Mapping
 
-from .errors import LumberkitError
+from .errors import ConfigError, LumberkitError
 
 if TYPE_CHECKING:
     from .backends import CompletionBackend
@@ -376,7 +376,7 @@ def generate_qa(
     from .backends import BackendError
 
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ConfigError(f"n must be >= 0, got {n}")
     rng = random.Random(seed)
     doc_normalized = normalize_whitespace(document.text)
     pairs: list[QAPair] = []

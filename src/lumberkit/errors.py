@@ -3,3 +3,7 @@
 
 class LumberkitError(Exception):
     """Base class for every error raised by this package."""
+
+
+class ConfigError(LumberkitError, ValueError):
+    """A setting is out of range; also a ValueError for library callers."""

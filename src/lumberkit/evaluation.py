@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .backends import CompletionBackend, EmbeddingBackend, EmbeddingCache, ResponseCache
+from .backends import CompletionBackend, EmbeddingBackend, EmbeddingCache
 from .chunker import Chunk, ChunkerConfig, lumberchunk
 from .corpus import Document, QAPair, TokenCounter
-from .errors import LumberkitError
+from .errors import ConfigError, LumberkitError
 from .index import cosine_topk, embed_chunks
 from .parallel import ordered_map
 
@@ -161,7 +161,7 @@ def _normalizing_judge() -> RelevanceJudge:
 
 def _check_runs_and_k(runs: Sequence[RetrievalRun], k: int) -> None:
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     if not runs:
         raise EvaluationError("no runs to score")
 
@@ -284,8 +284,8 @@ def evaluate(
     query_transform, when given, rewrites the question text before embedding
     (the HyDE route); ranking depth is max(ks).
     """
-    if not ks:
-        raise ValueError("ks must be non-empty")
+    if not ks or min(ks) < 1:
+        raise ConfigError(f"ks must be non-empty and each >= 1, got {list(ks)}")
     runs = build_runs(
         chunks,
         qa_pairs,
@@ -309,7 +309,6 @@ def sweep_theta(
     *,
     config: ChunkerConfig | None = None,
     counter: TokenCounter | None = None,
-    cache: ResponseCache | None = None,
     ks: Sequence[int] = DEFAULT_KS,
     judge: RelevanceJudge | None = None,
     embed_cache: EmbeddingCache | None = None,
@@ -325,7 +324,7 @@ def sweep_theta(
     raise EvaluationError.
     """
     if not thetas:
-        raise ValueError("thetas must be non-empty")
+        raise ConfigError("thetas must be non-empty")
     seen: set[str] = set()
     for document in documents:
         if document.doc_id in seen:
@@ -338,7 +337,7 @@ def sweep_theta(
         timed = []
         for theta in ordered:
             started = time.perf_counter()
-            chunks = lumberchunk(document, replace(base, theta=theta), backend, counter, cache)
+            chunks = lumberchunk(document, replace(base, theta=theta), backend, counter)
             timed.append((chunks, time.perf_counter() - started))
         return timed
 

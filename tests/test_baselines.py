@@ -17,8 +17,17 @@ from conftest import (
     make_document,
     words,
 )
-from lumberkit.backends import BackendError, EmbeddingBackend, MockEmbeddingBackend, ScriptedBackend
+from lumberkit.backends import (
+    BackendError,
+    CachingBackend,
+    EmbeddingBackend,
+    MockEmbeddingBackend,
+    ReplayBackend,
+    ResponseCache,
+    ScriptedBackend,
+)
 from lumberkit.baselines import (
+    PROPOSITION_PROMPT_TEMPLATE,
     BaselineError,
     RecursiveConfig,
     SemanticConfig,
@@ -263,6 +272,22 @@ class TestPropositionize:
         props = propositionize(parent, backend)
         assert [p.text for p in props] == ["One fact.", "Another fact."]
         assert backend.calls == 2
+
+    def test_recorded_empty_reply_is_asked_again_live(self, tmp_path):
+        parent = paragraph_chunks(make_document([60]))[0]
+        cache = ResponseCache(tmp_path / "cache.jsonl")
+        cache.put(PROPOSITION_PROMPT_TEMPLATE.format(passage=parent.text), "")
+        live = CountingBackend(lambda p: "One fact.\nAnother fact.")
+        props = propositionize(parent, CachingBackend(live, cache))
+        assert [p.text for p in props] == ["One fact.", "Another fact."]
+        assert live.calls == 1
+        assert cache.get(live.prompts[0]) == "One fact.\nAnother fact."
+
+    def test_replayed_empty_reply_passes_the_parent_through(self, tmp_path):
+        parent = paragraph_chunks(make_document([60]))[0]
+        cache = ResponseCache(tmp_path / "cache.jsonl")
+        cache.put(PROPOSITION_PROMPT_TEMPLATE.format(passage=parent.text), "")
+        assert propositionize(parent, ReplayBackend(cache)) == [parent]
 
     def test_prompt_contains_passage(self):
         parent = paragraph_chunks(make_document([10]))[0]

@@ -375,6 +375,19 @@ class TestCacheIntegration:
         )
         assert replayed == chunks
 
+    def test_replayed_unusable_answer_falls_back_to_the_group_end(self, tmp_path):
+        document = doc_200s(9)
+        first_prompt = render_prompt(build_group(document, 1))
+
+        def respond(prompt: str) -> str:
+            return "nothing useful" if prompt == first_prompt else last_id_responder(prompt)
+
+        cache = ResponseCache(tmp_path / "cache.jsonl", model_id="m")
+        live = lumberchunk(document, backend=CountingBackend(respond), cache=cache)
+        replayed = lumberchunk(document, backend=ReplayBackend(cache))
+        assert spans(replayed)[0] == (1, 3)
+        assert replayed == live
+
 
 class TestVerifyPartition:
     def test_accepts_valid_partition(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import threading
 import time
 from pathlib import Path
@@ -664,29 +665,98 @@ class TestConcurrentRag:
         assert backend.calls <= 6 + 4 * parallel.WORKERS < 2 * self.QUESTIONS
         assert not (tmp_path / "rag" / "answers.jsonl").exists()
 
+    def test_recording_run_resumes_after_the_backend_dies(
+        self, tmp_path, inputs, monkeypatch, capsys
+    ):
+        _, _, chunk_path, qa_path = inputs
+        cache_path = tmp_path / "rag.jsonl"
+        uninterrupted = JitteredBackend()
+        assert self.run_rag(inputs, uninterrupted, tmp_path / "uninterrupted", monkeypatch) == 0
+        total = uninterrupted.calls
+
+        def record(backend, out_dir):
+            monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+            return main(
+                [
+                    "rag", "--chunks", str(chunk_path), "--questions", str(qa_path),
+                    "--record-cache", str(cache_path), "--output-dir", str(out_dir),
+                ]
+            )
+
+        assert record(JitteredBackend(fail_after=40), tmp_path / "died") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        match = re.search(r"resume from the (\d+) answers recorded in (.+)$", errors[0])
+        assert match and match.group(2) == str(cache_path)
+        recorded = int(match.group(1))
+        assert 0 < recorded == len(ResponseCache(cache_path)) < total
+
+        healthy = JitteredBackend()
+        assert record(healthy, tmp_path / "resumed") == 0
+        assert healthy.calls == total - recorded
+        assert (tmp_path / "resumed" / "answers.jsonl").read_bytes() == (
+            tmp_path / "uninterrupted" / "answers.jsonl"
+        ).read_bytes()
+
+
+def recordable_reply(prompt: str) -> str:
+    """A pure reply to every prompt that rag, gen-qa, eval --hyde and
+    chunk --method proposition send."""
+    if prompt.startswith("You are given an excerpt"):
+        excerpt = prompt.rsplit("Passage:", 1)[1].split()
+        return (
+            f"Question: What comes after {excerpt[0]}?\nAnswer: {excerpt[1]}\n"
+            f"Supporting Passage: {' '.join(excerpt[:10])}"
+        )
+    if prompt.startswith("Rewrite the passage"):
+        passage = prompt.rsplit("Passage:", 1)[1].split()
+        return f"{' '.join(passage[:3])}.\n\n{' '.join(passage[3:7])}."
+    return JitteredBackend.reply(prompt)
+
+
+class TestRecordThenReplay:
+    @pytest.mark.parametrize("command", ["rag", "gen-qa", "eval-hyde", "chunk-proposition"])
+    def test_replay_alone_reproduces_the_recorded_outputs(
+        self, tmp_path, book_records, qa_file, monkeypatch, command
+    ):
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[1]
+        argv, outputs = {
+            "rag": (
+                ["rag", "--chunks", str(chunk_path), "--questions", str(qa_file)],
+                ["answers.jsonl", "summary.json"],
+            ),
+            "gen-qa": (["gen-qa", "--document", str(book_records), "-n", "4"], ["qa.jsonl"]),
+            "eval-hyde": (
+                ["eval", "--chunks", str(chunk_path), "--qa", str(qa_file), "--hyde"],
+                ["reports.jsonl"],
+            ),
+            "chunk-proposition": (
+                ["chunk", "--document", str(book_records), "--method", "proposition"],
+                ["chunks.jsonl"],
+            ),
+        }[command]
+
+        def run(out_dir, *flags):
+            if command == "gen-qa":
+                flags = (*flags, "--output", str(out_dir / "qa.jsonl"))
+            else:
+                flags = (*flags, "--output-dir", str(out_dir))
+            assert main([*argv, *flags]) == 0
+            return {name: (out_dir / name).read_bytes() for name in outputs}
+
+        cache_path = tmp_path / "recorded.jsonl"
+        with monkeypatch.context() as patch:
+            backend = ScriptedBackend(recordable_reply)
+            patch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+            recorded = run(tmp_path / "record", "--record-cache", str(cache_path))
+        assert all(recorded.values())
+        assert len(ResponseCache(cache_path)) > 0
+        assert run(tmp_path / "replay", "--replay-cache", str(cache_path)) == recorded
+
 
 class TestRecordCacheFlag:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["rag", "--chunks", "c.jsonl", "--questions", "q.jsonl", "--replay-cache", "r.jsonl"],
-            ["gen-qa", "--document", "d.jsonl", "-n", "1", "--replay-cache", "r.jsonl"],
-            ["eval", "--chunks", "c.jsonl", "--qa", "q.jsonl", "--hyde", "--replay-cache", "r.jsonl"],
-            ["chunk", "--document", "d.jsonl", "--method", "paragraph"],
-            ["chunk", "--document", "d.jsonl", "--method", "proposition", "--replay-cache", "r.jsonl"],
-        ],
-        ids=["rag", "gen-qa", "eval", "chunk-paragraph", "chunk-proposition"],
-    )
-    def test_rejected_where_nothing_is_recorded(self, tmp_path, argv, capsys):
-        record = tmp_path / "record.jsonl"
-        out = tmp_path / "out"
-        output_flag = "--output" if argv[0] == "gen-qa" else "--output-dir"
-        code = main([*argv, "--record-cache", str(record), output_flag, str(out)])
-        assert code == 1
-        assert "--record-cache is not supported" in capsys.readouterr().err
-        assert not record.exists()
-        assert not out.exists()
-
     def test_listed_in_run_config_when_used(self, tmp_path, book_records):
         record = tmp_path / "record.jsonl"
         seed_lumber_cache(book_records, tmp_path / "replay.jsonl")
@@ -730,6 +800,7 @@ class TestUnusedCompletionFlags:
             ("--backend-url", "http://127.0.0.1:9"),
             ("--model", "m"),
             ("--model-id", "m"),
+            ("--record-cache", "record.jsonl"),
         ],
         ids=lambda flag: flag[0],
     )
@@ -762,6 +833,41 @@ class TestUnusedEmbeddingFlags:
         assert f"{' '.join(flag) if flag[0] == '--embed' else flag[0]} not supported by" in (
             capsys.readouterr().err
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--chunks", "c.jsonl", "--qa", "q.jsonl"],
+            ["sweep", "--documents", "d.jsonl", "--qa", "q.jsonl"],
+            ["rag", "--chunks", "c.jsonl", "--questions", "q.jsonl"],
+            ["chunk", "--document", "d.jsonl", "--method", "semantic"],
+        ],
+        ids=["eval", "sweep", "rag", "chunk-semantic"],
+    )
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (
+                ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "m",
+                 "--embed-dim", "8", "--embed-seed", "3"],
+                "--embed-dim, --embed-seed not supported by {command} with --embed http",
+            ),
+            (
+                ["--embed-url", "http://x", "--embed-model", "m"],
+                "--embed-url, --embed-model not supported by {command} with --embed mock",
+            ),
+        ],
+        ids=["mock-flags-with-http", "http-flags-with-mock"],
+    )
+    def test_rejected_where_the_embedder_does_not_read_them(
+        self, tmp_path, argv, flags, named, capsys
+    ):
+        out = tmp_path / "out"
+        code = main([*argv, *flags, "--output-dir", str(out)])
+        assert code == 1
+        command = "chunk --method semantic" if argv[0] == "chunk" else argv[0]
+        assert f"error: {named.format(command=command)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_semantic_rejects_embedding_cache(self, tmp_path, capsys):
@@ -1084,3 +1190,36 @@ class TestHydeRewrites:
         assert sorted(backend.calls.values()) == [1] * 10
         assert backend.calls.keys() == sequential.calls.keys()
         assert (out / "reports.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chunk", "--document", "{book}", "--method", "recursive", "--max-tokens", "0",
+             "--output-dir", "{out}"],
+            ["eval", "--chunks", "{chunks}", "--qa", "{qa}", "--ks", "0", "--output-dir", "{out}"],
+            ["eval", "--chunks", "{chunks}", "--qa", "{qa}", "--embed-dim", "1",
+             "--output-dir", "{out}"],
+            ["sweep", "--documents", "{book}", "--qa", "{qa}", "--thetas", "0",
+             "--replay-cache", "{cache}", "--output-dir", "{out}"],
+            ["sweep", "--documents", "{book}", "--qa", "{qa}", "--max-retries", "-1",
+             "--replay-cache", "{cache}", "--output-dir", "{out}"],
+            ["gen-qa", "--document", "{book}", "-n", "-1", "--replay-cache", "{cache}",
+             "--output", "{out}"],
+        ],
+        ids=["max-tokens", "ks", "embed-dim", "thetas", "max-retries", "gen-qa-n"],
+    )
+    def test_one_error_line_and_no_traceback(self, tmp_path, book_records, qa_file, argv, capsys):
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[1]
+        cache_path = tmp_path / "empty.jsonl"
+        cache_path.write_text("", encoding="utf-8")
+        paths = {
+            "book": book_records, "qa": qa_file, "chunks": chunk_path, "cache": cache_path,
+            "out": tmp_path / "out",
+        }
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1

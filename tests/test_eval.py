@@ -26,6 +26,7 @@ from conftest import (
 )
 from lumberkit import parallel
 from lumberkit.backends import (
+    CachingBackend,
     CompletionBackend,
     EmbeddingBackend,
     EmbeddingCache,
@@ -676,8 +677,8 @@ class TestConcurrentSweep:
         backend = FirstRequestGarbler()
         cache = HitCountingCache(tmp_path / "sweep.jsonl")
         reports = sweep_theta(
-            documents, qas, list(reversed(self.THETAS)), backend, MockEmbeddingBackend(),
-            cache=cache,
+            documents, qas, list(reversed(self.THETAS)), CachingBackend(backend, cache),
+            MockEmbeddingBackend(),
         )
 
         def records(found):
