@@ -1,0 +1,342 @@
+"""Byte-for-byte records of every CLI command and chunk method.
+
+Each case runs one command in-process, with a scripted completion backend in
+place of a live or replayed one, and compares what it writes with the records
+spelled out below: run_config.json for every command, plus stats.json for
+chunk, summary.json and answers.jsonl for rag and the QA file of gen-qa.
+"{tmp}" stands for the test's tmp_path. A JSON record is expected as indent-2
+text with sorted keys, no ASCII escaping and a trailing newline; a JSONL file
+as one compact record per line.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import re
+
+import pytest
+
+from conftest import last_id_responder, make_document
+from lumberkit import cli
+from lumberkit.backends import MockEmbeddingBackend, ScriptedBackend
+from lumberkit.baselines import paragraph_chunks
+from lumberkit.chunker import PROMPT_HEADER, write_chunks
+from lumberkit.cli import main
+from lumberkit.corpus import QAPair, write_document, write_qa
+
+
+def golden_reply(prompt: str) -> str:
+    """A pure reply to every prompt the CLI sends."""
+    if prompt.startswith(PROMPT_HEADER):
+        return last_id_responder(prompt)
+    if prompt.startswith("You are given an excerpt"):
+        excerpt = prompt.rsplit("Passage:", 1)[1].split()
+        return (
+            f"Question: What comes after {excerpt[0]}?\nAnswer: {excerpt[1]}\n"
+            f"Supporting Passage: {' '.join(excerpt[:10])}"
+        )
+    if prompt.startswith("Rewrite the passage"):
+        passage = prompt.rsplit("Passage:", 1)[1].split()
+        return f"{' '.join(passage[:3])}.\n\n{' '.join(passage[3:7])}."
+    if "Order the numbered documents" in prompt:
+        return "2, 1, 3"
+    return f"answer {hashlib.sha256(prompt.encode('utf-8')).hexdigest()[:8]}"
+
+
+@pytest.fixture()
+def inputs(tmp_path, monkeypatch):
+    """The book as text and as records, three questions and a chunk file.
+
+    Every completion comes from golden_reply; a command given --embed http
+    embeds with the default mock, so no case opens a connection.
+    """
+    document = make_document([40] * 12, doc_id="book")
+    (tmp_path / "book.txt").write_text(
+        "\n\n".join(p.text for p in document.paragraphs) + "\n", encoding="utf-8"
+    )
+    write_document(document, tmp_path / "book.jsonl")
+    write_qa(
+        [
+            QAPair("book", "What did Joshua Haldeman study?", "p2w1", document.paragraphs[1].text),
+            QAPair("book", "what happened next?", "answer 0cced83a", document.paragraphs[7].text),
+            QAPair("book", "third thing?", "a3", document.paragraphs[10].text),
+        ],
+        tmp_path / "qa.jsonl",
+    )
+    write_chunks(paragraph_chunks(document), tmp_path / "paragraph.jsonl")
+    backend = ScriptedBackend(golden_reply)
+    monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+    embedding_backend = cli._embedding_backend
+    monkeypatch.setattr(
+        cli,
+        "_embedding_backend",
+        lambda args: MockEmbeddingBackend(dimension=64, seed=0)
+        if args.embed == "http"
+        else embedding_backend(args),
+    )
+    return tmp_path
+
+
+NO_CACHES = {"completion": None, "embedding": None}
+MOCK = {"kind": "mock", "dimension": 64, "seed": 0}
+NONE = {"kind": "none"}
+REPLAY = {"kind": "replay", "cache_path": "{tmp}/replay.jsonl", "model_id": "default"}
+HTTP = {
+    "kind": "http",
+    "url": "http://127.0.0.1:9",
+    "model": "m",
+    "model_id": "mid",
+    "api_key_source": "env:LUMBERKIT_API_KEY",
+}
+LIVE_FLAGS = ["--backend-url", "http://127.0.0.1:9", "--model", "m", "--model-id", "mid"]
+KS = [1, 2, 5, 10, 20]
+RAG_SUMMARY = {"qa_accuracy": 33.333333333333336, "questions": 3}
+RAG_ANSWERS = [
+    {"question": "What did Joshua Haldeman study?", "mentions": ["Joshua Haldeman"], "bm25_k": 3,
+     "retrieved": [10, 6, 7, 3, 8], "answer": "answer ae0a0674"},
+    {"question": "what happened next?", "mentions": [], "bm25_k": 1,
+     "retrieved": [0, 9, 5, 1, 8], "answer": "answer 0cced83a"},
+    {"question": "third thing?", "mentions": [], "bm25_k": 1,
+     "retrieved": [1, 8, 5, 11, 7], "answer": "answer d53eeb35"},
+]
+
+
+def run_config(command, inputs, outputs, *, backend=NONE, embedding=NONE, caches=NO_CACHES,
+               chunker=None, ks=None, seed=None) -> dict:
+    return {
+        "command": command,
+        "inputs": inputs,
+        "outputs": outputs,
+        "backend": backend,
+        "embedding": embedding,
+        "caches": caches,
+        "chunker": chunker or {},
+        "ks": ks,
+        "seed": seed,
+    }
+
+
+def chunk_case(method, flags, chunker, stats, **sections):
+    out = "{tmp}/out"
+    argv = ["chunk", "--document", "{tmp}/book.jsonl", "--method", method, *flags,
+            "--output-dir", out]
+    return argv, {
+        "out/run_config.json": run_config(
+            "chunk", {"document": "{tmp}/book.jsonl"}, {"directory": out},
+            chunker={"method": method, **chunker}, **sections,
+        ),
+        "out/stats.json": stats,
+    }
+
+
+PARAGRAPH_STATS = {
+    "count": 12, "mean_tokens": 54.0, "min_tokens": 54, "max_tokens": 54, "mean_paragraphs": 1.0,
+}
+SEMANTIC_STATS = {
+    "count": 2, "mean_tokens": 320.0, "min_tokens": 320, "max_tokens": 320, "mean_paragraphs": 6.0,
+}
+LUMBER_DEFAULTS = {"theta": 550, "max_retries": 3, "min_tail_paragraphs": 2, "id_width": 4}
+
+CASES = {
+    "ingest": (
+        ["ingest", "--input", "{tmp}/book.txt", "--doc-id", "book", "--title", "A Book",
+         "--output", "{tmp}/out/book.jsonl"],
+        {
+            "out/book.jsonl.run.json": run_config(
+                "ingest", {"document": "{tmp}/book.txt", "format": "plain_text"},
+                {"paragraph_records": "{tmp}/out/book.jsonl"},
+            ),
+        },
+    ),
+    "chunk-paragraph": chunk_case("paragraph", [], {}, PARAGRAPH_STATS),
+    "chunk-recursive": chunk_case(
+        "recursive", [], {"max_tokens": 450},
+        {"count": 2, "mean_tokens": 320.5, "min_tokens": 214, "max_tokens": 427,
+         "mean_paragraphs": 6.0},
+    ),
+    "chunk-recursive-flags": chunk_case(
+        "recursive", ["--max-tokens", "100"], {"max_tokens": 100}, PARAGRAPH_STATS
+    ),
+    "chunk-semantic": chunk_case(
+        "semantic", [], {"percentile": 95.0, "min_unit": "paragraph"}, SEMANTIC_STATS,
+        embedding=MOCK,
+    ),
+    "chunk-semantic-flags": chunk_case(
+        "semantic",
+        ["--percentile", "80", "--min-unit", "sentence", "--embed-dim", "16", "--embed-seed", "3"],
+        {"percentile": 80.0, "min_unit": "sentence"},
+        {"count": 3, "mean_tokens": 213.66666666666666, "min_tokens": 54, "max_tokens": 480,
+         "mean_paragraphs": 4.0},
+        embedding={"kind": "mock", "dimension": 16, "seed": 3},
+    ),
+    "chunk-semantic-http": chunk_case(
+        "semantic",
+        ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "em"],
+        {"percentile": 95.0, "min_unit": "paragraph"},
+        SEMANTIC_STATS,
+        embedding={"kind": "http", "url": "http://127.0.0.1:9", "model": "em",
+                   "api_key_source": "env:LUMBERKIT_API_KEY"},
+    ),
+    "chunk-lumber": chunk_case(
+        "lumber",
+        ["--replay-cache", "{tmp}/replay.jsonl"],
+        LUMBER_DEFAULTS,
+        {"count": 2, "mean_tokens": 320.5, "min_tokens": 107, "max_tokens": 534,
+         "mean_paragraphs": 6.0},
+        backend=REPLAY,
+    ),
+    "chunk-lumber-flags": chunk_case(
+        "lumber",
+        ["--theta", "120", "--max-retries", "1", "--min-tail-paragraphs", "3", "--id-width", "5",
+         *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl"],
+        {"theta": 120, "max_retries": 1, "min_tail_paragraphs": 3, "id_width": 5},
+        {"count": 6, "mean_tokens": 107.0, "min_tokens": 107, "max_tokens": 107,
+         "mean_paragraphs": 2.0},
+        backend=HTTP,
+        caches={"completion": "{tmp}/record.jsonl", "embedding": None},
+    ),
+    "chunk-proposition": chunk_case(
+        "proposition",
+        ["--replay-cache", "{tmp}/replay.jsonl"],
+        {},
+        {"count": 24, "mean_tokens": 5.0, "min_tokens": 4, "max_tokens": 6,
+         "mean_paragraphs": 1.0},
+        backend=REPLAY,
+    ),
+    "eval": (
+        ["eval", "--chunks", "{tmp}/paragraph.jsonl", "--qa", "{tmp}/qa.jsonl",
+         "--output-dir", "{tmp}/out"],
+        {
+            "out/run_config.json": run_config(
+                "eval", {"chunks": ["{tmp}/paragraph.jsonl"], "qa": "{tmp}/qa.jsonl"},
+                {"directory": "{tmp}/out"}, embedding=MOCK, ks=KS, seed=0,
+            ),
+        },
+    ),
+    "eval-flags": (
+        ["eval", "--chunks", "{tmp}/paragraph.jsonl", "{tmp}/paragraph.jsonl",
+         "--qa", "{tmp}/qa.jsonl", "--ks", "1", "5", "--embed-dim", "16", "--embed-seed", "5",
+         "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
+        {
+            "out/run_config.json": run_config(
+                "eval",
+                {"chunks": ["{tmp}/paragraph.jsonl", "{tmp}/paragraph.jsonl"],
+                 "qa": "{tmp}/qa.jsonl"},
+                {"directory": "{tmp}/out"},
+                embedding={"kind": "mock", "dimension": 16, "seed": 5},
+                caches={"completion": None, "embedding": "{tmp}/embed.jsonl"},
+                ks=[1, 5],
+                seed=5,
+            ),
+        },
+    ),
+    "eval-hyde": (
+        ["eval", "--chunks", "{tmp}/paragraph.jsonl", "--qa", "{tmp}/qa.jsonl", "--hyde",
+         *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl", "--output-dir", "{tmp}/out"],
+        {
+            "out/run_config.json": run_config(
+                "eval", {"chunks": ["{tmp}/paragraph.jsonl"], "qa": "{tmp}/qa.jsonl"},
+                {"directory": "{tmp}/out"}, backend=HTTP, embedding=MOCK,
+                caches={"completion": "{tmp}/record.jsonl", "embedding": None}, ks=KS, seed=0,
+            ),
+        },
+    ),
+    "sweep": (
+        ["sweep", "--documents", "{tmp}/book.jsonl", "--qa", "{tmp}/qa.jsonl",
+         "--replay-cache", "{tmp}/replay.jsonl", "--output-dir", "{tmp}/out"],
+        {
+            "out/run_config.json": run_config(
+                "sweep", {"documents": ["{tmp}/book.jsonl"], "qa": "{tmp}/qa.jsonl"},
+                {"directory": "{tmp}/out"}, backend=REPLAY, embedding=MOCK,
+                chunker={"method": "lumber", "thetas": [450, 550, 650, 1000], "max_retries": 3,
+                         "min_tail_paragraphs": 2, "id_width": 4},
+                ks=KS, seed=0,
+            ),
+        },
+    ),
+    "sweep-flags": (
+        ["sweep", "--documents", "{tmp}/book.jsonl", "--qa", "{tmp}/qa.jsonl",
+         "--thetas", "650", "120", "650", "--ks", "1", "--max-retries", "1",
+         "--min-tail-paragraphs", "3", "--id-width", "5", *LIVE_FLAGS,
+         "--record-cache", "{tmp}/record.jsonl", "--embed-dim", "16", "--embed-seed", "5",
+         "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
+        {
+            "out/run_config.json": run_config(
+                "sweep", {"documents": ["{tmp}/book.jsonl"], "qa": "{tmp}/qa.jsonl"},
+                {"directory": "{tmp}/out"}, backend=HTTP,
+                embedding={"kind": "mock", "dimension": 16, "seed": 5},
+                caches={"completion": "{tmp}/record.jsonl", "embedding": "{tmp}/embed.jsonl"},
+                chunker={"method": "lumber", "thetas": [120, 650], "max_retries": 1,
+                         "min_tail_paragraphs": 3, "id_width": 5},
+                ks=[1], seed=5,
+            ),
+        },
+    ),
+    "rag": (
+        ["rag", "--chunks", "{tmp}/paragraph.jsonl", "--questions", "{tmp}/qa.jsonl",
+         "--replay-cache", "{tmp}/replay.jsonl", "--output-dir", "{tmp}/out"],
+        {
+            "out/run_config.json": run_config(
+                "rag", {"chunks": "{tmp}/paragraph.jsonl", "questions": "{tmp}/qa.jsonl"},
+                {"directory": "{tmp}/out"}, backend=REPLAY, embedding=MOCK, seed=0,
+            ),
+            "out/summary.json": RAG_SUMMARY,
+            "out/answers.jsonl": RAG_ANSWERS,
+        },
+    ),
+    "rag-answer-flags": (
+        ["rag-answer", "--chunks", "{tmp}/paragraph.jsonl", "--questions", "{tmp}/qa.jsonl",
+         *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl", "--embed", "http",
+         "--embed-url", "http://127.0.0.1:9", "--embed-model", "em",
+         "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
+        {
+            "out/run_config.json": run_config(
+                "rag", {"chunks": "{tmp}/paragraph.jsonl", "questions": "{tmp}/qa.jsonl"},
+                {"directory": "{tmp}/out"}, backend=HTTP,
+                embedding={"kind": "http", "url": "http://127.0.0.1:9", "model": "em",
+                           "api_key_source": "env:LUMBERKIT_API_KEY"},
+                caches={"completion": "{tmp}/record.jsonl", "embedding": "{tmp}/embed.jsonl"},
+                seed=0,
+            ),
+            "out/summary.json": RAG_SUMMARY,
+            "out/answers.jsonl": RAG_ANSWERS,
+        },
+    ),
+    "gen-qa": (
+        ["gen-qa", "--document", "{tmp}/book.jsonl", "-n", "2", "--seed", "11",
+         *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl", "--output", "{tmp}/out/qa.jsonl"],
+        {
+            "out/qa.jsonl.run.json": run_config(
+                "gen-qa", {"document": "{tmp}/book.jsonl", "n": 2}, {"qa": "{tmp}/out/qa.jsonl"},
+                backend=HTTP, caches={"completion": "{tmp}/record.jsonl", "embedding": None},
+                seed=11,
+            ),
+            "out/qa.jsonl": [
+                {"doc_id": "book", "question": "What comes after p7w0?", "answer": "p7w1",
+                 "supporting_passage": "p7w0 p7w1 p7w2 p7w3 p7w4 p7w5 p7w6 p7w7 p7w8 p7w9"},
+                {"doc_id": "book", "question": "What comes after p4w0?", "answer": "p4w1",
+                 "supporting_passage": "p4w0 p4w1 p4w2 p4w3 p4w4 p4w5 p4w6 p4w7 p4w8 p4w9"},
+            ],
+        },
+    ),
+}
+
+
+def expected_bytes(expected, tmp) -> str:
+    if isinstance(expected, list):
+        text = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in expected)
+    else:
+        text = json.dumps(expected, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return text.replace("{tmp}", str(tmp))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_outputs_match_the_records(inputs, case):
+    argv, files = CASES[case]
+    assert main([arg.replace("{tmp}", str(inputs)) for arg in argv]) == 0
+    for name, expected in files.items():
+        assert (inputs / name).read_text(encoding="utf-8") == expected_bytes(expected, inputs), name
+    timing = inputs / "out" / "timing.json"
+    if argv[0] == "chunk":
+        assert re.fullmatch(r'\{\n  "seconds": [0-9.e-]+\n\}\n', timing.read_text(encoding="utf-8"))
