@@ -352,17 +352,11 @@ def hyde_transform(
 ) -> str:
     """Replace a query with a hypothetical answer passage for embedding.
 
-    One backend call per query. Falls back to the original query, with a
-    warning, when the backend fails or returns nothing.
+    One backend call per query; a blank reply falls back to the original
+    query.
     """
     prompt = (prompt_template or HYDE_PROMPT_TEMPLATE).format(query=query)
-    try:
-        passage = backend.complete(prompt, temperature=0.0)
-    except BackendError as exc:
-        logger.warning("hyde transform failed; using the raw query: %s", exc)
-        return query
-    passage = passage.strip()
-    return passage or query
+    return backend.complete(prompt, temperature=0.0).strip() or query
 
 
 def chunk_method_names() -> tuple[str, ...]:

@@ -19,7 +19,14 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .backends import BackendError, CachingBackend, CompletionBackend, ResponseCache
-from .corpus import PARAGRAPH_SEPARATOR, Document, Paragraph, TokenCounter, count_tokens
+from .corpus import (
+    PARAGRAPH_SEPARATOR,
+    Document,
+    Paragraph,
+    TokenCounter,
+    count_tokens,
+    write_jsonl,
+)
 from .errors import ConfigError, LumberkitError
 
 logger = logging.getLogger(__name__)
@@ -375,17 +382,7 @@ CHUNK_FIELDS = ("doc_id", "chunk_id", "start_para", "end_para", "token_count", "
 
 def write_chunks(chunks: Iterable[Chunk], path: str | Path) -> None:
     """Write chunk records as JSONL; identical chunks produce identical bytes."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for chunk in chunks:
-            record = {
-                "doc_id": chunk.doc_id,
-                "chunk_id": chunk.chunk_id,
-                "start_para": chunk.start_para,
-                "end_para": chunk.end_para,
-                "token_count": chunk.token_count,
-                "text": chunk.text,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(({name: getattr(chunk, name) for name in CHUNK_FIELDS} for chunk in chunks), path)
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:

@@ -206,12 +206,22 @@ def _document_from_records(
     return Document(resolved_id, title or resolved_id, tuple(paragraphs))
 
 
+def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
+    """Write one compact JSON record per line, without ASCII escaping."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def write_document(document: Document, path: str | Path) -> None:
     """Write paragraph records; reading them back round-trips bit-identically."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for para in document.paragraphs:
-            record = {"doc_id": document.doc_id, "index": para.index, "text": para.text}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(
+        (
+            {"doc_id": document.doc_id, "index": para.index, "text": para.text}
+            for para in document.paragraphs
+        ),
+        path,
+    )
 
 
 def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, dict]]:
@@ -300,15 +310,7 @@ def load_qa_mapped(path: str | Path, column_map: Mapping[str, str]) -> list[QAPa
 
 def write_qa(pairs: Iterable[QAPair], path: str | Path) -> None:
     """Write QA records as JSONL; load_qa reads them back bit-identically."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pair in pairs:
-            record = {
-                "doc_id": pair.doc_id,
-                "question": pair.question,
-                "answer": pair.answer,
-                "supporting_passage": pair.supporting_passage,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(({column: getattr(pair, column) for column in _QA_COLUMNS} for pair in pairs), path)
 
 
 QA_PROMPT_TEMPLATE = """\
@@ -362,7 +364,6 @@ def generate_qa(
     n: int,
     *,
     seed: int = 0,
-    max_retries: int = 2,
     window_range: tuple[int, int] = (3, 6),
 ) -> list[QAPair]:
     """Generate up to n QA pairs from randomly sampled passages.
@@ -371,10 +372,9 @@ def generate_qa(
     seeded RNG. The backend answers with Question/Answer/Supporting Passage
     fields; pairs whose supporting passage does not occur verbatim in the
     document (after whitespace normalization) are dropped. Parse failures and
-    rejected passages are counted in a logged warning. n=0 makes no calls.
+    rejected passages are counted in a logged warning. A BackendError
+    propagates; the backend does its own retrying. n=0 makes no calls.
     """
-    from .backends import BackendError
-
     if n < 0:
         raise ConfigError(f"n must be >= 0, got {n}")
     rng = random.Random(seed)
@@ -390,17 +390,7 @@ def generate_qa(
             p.text for p in document.paragraphs[start - 1 : start - 1 + span]
         )
         prompt = QA_PROMPT_TEMPLATE.format(title=document.title, passage=passage)
-        last_error: BackendError | None = None
-        response = None
-        for _attempt in range(max_retries + 1):
-            try:
-                response = llm.complete(prompt, temperature=0.0)
-                break
-            except BackendError as exc:
-                last_error = exc
-        if response is None:
-            raise BackendError(f"QA generation failed after {max_retries + 1} attempts: {last_error}")
-        triple = parse_qa_response(response)
+        triple = parse_qa_response(llm.complete(prompt, temperature=0.0))
         if triple is None:
             parse_failures += 1
             continue

@@ -8,7 +8,6 @@ Recall@1 exactly.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -19,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .backends import CompletionBackend, EmbeddingBackend, EmbeddingCache
 from .chunker import Chunk, ChunkerConfig, lumberchunk
-from .corpus import Document, QAPair, TokenCounter
+from .corpus import Document, QAPair, TokenCounter, write_jsonl
 from .errors import ConfigError, LumberkitError
 from .index import cosine_topk, embed_chunks
 from .parallel import ordered_map
@@ -410,6 +409,4 @@ def report_to_record(report: MetricsReport) -> dict:
 
 def write_reports(reports: Iterable[MetricsReport], path: str | Path) -> None:
     """Write one JSON record per report, machine-readable for plotting."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for report in reports:
-            fh.write(json.dumps(report_to_record(report), ensure_ascii=False) + "\n")
+    write_jsonl(map(report_to_record, reports), path)

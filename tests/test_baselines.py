@@ -328,11 +328,11 @@ class TestHydeTransform:
         assert hyde_transform("Who built it?", backend) == "A plausible passage."
         assert "Who built it?" in backend.prompts[0]
 
-    def test_backend_failure_returns_query(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="lumberkit.baselines"):
-            result = hyde_transform("Who built it?", FailingBackend())
-        assert result == "Who built it?"
-        assert any("raw query" in r.message for r in caplog.records)
+    def test_backend_failure_propagates(self):
+        backend = FailingBackend()
+        with pytest.raises(BackendError, match="transport down"):
+            hyde_transform("Who built it?", backend)
+        assert backend.calls == 1
 
     def test_blank_response_returns_query(self):
         assert hyde_transform("Who built it?", CountingBackend(lambda p: "   ")) == "Who built it?"

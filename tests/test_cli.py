@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import re
@@ -20,7 +21,7 @@ from lumberkit.backends import (
     ResponseCache,
     ScriptedBackend,
 )
-from lumberkit.baselines import HYDE_PROMPT_TEMPLATE, hyde_transform
+from lumberkit.baselines import HYDE_PROMPT_TEMPLATE, chunk_method_names, hyde_transform
 from lumberkit.chunker import ChunkerConfig, lumberchunk, read_chunks, write_chunks
 from lumberkit.cli import main
 from lumberkit.corpus import QAPair, generate_qa, load_document, write_document, write_qa
@@ -1223,3 +1224,62 @@ class TestOutOfRangeFlags:
         assert code == 1
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+
+
+class TestFlagTable:
+    def test_every_flag_is_read_by_a_row_and_every_row_names_real_flags(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        commands = {row.split()[0] for row in cli._READS}
+        assert set(subparsers.choices) == commands | {"rag-answer"}
+        methods = {row.split()[-1] for row in cli._READS if row.startswith("chunk ")}
+        assert methods == set(chunk_method_names())
+        for command in commands:
+            dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+            read = set()
+            for row, names in cli._READS.items():
+                if row.split()[0] == command:
+                    read.update(names)
+            if "embed" in read:
+                for names in cli._EMBEDDERS.values():
+                    read.update(names)
+            assert read <= dests, command
+            # chunk takes --embed-cache with the other embedding flags, only to
+            # reject it: no method reads it
+            assert dests - read == ({"embed_cache"} if command == "chunk" else set()), command
+
+    def test_one_error_line_names_unread_flags_from_two_groups(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["chunk", "--document", "d.jsonl", "--method", "paragraph", "--model", "m",
+             "--embed-url", "u", "--output-dir", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: --model, --embed-url not supported by chunk --method paragraph"]
+        assert not out.exists()
+
+
+class TestHydeBackendFailure:
+    @pytest.mark.parametrize("record", [False, True], ids=["live", "recording"])
+    def test_exits_1_and_writes_no_reports(
+        self, tmp_path, book_records, qa_file, monkeypatch, capsys, record
+    ):
+        backend = FailingBackend()
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        cache_path = tmp_path / "hyde.jsonl"
+        out = tmp_path / "eval"
+        code = main(
+            ["eval", "--chunks", str(chunk_path), "--qa", str(qa_file), "--hyde",
+             *(["--record-cache", str(cache_path)] if record else []), "--output-dir", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "transport down" in errors[0]
+        hint = f"re-run the same command to resume from the 0 answers recorded in {cache_path}"
+        assert errors[0].endswith(hint) == record
+        assert not (out / "reports.jsonl").exists()

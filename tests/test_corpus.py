@@ -371,8 +371,8 @@ class TestGenerateQa:
     def test_backend_error_propagates_after_retries(self):
         backend = FailingBackend()
         with pytest.raises(BackendError):
-            generate_qa(self._doc(), backend, 1, max_retries=2)
-        assert backend.calls == 3
+            generate_qa(self._doc(), backend, 1)
+        assert backend.calls == 1
 
     def test_sampling_is_seeded(self):
         doc = self._doc()
