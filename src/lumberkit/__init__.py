@@ -47,7 +47,6 @@ from .corpus import (
     Paragraph,
     QAPair,
     count_tokens,
-    default_token_counter,
     generate_qa,
     load_document,
     load_qa,

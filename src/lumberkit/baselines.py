@@ -16,8 +16,9 @@ import numpy as np
 
 from .backends import BackendError, CompletionBackend, EmbeddingBackend
 from .chunker import Chunk
-from .corpus import PARAGRAPH_SEPARATOR, Document, TokenCounter, count_tokens
+from .corpus import PARAGRAPH_SEPARATOR, Document, count_tokens
 from .errors import ConfigError, LumberkitError
+from .index import EMBED_BATCH
 
 logger = logging.getLogger(__name__)
 
@@ -26,7 +27,7 @@ class BaselineError(LumberkitError):
     """Problem inside a baseline chunker."""
 
 
-def paragraph_chunks(document: Document, counter: TokenCounter | None = None) -> list[Chunk]:
+def paragraph_chunks(document: Document) -> list[Chunk]:
     """One chunk per paragraph: the identity partition."""
     return [
         Chunk(
@@ -35,7 +36,7 @@ def paragraph_chunks(document: Document, counter: TokenCounter | None = None) ->
             start_para=para.index,
             end_para=para.index,
             text=para.text,
-            token_count=count_tokens(para.text, counter),
+            token_count=count_tokens(para.text),
         )
         for i, para in enumerate(document.paragraphs)
     ]
@@ -48,19 +49,16 @@ DEFAULT_SEPARATORS = ("\n\n", "\n", " ", "")
 class RecursiveConfig:
     """Settings for the recursive splitter.
 
-    The separator hierarchy is tried in order; the final empty string splits
+    DEFAULT_SEPARATORS are tried in order; the final empty string splits
     into single characters so no piece is ever stuck above the limit unless a
     lone character already exceeds it.
     """
 
     max_tokens: int = 450
-    separator_hierarchy: tuple[str, ...] = DEFAULT_SEPARATORS
 
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if not self.separator_hierarchy or self.separator_hierarchy[-1] != "":
-            raise ConfigError("separator_hierarchy must end with the empty string")
 
 
 def _split_keep_separator(text: str, separator: str) -> list[str]:
@@ -77,28 +75,24 @@ def _split_keep_separator(text: str, separator: str) -> list[str]:
     return pieces
 
 
-def _split_recursive(
-    text: str, level: int, config: RecursiveConfig, counter: TokenCounter | None
-) -> list[str]:
-    if count_tokens(text, counter) <= config.max_tokens:
+def _split_recursive(text: str, level: int, max_tokens: int) -> list[str]:
+    if count_tokens(text) <= max_tokens:
         return [text]
-    if level >= len(config.separator_hierarchy):
+    if level >= len(DEFAULT_SEPARATORS):
         return [text]  # indivisible at every level
-    pieces = _split_keep_separator(text, config.separator_hierarchy[level])
+    pieces = _split_keep_separator(text, DEFAULT_SEPARATORS[level])
     if len(pieces) <= 1:
-        return _split_recursive(text, level + 1, config, counter)
+        return _split_recursive(text, level + 1, max_tokens)
     out: list[str] = []
     for piece in pieces:
-        if count_tokens(piece, counter) <= config.max_tokens:
+        if count_tokens(piece) <= max_tokens:
             out.append(piece)
         else:
-            out.extend(_split_recursive(piece, level + 1, config, counter))
+            out.extend(_split_recursive(piece, level + 1, max_tokens))
     return out
 
 
-def _greedy_pack(
-    pieces: list[str], max_tokens: int, counter: TokenCounter | None
-) -> list[str]:
+def _greedy_pack(pieces: list[str], max_tokens: int) -> list[str]:
     chunks: list[str] = []
     buffer = ""
     for piece in pieces:
@@ -106,7 +100,7 @@ def _greedy_pack(
             buffer = piece
             continue
         candidate = buffer + piece
-        if count_tokens(candidate, counter) <= max_tokens:
+        if count_tokens(candidate) <= max_tokens:
             buffer = candidate
         else:
             chunks.append(buffer)
@@ -124,11 +118,7 @@ def _paragraph_span(starts: list[int], begin: int, end: int) -> tuple[int, int]:
     return first + 1, last + 1
 
 
-def recursive_chunks(
-    document: Document,
-    config: RecursiveConfig | None = None,
-    counter: TokenCounter | None = None,
-) -> list[Chunk]:
+def recursive_chunks(document: Document, config: RecursiveConfig | None = None) -> list[Chunk]:
     """Greedy recursive splitting over a separator hierarchy.
 
     Splits at the highest-priority separator whose pieces fit under
@@ -141,8 +131,8 @@ def recursive_chunks(
     """
     config = config or RecursiveConfig()
     text = document.text
-    pieces = _split_recursive(text, 0, config, counter)
-    packed = _greedy_pack(pieces, config.max_tokens, counter)
+    pieces = _split_recursive(text, 0, config.max_tokens)
+    packed = _greedy_pack(pieces, config.max_tokens)
 
     starts: list[int] = []
     offset = 0
@@ -162,7 +152,7 @@ def recursive_chunks(
                 start_para=start_para,
                 end_para=end_para,
                 text=chunk_text,
-                token_count=count_tokens(chunk_text, counter),
+                token_count=count_tokens(chunk_text),
             )
         )
         position = end
@@ -207,12 +197,10 @@ def _semantic_units(document: Document, config: SemanticConfig) -> list[_Unit]:
     return units
 
 
-def _embed_units(
-    units: list[_Unit], embed: EmbeddingBackend, batch_size: int = 64
-) -> np.ndarray:
+def _embed_units(units: list[_Unit], embed: EmbeddingBackend) -> np.ndarray:
     rows: list[np.ndarray] = []
-    for begin in range(0, len(units), batch_size):
-        batch = units[begin : begin + batch_size]
+    for begin in range(0, len(units), EMBED_BATCH):
+        batch = units[begin : begin + EMBED_BATCH]
         try:
             rows.append(embed.embed([u.text for u in batch]))
         except BackendError as exc:
@@ -226,7 +214,6 @@ def semantic_chunks(
     document: Document,
     embed: EmbeddingBackend,
     config: SemanticConfig | None = None,
-    counter: TokenCounter | None = None,
 ) -> list[Chunk]:
     """Split where the embedding distance between consecutive units spikes.
 
@@ -246,7 +233,7 @@ def semantic_chunks(
             start_para=members[0].start_para,
             end_para=members[-1].end_para,
             text=text,
-            token_count=count_tokens(text, counter),
+            token_count=count_tokens(text),
         )
 
     if len(units) == 1:
@@ -282,21 +269,14 @@ PROPOSITION_PROMPT_TEMPLATE = (
 )
 
 
-def propositionize(
-    chunk: Chunk,
-    backend: CompletionBackend,
-    counter: TokenCounter | None = None,
-    *,
-    prompt_template: str | None = None,
-) -> list[Chunk]:
+def propositionize(chunk: Chunk, backend: CompletionBackend) -> list[Chunk]:
     """Decompose one chunk into proposition-granularity chunks.
 
     Each non-empty response line becomes a chunk inheriting the parent's
     paragraph span. An empty response is asked again once, via backend.retry;
     after that the parent chunk passes through unchanged with a warning.
     """
-    template = prompt_template or PROPOSITION_PROMPT_TEMPLATE
-    prompt = template.format(passage=chunk.text)
+    prompt = PROPOSITION_PROMPT_TEMPLATE.format(passage=chunk.text)
     for ask in (backend.complete, backend.retry):
         response = ask(prompt, temperature=0.0)
         lines = [line.strip() for line in response.splitlines()]
@@ -309,7 +289,7 @@ def propositionize(
                     start_para=chunk.start_para,
                     end_para=chunk.end_para,
                     text=statement,
-                    token_count=count_tokens(statement, counter),
+                    token_count=count_tokens(statement),
                 )
                 for i, statement in enumerate(statements)
             ]
@@ -320,17 +300,11 @@ def propositionize(
     return [chunk]
 
 
-def proposition_chunks(
-    document: Document,
-    backend: CompletionBackend,
-    counter: TokenCounter | None = None,
-    *,
-    prompt_template: str | None = None,
-) -> list[Chunk]:
+def proposition_chunks(document: Document, backend: CompletionBackend) -> list[Chunk]:
     """Propositionize every paragraph of the document, renumbered sequentially."""
     out: list[Chunk] = []
-    for parent in paragraph_chunks(document, counter):
-        for prop in propositionize(parent, backend, counter, prompt_template=prompt_template):
+    for parent in paragraph_chunks(document):
+        for prop in propositionize(parent, backend):
             out.append(replace(prop, chunk_id=len(out)))
     return out
 
@@ -344,18 +318,13 @@ HYDE_PROMPT_TEMPLATE = (
 )
 
 
-def hyde_transform(
-    query: str,
-    backend: CompletionBackend,
-    *,
-    prompt_template: str | None = None,
-) -> str:
+def hyde_transform(query: str, backend: CompletionBackend) -> str:
     """Replace a query with a hypothetical answer passage for embedding.
 
     One backend call per query; a blank reply falls back to the original
     query.
     """
-    prompt = (prompt_template or HYDE_PROMPT_TEMPLATE).format(query=query)
+    prompt = HYDE_PROMPT_TEMPLATE.format(query=query)
     return backend.complete(prompt, temperature=0.0).strip() or query
 
 

@@ -19,14 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .backends import BackendError, CachingBackend, CompletionBackend, ResponseCache
-from .corpus import (
-    PARAGRAPH_SEPARATOR,
-    Document,
-    Paragraph,
-    TokenCounter,
-    count_tokens,
-    write_jsonl,
-)
+from .corpus import PARAGRAPH_SEPARATOR, Document, Paragraph, count_tokens, utf8_lines, write_jsonl
 from .errors import ConfigError, LumberkitError
 
 logger = logging.getLogger(__name__)
@@ -159,12 +152,7 @@ _ANSWER_ID_RE = re.compile(r"answer\s*:\s*id\s*:?\s*(\d+)", re.IGNORECASE)
 _BARE_ID_RE = re.compile(r"\bid\s*:?\s*(\d+)", re.IGNORECASE)
 
 
-def build_group(
-    document: Document,
-    start: int,
-    config: ChunkerConfig | None = None,
-    counter: TokenCounter | None = None,
-) -> Group:
+def build_group(document: Document, start: int, config: ChunkerConfig | None = None) -> Group:
     """Accumulate paragraphs from start until the token total exceeds theta.
 
     The paragraph that pushes the total over theta is included. A group always
@@ -177,7 +165,7 @@ def build_group(
     total = 0
     for para in document.paragraphs[start - 1 :]:
         members.append(para)
-        total += count_tokens(para.text, counter)
+        total += count_tokens(para.text)
         if total > config.theta:
             break
     return Group(document.doc_id, tuple(members), start, total)
@@ -215,16 +203,10 @@ def parse_split_id(response: str, group: Group) -> int:
     return split_id
 
 
-def _make_chunk(
-    document: Document,
-    chunk_id: int,
-    start: int,
-    end: int,
-    counter: TokenCounter | None,
-) -> Chunk:
+def _make_chunk(document: Document, chunk_id: int, start: int, end: int) -> Chunk:
     paragraphs = document.paragraphs[start - 1 : end]
     text = PARAGRAPH_SEPARATOR.join(p.text for p in paragraphs)
-    return Chunk(document.doc_id, chunk_id, start, end, text, count_tokens(text, counter))
+    return Chunk(document.doc_id, chunk_id, start, end, text, count_tokens(text))
 
 
 def _ask_for_split(
@@ -259,7 +241,6 @@ def lumber_steps(
     document: Document,
     config: ChunkerConfig | None = None,
     backend: CompletionBackend | None = None,
-    counter: TokenCounter | None = None,
 ) -> Iterator[LumberStep]:
     """Yield one LumberStep per emitted chunk while walking the document.
 
@@ -277,12 +258,12 @@ def lumber_steps(
         iterations += 1
         if iterations > n:  # each step consumes >= 1 paragraph, so this cannot trip
             raise ChunkerError("chunking loop failed to make progress")
-        group = build_group(document, start, config, counter)
+        group = build_group(document, start, config)
         reaches_end = group.end_index == n
         if reaches_end and (
             len(group) < config.min_tail_paragraphs or group.token_total <= config.theta
         ):
-            chunk = _make_chunk(document, chunk_id, start, n, counter)
+            chunk = _make_chunk(document, chunk_id, start, n)
             yield LumberStep(group, chunk, used_llm=False, fell_back=False, attempts=0)
             return
         split_id, attempts, fell_back = _ask_for_split(group, config, backend)
@@ -292,7 +273,7 @@ def lumber_steps(
         else:
             end = split_id - 1
             next_start = split_id
-        chunk = _make_chunk(document, chunk_id, start, end, counter)
+        chunk = _make_chunk(document, chunk_id, start, end)
         yield LumberStep(group, chunk, used_llm=True, fell_back=fell_back, attempts=attempts)
         chunk_id += 1
         start = next_start
@@ -302,7 +283,6 @@ def lumberchunk(
     document: Document,
     config: ChunkerConfig | None = None,
     backend: CompletionBackend | None = None,
-    counter: TokenCounter | None = None,
     cache: ResponseCache | None = None,
 ) -> list[Chunk]:
     """Chunk the whole document with the iterative split loop.
@@ -316,7 +296,7 @@ def lumberchunk(
         backend = CachingBackend(backend, cache)
     chunks: list[Chunk] = []
     try:
-        for step in lumber_steps(document, config, backend, counter):
+        for step in lumber_steps(document, config, backend):
             chunks.append(step.chunk)
     except BackendError as exc:
         if chunks:
@@ -389,25 +369,26 @@ def read_chunks(path: str | Path) -> list[Chunk]:
     """Read chunk records written by write_chunks."""
     path = Path(path)
     chunks: list[Chunk] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ChunkerError(f"{path}, line {line_number}: invalid JSON: {exc}") from exc
-            try:
-                chunks.append(
-                    Chunk(
-                        doc_id=str(record["doc_id"]),
-                        chunk_id=int(record["chunk_id"]),
-                        start_para=int(record["start_para"]),
-                        end_para=int(record["end_para"]),
-                        token_count=int(record["token_count"]),
-                        text=str(record["text"]),
-                    )
+    for line_number, line in utf8_lines(path):
+        if line is None:
+            raise ChunkerError(f"{path}, line {line_number}: not valid UTF-8")
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ChunkerError(f"{path}, line {line_number}: invalid JSON: {exc}") from exc
+        try:
+            chunks.append(
+                Chunk(
+                    doc_id=str(record["doc_id"]),
+                    chunk_id=int(record["chunk_id"]),
+                    start_para=int(record["start_para"]),
+                    end_para=int(record["end_para"]),
+                    token_count=int(record["token_count"]),
+                    text=str(record["text"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ChunkerError(f"{path}, line {line_number}: bad chunk record: {exc}") from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ChunkerError(f"{path}, line {line_number}: bad chunk record: {exc}") from exc
     return chunks

@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping
 
 from .errors import ConfigError, LumberkitError
 
@@ -25,8 +25,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 PARAGRAPH_SEPARATOR = "\n\n"
-
-TokenCounter = Callable[[str], int]
 
 DocumentFormat = Literal["plain_text", "paragraph_records"]
 
@@ -99,11 +97,6 @@ class Document:
         """The normalized document text: paragraphs joined by blank lines."""
         return PARAGRAPH_SEPARATOR.join(p.text for p in self.paragraphs)
 
-    def paragraph(self, index: int) -> Paragraph:
-        if not 1 <= index <= len(self.paragraphs):
-            raise CorpusError(f"paragraph index {index} outside 1..{len(self.paragraphs)}")
-        return self.paragraphs[index - 1]
-
 
 @dataclass(frozen=True)
 class QAPair:
@@ -138,15 +131,9 @@ def split_paragraphs(raw_text: str) -> list[Paragraph]:
     return paragraphs
 
 
-def default_token_counter(text: str) -> int:
+def count_tokens(text: str) -> int:
     """Deterministic proxy for subword counts: ceil(word_count * 4 / 3)."""
-    words = len(text.split())
-    return (4 * words + 2) // 3
-
-
-def count_tokens(text: str, counter: TokenCounter | None = None) -> int:
-    """Count tokens with the given counter, or the default word-based one."""
-    return (counter or default_token_counter)(text)
+    return (4 * len(text.split()) + 2) // 3
 
 
 def load_document(
@@ -224,30 +211,51 @@ def write_document(document: Document, path: str | Path) -> None:
     )
 
 
-def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
+def utf8_lines(path: Path) -> Iterator[tuple[int, str | None]]:
+    """Number a UTF-8 text file's lines; a line that does not decode comes as None.
+
+    Bad bytes are read as surrogate escapes and checked line by line, so one
+    is pinned to its own line rather than to wherever the decoder's
+    read-ahead met it.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(path, line_number, f"invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise MalformedRecordError(path, line_number, "record is not an object")
-            yield line_number, record
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                yield line_number, None
+            else:
+                yield line_number, line
+
+
+def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, dict]]:
+    for line_number, line in utf8_lines(path):
+        if line is None:
+            raise MalformedRecordError(path, line_number, "not valid UTF-8")
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecordError(path, line_number, f"invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise MalformedRecordError(path, line_number, "record is not an object")
+        yield line_number, record
 
 
 def _iter_delimited_rows(path: Path, columns: Iterable[str]) -> Iterator[tuple[int, dict]]:
     delimiter = "\t" if path.suffix.lower() == ".tsv" else ","
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or []
-        for column in columns:
-            if column not in header:
-                raise MissingColumnError(column, path)
-        for line_number, row in enumerate(reader, start=2):
-            yield line_number, row
+        try:
+            reader = csv.DictReader(fh, delimiter=delimiter)
+            header = reader.fieldnames or []
+            for column in columns:
+                if column not in header:
+                    raise MissingColumnError(column, path)
+            for line_number, row in enumerate(reader, start=2):
+                yield line_number, row
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def _pairs_from_rows(
@@ -359,12 +367,7 @@ def parse_qa_response(response: str) -> tuple[str, str, str] | None:
 
 
 def generate_qa(
-    document: Document,
-    llm: CompletionBackend,
-    n: int,
-    *,
-    seed: int = 0,
-    window_range: tuple[int, int] = (3, 6),
+    document: Document, llm: CompletionBackend, n: int, *, seed: int = 0
 ) -> list[QAPair]:
     """Generate up to n QA pairs from randomly sampled passages.
 
@@ -383,8 +386,7 @@ def generate_qa(
     parse_failures = 0
     rejected = 0
     for _ in range(n):
-        low, high = window_range
-        span = min(rng.randint(low, high), len(document))
+        span = min(rng.randint(3, 6), len(document))
         start = rng.randint(1, len(document) - span + 1)
         passage = PARAGRAPH_SEPARATOR.join(
             p.text for p in document.paragraphs[start - 1 : start - 1 + span]

@@ -18,9 +18,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .backends import CompletionBackend, EmbeddingBackend, EmbeddingCache
 from .chunker import Chunk, ChunkerConfig, lumberchunk
-from .corpus import Document, QAPair, TokenCounter, write_jsonl
+from .corpus import Document, QAPair, write_jsonl
 from .errors import ConfigError, LumberkitError
-from .index import cosine_topk, embed_chunks
+from .index import EMBED_BATCH, cosine_topk, embed_chunks
 from .parallel import ordered_map
 
 logger = logging.getLogger(__name__)
@@ -31,10 +31,7 @@ DEFAULT_THETAS = (450, 550, 650, 1000)
 # trigrams is relevant.
 NGRAM_SIZE = 3
 NGRAM_THRESHOLD = 0.8
-# Questions embedded per backend request in build_runs.
-QUERY_BATCH = 64
 
-RelevanceJudge = Callable[[Chunk, QAPair], bool]
 QueryTransform = Callable[[str], str]
 
 
@@ -133,7 +130,7 @@ def judge_relevance(
     )
 
 
-def _normalizing_judge() -> RelevanceJudge:
+def _normalizing_judge() -> Callable[[Chunk, QAPair], bool]:
     """judge_relevance with its defaults, normalizing each distinct text once.
 
     The memo lives as long as the returned judge, so a caller bounds its
@@ -156,6 +153,11 @@ def _normalizing_judge() -> RelevanceJudge:
         )
 
     return judge
+
+
+def _check_ks(ks: Sequence[int]) -> None:
+    if not ks or min(ks) < 1 or len(set(ks)) != len(ks):
+        raise ConfigError(f"ks must be non-empty, distinct and each >= 1, got {list(ks)}")
 
 
 def _check_runs_and_k(runs: Sequence[RetrievalRun], k: int) -> None:
@@ -189,7 +191,6 @@ def build_runs(
     query_transform: QueryTransform | None = None,
     *,
     depth: int = max(DEFAULT_KS),
-    judge: RelevanceJudge | None = None,
     embed_cache: EmbeddingCache | None = None,
 ) -> list[RetrievalRun]:
     """Rank each question against its own document's chunks.
@@ -198,11 +199,11 @@ def build_runs(
     the documents first appear among the questions; only documents with
     questions are embedded. A document's questions are rewritten by
     query_transform concurrently, once per distinct question, then embedded
-    in batches of QUERY_BATCH. Questions whose doc_id has no chunks get an
+    in batches of EMBED_BATCH. Questions whose doc_id has no chunks get an
     absent gold rank and a warning. The gold rank is the first position,
-    scanning down the ranking, whose chunk the judge accepts. Without a
-    judge, judge_relevance's rule runs on texts normalized once per
-    document. Runs come back in question order.
+    scanning down the ranking, whose chunk judge_relevance's rule accepts;
+    the rule runs on texts normalized once per document. Runs come back in
+    question order.
     """
     by_doc: dict[str, list[Chunk]] = {}
     for chunk in chunks:
@@ -227,10 +228,10 @@ def build_runs(
             query_texts = [rewrites[text] for text in query_texts]
         query_vectors = [
             vector
-            for start in range(0, len(query_texts), QUERY_BATCH)
-            for vector in embed_backend.embed(query_texts[start : start + QUERY_BATCH])
+            for start in range(0, len(query_texts), EMBED_BATCH)
+            for vector in embed_backend.embed(query_texts[start : start + EMBED_BATCH])
         ]
-        doc_judge = judge or _normalizing_judge()
+        doc_judge = _normalizing_judge()
         for position, query_vector in zip(positions, query_vectors, strict=True):
             qa = qa_pairs[position]
             ranked = tuple(chunk for chunk, _score in cosine_topk(index, query_vector, depth))
@@ -272,7 +273,6 @@ def evaluate(
     query_transform: QueryTransform | None = None,
     ks: Sequence[int] = DEFAULT_KS,
     *,
-    judge: RelevanceJudge | None = None,
     method: str = "",
     chunking_seconds: float | None = None,
     theta: int | None = None,
@@ -281,18 +281,11 @@ def evaluate(
     """Score one chunking method: rank every question, then fold into metrics.
 
     query_transform, when given, rewrites the question text before embedding
-    (the HyDE route); ranking depth is max(ks).
+    (the HyDE route); ranking depth is max(ks). ks must be distinct.
     """
-    if not ks or min(ks) < 1:
-        raise ConfigError(f"ks must be non-empty and each >= 1, got {list(ks)}")
+    _check_ks(ks)
     runs = build_runs(
-        chunks,
-        qa_pairs,
-        embed_backend,
-        query_transform,
-        depth=max(ks),
-        judge=judge,
-        embed_cache=embed_cache,
+        chunks, qa_pairs, embed_backend, query_transform, depth=max(ks), embed_cache=embed_cache
     )
     return report_from_runs(
         runs, ks, method=method, chunking_seconds=chunking_seconds, theta=theta
@@ -307,9 +300,7 @@ def sweep_theta(
     embed_backend: EmbeddingBackend,
     *,
     config: ChunkerConfig | None = None,
-    counter: TokenCounter | None = None,
     ks: Sequence[int] = DEFAULT_KS,
-    judge: RelevanceJudge | None = None,
     embed_cache: EmbeddingCache | None = None,
 ) -> list[MetricsReport]:
     """Chunk every document at each theta and evaluate each result.
@@ -320,10 +311,11 @@ def sweep_theta(
     that runs its thetas in ascending order: windows recur across thetas, and
     only that order makes a later theta replay the earlier theta's cached
     answer with the same backend calls as a sequential run. Duplicate doc_ids
-    raise EvaluationError.
+    raise EvaluationError; bad ks raise ConfigError before any chunking.
     """
     if not thetas:
         raise ConfigError("thetas must be non-empty")
+    _check_ks(ks)
     seen: set[str] = set()
     for document in documents:
         if document.doc_id in seen:
@@ -336,7 +328,7 @@ def sweep_theta(
         timed = []
         for theta in ordered:
             started = time.perf_counter()
-            chunks = lumberchunk(document, replace(base, theta=theta), backend, counter)
+            chunks = lumberchunk(document, replace(base, theta=theta), backend)
             timed.append((chunks, time.perf_counter() - started))
         return timed
 
@@ -350,7 +342,6 @@ def sweep_theta(
                 qa_pairs,
                 embed_backend,
                 ks=ks,
-                judge=judge,
                 method=f"lumberchunker(θ={theta})",
                 chunking_seconds=sum(timed[position][1] for timed in per_document),
                 theta=theta,

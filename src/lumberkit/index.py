@@ -16,6 +16,8 @@ from .errors import LumberkitError
 
 BM25_K1 = 1.2
 BM25_B = 0.75
+# Texts per embedding request, for chunks, semantic units and questions alike.
+EMBED_BATCH = 64
 
 Tokenizer = Callable[[str], list[str]]
 
@@ -50,11 +52,7 @@ class VectorIndex:
 
 
 def embed_chunks(
-    chunks: Sequence[Chunk],
-    backend: EmbeddingBackend,
-    cache: EmbeddingCache | None = None,
-    *,
-    batch_size: int = 64,
+    chunks: Sequence[Chunk], backend: EmbeddingBackend, cache: EmbeddingCache | None = None
 ) -> VectorIndex:
     """Embed chunk texts into a vector index, consulting the cache first.
 
@@ -68,8 +66,8 @@ def embed_chunks(
         cache.get(text) if cache is not None else None for text in texts
     ]
     misses = [i for i, vector in enumerate(vectors) if vector is None]
-    for begin in range(0, len(misses), batch_size):
-        batch = misses[begin : begin + batch_size]
+    for begin in range(0, len(misses), EMBED_BATCH):
+        batch = misses[begin : begin + EMBED_BATCH]
         try:
             rows = backend.embed([texts[i] for i in batch])
         except BackendError as exc:

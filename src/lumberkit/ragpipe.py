@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from .backends import BackendError, CompletionBackend, EmbeddingBackend
 from .chunker import Chunk
@@ -28,9 +28,6 @@ FALLBACK_BM25_K = 1
 DENSE_K = 15
 MIDPOINT_MIN_LENGTH = 6
 ANSWER_TOP_N = 5
-
-MentionDetector = Callable[[str], Iterable[str]]
-AnswerJudge = Callable[[str, str], bool]
 
 
 class RagPipelineError(LumberkitError):
@@ -105,47 +102,15 @@ def heuristic_mentions(query: str) -> list[str]:
     return mentions
 
 
-def detect_mentions(query: str, detector: MentionDetector | None = None) -> RoutingDecision:
-    """Route the query: 3 lexical hits when it names someone, otherwise 1.
-
-    A custom detector may return mention strings instead of the default
-    heuristic; a detector failure degrades to the no-mention route with a
-    warning rather than failing the query.
-    """
-    detector = detector or heuristic_mentions
-    try:
-        mentions = tuple(detector(query))
-    except Exception as exc:  # degrade, never fail the query on a detector bug
-        logger.warning("mention detector failed; routing without mentions: %s", exc)
-        mentions = ()
+def detect_mentions(query: str) -> RoutingDecision:
+    """Route the query: 3 lexical hits when heuristic_mentions finds a name, otherwise 1."""
+    mentions = tuple(heuristic_mentions(query))
     found = bool(mentions)
     return RoutingDecision(
         mentions_found=found,
         mention_strings=mentions,
         bm25_k=MENTION_BM25_K if found else FALLBACK_BM25_K,
     )
-
-
-MENTION_PROMPT_TEMPLATE = (
-    "List the names of people, places, or events mentioned in the question "
-    "below, one per line. Write none if there are no names.\n"
-    "\n"
-    "Question: {query}"
-)
-
-
-def llm_mention_detector(
-    backend: CompletionBackend, *, prompt_template: str | None = None
-) -> MentionDetector:
-    """Build a mention detector that asks a completion backend for the names."""
-    template = prompt_template or MENTION_PROMPT_TEMPLATE
-
-    def detector(query: str) -> list[str]:
-        response = backend.complete(template.format(query=query), temperature=0.0)
-        names = [line.strip() for line in response.splitlines()]
-        return [name for name in names if name and name.lower() != "none"]
-
-    return detector
 
 
 @dataclass(frozen=True)
@@ -243,13 +208,7 @@ RERANK_PROMPT_TEMPLATE = (
 )
 
 
-def rerank(
-    chunks: Sequence[Chunk],
-    query: str,
-    backend: CompletionBackend,
-    *,
-    prompt_template: str | None = None,
-) -> list[Chunk]:
+def rerank(chunks: Sequence[Chunk], query: str, backend: CompletionBackend) -> list[Chunk]:
     """Ask the backend for a relevance ordering of the chunks.
 
     The response is read as a sequence of 1-based indices; duplicates and
@@ -261,9 +220,7 @@ def rerank(
     if len(chunks) < 2:
         return chunks
     documents = "\n".join(f"[{i}] {chunk.text}" for i, chunk in enumerate(chunks, start=1))
-    prompt = (prompt_template or RERANK_PROMPT_TEMPLATE).format(
-        query=query, documents=documents
-    )
+    prompt = RERANK_PROMPT_TEMPLATE.format(query=query, documents=documents)
     try:
         response = backend.complete(prompt, temperature=0.0)
     except BackendError as exc:
@@ -292,13 +249,7 @@ ANSWER_PROMPT_TEMPLATE = (
 )
 
 
-def answer(
-    query: str,
-    reranked_chunks: Sequence[Chunk],
-    backend: CompletionBackend,
-    *,
-    prompt_template: str | None = None,
-) -> str:
+def answer(query: str, reranked_chunks: Sequence[Chunk], backend: CompletionBackend) -> str:
     """Generate the final answer from the top five reranked chunks."""
     kept = list(reranked_chunks)[:ANSWER_TOP_N]
     if not kept:
@@ -306,14 +257,12 @@ def answer(
     passages = "\n\n".join(
         f"Passage {i}:\n{chunk.text}" for i, chunk in enumerate(kept, start=1)
     )
-    prompt = (prompt_template or ANSWER_PROMPT_TEMPLATE).format(
-        passages=passages, query=query
-    )
+    prompt = ANSWER_PROMPT_TEMPLATE.format(passages=passages, query=query)
     return backend.complete(prompt, temperature=0.0)
 
 
 def normalized_match_judge(generated: str, gold: str) -> bool:
-    """Default answer judge: normalized containment in either direction."""
+    """The answer judge: normalized containment in either direction."""
     generated_norm = normalize_for_matching(generated)
     gold_norm = normalize_for_matching(gold)
     if not generated_norm or not gold_norm:
@@ -321,39 +270,12 @@ def normalized_match_judge(generated: str, gold: str) -> bool:
     return gold_norm in generated_norm or generated_norm in gold_norm
 
 
-JUDGE_PROMPT_TEMPLATE = (
-    "Decide whether the candidate answer conveys the same information as the "
-    "reference answer. Reply with yes or no only.\n"
-    "\n"
-    "Reference answer: {gold}\n"
-    "Candidate answer: {generated}"
-)
-
-
-def llm_judge(
-    backend: CompletionBackend, *, prompt_template: str | None = None
-) -> AnswerJudge:
-    """Build an answer judge that asks a completion backend for a yes/no."""
-    template = prompt_template or JUDGE_PROMPT_TEMPLATE
-
-    def judge(generated: str, gold: str) -> bool:
-        response = backend.complete(
-            template.format(generated=generated, gold=gold), temperature=0.0
-        )
-        return response.strip().lower().startswith("yes")
-
-    return judge
-
-
-def qa_accuracy(
-    answers: Iterable[tuple[str, str]], judge: AnswerJudge | None = None
-) -> float:
-    """Percentage of (generated, gold) pairs the judge accepts, 0-100."""
+def qa_accuracy(answers: Iterable[tuple[str, str]]) -> float:
+    """Percentage of (generated, gold) pairs normalized_match_judge accepts, 0-100."""
     pairs = list(answers)
     if not pairs:
         return 0.0
-    judge = judge or normalized_match_judge
-    correct = sum(1 for generated, gold in pairs if judge(generated, gold))
+    correct = sum(1 for generated, gold in pairs if normalized_match_judge(generated, gold))
     return 100.0 * correct / len(pairs)
 
 
@@ -373,11 +295,9 @@ def answer_question(
     vector_index: VectorIndex,
     embed_backend: EmbeddingBackend,
     backend: CompletionBackend,
-    *,
-    detector: MentionDetector | None = None,
 ) -> RagAnswer:
     """Run the full pipeline for one query: route, fuse, reorder, rerank, answer."""
-    decision = detect_mentions(query, detector)
+    decision = detect_mentions(query)
     assembly = hybrid_retrieve(query, bm25_index, vector_index, decision, embed_backend)
     reordered = midpoint_reverse(assembly.chunks)
     reranked = rerank(reordered, query, backend)

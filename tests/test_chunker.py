@@ -100,9 +100,10 @@ class TestBuildGroup:
         with pytest.raises(ChunkerError):
             build_group(document, 4)
 
-    def test_custom_counter(self):
-        document = doc_200s(4)
-        group = build_group(document, 1, ChunkerConfig(theta=2), counter=lambda text: 1)
+    def test_counts_through_module_count_tokens(self, monkeypatch):
+        # perfbench/tracing.py wraps lumberkit.chunker.count_tokens by name
+        monkeypatch.setattr("lumberkit.chunker.count_tokens", lambda text: 1)
+        group = build_group(doc_200s(4), 1, ChunkerConfig(theta=2))
         assert len(group) == 3  # totals 1, 2, 3; 3 > 2 stops the scan
         assert group.token_total == 3
 
@@ -467,6 +468,16 @@ class TestChunkSerialization:
         path = tmp_path / "chunks.jsonl"
         path.write_text('{"doc_id": "d"}\n', encoding="utf-8")
         with pytest.raises(ChunkerError, match="line 1"):
+            read_chunks(path)
+
+    def test_non_utf8_names_line(self, tmp_path):
+        chunks = lumberchunk(doc_200s(9), backend=ScriptedBackend(last_id_responder))
+        path = tmp_path / "chunks.jsonl"
+        write_chunks(chunks, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"', b'"\xe9', 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ChunkerError, match=r"chunks\.jsonl, line 2: not valid UTF-8"):
             read_chunks(path)
 
 

@@ -1200,6 +1200,8 @@ class TestOutOfRangeFlags:
             ["chunk", "--document", "{book}", "--method", "recursive", "--max-tokens", "0",
              "--output-dir", "{out}"],
             ["eval", "--chunks", "{chunks}", "--qa", "{qa}", "--ks", "0", "--output-dir", "{out}"],
+            ["eval", "--chunks", "{chunks}", "--qa", "{qa}", "--ks", "5", "5", "1",
+             "--output-dir", "{out}"],
             ["eval", "--chunks", "{chunks}", "--qa", "{qa}", "--embed-dim", "1",
              "--output-dir", "{out}"],
             ["sweep", "--documents", "{book}", "--qa", "{qa}", "--thetas", "0",
@@ -1209,7 +1211,7 @@ class TestOutOfRangeFlags:
             ["gen-qa", "--document", "{book}", "-n", "-1", "--replay-cache", "{cache}",
              "--output", "{out}"],
         ],
-        ids=["max-tokens", "ks", "embed-dim", "thetas", "max-retries", "gen-qa-n"],
+        ids=["max-tokens", "ks", "ks-duplicate", "embed-dim", "thetas", "max-retries", "gen-qa-n"],
     )
     def test_one_error_line_and_no_traceback(self, tmp_path, book_records, qa_file, argv, capsys):
         chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[1]
@@ -1283,3 +1285,70 @@ class TestHydeBackendFailure:
         hint = f"re-run the same command to resume from the 0 answers recorded in {cache_path}"
         assert errors[0].endswith(hint) == record
         assert not (out / "reports.jsonl").exists()
+
+
+def _one_error_line(code: int, err: str) -> str:
+    assert code == 1
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    return errors[0]
+
+
+class TestNonUtf8Input:
+    """A 0xE9 byte on line 2 of a QA or chunk file is named with its file and line."""
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["eval", "--chunks", "{chunks}", "--qa", "{bad_qa}", "--output-dir", "{out}"],
+             "bad_qa"),
+            (["eval", "--chunks", "{bad_chunks}", "--qa", "{qa}", "--output-dir", "{out}"],
+             "bad_chunks"),
+            (["rag", "--chunks", "{bad_chunks}", "--questions", "{qa}", "--replay-cache",
+              "{cache}", "--output-dir", "{out}"], "bad_chunks"),
+        ],
+        ids=["eval-qa", "eval-chunks", "rag-chunks"],
+    )
+    def test_one_error_line_naming_file_and_line(
+        self, tmp_path, book_records, qa_file, argv, bad, capsys
+    ):
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        cache_path = tmp_path / "empty.jsonl"
+        cache_path.write_bytes(b"")
+        paths = {
+            "chunks": chunk_path, "qa": qa_file, "cache": cache_path, "out": tmp_path / "out",
+            "bad_qa": tmp_path / "bad_qa.jsonl", "bad_chunks": tmp_path / "bad_chunks.jsonl",
+        }
+        for name, source in (("bad_qa", qa_file), ("bad_chunks", chunk_path)):
+            first, second, *rest = source.read_bytes().splitlines(keepends=True)
+            paths[name].write_bytes(first + second.replace(b'"', b'"\xe9', 1) + b"".join(rest))
+        code = main([arg.format(**paths) for arg in argv])
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == f"error: {paths[bad]}, line 2: not valid UTF-8"
+        assert not (tmp_path / "out").exists()
+
+    def test_delimited_qa_names_the_file(self, tmp_path, book_records, capsys):
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        qa_path = tmp_path / "qa.csv"
+        qa_path.write_bytes(b"doc_id,question,answer,supporting_passage\nbook,q\xe9,a,p\n")
+        code = main(
+            ["eval", "--chunks", str(chunk_path), "--qa", str(qa_path), "--output-dir",
+             str(tmp_path / "out")]
+        )
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error.startswith(f"error: {qa_path} is not valid UTF-8")
+
+
+def test_sweep_rejects_duplicate_cutoffs_before_chunking(
+    tmp_path, book_records, qa_file, monkeypatch, capsys
+):
+    backend = CountingBackend(last_id_responder)
+    monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+    code = main(
+        ["sweep", "--documents", str(book_records), "--qa", str(qa_file), "--ks", "5", "5", "1",
+         "--backend-url", "http://127.0.0.1:9", "--model", "m", "--output-dir", str(tmp_path)]
+    )
+    error = _one_error_line(code, capsys.readouterr().err)
+    assert error == "error: ks must be non-empty, distinct and each >= 1, got [5, 5, 1]"
+    assert backend.calls == 0

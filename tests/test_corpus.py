@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import CountingBackend, FailingBackend, make_document, words
 from lumberkit.backends import BackendError, ScriptedBackend
 from lumberkit.corpus import (
+    CorpusError,
     Document,
     EmptyDocumentError,
     MalformedRecordError,
@@ -20,12 +21,12 @@ from lumberkit.corpus import (
     Paragraph,
     QAPair,
     count_tokens,
-    default_token_counter,
     generate_qa,
     load_document,
     load_qa,
     load_qa_mapped,
     split_paragraphs,
+    utf8_lines,
     write_document,
     write_qa,
 )
@@ -144,7 +145,7 @@ class TestCountTokens:
 
     @given(st.integers(min_value=0, max_value=5000))
     def test_matches_exact_ceiling(self, n):
-        assert default_token_counter(words(n)) == math.ceil(Fraction(4 * n, 3))
+        assert count_tokens(words(n)) == math.ceil(Fraction(4 * n, 3))
 
     @given(
         st.text(alphabet="ab c", max_size=80),
@@ -155,9 +156,6 @@ class TestCountTokens:
         joined = count_tokens(a + " " + b)
         assert joined >= count_tokens(a)
         assert joined >= count_tokens(b)
-
-    def test_custom_counter_is_used(self):
-        assert count_tokens("anything at all", counter=len) == len("anything at all")
 
 
 class TestLoadDocument:
@@ -321,6 +319,28 @@ class TestLoadQa:
         assert load_qa(first) == pairs
         write_qa(load_qa(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_non_utf8_jsonl_names_its_line(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        # the bad byte sits past the decoder's first 8 KB read
+        row = '{"doc_id": "d", "question": "q", "answer": "a", "supporting_passage": "s"}\n'
+        lines = [row.encode("utf-8")] * 400
+        lines[300] = lines[300].replace(b'"q"', b'"q\xe9"')
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(MalformedRecordError, match=r"qa\.jsonl, line 301: not valid UTF-8"):
+            load_qa(path)
+
+    def test_non_utf8_csv_names_the_file(self, tmp_path):
+        path = tmp_path / "qa.csv"
+        path.write_bytes(b"doc_id,question,answer,supporting_passage\nd,q\xe9,a,s\n")
+        with pytest.raises(CorpusError, match=r"qa\.csv is not valid UTF-8"):
+            load_qa(path)
+
+
+def test_utf8_lines_flags_only_the_undecodable_line(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes("naïve\n".encode("utf-8") + b"caf\xe9\n" + b"last")
+    assert list(utf8_lines(path)) == [(1, "naïve\n"), (2, None), (3, "last")]
 
 
 class TestGenerateQa:

@@ -24,7 +24,7 @@ from conftest import (
     prompt_ids,
     words,
 )
-from lumberkit import parallel
+from lumberkit import evaluation, parallel
 from lumberkit.backends import (
     CachingBackend,
     CompletionBackend,
@@ -36,6 +36,7 @@ from lumberkit.backends import (
 )
 from lumberkit.chunker import Chunk, ChunkerConfig, lumberchunk
 from lumberkit.corpus import Document, Paragraph, QAPair
+from lumberkit.errors import ConfigError
 from lumberkit.evaluation import (
     DEFAULT_KS,
     DEFAULT_THETAS,
@@ -408,24 +409,31 @@ class TestBuildRunsExactness:
         assert any(rank > 1 for rank in found)
         assert sum(run.gold_rank is None for run in runs) > 1
 
-    def test_caller_judge_called_once_per_judged_pair(self):
+    def test_judge_called_once_per_judged_pair(self, monkeypatch):
         chunks, qa_pairs = interleaved_corpus(0)
         backend = MockEmbeddingBackend(dimension=16)
         expected = reference_runs(chunks, qa_pairs, backend)
-        judged: list[tuple[int, str, QAPair]] = []
+        judged: list[tuple[int, str, str]] = []
+        make_judge = evaluation._normalizing_judge
 
-        def judge(chunk, qa):
-            judged.append((chunk.chunk_id, chunk.doc_id, qa))
-            return set_judge_relevance(chunk, qa)
+        def recording_judge():
+            judge = make_judge()
 
-        runs = build_runs(chunks, qa_pairs, backend, judge=judge)
+            def record(chunk, qa):
+                judged.append((chunk.chunk_id, chunk.doc_id, qa.question))
+                return judge(chunk, qa)
+
+            return record
+
+        monkeypatch.setattr(evaluation, "_normalizing_judge", recording_judge)
+        runs = build_runs(chunks, qa_pairs, backend)
         assert [run.gold_rank for run in runs] == [run.gold_rank for run in expected]
         expected_pairs = sorted(
-            ((chunk.chunk_id, chunk.doc_id, run.qa.question))
+            (chunk.chunk_id, chunk.doc_id, run.qa.question)
             for run in expected
             for chunk in run.ranked_chunks[: run.gold_rank or len(run.ranked_chunks)]
         )
-        assert sorted((c, d, qa.question) for c, d, qa in judged) == expected_pairs
+        assert sorted(judged) == expected_pairs
 
 
 class RecordingEmbeddingBackend(EmbeddingBackend):
@@ -506,6 +514,11 @@ class TestEvaluate:
     def test_empty_ks_rejected(self):
         with pytest.raises(ValueError):
             evaluate([chunk_of("x")], [qa_of("x")], MockEmbeddingBackend(), ks=())
+
+    @pytest.mark.parametrize("ks", [(5, 5, 1), (0, 1), (1, -3)])
+    def test_repeated_or_non_positive_ks_rejected(self, ks):
+        with pytest.raises(ConfigError, match="distinct"):
+            evaluate([chunk_of("x")], [qa_of("x")], MockEmbeddingBackend(), ks=ks)
 
     def test_warm_embed_cache_skips_chunk_embedding(self, tmp_path):
         chunks = [chunk_of(f"chunk text {i}", i) for i in range(3)]

@@ -72,11 +72,11 @@ class TestEmbedChunks:
             embed_chunks([], MockEmbeddingBackend())
 
     def test_batching(self):
-        chunks = make_chunks([f"text number {i}" for i in range(10)])
+        chunks = make_chunks([f"text number {i}" for i in range(130)])
         backend = CountingEmbeddingBackend()
-        embed_chunks(chunks, backend, batch_size=4)
-        assert backend.calls == 3  # 4 + 4 + 2
-        assert backend.texts_embedded == 10
+        embed_chunks(chunks, backend)
+        assert backend.calls == 3  # 64 + 64 + 2
+        assert backend.texts_embedded == 130
 
     def test_warm_cache_needs_no_backend_calls(self, tmp_path):
         chunks = make_chunks(["one text", "two text", "three text"])

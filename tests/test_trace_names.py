@@ -19,12 +19,43 @@ import tracing
 tracing.install(tracing.Tracer())
 """
 
+# The benchmark's set-up records split answers by calling lumberkit directly
+# (perfbench/child.py's "record" step); run that step on a small generated book.
+_RECORD_PROBE = """
+import json, random, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import child, gen
+work = Path(sys.argv[2])
+records = work / "book.jsonl"
+with open(records, "w", encoding="utf-8") as fh:
+    for index, text in enumerate(gen.make_book(random.Random(1), 40), start=1):
+        fh.write(json.dumps({"doc_id": "book", "index": index, "text": text}) + "\\n")
+cache = work / "split-cache.jsonl"
+step = {"document": str(records), "cache": str(cache), "seed": 1, "theta": 550}
+assert child._record(step) == 0
+assert cache.read_text(encoding="utf-8").count("\\n") > 1, "no split answers recorded"
+"""
+
 
 def test_trace_mode_finds_every_patched_name():
     src = str(Path(lumberkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = subprocess.run(
         [sys.executable, "-c", _PROBE, str(PERFBENCH)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+
+
+def test_record_step_runs_against_the_library(tmp_path):
+    src = str(Path(lumberkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c", _RECORD_PROBE, str(PERFBENCH), str(tmp_path)],
         capture_output=True,
         text=True,
         env=env,
