@@ -50,6 +50,7 @@ from .corpus import (
     generate_qa,
     load_document,
     load_qa,
+    read_records,
     split_paragraphs,
     write_document,
     write_qa,

@@ -10,7 +10,6 @@ one paragraph.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 import statistics
@@ -19,7 +18,15 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .backends import BackendError, CachingBackend, CompletionBackend, ResponseCache
-from .corpus import PARAGRAPH_SEPARATOR, Document, Paragraph, count_tokens, utf8_lines, write_jsonl
+from .corpus import (
+    PARAGRAPH_SEPARATOR,
+    Document,
+    MalformedRecordError,
+    Paragraph,
+    count_tokens,
+    read_records,
+    write_jsonl,
+)
 from .errors import ConfigError, LumberkitError
 
 logger = logging.getLogger(__name__)
@@ -357,7 +364,14 @@ def chunk_stats(chunks: list[Chunk]) -> ChunkStats:
     )
 
 
-CHUNK_FIELDS = ("doc_id", "chunk_id", "start_para", "end_para", "token_count", "text")
+CHUNK_FIELDS = {
+    "doc_id": str,
+    "chunk_id": int,
+    "start_para": int,
+    "end_para": int,
+    "token_count": int,
+    "text": str,
+}
 
 
 def write_chunks(chunks: Iterable[Chunk], path: str | Path) -> None:
@@ -366,29 +380,11 @@ def write_chunks(chunks: Iterable[Chunk], path: str | Path) -> None:
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:
-    """Read chunk records written by write_chunks."""
-    path = Path(path)
+    """Read chunk records written by write_chunks; a bad line raises MalformedRecordError."""
     chunks: list[Chunk] = []
-    for line_number, line in utf8_lines(path):
-        if line is None:
-            raise ChunkerError(f"{path}, line {line_number}: not valid UTF-8")
-        if not line.strip():
-            continue
+    for line_number, record in read_records(path, CHUNK_FIELDS):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ChunkerError(f"{path}, line {line_number}: invalid JSON: {exc}") from exc
-        try:
-            chunks.append(
-                Chunk(
-                    doc_id=str(record["doc_id"]),
-                    chunk_id=int(record["chunk_id"]),
-                    start_para=int(record["start_para"]),
-                    end_para=int(record["end_para"]),
-                    token_count=int(record["token_count"]),
-                    text=str(record["text"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ChunkerError(f"{path}, line {line_number}: bad chunk record: {exc}") from exc
+            chunks.append(Chunk(**{name: record[name] for name in CHUNK_FIELDS}))
+        except ValueError as exc:
+            raise MalformedRecordError(path, line_number, f"bad chunk record: {exc}") from exc
     return chunks

@@ -2,8 +2,8 @@
 
 Documents are parsed into 1-based, contiguously numbered paragraphs. The
 paragraph boundary is a blank line; single line breaks inside a paragraph are
-treated as spaces. Paragraph and QA records are line-delimited JSON and
-round-trip bit-identically through their writers.
+treated as spaces. Paragraph and QA records are line-delimited JSON, parsed
+by read_records, and round-trip bit-identically through their writers.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ DocumentFormat = Literal["plain_text", "paragraph_records"]
 
 _QA_COLUMNS = ("doc_id", "question", "answer", "supporting_passage")
 
+PARAGRAPH_FIELDS = {"doc_id": str, "index": int, "text": str}
+
 
 class CorpusError(LumberkitError):
     """Problem with document or QA input data."""
@@ -47,13 +49,15 @@ class MalformedRecordError(CorpusError):
         self.line_number = line_number
 
 
-class MissingColumnError(CorpusError):
-    """A QA table lacks one of the required columns."""
+class MissingColumnError(MalformedRecordError):
+    """A record or table row lacks one of the required columns."""
 
-    def __init__(self, column: str, path: object = None):
+    def __init__(self, column: str, path: object = None, line_number: int | None = None):
         where = f" in {path}" if path is not None else ""
-        super().__init__(f"missing required column {column!r}{where}")
+        where += f", line {line_number}" if line_number is not None else ""
+        CorpusError.__init__(self, f"missing required column {column!r}{where}")
         self.column = column
+        self.line_number = line_number
 
 
 @dataclass(frozen=True)
@@ -146,46 +150,33 @@ def load_document(
     """Load a document from disk.
 
     plain_text files are split on blank lines. paragraph_records files hold
-    one JSON record per line with doc_id/index/text fields; records keep their
-    file order and indices are reassigned contiguously from 1.
+    one JSON record per line with a str doc_id, an int index and a str text,
+    read by read_records. Every record must carry the same doc_id, which
+    doc_id= overrides. Records keep their file order and are renumbered from
+    1; the index values in the file are checked for type but not used.
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
     if format == "plain_text":
-        paragraphs = split_paragraphs(raw)
+        try:
+            raw = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
         resolved_id = doc_id or path.stem
-        return Document(resolved_id, title or resolved_id, tuple(paragraphs))
-    if format == "paragraph_records":
-        return _document_from_records(raw, path, doc_id=doc_id, title=title)
-    raise ValueError(f"unknown document format: {format!r}")
-
-
-def _document_from_records(
-    raw: str, path: Path, *, doc_id: str | None, title: str | None
-) -> Document:
+        return Document(resolved_id, title or resolved_id, tuple(split_paragraphs(raw)))
+    if format != "paragraph_records":
+        raise ValueError(f"unknown document format: {format!r}")
     paragraphs: list[Paragraph] = []
     record_doc_id: str | None = None
-    for line_number, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecordError(path, line_number, f"invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise MalformedRecordError(path, line_number, "record is not an object")
-        for field in ("doc_id", "index", "text"):
-            if field not in record:
-                raise MalformedRecordError(path, line_number, f"missing field {field!r}")
-        lines = (part.strip() for part in str(record["text"]).split("\n"))
-        text = " ".join(part for part in lines if part)
+    for line_number, record in read_records(path, PARAGRAPH_FIELDS):
+        if record_doc_id is None:
+            record_doc_id = record["doc_id"]
+        elif record["doc_id"] != record_doc_id:
+            raise MalformedRecordError(
+                path, line_number, f"doc_id {record['doc_id']!r} differs from {record_doc_id!r}"
+            )
+        text = " ".join(part.strip() for part in record["text"].split("\n") if part.strip())
         if not text:
             raise MalformedRecordError(path, line_number, "empty paragraph text")
-        if record_doc_id is None:
-            record_doc_id = str(record["doc_id"])
         paragraphs.append(Paragraph(index=len(paragraphs) + 1, text=text))
     if not paragraphs:
         raise EmptyDocumentError(f"{path} contains no paragraph records")
@@ -204,7 +195,7 @@ def write_document(document: Document, path: str | Path) -> None:
     """Write paragraph records; reading them back round-trips bit-identically."""
     write_jsonl(
         (
-            {"doc_id": document.doc_id, "index": para.index, "text": para.text}
+            dict(zip(PARAGRAPH_FIELDS, (document.doc_id, para.index, para.text)))
             for para in document.paragraphs
         ),
         path,
@@ -228,7 +219,16 @@ def utf8_lines(path: Path) -> Iterator[tuple[int, str | None]]:
                 yield line_number, line
 
 
-def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, dict]]:
+def read_records(path: str | Path, fields: Mapping[str, type]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSONL file.
+
+    Lines end only at "\\n", so the U+2028, U+2029 and U+0085 that write_jsonl
+    leaves unescaped stay inside their record. Each record must be a JSON
+    object holding every name in fields with exactly the mapped type (a bool
+    is not an int). A line that fails raises MalformedRecordError naming the
+    file and line; an absent field raises its subclass MissingColumnError.
+    """
+    path = Path(path)
     for line_number, line in utf8_lines(path):
         if line is None:
             raise MalformedRecordError(path, line_number, "not valid UTF-8")
@@ -240,10 +240,18 @@ def _iter_jsonl_rows(path: Path) -> Iterator[tuple[int, dict]]:
             raise MalformedRecordError(path, line_number, f"invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise MalformedRecordError(path, line_number, "record is not an object")
+        for field, kind in fields.items():
+            if field not in record:
+                raise MissingColumnError(field, path, line_number)
+            if type(record[field]) is not kind:
+                found = type(record[field]).__name__
+                raise MalformedRecordError(
+                    path, line_number, f"field {field!r} must be {kind.__name__}, not {found}"
+                )
         yield line_number, record
 
 
-def _iter_delimited_rows(path: Path, columns: Iterable[str]) -> Iterator[tuple[int, dict]]:
+def _iter_delimited_rows(path: Path, columns: list[str]) -> Iterator[tuple[int, dict]]:
     delimiter = "\t" if path.suffix.lower() == ".tsv" else ","
     with open(path, encoding="utf-8", newline="") as fh:
         try:
@@ -251,45 +259,23 @@ def _iter_delimited_rows(path: Path, columns: Iterable[str]) -> Iterator[tuple[i
             header = reader.fieldnames or []
             for column in columns:
                 if column not in header:
-                    raise MissingColumnError(column, path)
-            for line_number, row in enumerate(reader, start=2):
-                yield line_number, row
+                    raise MissingColumnError(column, path, 1)
+            for row in reader:
+                for column in columns:
+                    if row[column] is None:
+                        raise MissingColumnError(column, path, reader.line_num)
+                yield reader.line_num, row
         except UnicodeDecodeError as exc:
             raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
-
-
-def _pairs_from_rows(
-    rows: Iterable[tuple[int, dict]], path: Path, column_map: Mapping[str, str]
-) -> list[QAPair]:
-    pairs: list[QAPair] = []
-    skipped = 0
-    for _line_number, row in rows:
-        for column in ("doc_id", "question", "answer"):
-            if row.get(column_map[column]) is None:
-                raise MissingColumnError(column_map[column], path)
-        passage = str(row.get(column_map["supporting_passage"]) or "").strip()
-        if not passage:
-            skipped += 1
-            continue
-        pairs.append(
-            QAPair(
-                doc_id=str(row[column_map["doc_id"]]),
-                question=str(row[column_map["question"]]),
-                answer=str(row[column_map["answer"]]),
-                supporting_passage=passage,
-            )
-        )
-    if skipped:
-        logger.warning("skipped %d QA row(s) with empty supporting passages in %s", skipped, path)
-    return pairs
 
 
 def load_qa(path: str | Path) -> list[QAPair]:
     """Load QA records from a .jsonl or delimited (.csv/.tsv) table.
 
-    Required columns: doc_id, question, answer, supporting_passage. Rows with
-    an empty supporting passage are skipped and counted in a logged warning;
-    a structurally absent column raises MissingColumnError.
+    Required columns: doc_id, question, answer, supporting_passage; JSONL
+    values must be strings. Rows with an empty supporting passage are skipped
+    and counted in a logged warning; an absent column raises
+    MissingColumnError naming the file and line.
     """
     return load_qa_mapped(path, {column: column for column in _QA_COLUMNS})
 
@@ -307,13 +293,22 @@ def load_qa_mapped(path: str | Path, column_map: Mapping[str, str]) -> list[QAPa
         if column not in column_map:
             raise MissingColumnError(column, path)
     path = Path(path)
+    names = [column_map[column] for column in _QA_COLUMNS]
     if path.suffix.lower() in {".csv", ".tsv"}:
-        rows: Iterable[tuple[int, dict]] = _iter_delimited_rows(
-            path, (column_map[column] for column in _QA_COLUMNS)
-        )
+        rows = _iter_delimited_rows(path, names)
     else:
-        rows = _iter_jsonl_rows(path)
-    return _pairs_from_rows(rows, path, column_map)
+        rows = read_records(path, dict.fromkeys(names, str))
+    pairs: list[QAPair] = []
+    skipped = 0
+    for _line_number, row in rows:
+        doc_id, question, answer, passage = (row[name] for name in names)
+        if not passage.strip():
+            skipped += 1
+            continue
+        pairs.append(QAPair(doc_id, question, answer, passage.strip()))
+    if skipped:
+        logger.warning("skipped %d QA row(s) with empty supporting passages in %s", skipped, path)
+    return pairs
 
 
 def write_qa(pairs: Iterable[QAPair], path: str | Path) -> None:

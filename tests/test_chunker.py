@@ -38,7 +38,7 @@ from lumberkit.chunker import (
     verify_partition,
     write_chunks,
 )
-from lumberkit.corpus import count_tokens
+from lumberkit.corpus import MalformedRecordError, count_tokens
 
 # 150 words -> 200 tokens under the default counter
 PARA_WORDS = 150
@@ -461,13 +461,13 @@ class TestChunkSerialization:
             '"token_count": 1, "text": "x"}\nnot json\n',
             encoding="utf-8",
         )
-        with pytest.raises(ChunkerError, match="line 2"):
+        with pytest.raises(MalformedRecordError, match="line 2"):
             read_chunks(path)
 
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "chunks.jsonl"
         path.write_text('{"doc_id": "d"}\n', encoding="utf-8")
-        with pytest.raises(ChunkerError, match="line 1"):
+        with pytest.raises(MalformedRecordError, match="line 1"):
             read_chunks(path)
 
     def test_non_utf8_names_line(self, tmp_path):
@@ -477,7 +477,7 @@ class TestChunkSerialization:
         lines = path.read_bytes().splitlines(keepends=True)
         lines[1] = lines[1].replace(b'"', b'"\xe9', 1)
         path.write_bytes(b"".join(lines))
-        with pytest.raises(ChunkerError, match=r"chunks\.jsonl, line 2: not valid UTF-8"):
+        with pytest.raises(MalformedRecordError, match=r"chunks\.jsonl, line 2: not valid UTF-8"):
             read_chunks(path)
 
 

@@ -80,6 +80,31 @@ class TestIngest:
         assert run_config["command"] == "ingest"
         assert "3 paragraph record(s)" in capsys.readouterr().out
 
+    def test_line_separators_inside_a_paragraph_survive_chunking(self, tmp_path):
+        source = tmp_path / "book.txt"
+        source.write_text("One\u2028two.\n\nThree\u2029four\x85five.\n", encoding="utf-8")
+        records = tmp_path / "records.jsonl"
+        assert main(["ingest", "--input", str(source), "--output", str(records)]) == 0
+        out_dir = tmp_path / "para"
+        code = main(
+            ["chunk", "--document", str(records), "--method", "paragraph", "--output-dir",
+             str(out_dir)]
+        )
+        assert code == 0
+        assert [chunk.text for chunk in read_chunks(out_dir / "chunks.jsonl")] == [
+            "One\u2028two.",
+            "Three\u2029four\x85five.",
+        ]
+
+    def test_doc_id_flag_overrides_paragraph_records(self, tmp_path, book_records):
+        out = tmp_path / "renamed.jsonl"
+        code = main(
+            ["ingest", "--input", str(book_records), "--format", "paragraph_records",
+             "--doc-id", "renamed", "--output", str(out)]
+        )
+        assert code == 0
+        assert load_document(out, "paragraph_records").doc_id == "renamed"
+
     def test_missing_input_fails_with_path(self, tmp_path, capsys):
         missing = tmp_path / "absent.txt"
         code = main(["ingest", "--input", str(missing), "--output", str(tmp_path / "o.jsonl")])
@@ -1296,7 +1321,7 @@ def _one_error_line(code: int, err: str) -> str:
 
 
 class TestNonUtf8Input:
-    """A 0xE9 byte on line 2 of a QA or chunk file is named with its file and line."""
+    """A 0xE9 byte on line 2 of a JSONL input file is named with its file and line."""
 
     @pytest.mark.parametrize(
         "argv, bad",
@@ -1307,8 +1332,12 @@ class TestNonUtf8Input:
              "bad_chunks"),
             (["rag", "--chunks", "{bad_chunks}", "--questions", "{qa}", "--replay-cache",
               "{cache}", "--output-dir", "{out}"], "bad_chunks"),
+            (["chunk", "--document", "{bad_records}", "--method", "paragraph", "--output-dir",
+              "{out}"], "bad_records"),
+            (["sweep", "--documents", "{records}", "{bad_records}", "--qa", "{qa}", "--thetas",
+              "550", "--replay-cache", "{cache}", "--output-dir", "{out}"], "bad_records"),
         ],
-        ids=["eval-qa", "eval-chunks", "rag-chunks"],
+        ids=["eval-qa", "eval-chunks", "rag-chunks", "chunk-document", "sweep-documents"],
     )
     def test_one_error_line_naming_file_and_line(
         self, tmp_path, book_records, qa_file, argv, bad, capsys
@@ -1318,9 +1347,11 @@ class TestNonUtf8Input:
         cache_path.write_bytes(b"")
         paths = {
             "chunks": chunk_path, "qa": qa_file, "cache": cache_path, "out": tmp_path / "out",
-            "bad_qa": tmp_path / "bad_qa.jsonl", "bad_chunks": tmp_path / "bad_chunks.jsonl",
+            "records": book_records, "bad_qa": tmp_path / "bad_qa.jsonl",
+            "bad_chunks": tmp_path / "bad_chunks.jsonl", "bad_records": tmp_path / "bad_records.jsonl",
         }
-        for name, source in (("bad_qa", qa_file), ("bad_chunks", chunk_path)):
+        sources = (("bad_qa", qa_file), ("bad_chunks", chunk_path), ("bad_records", book_records))
+        for name, source in sources:
             first, second, *rest = source.read_bytes().splitlines(keepends=True)
             paths[name].write_bytes(first + second.replace(b'"', b'"\xe9', 1) + b"".join(rest))
         code = main([arg.format(**paths) for arg in argv])

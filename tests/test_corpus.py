@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import CountingBackend, FailingBackend, make_document, words
 from lumberkit.backends import BackendError, ScriptedBackend
+from lumberkit.chunker import read_chunks
 from lumberkit.corpus import (
     CorpusError,
     Document,
@@ -220,6 +221,20 @@ class TestLoadDocument:
         write_document(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_line_separators_inside_paragraphs_round_trip(self, tmp_path):
+        # write_jsonl leaves U+2028, U+2029 and U+0085 unescaped; they must
+        # not end a record when it is read back
+        doc = Document(
+            "ls", "ls", (Paragraph(1, "one\u2028two"), Paragraph(2, "three\u2029four\x85five"))
+        )
+        first = tmp_path / "first.jsonl"
+        second = tmp_path / "second.jsonl"
+        write_document(doc, first)
+        loaded = load_document(first, "paragraph_records")
+        assert loaded == doc
+        write_document(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
 
 class TestLoadQa:
     def _write_jsonl(self, path, rows):
@@ -261,6 +276,26 @@ class TestLoadQa:
         self._write_jsonl(path, [{"doc_id": "d", "answer": "a", "supporting_passage": "s"}])
         with pytest.raises(MissingColumnError, match="question"):
             load_qa(path)
+
+    @pytest.mark.parametrize(
+        "name, content, line",
+        [
+            (
+                "qa_missing.jsonl",
+                '{"doc_id": "d", "question": "q1", "answer": "a1", "supporting_passage": "s1"}\n'
+                '{"doc_id": "d", "question": "q2", "supporting_passage": "s2"}\n',
+                2,
+            ),
+            ("qa.csv", "doc_id,question,answer,supporting_passage\nd,q,a,s\nd,q2\n", 3),
+        ],
+        ids=["jsonl", "short-csv-row"],
+    )
+    def test_missing_answer_names_its_line(self, tmp_path, name, content, line):
+        path = tmp_path / name
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(MissingColumnError) as info:
+            load_qa(path)
+        assert str(info.value) == f"missing required column 'answer' in {path}, line {line}"
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "qa.csv"
@@ -335,6 +370,41 @@ class TestLoadQa:
         path.write_bytes(b"doc_id,question,answer,supporting_passage\nd,q\xe9,a,s\n")
         with pytest.raises(CorpusError, match=r"qa\.csv is not valid UTF-8"):
             load_qa(path)
+
+
+_GOOD_RECORD = {
+    "paragraph": '{"doc_id": "d", "index": 1, "text": "one"}',
+    "qa": '{"doc_id": "d", "question": "q", "answer": "a", "supporting_passage": "s"}',
+    "chunk": '{"doc_id": "d", "chunk_id": 0, "start_para": 1, "end_para": 1, '
+    '"token_count": 1, "text": "x"}',
+}
+_LOADERS = {
+    "paragraph": lambda path: load_document(path, "paragraph_records"),
+    "qa": load_qa,
+    "chunk": read_chunks,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, old, new, reason",
+    [
+        ("qa", '"question": "q"', '"question": 5', "field 'question' must be str, not int"),
+        ("paragraph", '"text": "one"', '"text": 5', "field 'text' must be str, not int"),
+        ("paragraph", '"index": 1', '"index": "1"', "field 'index' must be int, not str"),
+        ("paragraph", '"doc_id": "d"', '"doc_id": "e"', "doc_id 'e' differs from 'd'"),
+        ("chunk", '"chunk_id": 0', '"chunk_id": "3"', "field 'chunk_id' must be int, not str"),
+        ("chunk", '"chunk_id": 0', '"chunk_id": true', "field 'chunk_id' must be int, not bool"),
+    ],
+    ids=["qa-question-int", "paragraph-text-int", "paragraph-index-str",
+         "paragraph-second-doc-id", "chunk-id-str", "chunk-id-bool"],
+)
+def test_hostile_record_names_file_line_and_field(tmp_path, kind, old, new, reason):
+    path = tmp_path / f"{kind}.jsonl"
+    good = _GOOD_RECORD[kind]
+    path.write_text(f"{good}\n\n{good.replace(old, new)}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecordError) as info:
+        _LOADERS[kind](path)
+    assert str(info.value) == f"{path}, line 3: {reason}"
 
 
 def test_utf8_lines_flags_only_the_undecodable_line(tmp_path):
