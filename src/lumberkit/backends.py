@@ -12,6 +12,7 @@ import base64
 import functools
 import hashlib
 import http.client
+import itertools
 import json
 import logging
 import os
@@ -23,7 +24,7 @@ import urllib.request
 import weakref
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -125,7 +126,10 @@ class _JsonlStore:
                 continue
             try:
                 record = json.loads(line)
-                self._entries[record["key"]] = self._decode(record[self.field])
+                key = record["key"]  # before _decode, which may note what it read
+                self._entries[key] = self._decode(record[self.field])
+            except CacheError as exc:  # a whole record that conflicts with the file
+                raise CacheError(f"{self.path}, line {i + 1}: {exc}") from None
             except (ValueError, KeyError, TypeError) as exc:
                 if i < last:
                     raise CacheError(f"{self.path}, line {i + 1}: unreadable record: {exc}") from exc
@@ -443,12 +447,86 @@ class EmbeddingBackend(ABC):
         """Return an array of shape (len(texts), dimension) with unit-norm rows."""
 
 
+# numpy's SeedSequence entropy-pool hash (numpy/random/bit_generator.pyx) and
+# PCG64 step multiplier (numpy/random/src/pcg64/pcg64.h), reproduced so that
+# many seeds become PCG64 states without one default_rng construction each.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_BLOCK = 1024  # seeds hashed at once, which bounds the temporaries of a large batch
+
+
+def _hasher(hash_const: int, multiplier: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix over uint32 arrays; each call advances the shared constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * multiplier & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
+    """Yield the PCG64 state of np.random.default_rng(seed) for each uint64 seed.
+
+    The pool hash runs vectorised over all seeds. A seed below 2**32 is one
+    entropy word where larger seeds are two, but the pool pads missing words
+    with zeros, so one path serves both.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(len(seeds), dtype=np.uint32)
+    words = (seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zeros, zeros)
+    pool = [hashmix(word) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> 16
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # generate_state(4, uint64): little-endian pairs of the eight uint32 words
+    halves = [(state[2 * i] | state[2 * i + 1] << np.uint64(32)).tolist() for i in range(4)]
+    for state_high, state_low, seq_high, seq_low in zip(*halves):
+        # pcg64_set_seed: state 0, step, add the initial state, step
+        inc = (seq_high << 65 | seq_low << 1 | 1) & _MASK128
+        value = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _MASK128
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": value, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+def _standard_normal_rows(seeds: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[i] with np.random.default_rng(seeds[i]).standard_normal(out.shape[1]), bit for bit."""
+    bits = np.random.PCG64(0)
+    normals = np.random.Generator(bits)
+    for begin in range(0, len(seeds), _SEED_BLOCK):
+        block = slice(begin, begin + _SEED_BLOCK)
+        for row, state in zip(out[block], _pcg64_states(seeds[block])):
+            bits.state = state
+            normals.standard_normal(out=row)
+
+
+_EMPTY_TOKEN = "\x00empty"  # direction of a text whose token vectors sum to zero
+_SLICE_ROWS = 512  # token rows gathered per add.reduce
+
+
 class MockEmbeddingBackend(EmbeddingBackend):
     """Deterministic offline embedder: seeded hash projection of the token multiset.
 
-    Every lowercased whitespace token maps to a fixed pseudo-random direction;
-    a text embeds as the normalized sum over its tokens. Identical text gives
-    bitwise-identical vectors. Word order is deliberately ignored, which is a
+    Every lowercased whitespace token maps to a fixed pseudo-random direction,
+    np.random.default_rng(blake2b-64("{seed}:{token}")).standard_normal(dimension);
+    a text embeds as the normalized sum over its tokens, added left to right.
+    Vectors are a pure function of (seed, dimension, text), and one instance
+    may be shared by threads. Word order is deliberately ignored, which is a
     documented limitation of the mock.
     """
 
@@ -458,30 +536,67 @@ class MockEmbeddingBackend(EmbeddingBackend):
         self.dimension = dimension
         self.seed = seed
         self.backend_id = f"mock:{dimension}:{seed}"
-        self._token_vectors: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()  # guards _rows, _table and its growth
+        self._rows: dict[str, int] = {}  # token -> its row of _table
+        self._table = np.empty((0, dimension), dtype=np.float64)
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        vector = self._token_vectors.get(token)
-        if vector is None:
-            digest = hashlib.blake2b(
-                f"{self.seed}:{token}".encode("utf-8"), digest_size=8
-            ).digest()
-            rng = np.random.default_rng(int.from_bytes(digest, "big"))
-            vector = rng.standard_normal(self.dimension)
-            self._token_vectors[token] = vector
-        return vector
+    def _add_tokens(self, tokens: list[str]) -> None:
+        start = len(self._rows)
+        needed = start + len(tokens)
+        # realloc: growth never holds the old and new table at once, and resizing to
+        # the exact row count zero-fills no spare rows; no view of _table outlives
+        # an embed call, so the reference check is not needed
+        self._table.resize((needed, self.dimension), refcheck=False)
+        digests = (
+            hashlib.blake2b(f"{self.seed}:{token}".encode("utf-8"), digest_size=8).digest()
+            for token in tokens
+        )
+        seeds = np.fromiter(
+            (int.from_bytes(digest, "big") for digest in digests), dtype=np.uint64, count=len(tokens)
+        )
+        _standard_normal_rows(seeds, self._table[start:needed])
+        self._rows.update(zip(tokens, range(start, needed)))
+
+    def _index_tokens(self, texts: Sequence[str]) -> int:
+        """Give every token of texts a row of the table; return the most tokens in one text."""
+        known = self._rows.__contains__
+        fresh = {} if known(_EMPTY_TOKEN) else {_EMPTY_TOKEN: None}
+        longest = 0
+        for text in texts:
+            tokens = text.lower().split()
+            longest = max(longest, len(tokens))
+            fresh.update(zip(itertools.filterfalse(known, tokens), itertools.repeat(None)))
+        if fresh:
+            self._add_tokens(list(fresh))
+        return longest
+
+    def _fold(self, tokens: list[str], window: np.ndarray) -> np.ndarray:
+        """Sum the tokens' rows left to right from 0.0, as `total = total + row` would.
+
+        Rows are gathered a slice at a time behind row 0 of the window, which
+        carries the running total, so no temporary grows with the text.
+        """
+        window[0] = 0.0
+        for begin in range(0, len(tokens), _SLICE_ROWS):
+            ids = [self._rows[token] for token in tokens[begin : begin + _SLICE_ROWS]]
+            # ids are rows of the table, so "clip" never clips; it stops take from
+            # staging the gather in a second buffer
+            np.take(self._table, ids, axis=0, out=window[1 : len(ids) + 1], mode="clip")
+            window[0] = np.add.reduce(window[: len(ids) + 1], axis=0)
+        return window[0]
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         rows = np.empty((len(texts), self.dimension), dtype=np.float64)
-        for i, text in enumerate(texts):
-            total = np.zeros(self.dimension, dtype=np.float64)
-            for token in text.lower().split():
-                total = total + self._token_vector(token)
-            norm = float(np.linalg.norm(total))
-            if norm < 1e-12:
-                total = self._token_vector("\x00empty")
+        with self._lock:
+            longest = self._index_tokens(texts)
+            window = np.empty((min(longest, _SLICE_ROWS) + 1, self.dimension))
+            for i, text in enumerate(texts):
+                total = self._fold(text.lower().split(), window)
                 norm = float(np.linalg.norm(total))
-            rows[i] = total / norm
+                if norm < 1e-12:
+                    total = self._table[self._rows[_EMPTY_TOKEN]]
+                    norm = float(np.linalg.norm(total))
+                rows[i] = total / norm
         return rows
 
 
@@ -537,6 +652,8 @@ class EmbeddingCache(_JsonlStore):
     """JSONL sidecar of embedding vectors keyed by (backend id, text hash).
 
     Vectors are stored as JSON float lists, which round-trip float64 exactly.
+    Every vector in one file has the same length, `dimension` (None while the
+    file is empty); a record or embedder of another length raises CacheError.
     The file is safe to delete at any time; it only saves backend calls.
     """
 
@@ -544,13 +661,34 @@ class EmbeddingCache(_JsonlStore):
 
     def __init__(self, path: str | Path, backend_id: str):
         self.backend_id = backend_id
+        self.dimension: int | None = None
         super().__init__(path)
 
     def _decode(self, value) -> np.ndarray:
         row = np.asarray(value, dtype=np.float64)
         if row.ndim != 1:
             raise ValueError(f"vector has shape {row.shape}, not one row")
+        if self.dimension is None:
+            self.dimension = len(row)
+        elif len(row) != self.dimension:
+            raise CacheError(
+                f"vector has length {len(row)}, but earlier vectors have length {self.dimension}"
+            )
         return row
+
+    def require_dimension(self, dimension: int) -> None:
+        """Raise CacheError unless this file's vectors have `dimension` entries.
+
+        A file with no vectors yet takes the length of the first one put.
+        """
+        with self._lock:
+            if self.dimension is None:
+                self.dimension = dimension
+        if dimension != self.dimension:
+            raise CacheError(
+                f"{self.path} holds vectors of length {self.dimension}, "
+                f"but the embedder returns length {dimension}"
+            )
 
     def key_for(self, text: str) -> str:
         return prompt_key(self.backend_id, text)
@@ -560,4 +698,5 @@ class EmbeddingCache(_JsonlStore):
 
     def put(self, text: str, vector: np.ndarray) -> None:
         row = np.asarray(vector, dtype=np.float64)
+        self.require_dimension(len(row))
         self._append(self.key_for(text), row, row.tolist())

@@ -380,9 +380,21 @@ def write_chunks(chunks: Iterable[Chunk], path: str | Path) -> None:
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:
-    """Read chunk records written by write_chunks; a bad line raises MalformedRecordError."""
+    """Read chunk records written by write_chunks.
+
+    A bad line, or a second record for one (doc_id, chunk_id), raises
+    MalformedRecordError. Spans may overlap: recursive neighbours can share a
+    paragraph and proposition chunks repeat their parent's span.
+    """
     chunks: list[Chunk] = []
+    first_line: dict[tuple[str, int], int] = {}
     for line_number, record in read_records(path, CHUNK_FIELDS):
+        key = (record["doc_id"], record["chunk_id"])
+        if key in first_line:
+            raise MalformedRecordError(
+                path, line_number, f"chunk {key} repeats the chunk on line {first_line[key]}"
+            )
+        first_line[key] = line_number
         try:
             chunks.append(Chunk(**{name: record[name] for name in CHUNK_FIELDS}))
         except ValueError as exc:

@@ -57,10 +57,13 @@ def embed_chunks(
     """Embed chunk texts into a vector index, consulting the cache first.
 
     Texts already in the cache cost no backend call; fresh embeddings are
-    written back. A backend failure aborts naming the failed batch.
+    written back. A backend failure aborts naming the failed batch, and a
+    cache whose vectors differ in length from the backend's raises CacheError.
     """
     if not chunks:
         raise IndexingError("no chunks to index")
+    if cache is not None and backend.dimension:
+        cache.require_dimension(backend.dimension)
     texts = [chunk.text for chunk in chunks]
     vectors: list[np.ndarray | None] = [
         cache.get(text) if cache is not None else None for text in texts

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import socket
+import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumberkit.backends import (
     BackendError,
@@ -23,6 +28,7 @@ from lumberkit.backends import (
     ReplayBackend,
     ResponseCache,
     ScriptedBackend,
+    _standard_normal_rows,
     prompt_key,
 )
 from lumberkit.parallel import WORKERS
@@ -449,6 +455,123 @@ class TestMockEmbeddingBackend:
         assert similar > dissimilar
 
 
+def token_seed(seed: int, token: str) -> int:
+    digest = hashlib.blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+def reference_embed(texts: list[str], dimension: int, seed: int) -> np.ndarray:
+    """The mock embedder as one default_rng per token and a Python fold: the bit-exact reference."""
+    vectors: dict[str, np.ndarray] = {}
+
+    def token_vector(token: str) -> np.ndarray:
+        if token not in vectors:
+            rng = np.random.default_rng(token_seed(seed, token))
+            vectors[token] = rng.standard_normal(dimension)
+        return vectors[token]
+
+    rows = np.empty((len(texts), dimension), dtype=np.float64)
+    for i, text in enumerate(texts):
+        total = np.zeros(dimension, dtype=np.float64)
+        for token in text.lower().split():
+            total = total + token_vector(token)
+        norm = float(np.linalg.norm(total))
+        if norm < 1e-12:
+            total = token_vector("\x00empty")
+            norm = float(np.linalg.norm(total))
+        rows[i] = total / norm
+    return rows
+
+
+# seeds over the whole uint64 range, weighted near 2**32, where entropy goes
+# from one 32-bit word to two
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]),
+    st.integers(2**32 - 4096, 2**32 + 4096),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**64 - 1),
+)
+# 2,000 tokens: more than one fold slice, and more fresh tokens than one seed block
+LONG_TEXT = " ".join(f"w{i % 1500}" for i in range(2000))
+WORDS = ["alpha", "Alpha", "BETA", "İstanbul", "ǅemal", "ΣΊΣΥΦΟΣ", "Straße", "ﬁne", "x", "x"]
+TEXTS = st.one_of(
+    st.sampled_from(["", " ", " \t\n\u2003 ", LONG_TEXT]),
+    st.lists(st.sampled_from(WORDS), max_size=30).map(" ".join),
+    st.text(max_size=40),
+)
+
+
+class TestMockEmbeddingKernel:
+    @given(seeds=st.lists(SEEDS, min_size=1, max_size=40), dimension=st.sampled_from([2, 3, 64, 65, 257]))
+    @settings(max_examples=100, deadline=None)
+    def test_token_rows_equal_default_rng(self, seeds, dimension):
+        out = np.empty((len(seeds), dimension), dtype=np.float64)
+        _standard_normal_rows(np.array(seeds, dtype=np.uint64), out)
+        for seed, row in zip(seeds, out):
+            expected = np.random.default_rng(seed).standard_normal(dimension)
+            assert row.tobytes() == expected.tobytes(), seed
+
+    @given(
+        batches=st.lists(st.lists(TEXTS, max_size=6), min_size=1, max_size=4),
+        dimension=st.sampled_from([2, 3, 64, 65, 257]),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_embed_equals_reference_fold(self, batches, dimension, seed):
+        backend = MockEmbeddingBackend(dimension=dimension, seed=seed)
+        for texts in batches:
+            assert backend.embed(texts).tobytes() == reference_embed(texts, dimension, seed).tobytes()
+        everything = [text for texts in reversed(batches) for text in reversed(texts)]
+        assert backend.embed(everything).tobytes() == reference_embed(everything, dimension, seed).tobytes()
+
+    def test_threads_sharing_one_embedder_get_sequential_bytes(self):
+        texts = [" ".join(f"t{(i * 7 + j) % 900}" for j in range(i % 60)) for i in range(240)]
+        batches = [texts[begin : begin + 5] for begin in range(0, len(texts), 5)]
+        sequential = [MockEmbeddingBackend().embed(batch).tobytes() for batch in batches]
+        shared = MockEmbeddingBackend()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                concurrent = list(pool.map(lambda batch: shared.embed(batch).tobytes(), batches))
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential
+
+    def test_fresh_tokens_construct_no_generator_each(self, monkeypatch):
+        constructed = {"default_rng": 0, "PCG64": 0}
+
+        def counting(name, make):
+            def construct(*args, **kwargs):
+                constructed[name] += 1
+                return make(*args, **kwargs)
+
+            return construct
+
+        for name in constructed:
+            monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
+        tokens = [f"fresh{i}" for i in range(1000)]
+        rows = MockEmbeddingBackend().embed([" ".join(tokens[:400]), " ".join(tokens[400:])])
+        assert rows.shape == (2, 64)
+        below_two_words = sum(token_seed(0, token) < 2**32 for token in tokens)
+        assert constructed["default_rng"] <= below_two_words
+        assert constructed["PCG64"] <= 1
+
+    def test_long_text_folds_in_bounded_memory(self):
+        text = " ".join(f"w{i % 500}" for i in range(20_000))
+        backend = MockEmbeddingBackend()
+        backend.embed([text])  # the table of 500 rows is not what is measured
+        tracemalloc.start()
+        try:
+            row = backend.embed([text])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # gathering all 20,000 rows at once would take 10 MB
+        assert peak < 2_000_000
+        assert row.tobytes() == reference_embed([text], 64, 0).tobytes()
+
+
 class TestEmbeddingCache:
     def test_round_trip_exact(self, tmp_path):
         cache = EmbeddingCache(tmp_path / "emb.jsonl", backend_id="mock")
@@ -463,6 +586,22 @@ class TestEmbeddingCache:
         cache.put("text", np.ones(3))
         other = EmbeddingCache(tmp_path / "emb.jsonl", backend_id="two")
         assert other.get("text") is None
+
+
+    def test_vectors_of_another_length_are_rejected(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        cache = EmbeddingCache(path, backend_id="b")
+        cache.put("a", np.ones(3))
+        with pytest.raises(
+            CacheError, match=r"emb\.jsonl holds vectors of length 3, but the embedder returns length 2"
+        ):
+            cache.put("b", np.ones(2))
+        cache.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"key": "c", "vector": [1.0, 2.0]}) + "\n")
+        # a complete final record of another length is not mistaken for a torn one
+        with pytest.raises(CacheError, match=r"emb\.jsonl, line 2: vector has length 2, but"):
+            EmbeddingCache(path, backend_id="b")
 
 
 CACHE_KINDS = [

@@ -20,6 +20,7 @@ from lumberkit.backends import (
     MockEmbeddingBackend,
     ResponseCache,
     ScriptedBackend,
+    prompt_key,
 )
 from lumberkit.baselines import HYDE_PROMPT_TEMPLATE, chunk_method_names, hyde_transform
 from lumberkit.chunker import ChunkerConfig, lumberchunk, read_chunks, write_chunks
@@ -1369,6 +1370,59 @@ class TestNonUtf8Input:
         )
         error = _one_error_line(code, capsys.readouterr().err)
         assert error.startswith(f"error: {qa_path} is not valid UTF-8")
+
+
+class TestConflictingRecords:
+    """Records that parse but contradict their file end in one error line naming it."""
+
+    @staticmethod
+    def argv(command: str, chunks: Path, qa: Path, tmp_path: Path) -> list[str]:
+        if command == "eval":
+            argv = ["eval", "--chunks", str(chunks), "--qa", str(qa)]
+        else:
+            replay = tmp_path / "empty.jsonl"
+            replay.write_bytes(b"")
+            argv = ["rag", "--chunks", str(chunks), "--questions", str(qa), "--replay-cache", str(replay)]
+        return [*argv, "--output-dir", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command", ["eval", "rag"])
+    def test_repeated_chunk_id_names_its_line(self, tmp_path, book_records, qa_file, command, capsys):
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        first, second, third, *_ = chunk_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        repeat = {**json.loads(third), "chunk_id": json.loads(first)["chunk_id"]}
+        duplicated = tmp_path / "dup.jsonl"
+        duplicated.write_text(first + second + json.dumps(repeat) + "\n", encoding="utf-8")
+        code = main(self.argv(command, duplicated, qa_file, tmp_path))
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == f"error: {duplicated}, line 3: chunk ('book', 0) repeats the chunk on line 1"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "rag"])
+    @pytest.mark.parametrize(
+        "lengths, reason",
+        [
+            ([2], "{cache} holds vectors of length 2, but the embedder returns length 64"),
+            ([64, 63], "{cache}, line 2: vector has length 63, but earlier vectors have length 64"),
+        ],
+        ids=["embedder", "file"],
+    )
+    def test_embed_cache_vectors_of_another_length(
+        self, tmp_path, book_records, qa_file, command, lengths, reason, capsys
+    ):
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        texts = [chunk.text for chunk in read_chunks(chunk_path)]
+        cache = tmp_path / "embed.jsonl"
+        cache.write_text(
+            "".join(
+                json.dumps({"key": prompt_key("mock:64:0", text), "vector": [1.0] * length}) + "\n"
+                for text, length in zip(texts, lengths)
+            ),
+            encoding="utf-8",
+        )
+        argv = self.argv(command, chunk_path, qa_file, tmp_path)
+        code = main([*argv, "--embed-cache", str(cache)])
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == "error: " + reason.format(cache=cache)
 
 
 def test_sweep_rejects_duplicate_cutoffs_before_chunking(
