@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .backends import (
     BackendError,
     CachingBackend,
+    CachingEmbedder,
     CompletionBackend,
     EmbeddingBackend,
     EmbeddingCache,

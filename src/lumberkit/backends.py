@@ -700,3 +700,33 @@ class EmbeddingCache(_JsonlStore):
         row = np.asarray(vector, dtype=np.float64)
         self.require_dimension(len(row))
         self._append(self.key_for(text), row, row.tolist())
+
+
+class CachingEmbedder(EmbeddingBackend):
+    """Answers from an EmbeddingCache, sending every miss of a call to inner at once.
+
+    Each fresh row is put back. A cache whose vectors differ in length from
+    inner's raises CacheError naming the file: at construction when inner's
+    dimension is known, otherwise at the first put.
+    """
+
+    def __init__(self, inner: EmbeddingBackend, cache: EmbeddingCache):
+        self.inner = inner
+        self.cache = cache
+        self.backend_id = inner.backend_id
+        if inner.dimension:
+            cache.require_dimension(inner.dimension)
+
+    @property
+    def dimension(self) -> int:
+        return self.inner.dimension or self.cache.dimension or 0
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        vectors = [self.cache.get(text) for text in texts]
+        misses = list(dict.fromkeys(text for text, v in zip(texts, vectors) if v is None))
+        if misses:
+            fresh = dict(zip(misses, self.inner.embed(misses)))
+            for text, row in fresh.items():
+                self.cache.put(text, row)
+            vectors = [fresh[text] if v is None else v for text, v in zip(texts, vectors)]
+        return np.array(vectors, dtype=np.float64).reshape(len(texts), self.dimension)

@@ -14,17 +14,13 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .backends import BackendError, CompletionBackend, EmbeddingBackend
+from .backends import CompletionBackend, EmbeddingBackend
 from .chunker import Chunk
 from .corpus import PARAGRAPH_SEPARATOR, Document, count_tokens
-from .errors import ConfigError, LumberkitError
-from .index import EMBED_BATCH
+from .errors import ConfigError
+from .index import embed_texts
 
 logger = logging.getLogger(__name__)
-
-
-class BaselineError(LumberkitError):
-    """Problem inside a baseline chunker."""
 
 
 def paragraph_chunks(document: Document) -> list[Chunk]:
@@ -197,19 +193,6 @@ def _semantic_units(document: Document, config: SemanticConfig) -> list[_Unit]:
     return units
 
 
-def _embed_units(units: list[_Unit], embed: EmbeddingBackend) -> np.ndarray:
-    rows: list[np.ndarray] = []
-    for begin in range(0, len(units), EMBED_BATCH):
-        batch = units[begin : begin + EMBED_BATCH]
-        try:
-            rows.append(embed.embed([u.text for u in batch]))
-        except BackendError as exc:
-            raise BaselineError(
-                f"embedding failed for units {begin}..{begin + len(batch) - 1}: {exc}"
-            ) from exc
-    return np.vstack(rows)
-
-
 def semantic_chunks(
     document: Document,
     embed: EmbeddingBackend,
@@ -239,7 +222,7 @@ def semantic_chunks(
     if len(units) == 1:
         return [to_chunk(0, units)]
 
-    vectors = _embed_units(units, embed)
+    vectors = embed_texts([u.text for u in units], embed)
     norms = np.linalg.norm(vectors, axis=1)
     norms[norms == 0.0] = 1.0
     unit_rows = vectors / norms[:, None]

@@ -23,6 +23,7 @@ from .backends import (
     API_KEY_ENV_VAR,
     BackendError,
     CachingBackend,
+    CachingEmbedder,
     CompletionBackend,
     EmbeddingBackend,
     EmbeddingCache,
@@ -60,7 +61,7 @@ from .evaluation import (
     sweep_theta,
     write_reports,
 )
-from .index import bm25_build, embed_chunks
+from .index import bm25_build, embed_chunks, embed_texts
 from .parallel import ordered_map
 from .ragpipe import answer_question, qa_accuracy
 
@@ -80,7 +81,7 @@ _READS = {
     "ingest": ("input", "format", "doc_id", "title", "output"),
     "chunk --method paragraph": _CHUNK,
     "chunk --method recursive": (*_CHUNK, "max_tokens"),
-    "chunk --method semantic": (*_CHUNK, "percentile", "min_unit", "embed"),
+    "chunk --method semantic": (*_CHUNK, "percentile", "min_unit", *_EMBEDDING),
     "chunk --method lumber": (*_CHUNK, "theta", *_LUMBER, *_COMPLETION),
     "chunk --method proposition": (*_CHUNK, *_COMPLETION),
     "eval": _EVAL,
@@ -237,13 +238,18 @@ def _embedding_backend(args: argparse.Namespace) -> EmbeddingBackend:
     return _mock_embedder(args)
 
 
-def _embedding_cache(
-    args: argparse.Namespace, backend: EmbeddingBackend
-) -> EmbeddingCache | nullcontext:
-    """The --embed-cache store, or a stand-in for `with` that yields None."""
-    if args.embed_cache:
-        return EmbeddingCache(args.embed_cache, backend.backend_id)
-    return nullcontext()
+@contextmanager
+def _embedder(args: argparse.Namespace):
+    """Yield the embedder, in a CachingEmbedder over the --embed-cache store if given.
+
+    The store is closed afterwards.
+    """
+    embedder = _embedding_backend(args)
+    if not args.embed_cache:
+        yield embedder
+        return
+    with EmbeddingCache(args.embed_cache, embedder.backend_id) as cache:
+        yield CachingEmbedder(embedder, cache)
 
 
 @contextmanager
@@ -319,14 +325,14 @@ def cmd_chunk(args: argparse.Namespace) -> int:
         settings["max_tokens"] = recursive_config.max_tokens
         chunks = recursive_chunks(document, recursive_config)
     elif args.method == "semantic":
-        embed_backend = _embedding_backend(args)
         semantic_config = SemanticConfig(
             **_given(args, "min_unit", breakpoint_percentile="percentile")
         )
         settings.update(
             percentile=semantic_config.breakpoint_percentile, min_unit=semantic_config.min_unit
         )
-        chunks = semantic_chunks(document, embed_backend, semantic_config)
+        with _embedder(args) as embedder:
+            chunks = semantic_chunks(document, embedder, semantic_config)
     elif args.method == "lumber":
         names = ("theta", *_LUMBER)
         config = ChunkerConfig(**_given(args, *names))
@@ -356,9 +362,8 @@ def cmd_chunk(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     qa_pairs = load_qa(args.qa)
-    embed_backend = _embedding_backend(args)
     with (
-        _embedding_cache(args, embed_backend) as embed_cache,
+        _embedder(args) as embedder,
         (_backend(args, "--hyde") if args.hyde else nullcontext()) as hyde_backend,
     ):
         transform = None
@@ -369,11 +374,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             evaluate(
                 read_chunks(chunk_path),
                 qa_pairs,
-                embed_backend,
+                embedder,
                 transform,
                 tuple(args.ks),
                 method=Path(chunk_path).stem + ("+hyde" if args.hyde else ""),
-                embed_cache=embed_cache,
             )
             for chunk_path in args.chunks
         ]
@@ -382,7 +386,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         args,
         out_dir / "run_config.json",
         {"chunks": [str(p) for p in args.chunks], "qa": str(args.qa)},
-        seed=_mock_embedder(args).seed,
+        seed=_embedding_settings(args).get("seed"),
     )
     return 0
 
@@ -390,21 +394,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     documents = [load_document(path, "paragraph_records") for path in args.documents]
     qa_pairs = load_qa(args.qa)
-    embed_backend = _embedding_backend(args)
     base_config = ChunkerConfig(**_given(args, *_LUMBER))
-    with (
-        _embedding_cache(args, embed_backend) as embed_cache,
-        _backend(args, "sweep") as backend,
-    ):
+    with _embedder(args) as embedder, _backend(args, "sweep") as backend:
         reports = sweep_theta(
             documents,
             qa_pairs,
             args.thetas,
             backend,
-            embed_backend,
+            embedder,
             config=base_config,
             ks=tuple(args.ks),
-            embed_cache=embed_cache,
         )
     out_dir = _write_report(reports, args.output_dir)
     _write_run_config(
@@ -416,7 +415,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "thetas": sorted(set(args.thetas)),
             **{name: getattr(base_config, name) for name in _LUMBER},
         },
-        seed=_mock_embedder(args).seed,
+        seed=_embedding_settings(args).get("seed"),
     )
     return 0
 
@@ -424,16 +423,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_rag(args: argparse.Namespace) -> int:
     chunks = read_chunks(args.chunks)
     qa_pairs = load_qa(args.questions)
+    questions = [pair.question for pair in qa_pairs]
     with _backend(args, "rag") as backend:
-        embed_backend = _embedding_backend(args)
-        with _embedding_cache(args, embed_backend) as embed_cache:
-            vector_index = embed_chunks(chunks, embed_backend, embed_cache)
+        with _embedder(args) as embedder:
+            vector_index = embed_chunks(chunks, embedder)
+            query_vectors = embed_texts(questions, embedder)
         bm25_index = bm25_build(chunks)
         results = ordered_map(
-            lambda pair: answer_question(
-                pair.question, bm25_index, vector_index, embed_backend, backend
-            ),
-            qa_pairs,
+            lambda item: answer_question(item[0], bm25_index, vector_index, item[1], backend),
+            zip(questions, query_vectors),
         )
     accuracy = qa_accuracy((result.answer, pair.answer) for result, pair in zip(results, qa_pairs))
     out_dir = Path(args.output_dir)
@@ -456,7 +454,7 @@ def cmd_rag(args: argparse.Namespace) -> int:
         args,
         out_dir / "run_config.json",
         {"chunks": str(args.chunks), "questions": str(args.questions)},
-        seed=_mock_embedder(args).seed,
+        seed=_embedding_settings(args).get("seed"),
     )
     print(f"qa_accuracy {accuracy:.2f} over {len(qa_pairs)} question(s)")
     return 0

@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .backends import CompletionBackend, EmbeddingBackend, EmbeddingCache
+from .backends import CompletionBackend, EmbeddingBackend
 from .chunker import Chunk, ChunkerConfig, lumberchunk
 from .corpus import Document, QAPair, write_jsonl
 from .errors import ConfigError, LumberkitError
-from .index import EMBED_BATCH, cosine_topk, embed_chunks
+from .index import cosine_topk, embed_chunks, embed_texts
 from .parallel import ordered_map
 
 logger = logging.getLogger(__name__)
@@ -191,7 +191,6 @@ def build_runs(
     query_transform: QueryTransform | None = None,
     *,
     depth: int = max(DEFAULT_KS),
-    embed_cache: EmbeddingCache | None = None,
 ) -> list[RetrievalRun]:
     """Rank each question against its own document's chunks.
 
@@ -199,7 +198,7 @@ def build_runs(
     the documents first appear among the questions; only documents with
     questions are embedded. A document's questions are rewritten by
     query_transform concurrently, once per distinct question, then embedded
-    in batches of EMBED_BATCH. Questions whose doc_id has no chunks get an
+    through embed_texts. Questions whose doc_id has no chunks get an
     absent gold rank and a warning. The gold rank is the first position,
     scanning down the ranking, whose chunk judge_relevance's rule accepts;
     the rule runs on texts normalized once per document. Runs come back in
@@ -220,17 +219,13 @@ def build_runs(
                 runs[position] = RetrievalRun(qa_pairs[position], (), None)
             missing += len(positions)
             continue
-        index = embed_chunks(doc_chunks, embed_backend, embed_cache)
+        index = embed_chunks(doc_chunks, embed_backend)
         query_texts = [qa_pairs[position].question for position in positions]
         if query_transform:
             distinct = list(dict.fromkeys(query_texts))
             rewrites = dict(zip(distinct, ordered_map(query_transform, distinct)))
             query_texts = [rewrites[text] for text in query_texts]
-        query_vectors = [
-            vector
-            for start in range(0, len(query_texts), EMBED_BATCH)
-            for vector in embed_backend.embed(query_texts[start : start + EMBED_BATCH])
-        ]
+        query_vectors = embed_texts(query_texts, embed_backend)
         doc_judge = _normalizing_judge()
         for position, query_vector in zip(positions, query_vectors, strict=True):
             qa = qa_pairs[position]
@@ -276,7 +271,6 @@ def evaluate(
     method: str = "",
     chunking_seconds: float | None = None,
     theta: int | None = None,
-    embed_cache: EmbeddingCache | None = None,
 ) -> MetricsReport:
     """Score one chunking method: rank every question, then fold into metrics.
 
@@ -284,9 +278,7 @@ def evaluate(
     (the HyDE route); ranking depth is max(ks). ks must be distinct.
     """
     _check_ks(ks)
-    runs = build_runs(
-        chunks, qa_pairs, embed_backend, query_transform, depth=max(ks), embed_cache=embed_cache
-    )
+    runs = build_runs(chunks, qa_pairs, embed_backend, query_transform, depth=max(ks))
     return report_from_runs(
         runs, ks, method=method, chunking_seconds=chunking_seconds, theta=theta
     )
@@ -301,7 +293,6 @@ def sweep_theta(
     *,
     config: ChunkerConfig | None = None,
     ks: Sequence[int] = DEFAULT_KS,
-    embed_cache: EmbeddingCache | None = None,
 ) -> list[MetricsReport]:
     """Chunk every document at each theta and evaluate each result.
 
@@ -345,7 +336,6 @@ def sweep_theta(
                 method=f"lumberchunker(θ={theta})",
                 chunking_seconds=sum(timed[position][1] for timed in per_document),
                 theta=theta,
-                embed_cache=embed_cache,
             )
         )
     return reports

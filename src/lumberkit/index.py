@@ -10,13 +10,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backends import BackendError, EmbeddingBackend, EmbeddingCache
+from .backends import BackendError, EmbeddingBackend
 from .chunker import Chunk
 from .errors import LumberkitError
 
 BM25_K1 = 1.2
 BM25_B = 0.75
-# Texts per embedding request, for chunks, semantic units and questions alike.
+# Texts per embedding request; embed_texts is the only reader.
 EMBED_BATCH = 64
 
 Tokenizer = Callable[[str], list[str]]
@@ -51,38 +51,29 @@ class VectorIndex:
         return int(self.vectors.shape[1])
 
 
-def embed_chunks(
-    chunks: Sequence[Chunk], backend: EmbeddingBackend, cache: EmbeddingCache | None = None
-) -> VectorIndex:
-    """Embed chunk texts into a vector index, consulting the cache first.
+def embed_texts(texts: Sequence[str], backend: EmbeddingBackend) -> np.ndarray:
+    """Embed texts EMBED_BATCH per backend call, one row per text, in order.
 
-    Texts already in the cache cost no backend call; fresh embeddings are
-    written back. A backend failure aborts naming the failed batch, and a
-    cache whose vectors differ in length from the backend's raises CacheError.
+    A backend failure raises IndexingError naming the positions of the
+    failed batch's texts.
     """
-    if not chunks:
-        raise IndexingError("no chunks to index")
-    if cache is not None and backend.dimension:
-        cache.require_dimension(backend.dimension)
-    texts = [chunk.text for chunk in chunks]
-    vectors: list[np.ndarray | None] = [
-        cache.get(text) if cache is not None else None for text in texts
-    ]
-    misses = [i for i, vector in enumerate(vectors) if vector is None]
-    for begin in range(0, len(misses), EMBED_BATCH):
-        batch = misses[begin : begin + EMBED_BATCH]
+    batches = []
+    for begin in range(0, len(texts), EMBED_BATCH):
+        batch = texts[begin : begin + EMBED_BATCH]
         try:
-            rows = backend.embed([texts[i] for i in batch])
+            batches.append(backend.embed(batch))
         except BackendError as exc:
             raise IndexingError(
-                f"embedding failed for chunk batch {batch[0]}..{batch[-1]}: {exc}"
+                f"embedding failed for texts {begin}..{begin + len(batch) - 1}: {exc}"
             ) from exc
-        for row, i in zip(rows, batch):
-            vectors[i] = row
-            if cache is not None:
-                cache.put(texts[i], row)
-    matrix = np.vstack([np.asarray(v, dtype=np.float64) for v in vectors])
-    return VectorIndex(tuple(chunks), matrix)
+    return np.vstack(batches) if batches else np.empty((0, backend.dimension))
+
+
+def embed_chunks(chunks: Sequence[Chunk], backend: EmbeddingBackend) -> VectorIndex:
+    """Embed chunk texts into a vector index through embed_texts."""
+    if not chunks:
+        raise IndexingError("no chunks to index")
+    return VectorIndex(tuple(chunks), embed_texts([chunk.text for chunk in chunks], backend))
 
 
 def cosine_topk(

@@ -13,7 +13,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TypeVar
 
-from .backends import BackendError, CompletionBackend, EmbeddingBackend
+import numpy as np
+
+from .backends import BackendError, CompletionBackend
 from .chunker import Chunk
 from .errors import LumberkitError
 from .evaluation import normalize_for_matching
@@ -158,9 +160,9 @@ def hybrid_retrieve(
     bm25_index: Bm25Index,
     vector_index: VectorIndex,
     decision: RoutingDecision,
-    embed_backend: EmbeddingBackend,
+    query_vector: np.ndarray,
 ) -> ContextAssembly:
-    """Fuse lexical and dense hits with the fixed placement rule.
+    """Fuse lexical hits for query and dense hits for its embedding, query_vector.
 
     BM25 hits that already appear in the dense top-15 are dropped. The best
     surviving BM25 hit leads the assembly, the dense results follow in rank
@@ -169,7 +171,6 @@ def hybrid_retrieve(
     if not bm25_index.chunks or not vector_index.chunks:
         raise RagPipelineError("both indexes must be non-empty")
     lexical_hits = [chunk for chunk, _score in bm25_topk(bm25_index, query, decision.bm25_k)]
-    query_vector = embed_backend.embed([query])[0]
     dense_hits = [chunk for chunk, _score in cosine_topk(vector_index, query_vector, DENSE_K)]
     dense_keys = {(chunk.doc_id, chunk.chunk_id) for chunk in dense_hits}
     surviving = [
@@ -293,12 +294,12 @@ def answer_question(
     query: str,
     bm25_index: Bm25Index,
     vector_index: VectorIndex,
-    embed_backend: EmbeddingBackend,
+    query_vector: np.ndarray,
     backend: CompletionBackend,
 ) -> RagAnswer:
-    """Run the full pipeline for one query: route, fuse, reorder, rerank, answer."""
+    """Answer one query, given its embedding: route, fuse, reorder, rerank, answer."""
     decision = detect_mentions(query)
-    assembly = hybrid_retrieve(query, bm25_index, vector_index, decision, embed_backend)
+    assembly = hybrid_retrieve(query, bm25_index, vector_index, decision, query_vector)
     reordered = midpoint_reverse(assembly.chunks)
     reranked = rerank(reordered, query, backend)
     text = answer(query, reranked, backend)

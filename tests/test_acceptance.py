@@ -318,7 +318,7 @@ def test_criterion_7_fusion_placement():
             bm25_build(chunks),
             embed_chunks(chunks, embedder),
             RoutingDecision(True, ("Zebra",), 3),
-            embedder,
+            embedder.embed(["zebra"])[0],
         )
         got_ids = [chunk.chunk_id for chunk in assembly.chunks]
         assert got_ids == [0, *range(3, 18), 1, 2]

@@ -30,7 +30,6 @@ from lumberkit.baselines import (
     DEFAULT_SEPARATORS,
     HYDE_PROMPT_TEMPLATE,
     PROPOSITION_PROMPT_TEMPLATE,
-    BaselineError,
     RecursiveConfig,
     SemanticConfig,
     chunk_method_names,
@@ -42,6 +41,7 @@ from lumberkit.baselines import (
     semantic_chunks,
 )
 from lumberkit.corpus import Document, Paragraph, count_tokens
+from lumberkit.index import IndexingError
 
 
 class TestParagraphChunks:
@@ -204,7 +204,7 @@ class TestSemanticChunks:
                 raise BackendError("offline")
 
         document = make_document([5, 5, 5])
-        with pytest.raises(BaselineError, match=r"units 0\.\.2"):
+        with pytest.raises(IndexingError, match=r"texts 0\.\.2"):
             semantic_chunks(document, Broken())
 
     def test_units_embedded_in_batches_of_embed_batch(self):

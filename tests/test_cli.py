@@ -12,18 +12,26 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CountingBackend, FailingBackend, make_document, prompt_ids
+from conftest import (
+    CountingBackend,
+    CountingEmbeddingBackend,
+    FailingBackend,
+    make_document,
+    prompt_ids,
+)
 from lumberkit import cli, parallel
 from lumberkit.backends import (
     BackendError,
     CompletionBackend,
+    EmbeddingBackend,
+    EmbeddingCache,
     MockEmbeddingBackend,
     ResponseCache,
     ScriptedBackend,
     prompt_key,
 )
 from lumberkit.baselines import HYDE_PROMPT_TEMPLATE, chunk_method_names, hyde_transform
-from lumberkit.chunker import ChunkerConfig, lumberchunk, read_chunks, write_chunks
+from lumberkit.chunker import PROMPT_HEADER, ChunkerConfig, lumberchunk, read_chunks, write_chunks
 from lumberkit.cli import main
 from lumberkit.corpus import QAPair, generate_qa, load_document, write_document, write_qa
 from lumberkit.evaluation import evaluate, write_reports
@@ -460,7 +468,8 @@ def seed_rag_cache(chunks, qa_pairs, cache_path: Path) -> None:
 
     backend = CountingBackend(respond)
     for pair in qa_pairs:
-        answer_question(pair.question, bm25_index, vector_index, embedder, backend)
+        query_vector = embedder.embed([pair.question])[0]
+        answer_question(pair.question, bm25_index, vector_index, query_vector, backend)
     cache = ResponseCache(cache_path, model_id="default")
     for prompt in backend.prompts:
         cache.put(prompt, respond(prompt))
@@ -528,6 +537,23 @@ class TestRagCommand:
 
     def test_rag_answer_alias(self, tmp_path, rag_inputs):
         assert self.run_rag(rag_inputs, tmp_path / "alias-out", command="rag-answer") == 0
+
+
+def test_rag_without_questions_writes_an_empty_summary(tmp_path, book_records):
+    chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+    questions = tmp_path / "questions.jsonl"
+    questions.write_bytes(b"")
+    replay = tmp_path / "replay.jsonl"
+    replay.write_bytes(b"")
+    out = tmp_path / "out"
+    code = main(
+        ["rag", "--chunks", str(chunk_path), "--questions", str(questions),
+         "--replay-cache", str(replay), "--embed-cache", str(tmp_path / "embed.jsonl"),
+         "--output-dir", str(out)]
+    )
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text()) == {"qa_accuracy": 0.0, "questions": 0}
+    assert (out / "answers.jsonl").read_bytes() == b""
 
 
 class TestGenQaCommand:
@@ -661,7 +687,8 @@ class TestConcurrentRag:
         lines = []
         scored = []
         for pair in pairs:
-            result = answer_question(pair.question, bm25_index, vector_index, embedder, backend)
+            query_vector = embedder.embed([pair.question])[0]
+            result = answer_question(pair.question, bm25_index, vector_index, query_vector, backend)
             record = {
                 "question": result.question,
                 "mentions": list(result.decision.mention_strings),
@@ -897,17 +924,20 @@ class TestUnusedEmbeddingFlags:
         assert f"error: {named.format(command=command)}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_semantic_rejects_embedding_cache(self, tmp_path, capsys):
+    def test_semantic_reads_embedding_cache(self, tmp_path, book_records):
         out = tmp_path / "out"
+        cache = tmp_path / "embed.jsonl"
         code = main(
             [
-                "chunk", "--document", "d.jsonl", "--method", "semantic",
-                "--embed-cache", "nothere.jsonl", "--output-dir", str(out),
+                "chunk", "--document", str(book_records), "--method", "semantic",
+                "--embed-cache", str(cache), "--output-dir", str(out),
             ]
         )
-        assert code == 1
-        assert "--embed-cache not supported by chunk --method semantic" in capsys.readouterr().err
-        assert not out.exists()
+        assert code == 0
+        record = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+        assert record["caches"] == {"completion": None, "embedding": str(cache)}
+        paragraphs = load_document(book_records, "paragraph_records").paragraphs
+        assert len(EmbeddingCache(cache, "mock:64:0")) == len({p.text for p in paragraphs})
 
 
 class TestUnusableBackendUrl:
@@ -1135,11 +1165,21 @@ class TestUnreadChunkFlags:
         [
             ([], {"kind": "mock", "dimension": 64, "seed": 0}, 0),
             (["--embed-dim", "16", "--embed-seed", "5"], {"kind": "mock", "dimension": 16, "seed": 5}, 5),
+            # no mock embedder runs, so there is no embedding seed to record
+            (
+                ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "em"],
+                {"kind": "http", "url": "http://127.0.0.1:9", "model": "em",
+                 "api_key_source": "env:LUMBERKIT_API_KEY"},
+                None,
+            ),
         ],
     )
     def test_eval_records_mock_embedder_and_seed(
-        self, tmp_path, book_records, qa_file, flags, embedding, seed
+        self, tmp_path, book_records, qa_file, monkeypatch, flags, embedding, seed
     ):
+        monkeypatch.setattr(
+            cli, "_embedding_backend", lambda args: MockEmbeddingBackend(dimension=64, seed=0)
+        )
         chunk_path = tmp_path / "chunks.jsonl"
         write_chunks(lumberchunk(
             load_document(book_records, "paragraph_records"), ChunkerConfig(theta=200),
@@ -1271,10 +1311,7 @@ class TestFlagTable:
             if "embed" in read:
                 for names in cli._EMBEDDERS.values():
                     read.update(names)
-            assert read <= dests, command
-            # chunk takes --embed-cache with the other embedding flags, only to
-            # reject it: no method reads it
-            assert dests - read == ({"embed_cache"} if command == "chunk" else set()), command
+            assert read == dests, command
 
     def test_one_error_line_names_unread_flags_from_two_groups(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1399,18 +1436,26 @@ class TestConflictingRecords:
 
     @pytest.mark.parametrize("command", ["eval", "rag"])
     @pytest.mark.parametrize(
-        "lengths, reason",
+        "lengths, lazy, reason",
         [
-            ([2], "{cache} holds vectors of length 2, but the embedder returns length 64"),
-            ([64, 63], "{cache}, line 2: vector has length 63, but earlier vectors have length 64"),
+            ([2], False, "{cache} holds vectors of length 2, but the embedder returns length 64"),
+            ([64, 63], False,
+             "{cache}, line 2: vector has length 63, but earlier vectors have length 64"),
+            # the embedder learns its length from its first reply, and the cache
+            # answers every chunk, so only a question's vector can reveal the clash
+            ([2] * 64, True,
+             "{cache} holds vectors of length 2, but the embedder returns length 64"),
         ],
-        ids=["embedder", "file"],
+        ids=["embedder", "file", "embedder-of-unknown-length"],
     )
     def test_embed_cache_vectors_of_another_length(
-        self, tmp_path, book_records, qa_file, command, lengths, reason, capsys
+        self, tmp_path, book_records, qa_file, monkeypatch, command, lengths, lazy, reason, capsys
     ):
         chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
         texts = [chunk.text for chunk in read_chunks(chunk_path)]
+        if lazy:
+            assert len(lengths) >= len(texts)
+            monkeypatch.setattr(cli, "_embedding_backend", lambda args: LazyLengthEmbedder())
         cache = tmp_path / "embed.jsonl"
         cache.write_text(
             "".join(
@@ -1423,6 +1468,82 @@ class TestConflictingRecords:
         code = main([*argv, "--embed-cache", str(cache)])
         error = _one_error_line(code, capsys.readouterr().err)
         assert error == "error: " + reason.format(cache=cache)
+
+
+class LazyLengthEmbedder(EmbeddingBackend):
+    """The default mock embedder, with dimension 0 until its first reply, as
+    HttpEmbeddingBackend has."""
+
+    def __init__(self):
+        self.inner = MockEmbeddingBackend(dimension=64, seed=0)
+        self.backend_id = self.inner.backend_id
+        self.dimension = 0
+
+    def embed(self, texts):
+        rows = self.inner.embed(texts)
+        self.dimension = rows.shape[1]
+        return rows
+
+
+def embed_cache_reply(prompt: str) -> str:
+    """A pure reply to every prompt that sweep, rag and eval --hyde send."""
+    if prompt.startswith(PROMPT_HEADER):
+        return last_id_responder(prompt)
+    return recordable_reply(prompt)
+
+
+class TestEmbedCache:
+    """--embed-cache holds every text a command embeds: chunks, questions,
+    HyDE rewrites and semantic units."""
+
+    @pytest.mark.parametrize("command", ["eval", "eval-hyde", "sweep", "rag", "chunk-semantic"])
+    def test_warm_run_embeds_nothing_and_changes_no_output(
+        self, tmp_path, book_records, qa_file, monkeypatch, command
+    ):
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[1]
+        argv = {
+            "eval": ["eval", "--chunks", str(chunk_path), "--qa", str(qa_file)],
+            "eval-hyde": ["eval", "--chunks", str(chunk_path), "--qa", str(qa_file), "--hyde"],
+            "sweep": ["sweep", "--documents", str(book_records), "--qa", str(qa_file),
+                      "--thetas", "200", "550"],
+            "rag": ["rag", "--chunks", str(chunk_path), "--questions", str(qa_file)],
+            "chunk-semantic": ["chunk", "--document", str(book_records), "--method", "semantic"],
+        }[command]
+        backend = ScriptedBackend(embed_cache_reply)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        embedders = []
+
+        def counting_embedder(args):
+            embedders.append(CountingEmbeddingBackend(dimension=64, seed=0))
+            return embedders[-1]
+
+        monkeypatch.setattr(cli, "_embedding_backend", counting_embedder)
+
+        def run(name, *flags):
+            out_dir = tmp_path / name
+            assert main([*argv, *flags, "--output-dir", str(out_dir)]) == 0
+            outputs = {}
+            for path in sorted(out_dir.iterdir()):
+                text = path.read_text(encoding="utf-8")
+                if path.name == "run_config.json":
+                    record = json.loads(text.replace(str(out_dir), "{out}"))
+                    assert record["caches"]["embedding"] == (flags[1] if flags else None)
+                    record["caches"]["embedding"] = None
+                    outputs[path.name] = record
+                elif path.name != "timing.json":  # wall-clock seconds
+                    outputs[path.name] = re.sub(r', "chunking_seconds": [^,}]+', "", text)
+            return outputs, embedders[-1].calls
+
+        cache, second_cache = tmp_path / "embed.jsonl", tmp_path / "embed-again.jsonl"
+        plain, _ = run("plain")
+        cold, cold_calls = run("cold", "--embed-cache", str(cache))
+        recorded = cache.read_bytes()
+        warm, warm_calls = run("warm", "--embed-cache", str(cache))
+        again, _ = run("again", "--embed-cache", str(second_cache))
+        assert cold_calls > 0 and warm_calls == 0
+        assert "run_config.json" in plain and len(plain) > 1
+        assert cold == warm == again == plain
+        assert cache.read_bytes() == recorded == second_cache.read_bytes()
 
 
 def test_sweep_rejects_duplicate_cutoffs_before_chunking(

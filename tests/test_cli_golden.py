@@ -297,7 +297,6 @@ CASES = {
                 embedding={"kind": "http", "url": "http://127.0.0.1:9", "model": "em",
                            "api_key_source": "env:LUMBERKIT_API_KEY"},
                 caches={"completion": "{tmp}/record.jsonl", "embedding": "{tmp}/embed.jsonl"},
-                seed=0,
             ),
             "out/summary.json": RAG_SUMMARY,
             "out/answers.jsonl": RAG_ANSWERS,

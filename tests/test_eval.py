@@ -27,6 +27,7 @@ from conftest import (
 from lumberkit import evaluation, parallel
 from lumberkit.backends import (
     CachingBackend,
+    CachingEmbedder,
     CompletionBackend,
     EmbeddingBackend,
     EmbeddingCache,
@@ -525,11 +526,11 @@ class TestEvaluate:
         qas = [qa_of("chunk text 0"), qa_of("chunk text 1")]
         backend = CountingEmbeddingBackend()
         cache = EmbeddingCache(tmp_path / "emb.jsonl", backend.backend_id)
-        evaluate(chunks, qas, backend, embed_cache=cache)
-        assert backend.texts_embedded == 5  # 3 chunks + 2 queries
+        evaluate(chunks, qas, CachingEmbedder(backend, cache))
+        assert backend.texts_embedded == 4  # 3 chunks + 1 question, asked twice
         backend.texts_embedded = 0
-        evaluate(chunks, qas, backend, embed_cache=cache)
-        assert backend.texts_embedded == 2  # queries only
+        evaluate(chunks, qas, CachingEmbedder(backend, cache))
+        assert backend.texts_embedded == 0  # questions are cached too
 
     def test_metrics_report_validates_range(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import CountingEmbeddingBackend, StubEmbeddingBackend
 from lumberkit.backends import (
     BackendError,
+    CachingEmbedder,
     EmbeddingBackend,
     EmbeddingCache,
     MockEmbeddingBackend,
@@ -82,19 +83,19 @@ class TestEmbedChunks:
         chunks = make_chunks(["one text", "two text", "three text"])
         backend = CountingEmbeddingBackend()
         cache = EmbeddingCache(tmp_path / "emb.jsonl", backend.backend_id)
-        cold = embed_chunks(chunks, backend, cache)
+        cold = embed_chunks(chunks, CachingEmbedder(backend, cache))
         assert backend.calls > 0
         calls_after_cold = backend.calls
-        warm = embed_chunks(chunks, backend, cache)
+        warm = embed_chunks(chunks, CachingEmbedder(backend, cache))
         assert backend.calls == calls_after_cold
         np.testing.assert_array_equal(cold.vectors, warm.vectors)
 
     def test_partial_cache_embeds_only_misses(self, tmp_path):
         backend = CountingEmbeddingBackend()
         cache = EmbeddingCache(tmp_path / "emb.jsonl", backend.backend_id)
-        embed_chunks(make_chunks(["kept text"]), backend, cache)
+        embed_chunks(make_chunks(["kept text"]), CachingEmbedder(backend, cache))
         backend.texts_embedded = 0
-        embed_chunks(make_chunks(["kept text", "new text"]), backend, cache)
+        embed_chunks(make_chunks(["kept text", "new text"]), CachingEmbedder(backend, cache))
         assert backend.texts_embedded == 1
 
     def test_failure_names_batch(self):
@@ -105,7 +106,7 @@ class TestEmbedChunks:
             def embed(self, texts):
                 raise BackendError("offline")
 
-        with pytest.raises(IndexingError, match=r"chunk batch 0\.\.1"):
+        with pytest.raises(IndexingError, match=r"texts 0\.\.1"):
             embed_chunks(make_chunks(["a", "b"]), Broken())
 
 

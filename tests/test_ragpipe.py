@@ -129,7 +129,10 @@ class TestContextAssembly:
 
 
 def _fusion_fixture(lexical_overlaps_dense: bool):
-    """18 chunks: ids 0,1,2 match the query lexically, 3..17 semantically."""
+    """18 chunks: ids 0,1,2 match the query lexically, 3..17 semantically.
+
+    Returns the BM25 index, the vector index and the query's embedding.
+    """
     texts = ["zebra zebra zebra", "zebra zebra filler", "zebra filler filler"]
     texts += [f"dense text {i}" for i in range(15)]
     chunks = [chunk_of(text, i) for i, text in enumerate(texts)]
@@ -145,14 +148,14 @@ def _fusion_fixture(lexical_overlaps_dense: bool):
     stub = StubEmbeddingBackend(mapping, dim)
     bm25 = bm25_build(chunks)
     vectors = embed_chunks(chunks, stub)
-    return bm25, vectors, stub
+    return bm25, vectors, stub.embed(["zebra question"])[0]
 
 
 class TestHybridRetrieve:
     def test_disjoint_results_use_front_and_back_placement(self):
-        bm25, vectors, stub = _fusion_fixture(lexical_overlaps_dense=False)
+        bm25, vectors, query_vector = _fusion_fixture(lexical_overlaps_dense=False)
         decision = RoutingDecision(True, ("Zebra",), 3)
-        assembly = hybrid_retrieve("zebra question", bm25, vectors, decision, stub)
+        assembly = hybrid_retrieve("zebra question", bm25, vectors, decision, query_vector)
         ids = [c.chunk_id for c in assembly.chunks]
         assert ids == [0] + list(range(3, 18)) + [1, 2]
         sources = [e.source for e in assembly.entries]
@@ -160,9 +163,9 @@ class TestHybridRetrieve:
         assert len(assembly) == 18
 
     def test_overlapping_bm25_hit_is_removed_from_lexical_side(self):
-        bm25, vectors, stub = _fusion_fixture(lexical_overlaps_dense=True)
+        bm25, vectors, query_vector = _fusion_fixture(lexical_overlaps_dense=True)
         decision = RoutingDecision(True, ("Zebra",), 3)
-        assembly = hybrid_retrieve("zebra question", bm25, vectors, decision, stub)
+        assembly = hybrid_retrieve("zebra question", bm25, vectors, decision, query_vector)
         ids = [c.chunk_id for c in assembly.chunks]
         # chunk 0 now rides the dense list at rank 1; survivors 1 and 2 take
         # the front and back slots; the weakest dense chunk (17) drops out
@@ -171,17 +174,17 @@ class TestHybridRetrieve:
         assert len(set(ids)) == len(ids)
 
     def test_no_mention_route_retrieves_one_lexical_hit(self):
-        bm25, vectors, stub = _fusion_fixture(lexical_overlaps_dense=False)
+        bm25, vectors, query_vector = _fusion_fixture(lexical_overlaps_dense=False)
         decision = RoutingDecision(False, (), 1)
-        assembly = hybrid_retrieve("zebra question", bm25, vectors, decision, stub)
+        assembly = hybrid_retrieve("zebra question", bm25, vectors, decision, query_vector)
         ids = [c.chunk_id for c in assembly.chunks]
         assert ids == [0] + list(range(3, 18))
         assert len(assembly) == 16
 
     def test_length_bound(self):
-        bm25, vectors, stub = _fusion_fixture(lexical_overlaps_dense=False)
+        bm25, vectors, query_vector = _fusion_fixture(lexical_overlaps_dense=False)
         for decision in (RoutingDecision(True, ("X",), 3), RoutingDecision(False, (), 1)):
-            assembly = hybrid_retrieve("zebra question", bm25, vectors, decision, stub)
+            assembly = hybrid_retrieve("zebra question", bm25, vectors, decision, query_vector)
             assert len(assembly) <= decision.bm25_k + DENSE_K
 
 
@@ -333,7 +336,7 @@ class TestAnswerQuestion:
             "When did the keeper light the lamp?",
             bm25,
             vectors,
-            embedder,
+            embedder.embed(["When did the keeper light the lamp?"])[0],
             ScriptedBackend(respond),
         )
         assert result.answer == "The keeper lit the lamp."
@@ -353,8 +356,9 @@ class TestAnswerQuestion:
         def respond(prompt: str) -> str:
             return "1" if "Order the numbered documents" in prompt else "Chiropractic."
 
+        query = "What did Joshua Haldeman study?"
         result = answer_question(
-            "What did Joshua Haldeman study?", bm25, vectors, embedder, ScriptedBackend(respond)
+            query, bm25, vectors, embedder.embed([query])[0], ScriptedBackend(respond)
         )
         assert result.decision.bm25_k == 3
         assert result.decision.mention_strings == ("Joshua Haldeman",)
