@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 from .backends import BackendError, CachingBackend, CompletionBackend, ResponseCache
 from .corpus import (
     PARAGRAPH_SEPARATOR,
+    CorpusError,
     Document,
     MalformedRecordError,
     Paragraph,
@@ -383,8 +384,9 @@ def read_chunks(path: str | Path) -> list[Chunk]:
     """Read chunk records written by write_chunks.
 
     A bad line, or a second record for one (doc_id, chunk_id), raises
-    MalformedRecordError. Spans may overlap: recursive neighbours can share a
-    paragraph and proposition chunks repeat their parent's span.
+    MalformedRecordError; a file with no record raises CorpusError. Spans
+    may overlap: recursive neighbours can share a paragraph and proposition
+    chunks repeat their parent's span.
     """
     chunks: list[Chunk] = []
     first_line: dict[tuple[str, int], int] = {}
@@ -399,4 +401,6 @@ def read_chunks(path: str | Path) -> list[Chunk]:
             chunks.append(Chunk(**{name: record[name] for name in CHUNK_FIELDS}))
         except ValueError as exc:
             raise MalformedRecordError(path, line_number, f"bad chunk record: {exc}") from exc
+    if not chunks:
+        raise CorpusError(f"{path} contains no chunk records")
     return chunks

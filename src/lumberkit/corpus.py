@@ -275,7 +275,8 @@ def load_qa(path: str | Path) -> list[QAPair]:
     Required columns: doc_id, question, answer, supporting_passage; JSONL
     values must be strings. Rows with an empty supporting passage are skipped
     and counted in a logged warning; an absent column raises
-    MissingColumnError naming the file and line.
+    MissingColumnError naming the file and line, and a file that yields no
+    pair raises CorpusError naming the file.
     """
     return load_qa_mapped(path, {column: column for column in _QA_COLUMNS})
 
@@ -308,6 +309,8 @@ def load_qa_mapped(path: str | Path, column_map: Mapping[str, str]) -> list[QAPa
         pairs.append(QAPair(doc_id, question, answer, passage.strip()))
     if skipped:
         logger.warning("skipped %d QA row(s) with empty supporting passages in %s", skipped, path)
+    if not pairs:
+        raise CorpusError(f"{path} contains no QA records with a supporting passage")
     return pairs
 
 

@@ -14,14 +14,14 @@ import re
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .backends import CompletionBackend, EmbeddingBackend
 from .chunker import Chunk, ChunkerConfig, lumberchunk
 from .corpus import Document, QAPair, write_jsonl
 from .errors import ConfigError, LumberkitError
 from .index import cosine_topk, embed_chunks, embed_texts
-from .parallel import ordered_map
+from .parallel import ordered_map, stream_map
 
 logger = logging.getLogger(__name__)
 
@@ -301,40 +301,57 @@ def sweep_theta(
     the documents. Documents are chunked concurrently, each on one worker
     that runs its thetas in ascending order: windows recur across thetas, and
     only that order makes a later theta replay the earlier theta's cached
-    answer with the same backend calls as a sequential run. Duplicate doc_ids
-    raise EvaluationError; bad ks raise ConfigError before any chunking.
+    answer with the same backend calls as a sequential run. The calling thread
+    scores each document's chunks at one theta with build_runs as soon as they
+    exist, while the workers go on chunking, so chunking times include waits
+    for the interpreter lock that scoring holds. A scoring failure stops the
+    workers after their current theta. Empty qa_pairs or duplicate doc_ids raise
+    EvaluationError and bad ks raise ConfigError, all before any chunking.
     """
     if not thetas:
         raise ConfigError("thetas must be non-empty")
     _check_ks(ks)
-    seen: set[str] = set()
+    if not qa_pairs:
+        raise EvaluationError("no questions to score")
+    questions_by_doc: dict[str, list[int]] = {}
     for document in documents:
-        if document.doc_id in seen:
+        if document.doc_id in questions_by_doc:
             raise EvaluationError(f"duplicate doc_id {document.doc_id!r} in sweep documents")
-        seen.add(document.doc_id)
+        questions_by_doc[document.doc_id] = []
+    unswept: list[int] = []
+    for position, qa in enumerate(qa_pairs):
+        questions_by_doc.get(qa.doc_id, unswept).append(position)
     base = config or ChunkerConfig()
     ordered = sorted(set(thetas))
+    runs: list[dict[int, RetrievalRun]] = [{} for _ in ordered]
+    seconds = [0.0] * len(ordered)
 
-    def chunk_document(document: Document) -> list[tuple[list[Chunk], float]]:
-        timed = []
-        for theta in ordered:
+    def chunk_document(document: Document) -> Iterator[tuple[int, list[Chunk], float]]:
+        for step, theta in enumerate(ordered):
             started = time.perf_counter()
             chunks = lumberchunk(document, replace(base, theta=theta), backend)
-            timed.append((chunks, time.perf_counter() - started))
-        return timed
+            yield step, chunks, time.perf_counter() - started
 
-    per_document = ordered_map(chunk_document, documents)
+    def score(step: int, chunks: Sequence[Chunk], positions: list[int]) -> None:
+        questions = [qa_pairs[position] for position in positions]
+        found = build_runs(chunks, questions, embed_backend, depth=max(ks))
+        runs[step].update(zip(positions, found))
+
+    def score_document(index: int, chunked: tuple[int, list[Chunk], float]) -> None:
+        step, chunks, took = chunked
+        seconds[step] += took
+        score(step, chunks, questions_by_doc[documents[index].doc_id])
+
+    stream_map(chunk_document, documents, score_document)
     reports: list[MetricsReport] = []
-    for position, theta in enumerate(ordered):
-        all_chunks = [chunk for timed in per_document for chunk in timed[position][0]]
+    for step, theta in enumerate(ordered):
+        score(step, (), unswept)  # no chunks: absent gold ranks and build_runs' warning
         reports.append(
-            evaluate(
-                all_chunks,
-                qa_pairs,
-                embed_backend,
-                ks=ks,
+            report_from_runs(
+                [runs[step][position] for position in range(len(qa_pairs))],
+                ks,
                 method=f"lumberchunker(θ={theta})",
-                chunking_seconds=sum(timed[position][1] for timed in per_document),
+                chunking_seconds=seconds[step],
                 theta=theta,
             )
         )

@@ -2,14 +2,16 @@
 
 LLM and embedding calls spend their time waiting on the network, so running
 independent items (questions, documents) on a few threads overlaps those
-waits. Results always come back in input order, which keeps every output
-file byte-identical to a sequential run.
+waits. ordered_map returns results in input order, keeping every output file
+byte-identical to a sequential run; stream_map hands them over as produced.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import queue
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -20,19 +22,48 @@ R = TypeVar("R")
 WORKERS = os.cpu_count() or 1
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Apply fn to every item on WORKERS threads; results in input order.
+def stream_map(
+    produce: Callable[[T], Iterable[R]], items: Iterable[T], consume: Callable[[int, R], None]
+) -> None:
+    """Iterate produce(item) for every item on WORKERS threads and hand each
+    result, as soon as it exists, to consume(position of item, result) on the
+    calling thread; one item's results come in the order produce yields them.
 
-    On the first failure the items not yet started are cancelled, the ones
-    running are waited for, and the exception of the earliest failed item is
-    raised, so a dead backend stops the run without issuing further work.
+    On the first failure, in a worker or in consume, items not yet started are
+    cancelled and running ones stop after their current result. Once they have
+    stopped, consume's exception, else the earliest failed item's, is raised.
     """
+    handed: queue.SimpleQueue = queue.SimpleQueue()
+    stop = threading.Event()
+
+    def work(position: int, item: T) -> None:
+        for result in produce(item):
+            handed.put((position, result))
+            if stop.is_set():
+                return
+
     pool = ThreadPoolExecutor(max_workers=WORKERS)
     try:
-        futures = [pool.submit(fn, item) for item in items]
-        wait(futures, return_when=FIRST_EXCEPTION)
+        futures = [pool.submit(work, position, item) for position, item in enumerate(items)]
+        for future in futures:
+            # runs once work has returned, so it queues behind the item's results
+            future.add_done_callback(handed.put)
+        for _ in futures:
+            while not isinstance(message := handed.get(), Future):
+                consume(*message)
+            if message.exception() is not None:
+                break
     finally:
+        stop.set()
         pool.shutdown(cancel_futures=True)
     # items start in submission order, so every cancelled item comes after
     # the failed one and result() raises that failure before reaching them
-    return [future.result() for future in futures]
+    for future in futures:
+        future.result()
+
+
+def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    """Apply fn to every item on WORKERS threads; results in input order, failing as stream_map."""
+    results: dict[int, R] = {}
+    stream_map(lambda item: (fn(item),), items, results.__setitem__)
+    return [results[position] for position in range(len(results))]

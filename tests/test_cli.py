@@ -539,21 +539,55 @@ class TestRagCommand:
         assert self.run_rag(rag_inputs, tmp_path / "alias-out", command="rag-answer") == 0
 
 
-def test_rag_without_questions_writes_an_empty_summary(tmp_path, book_records):
-    chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
-    questions = tmp_path / "questions.jsonl"
-    questions.write_bytes(b"")
-    replay = tmp_path / "replay.jsonl"
-    replay.write_bytes(b"")
-    out = tmp_path / "out"
-    code = main(
-        ["rag", "--chunks", str(chunk_path), "--questions", str(questions),
-         "--replay-cache", str(replay), "--embed-cache", str(tmp_path / "embed.jsonl"),
-         "--output-dir", str(out)]
+class TestEmptyInputs:
+    """A QA or chunk file with nothing to score ends in one error line naming it."""
+
+    @pytest.mark.parametrize(
+        "argv, empty",
+        [
+            (["eval", "--chunks", "{chunks}", "--qa", "{empty_qa}"], "empty_qa"),
+            (["eval", "--chunks", "{chunks}", "--qa", "{no_passage_qa}"], "no_passage_qa"),
+            (["sweep", "--documents", "{records}", "--qa", "{empty_qa}", "--thetas", "500",
+              "--backend-url", "http://127.0.0.1:9", "--model", "m"], "empty_qa"),
+            (["rag", "--chunks", "{chunks}", "--questions", "{empty_qa}",
+              "--backend-url", "http://127.0.0.1:9", "--model", "m"], "empty_qa"),
+            (["eval", "--chunks", "{empty_chunks}", "{chunks}", "--qa", "{qa}"], "empty_chunks"),
+            (["rag", "--chunks", "{empty_chunks}", "--questions", "{qa}",
+              "--backend-url", "http://127.0.0.1:9", "--model", "m"], "empty_chunks"),
+        ],
+        ids=["eval-qa", "eval-qa-without-passages", "sweep-qa", "rag-qa", "eval-chunks",
+             "rag-chunks"],
     )
-    assert code == 0
-    assert json.loads((out / "summary.json").read_text()) == {"qa_accuracy": 0.0, "questions": 0}
-    assert (out / "answers.jsonl").read_bytes() == b""
+    def test_rejected_before_any_call(
+        self, tmp_path, book_records, qa_file, argv, empty, monkeypatch, capsys
+    ):
+        backend = CountingBackend(last_id_responder)
+        embedders = []
+
+        def counting_embedder(args):
+            embedders.append(CountingEmbeddingBackend())
+            return embedders[-1]
+
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        monkeypatch.setattr(cli, "_embedding_backend", counting_embedder)
+        paths = {
+            "chunks": TestEvalCommand().make_chunk_files(tmp_path, book_records)[0],
+            "records": book_records, "qa": qa_file, "empty_qa": tmp_path / "empty_qa.jsonl",
+            "no_passage_qa": tmp_path / "no_passage_qa.jsonl",
+            "empty_chunks": tmp_path / "empty_chunks.jsonl",
+        }
+        paths["empty_qa"].write_bytes(b"\n")
+        paths["empty_chunks"].write_bytes(b"")
+        row = {"doc_id": "book", "question": "q?", "answer": "a", "supporting_passage": " "}
+        paths["no_passage_qa"].write_text(json.dumps(row) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([*(arg.format(**paths) for arg in argv), "--output-dir", str(out)])
+        error = _one_error_line(code, capsys.readouterr().err)
+        what = "chunk records" if empty == "empty_chunks" else "QA records with a supporting passage"
+        assert error == f"error: {paths[empty]} contains no {what}"
+        assert backend.calls == 0
+        assert sum(embedder.calls for embedder in embedders) == 0
+        assert not out.exists()
 
 
 class TestGenQaCommand:
@@ -1558,3 +1592,72 @@ def test_sweep_rejects_duplicate_cutoffs_before_chunking(
     error = _one_error_line(code, capsys.readouterr().err)
     assert error == "error: ks must be non-empty, distinct and each >= 1, got [5, 5, 1]"
     assert backend.calls == 0
+
+
+class TestSweepScoringFailure:
+    THETAS = ("200", "300", "400", "500")
+
+    class SlowCountingBackend(CompletionBackend):
+        """Answers each split with its last ID after 2 ms; counts calls thread-safely."""
+
+        def __init__(self):
+            self.lock = threading.Lock()
+            self.calls = 0
+
+        def complete(self, prompt: str, temperature: float = 0.0) -> str:
+            with self.lock:
+                self.calls += 1
+            time.sleep(0.002)
+            return last_id_responder(prompt)
+
+    class DyingEmbedder(CountingEmbeddingBackend):
+        def __init__(self, fail_on: int | None):
+            super().__init__()
+            self.fail_on = fail_on
+
+        def embed(self, texts):
+            if self.calls + 1 == self.fail_on:
+                raise BackendError("embedding endpoint went away")
+            return super().embed(texts)
+
+    def run_sweep(self, tmp_path, monkeypatch, fail_on):
+        paths = []
+        pairs = []
+        for d in range(4):
+            document = make_document([40] * 30, doc_id=f"doc{d}")
+            paths.append(tmp_path / f"doc{d}.jsonl")
+            write_document(document, paths[-1])
+            pairs += [QAPair(f"doc{d}", f"q{i}?", "a", document.paragraphs[i].text) for i in (2, 20)]
+        qa_path = tmp_path / "qa.jsonl"
+        write_qa(pairs, qa_path)
+        backend = self.SlowCountingBackend()
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        monkeypatch.setattr(cli, "_embedding_backend", lambda args: self.DyingEmbedder(fail_on))
+        code = main(
+            ["sweep", "--documents", *map(str, paths), "--qa", str(qa_path),
+             "--thetas", *self.THETAS, "--backend-url", "http://127.0.0.1:9", "--model", "m",
+             "--output-dir", str(tmp_path / f"out-{fail_on}")]
+        )
+        return code, backend
+
+    def test_embedder_dying_mid_sweep_stops_the_workers(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        code, healthy = self.run_sweep(tmp_path, monkeypatch, fail_on=None)
+        assert code == 0
+        capsys.readouterr()
+
+        threads = threading.active_count()
+        # call 1 embeds the first scored document's chunks and call 2, which
+        # fails, its questions
+        code, backend = self.run_sweep(tmp_path, monkeypatch, fail_on=2)
+        calls_at_exit = backend.calls
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error.startswith("error: embedding failed for texts 0..")
+        assert error.endswith(": embedding endpoint went away")
+        assert threading.active_count() == threads
+        time.sleep(0.05)
+        assert backend.calls == calls_at_exit
+        # two of the four documents were started, and each stopped after its
+        # current theta instead of chunking all four
+        assert calls_at_exit < healthy.calls / 2
+        assert not (tmp_path / "out-2").exists()

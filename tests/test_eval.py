@@ -594,6 +594,13 @@ class TestSweepTheta:
         with pytest.raises(ValueError):
             sweep_theta(documents, qas, [], ScriptedBackend(last_id_responder), MockEmbeddingBackend())
 
+    def test_empty_questions_rejected_before_chunking(self):
+        documents, _qas = self.make_inputs()
+        backend = CountingBackend(last_id_responder)
+        with pytest.raises(EvaluationError, match="no questions to score"):
+            sweep_theta(documents, [], [450], backend, MockEmbeddingBackend())
+        assert backend.calls == 0
+
     def test_default_sweep_values(self):
         assert DEFAULT_THETAS == (450, 550, 650, 1000)
 
@@ -662,6 +669,8 @@ class TestConcurrentSweep:
             qas += [
                 QAPair(doc_id, f"{doc_id} q{i}?", "a", paragraphs[i].text) for i in (3, 17, 28)
             ]
+        # questions about a document the sweep was not given, between swept ones
+        qas[4:4] = [QAPair("unswept", f"lost q{i}?", "a", "nowhere to be found") for i in range(2)]
         return documents, qas
 
     def sequential_sweep(self, documents, qas, backend, cache):
@@ -681,19 +690,30 @@ class TestConcurrentSweep:
             )
         return reports
 
-    def test_same_reports_and_calls_as_sequential(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_same_reports_calls_and_warnings_as_sequential(
+        self, tmp_path, monkeypatch, caplog, workers
+    ):
         documents, qas = self.make_inputs()
+
+        def warnings():
+            found = [r.getMessage() for r in caplog.records if r.name == evaluation.__name__]
+            caplog.clear()
+            return found
+
         reference = FirstRequestGarbler()
         reference_cache = HitCountingCache(tmp_path / "reference.jsonl")
-        expected = self.sequential_sweep(documents, qas, reference, reference_cache)
+        with caplog.at_level(logging.WARNING):
+            expected = self.sequential_sweep(documents, qas, reference, reference_cache)
+            expected_warnings = warnings()
 
-        monkeypatch.setattr(parallel, "WORKERS", 4)
-        backend = FirstRequestGarbler()
-        cache = HitCountingCache(tmp_path / "sweep.jsonl")
-        reports = sweep_theta(
-            documents, qas, list(reversed(self.THETAS)), CachingBackend(backend, cache),
-            MockEmbeddingBackend(),
-        )
+            monkeypatch.setattr(parallel, "WORKERS", workers)
+            backend = FirstRequestGarbler()
+            cache = HitCountingCache(tmp_path / "sweep.jsonl")
+            reports = sweep_theta(
+                documents, qas, list(reversed(self.THETAS)), CachingBackend(backend, cache),
+                MockEmbeddingBackend(),
+            )
 
         def records(found):
             return [
@@ -706,6 +726,32 @@ class TestConcurrentSweep:
         assert cache.hits == reference_cache.hits
         assert backend.calls == reference.calls
         assert any(replies[0] == "no clear shift" for replies in backend.calls.values())
+        assert expected_warnings == ["2 question(s) referenced documents with no chunks"] * 4
+        assert warnings() == expected_warnings
+
+    def test_scoring_starts_while_documents_are_still_chunking(self, monkeypatch):
+        documents, qas = self.make_inputs()
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        lock = threading.Lock()
+        returned: list[float] = []
+        scoring_started: list[float] = []
+
+        def slow_reply(prompt: str) -> str:
+            time.sleep(0.002)
+            reply = last_id_responder(prompt)
+            with lock:
+                returned.append(time.perf_counter())
+            return reply
+
+        def timed_build_runs(*args, **kwargs):
+            scoring_started.append(time.perf_counter())
+            return build_runs(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_runs", timed_build_runs)
+        sweep_theta(
+            documents, qas, self.THETAS, ScriptedBackend(slow_reply), MockEmbeddingBackend()
+        )
+        assert min(scoring_started) < max(returned)
 
 
 class TestReportOutput:

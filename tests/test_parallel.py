@@ -8,7 +8,7 @@ import time
 import pytest
 
 from lumberkit import parallel
-from lumberkit.parallel import ordered_map
+from lumberkit.parallel import ordered_map, stream_map
 
 
 @pytest.fixture(autouse=True)
@@ -55,3 +55,42 @@ def test_first_failure_cancels_queued_items():
         ordered_map(work, range(200))
     assert len(started) < 200
     assert 3 in started
+
+
+def test_stream_hands_over_results_while_the_worker_runs():
+    handed_over = threading.Event()
+    consumed = []
+
+    def produce(item: str):
+        yield f"{item} first"
+        assert handed_over.wait(timeout=10)
+        yield f"{item} second"
+
+    def consume(position: int, result: str) -> None:
+        consumed.append((position, result))
+        handed_over.set()
+
+    stream_map(produce, ["a"], consume)
+    assert consumed == [(0, "a first"), (0, "a second")]
+
+
+def test_consume_failure_stops_workers_after_their_current_result():
+    produced: dict[int, int] = {}
+    lock = threading.Lock()
+    threads = threading.active_count()
+
+    def produce(item: int):
+        while True:
+            time.sleep(0.005)
+            with lock:
+                produced[item] = produced.get(item, 0) + 1
+            yield item
+
+    def consume(position: int, result: int) -> None:
+        raise ValueError(f"could not use item {position}")
+
+    with pytest.raises(ValueError, match="could not use item"):
+        stream_map(produce, range(50), consume)
+    assert len(produced) <= parallel.WORKERS
+    assert max(produced.values()) <= 2
+    assert threading.active_count() == threads
