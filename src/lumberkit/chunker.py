@@ -380,15 +380,14 @@ def write_chunks(chunks: Iterable[Chunk], path: str | Path) -> None:
     write_jsonl(({name: getattr(chunk, name) for name in CHUNK_FIELDS} for chunk in chunks), path)
 
 
-def read_chunks(path: str | Path) -> list[Chunk]:
-    """Read chunk records written by write_chunks.
+def iter_chunks(path: str | Path) -> Iterator[Chunk]:
+    """Yield the chunk records written by write_chunks, one at a time.
 
     A bad line, or a second record for one (doc_id, chunk_id), raises
     MalformedRecordError; a file with no record raises CorpusError. Spans
     may overlap: recursive neighbours can share a paragraph and proposition
     chunks repeat their parent's span.
     """
-    chunks: list[Chunk] = []
     first_line: dict[tuple[str, int], int] = {}
     for line_number, record in read_records(path, CHUNK_FIELDS):
         key = (record["doc_id"], record["chunk_id"])
@@ -398,9 +397,14 @@ def read_chunks(path: str | Path) -> list[Chunk]:
             )
         first_line[key] = line_number
         try:
-            chunks.append(Chunk(**{name: record[name] for name in CHUNK_FIELDS}))
+            chunk = Chunk(**{name: record[name] for name in CHUNK_FIELDS})
         except ValueError as exc:
             raise MalformedRecordError(path, line_number, f"bad chunk record: {exc}") from exc
-    if not chunks:
+        yield chunk
+    if not first_line:
         raise CorpusError(f"{path} contains no chunk records")
-    return chunks
+
+
+def read_chunks(path: str | Path) -> list[Chunk]:
+    """Read every chunk record of a file, checked as iter_chunks checks them."""
+    return list(iter_chunks(path))

@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from pathlib import Path
@@ -47,6 +48,7 @@ from .chunker import (
     ChunkerConfig,
     ChunkingAborted,
     chunk_stats,
+    iter_chunks,
     lumberchunk,
     read_chunks,
     write_chunks,
@@ -61,7 +63,7 @@ from .evaluation import (
     sweep_theta,
     write_reports,
 )
-from .index import bm25_build, embed_chunks, embed_texts
+from .index import IndexingError, bm25_build, embed_chunks, embed_texts
 from .parallel import ordered_map
 from .ragpipe import answer_question, qa_accuracy
 
@@ -256,8 +258,8 @@ def _embedder(args: argparse.Namespace):
 def _backend(args: argparse.Namespace, needed_for: str):
     """Yield the completion backend, in a CachingBackend over the --record-cache store if given.
 
-    The store is closed afterwards. If a backend failure ends the run while
-    recording, the error says how to resume.
+    The store is closed afterwards. A backend failure while recording, or an
+    embedder failure once an answer is recorded, ends in an error saying how to resume.
     """
     backend = _completion_backend(args, needed_for=needed_for)
     if not args.record_cache:
@@ -266,7 +268,9 @@ def _backend(args: argparse.Namespace, needed_for: str):
     with ResponseCache(args.record_cache, model_id=_model_id(args)) as cache:
         try:
             yield CachingBackend(backend, cache)
-        except (BackendError, ChunkingAborted) as exc:
+        except (BackendError, ChunkingAborted, IndexingError) as exc:
+            if isinstance(exc, IndexingError) and not len(cache):
+                raise
             raise BackendError(
                 f"{exc}; re-run the same command to resume from the {len(cache)} "
                 f"answers recorded in {cache.path}"
@@ -362,6 +366,8 @@ def cmd_chunk(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     qa_pairs = load_qa(args.qa)
+    for chunk_path in args.chunks:  # check every file before the first embed or HyDE call
+        deque(iter_chunks(chunk_path), maxlen=0)
     with (
         _embedder(args) as embedder,
         (_backend(args, "--hyde") if args.hyde else nullcontext()) as hyde_backend,
@@ -428,6 +434,8 @@ def cmd_rag(args: argparse.Namespace) -> int:
         with _embedder(args) as embedder:
             vector_index = embed_chunks(chunks, embedder)
             query_vectors = embed_texts(questions, embedder)
+        # free the embedder and any --embed-cache store before BM25 raises the peak
+        del embedder
         bm25_index = bm25_build(chunks)
         results = ordered_map(
             lambda item: answer_question(item[0], bm25_index, vector_index, item[1], backend),

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -155,39 +157,46 @@ def bm25_build(
     """Build a BM25 index over chunk texts with the given analyzer.
 
     idf(t) = log(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive.
-    Each weight is evaluated with the same float64 operations in the same
-    order as the per-chunk textbook loop, so scores are bit-identical to it.
+    Postings are collected in typed 8-byte buffers, each dropped once sorted by
+    term. The weights are computed in place with the textbook per-chunk loop's
+    float64 operations in its order, so scores are bit-identical to it.
     """
     if not chunks:
         raise IndexingError("no chunks to index")
     tokenizer = tokenizer or bm25_tokenize
     terms: dict[str, int] = {}
-    posting_terms: list[int] = []
-    posting_rows: list[int] = []
-    posting_tfs: list[int] = []
+    posting_terms, posting_rows, posting_tfs = array("q"), array("q"), array("q")
     lengths: list[int] = []
     for row, chunk in enumerate(chunks):
         tokens = tokenizer(chunk.text)
         lengths.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            posting_terms.append(terms.setdefault(term, len(terms)))
-            posting_rows.append(row)
-            posting_tfs.append(tf)
+        counts = Counter(tokens)
+        posting_terms.extend([terms.setdefault(term, len(terms)) for term in counts])
+        posting_rows.extend(repeat(row, len(counts)))
+        posting_tfs.extend(counts.values())
     n = len(chunks)
     average_length = sum(lengths) / n
-    term_ids = np.array(posting_terms, dtype=np.intp)
-    order = np.argsort(term_ids, kind="stable")
-    term_ids = term_ids[order]
-    rows = np.array(posting_rows, dtype=np.intp)[order]
-    tf = np.array(posting_tfs, dtype=np.int64)[order]
-    df = np.bincount(term_ids, minlength=len(terms))
+    df = np.bincount(np.frombuffer(posting_terms, dtype=np.int64), minlength=len(terms))
+    order = np.argsort(np.frombuffer(posting_terms, dtype=np.int64), kind="stable")
+    del posting_terms
+    rows = np.frombuffer(posting_rows, dtype=np.int64)[order]
+    del posting_rows
+    tf = np.frombuffer(posting_tfs, dtype=np.int64)[order]
+    del posting_tfs, order
     starts = np.zeros(len(terms) + 1, dtype=np.intp)
     np.cumsum(df, out=starts[1:])
     df_list = df.tolist()
     idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df_list])
     norm_average = average_length if average_length > 0.0 else 1.0
     length_norm = 1.0 - b + b * np.array(lengths, dtype=np.int64) / norm_average
-    weights = idf[term_ids] * tf * (k1 + 1.0) / (tf + k1 * length_norm[rows])
+    # idf * tf * (k1 + 1) / (tf + k1 * length_norm); postings are sorted by term
+    weights = np.repeat(idf, df)
+    weights *= tf
+    weights *= k1 + 1.0
+    denominators = length_norm[rows]
+    denominators *= k1
+    denominators += tf
+    weights /= denominators
     return Bm25Index(
         chunks=tuple(chunks),
         k1=k1,

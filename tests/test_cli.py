@@ -8,6 +8,7 @@ import json
 import re
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -552,11 +553,13 @@ class TestEmptyInputs:
             (["rag", "--chunks", "{chunks}", "--questions", "{empty_qa}",
               "--backend-url", "http://127.0.0.1:9", "--model", "m"], "empty_qa"),
             (["eval", "--chunks", "{empty_chunks}", "{chunks}", "--qa", "{qa}"], "empty_chunks"),
+            (["eval", "--chunks", "{chunks}", "{empty_chunks}", "--qa", "{qa}", "--hyde"],
+             "empty_chunks"),
             (["rag", "--chunks", "{empty_chunks}", "--questions", "{qa}",
               "--backend-url", "http://127.0.0.1:9", "--model", "m"], "empty_chunks"),
         ],
         ids=["eval-qa", "eval-qa-without-passages", "sweep-qa", "rag-qa", "eval-chunks",
-             "rag-chunks"],
+             "eval-hyde-later-chunks", "rag-chunks"],
     )
     def test_rejected_before_any_call(
         self, tmp_path, book_records, qa_file, argv, empty, monkeypatch, capsys
@@ -1026,6 +1029,41 @@ class TestModelKeyedCache:
             assert run_config["backend"]["model_id"] == model
 
 
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("chunk_id", 0, "chunk ('book', 0) repeats the chunk on line 1"),
+        ("text", 7, "field 'text' must be str, not int"),
+    ],
+    ids=["repeated-chunk", "wrong-type"],
+)
+def test_eval_checks_every_chunk_file_before_any_call(
+    tmp_path, book_records, qa_file, monkeypatch, capsys, field, value, reason
+):
+    backend = CountingBackend(last_id_responder)
+    embedders = []
+
+    def counting_embedder(args):
+        embedders.append(CountingEmbeddingBackend())
+        return embedders[-1]
+
+    monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+    monkeypatch.setattr(cli, "_embedding_backend", counting_embedder)
+    good, lumber = TestEvalCommand().make_chunk_files(tmp_path, book_records)
+    first, second, *_ = lumber.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(first + json.dumps({**json.loads(second), field: value}) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(
+        ["eval", "--chunks", str(good), str(bad), "--qa", str(qa_file), "--hyde",
+         "--output-dir", str(out)]
+    )
+    assert _one_error_line(code, capsys.readouterr().err) == f"error: {bad}, line 2: {reason}"
+    assert backend.calls == 0
+    assert sum(embedder.calls for embedder in embedders) == 0
+    assert not out.exists()
+
+
 class TestResumeHint:
     @pytest.mark.parametrize("command", ["chunk", "sweep"])
     def test_abort_while_recording_says_how_to_resume(
@@ -1047,6 +1085,32 @@ class TestResumeHint:
         assert (
             f"re-run the same command to resume from the 2 answers recorded in {cache_path}" in err
         )
+
+    @pytest.mark.parametrize("theta", ["120", "100000"], ids=["answers-recorded", "none-recorded"])
+    def test_embedder_failure_while_recording_says_how_to_resume(
+        self, tmp_path, book_records, qa_file, monkeypatch, capsys, theta
+    ):
+        backend = CountingBackend(last_id_responder)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        monkeypatch.setattr(
+            cli, "_embedding_backend", lambda args: TestSweepScoringFailure.DyingEmbedder(fail_on=1)
+        )
+        cache_path = tmp_path / "splits.jsonl"
+        code = main(
+            ["sweep", "--documents", str(book_records), "--qa", str(qa_file), "--thetas", theta,
+             "--record-cache", str(cache_path), "--output-dir", str(tmp_path / "out")]
+        )
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error.startswith("error: embedding failed for texts 0..")
+        if theta == "120":
+            assert backend.calls > 0
+            assert error.endswith(
+                f": embedding endpoint went away; re-run the same command to resume from the "
+                f"{backend.calls} answers recorded in {cache_path}"
+            )
+        else:  # the whole document fits under theta: no split was asked for
+            assert backend.calls == 0
+            assert error.endswith(": embedding endpoint went away")
 
     def test_no_hint_without_record_cache(self, tmp_path, book_records, monkeypatch, capsys):
         backend = FailingBackend(respond=last_id_responder, fail_after=2)
@@ -1578,6 +1642,46 @@ class TestEmbedCache:
         assert "run_config.json" in plain and len(plain) > 1
         assert cold == warm == again == plain
         assert cache.read_bytes() == recorded == second_cache.read_bytes()
+
+
+class TestRagDropsEmbedder:
+    """rag frees its embedder, and any --embed-cache store, before BM25 is built."""
+
+    @pytest.mark.parametrize("embed_cache", [False, True], ids=["mock", "embed-cache"])
+    def test_unreachable_when_bm25_is_built(
+        self, tmp_path, book_records, qa_file, monkeypatch, embed_cache
+    ):
+        backend = ScriptedBackend(embed_cache_reply)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        refs = []
+
+        def embedding_backend(args):
+            embedder = MockEmbeddingBackend()
+            refs.append(weakref.ref(embedder))
+            return embedder
+
+        def tracking_embed_chunks(chunks, embedder):
+            if embed_cache:  # the CachingEmbedder and its store
+                refs.extend([weakref.ref(embedder), weakref.ref(embedder.cache)])
+            return embed_chunks(chunks, embedder)
+
+        def checked_bm25_build(chunks):
+            assert len(refs) == (3 if embed_cache else 1)
+            assert [ref() for ref in refs] == [None] * len(refs)
+            built.append(len(chunks))
+            return bm25_build(chunks)
+
+        built = []
+        monkeypatch.setattr(cli, "_embedding_backend", embedding_backend)
+        monkeypatch.setattr(cli, "embed_chunks", tracking_embed_chunks)
+        monkeypatch.setattr(cli, "bm25_build", checked_bm25_build)
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[1]
+        argv = ["rag", "--chunks", str(chunk_path), "--questions", str(qa_file),
+                "--output-dir", str(tmp_path / "out")]
+        if embed_cache:
+            argv += ["--embed-cache", str(tmp_path / "embed.jsonl")]
+        assert main(argv) == 0
+        assert built == [len(read_chunks(chunk_path))]
 
 
 def test_sweep_rejects_duplicate_cutoffs_before_chunking(

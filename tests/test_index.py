@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -383,6 +385,27 @@ class TestBm25Exactness:
         cat = index.terms["cat"]
         rows = index.rows[index.starts[cat] : index.starts[cat + 1]]
         assert rows.tolist() == [0, 2, 4]
+
+
+class TestBm25Memory:
+    # bytes of temporaries per posting on top of the retained index; building
+    # postings in typed buffers needs about 20, Python int lists about 58
+    TRANSIENT_BYTES_PER_POSTING = 32
+
+    def test_transient_peak_is_bounded_per_posting(self):
+        rng = random.Random(13)
+        vocabulary = [f"w{i}" for i in range(6000)]
+        chunks = make_chunks([" ".join(rng.choices(vocabulary, k=220)) for _ in range(300)])
+        bm25_build(chunks[:2])
+        tracemalloc.start()
+        try:
+            index = bm25_build(chunks)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        postings = index.rows.size
+        assert postings >= 50_000
+        assert peak - retained < self.TRANSIENT_BYTES_PER_POSTING * postings
 
 
 def two_document_chunks(text: str) -> list[Chunk]:
