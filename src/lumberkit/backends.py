@@ -9,6 +9,7 @@ key all come from configuration.
 from __future__ import annotations
 
 import base64
+import contextlib
 import functools
 import hashlib
 import http.client
@@ -57,15 +58,13 @@ def prompt_key(model_id: str, prompt: str) -> str:
 class CompletionBackend(ABC):
     """Text completion contract: one prompt string in, one response string out."""
 
-    backend_id: str = "completion"
-
     @abstractmethod
-    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         ...
 
-    def retry(self, prompt: str, temperature: float = 0.0) -> str:
+    def retry(self, prompt: str) -> str:
         """Ask again after an unusable answer; a caching backend must not serve it again."""
-        return self.complete(prompt, temperature)
+        return self.complete(prompt)
 
 
 class ScriptedBackend(CompletionBackend):
@@ -75,12 +74,10 @@ class ScriptedBackend(CompletionBackend):
     must itself be deterministic for replay guarantees to hold.
     """
 
-    backend_id = "scripted"
-
     def __init__(self, responses: Mapping[str, str] | Callable[[str], str]):
         self._responses = responses
 
-    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         if callable(self._responses):
             return self._responses(prompt)
         try:
@@ -209,7 +206,7 @@ class CachingBackend(CompletionBackend):
         self.inner = inner
         self.cache = cache
 
-    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         response = self.cache.get(prompt)
         if response is not None:
             return response
@@ -217,22 +214,20 @@ class CachingBackend(CompletionBackend):
             raise BackendError(
                 f"no recorded response for prompt key {self.cache.key_for(prompt)[:12]}..."
             )
-        response = self.inner.complete(prompt, temperature)
+        response = self.inner.complete(prompt)
         self.cache.put(prompt, response)
         return response
 
-    def retry(self, prompt: str, temperature: float = 0.0) -> str:
+    def retry(self, prompt: str) -> str:
         if self.inner is None:
-            return self.complete(prompt, temperature)
-        response = self.inner.retry(prompt, temperature)
+            return self.complete(prompt)
+        response = self.inner.retry(prompt)
         self.cache.put(prompt, response)
         return response
 
 
 class ReplayBackend(CachingBackend):
     """Serves recorded responses from a ResponseCache; never hits the network."""
-
-    backend_id = "replay"
 
     def __init__(self, cache: ResponseCache):
         super().__init__(None, cache)
@@ -395,13 +390,21 @@ class _JsonClient:
         return json.loads(data)
 
 
+def _message_content(body) -> str:
+    content = body["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise TypeError(f"completion content is {type(content).__name__}, not a string")
+    return content
+
+
 class HttpCompletionBackend(CompletionBackend):
     """Chat-completion client for OpenAI-compatible HTTP endpoints.
 
-    Sends POST {base_url}/chat/completions with a single user message and
-    reads choices[0].message.content; see the README for the exact wire
-    shape. Transient failures are retried with linear backoff before a
-    BackendError is raised; an unusable base_url raises BackendError here.
+    Sends POST {base_url}/chat/completions with a single user message at
+    temperature 0 and reads choices[0].message.content; see the README for
+    the exact wire shape. Transient failures and replies without string
+    content are retried with linear backoff before a BackendError is raised;
+    an unusable base_url raises BackendError here.
     """
 
     def __init__(
@@ -415,7 +418,6 @@ class HttpCompletionBackend(CompletionBackend):
         retry_wait: float = 1.0,
     ):
         self.model = model
-        self.backend_id = f"http:{model}"
         self._http = _JsonClient(
             base_url,
             api_key,
@@ -425,15 +427,13 @@ class HttpCompletionBackend(CompletionBackend):
             retry_wait=retry_wait,
         )
 
-    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": temperature,
+            "temperature": 0.0,
         }
-        return self._http.post(
-            "/chat/completions", payload, lambda body: body["choices"][0]["message"]["content"]
-        )
+        return self._http.post("/chat/completions", payload, _message_content)
 
 
 class EmbeddingBackend(ABC):
@@ -600,11 +600,22 @@ class MockEmbeddingBackend(EmbeddingBackend):
         return rows
 
 
+def _finite_row(values) -> np.ndarray:
+    """values as a float64 row; ValueError unless it is a list of finite JSON numbers."""
+    if isinstance(values, list) and all(type(value) in (int, float) for value in values):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            row = np.array(values, dtype=np.float64)
+            if np.isfinite(row).all():
+                return row
+    raise ValueError("a vector entry is not a finite number")
+
+
 class HttpEmbeddingBackend(EmbeddingBackend):
     """Embedding client for OpenAI-compatible HTTP endpoints.
 
     Sends POST {base_url}/embeddings with {"model": ..., "input": [...]} and
-    reads data[i].embedding. Rows are re-normalized to unit norm on receipt.
+    reads data[i].embedding. A reply whose rows are not lists of finite numbers
+    is retried; rows are re-normalized to unit norm on receipt.
     """
 
     def __init__(
@@ -634,7 +645,7 @@ class HttpEmbeddingBackend(EmbeddingBackend):
         return self._http.post("/embeddings", payload, lambda body: self._rows(body, len(texts)))
 
     def _rows(self, body, count: int) -> np.ndarray:
-        rows = np.asarray([item["embedding"] for item in body["data"]], dtype=np.float64)
+        rows = np.array([_finite_row(item["embedding"]) for item in body["data"]])
         if rows.ndim != 2 or rows.shape[0] != count:
             raise ValueError(f"unexpected embedding shape {rows.shape}")
         if self.dimension == 0:
@@ -651,7 +662,8 @@ class HttpEmbeddingBackend(EmbeddingBackend):
 class EmbeddingCache(_JsonlStore):
     """JSONL sidecar of embedding vectors keyed by (backend id, text hash).
 
-    Vectors are stored as JSON float lists, which round-trip float64 exactly.
+    Vectors are stored as JSON float lists, which round-trip float64 exactly;
+    a vector entry that is not a finite number makes its record unreadable.
     Every vector in one file has the same length, `dimension` (None while the
     file is empty); a record or embedder of another length raises CacheError.
     The file is safe to delete at any time; it only saves backend calls.
@@ -665,9 +677,7 @@ class EmbeddingCache(_JsonlStore):
         super().__init__(path)
 
     def _decode(self, value) -> np.ndarray:
-        row = np.asarray(value, dtype=np.float64)
-        if row.ndim != 1:
-            raise ValueError(f"vector has shape {row.shape}, not one row")
+        row = _finite_row(value)
         if self.dimension is None:
             self.dimension = len(row)
         elif len(row) != self.dimension:

@@ -15,8 +15,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .backends import CompletionBackend, EmbeddingBackend
-from .chunker import Chunk
-from .corpus import PARAGRAPH_SEPARATOR, Document, count_tokens
+from .chunker import Chunk, make_chunk
+from .corpus import PARAGRAPH_SEPARATOR, Document, Paragraph, count_tokens
 from .errors import ConfigError
 from .index import embed_texts
 
@@ -26,14 +26,7 @@ logger = logging.getLogger(__name__)
 def paragraph_chunks(document: Document) -> list[Chunk]:
     """One chunk per paragraph: the identity partition."""
     return [
-        Chunk(
-            doc_id=document.doc_id,
-            chunk_id=i,
-            start_para=para.index,
-            end_para=para.index,
-            text=para.text,
-            token_count=count_tokens(para.text),
-        )
+        make_chunk(document.doc_id, i, para.index, para.index, para.text)
         for i, para in enumerate(document.paragraphs)
     ]
 
@@ -141,16 +134,7 @@ def recursive_chunks(document: Document, config: RecursiveConfig | None = None) 
     for i, chunk_text in enumerate(packed):
         begin, end = position, position + len(chunk_text)
         start_para, end_para = _paragraph_span(starts, begin, end)
-        chunks.append(
-            Chunk(
-                doc_id=document.doc_id,
-                chunk_id=i,
-                start_para=start_para,
-                end_para=end_para,
-                text=chunk_text,
-                token_count=count_tokens(chunk_text),
-            )
-        )
+        chunks.append(make_chunk(document.doc_id, i, start_para, end_para, chunk_text))
         position = end
     return chunks
 
@@ -171,25 +155,19 @@ class SemanticConfig:
             raise ConfigError(f"min_unit must be 'sentence' or 'paragraph', got {self.min_unit}")
 
 
-@dataclass(frozen=True)
-class _Unit:
-    start_para: int
-    end_para: int
-    text: str
-
-
 _SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+")
 
 
-def _semantic_units(document: Document, config: SemanticConfig) -> list[_Unit]:
+def _semantic_units(document: Document, config: SemanticConfig) -> list[Paragraph]:
+    """The document's paragraphs, or its sentences, each carrying its paragraph's index."""
     if config.min_unit == "paragraph":
-        return [_Unit(p.index, p.index, p.text) for p in document.paragraphs]
-    units: list[_Unit] = []
+        return list(document.paragraphs)
+    units: list[Paragraph] = []
     for para in document.paragraphs:
         for sentence in _SENTENCE_BOUNDARY_RE.split(para.text):
             sentence = sentence.strip()
             if sentence:
-                units.append(_Unit(para.index, para.index, sentence))
+                units.append(Paragraph(para.index, sentence))
     return units
 
 
@@ -208,16 +186,9 @@ def semantic_chunks(
     units = _semantic_units(document, config)
     joiner = PARAGRAPH_SEPARATOR if config.min_unit == "paragraph" else " "
 
-    def to_chunk(chunk_id: int, members: list[_Unit]) -> Chunk:
+    def to_chunk(chunk_id: int, members: list[Paragraph]) -> Chunk:
         text = joiner.join(u.text for u in members)
-        return Chunk(
-            doc_id=document.doc_id,
-            chunk_id=chunk_id,
-            start_para=members[0].start_para,
-            end_para=members[-1].end_para,
-            text=text,
-            token_count=count_tokens(text),
-        )
+        return make_chunk(document.doc_id, chunk_id, members[0].index, members[-1].index, text)
 
     if len(units) == 1:
         return [to_chunk(0, units)]
@@ -231,7 +202,7 @@ def semantic_chunks(
     threshold = float(np.percentile(distances, config.breakpoint_percentile))
 
     chunks: list[Chunk] = []
-    members: list[_Unit] = [units[0]]
+    members: list[Paragraph] = [units[0]]
     for i in range(1, len(units)):
         if distances[i - 1] > threshold:
             chunks.append(to_chunk(len(chunks), members))
@@ -261,19 +232,12 @@ def propositionize(chunk: Chunk, backend: CompletionBackend) -> list[Chunk]:
     """
     prompt = PROPOSITION_PROMPT_TEMPLATE.format(passage=chunk.text)
     for ask in (backend.complete, backend.retry):
-        response = ask(prompt, temperature=0.0)
+        response = ask(prompt)
         lines = [line.strip() for line in response.splitlines()]
         statements = [line for line in lines if line]
         if statements:
             return [
-                Chunk(
-                    doc_id=chunk.doc_id,
-                    chunk_id=i,
-                    start_para=chunk.start_para,
-                    end_para=chunk.end_para,
-                    text=statement,
-                    token_count=count_tokens(statement),
-                )
+                make_chunk(chunk.doc_id, i, chunk.start_para, chunk.end_para, statement)
                 for i, statement in enumerate(statements)
             ]
     logger.warning(
@@ -308,7 +272,7 @@ def hyde_transform(query: str, backend: CompletionBackend) -> str:
     query.
     """
     prompt = HYDE_PROMPT_TEMPLATE.format(query=query)
-    return backend.complete(prompt, temperature=0.0).strip() or query
+    return backend.complete(prompt).strip() or query
 
 
 def chunk_method_names() -> tuple[str, ...]:

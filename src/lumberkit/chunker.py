@@ -211,10 +211,15 @@ def parse_split_id(response: str, group: Group) -> int:
     return split_id
 
 
+def make_chunk(doc_id: str, chunk_id: int, start_para: int, end_para: int, text: str) -> Chunk:
+    """The one chunk constructor of every chunker: token_count is count_tokens(text)."""
+    return Chunk(doc_id, chunk_id, start_para, end_para, text, count_tokens(text))
+
+
 def _make_chunk(document: Document, chunk_id: int, start: int, end: int) -> Chunk:
     paragraphs = document.paragraphs[start - 1 : end]
     text = PARAGRAPH_SEPARATOR.join(p.text for p in paragraphs)
-    return Chunk(document.doc_id, chunk_id, start, end, text, count_tokens(text))
+    return make_chunk(document.doc_id, chunk_id, start, end, text)
 
 
 def _ask_for_split(
@@ -230,7 +235,7 @@ def _ask_for_split(
     prompt = render_prompt(group, config)
     for attempts in range(1, config.max_retries + 2):
         ask = backend.complete if attempts == 1 else backend.retry
-        response = ask(prompt, temperature=0.0)
+        response = ask(prompt)
         try:
             return parse_split_id(response, group), attempts, False
         except (ParseError, OutOfRangeError) as exc:

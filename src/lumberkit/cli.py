@@ -364,6 +364,20 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     return 0
 
 
+def _labels(paths: list[str]) -> list[str]:
+    """Each path's stem, or its fewest trailing parts (no suffix) that no other path ends in."""
+    parts = {path: path.with_suffix("").parts for path in map(Path, paths)}
+
+    def label(path: Path) -> str:
+        own = parts[path]
+        for depth in range(1, len(own) + 1):
+            if all(other[-depth:] != own[-depth:] for key, other in parts.items() if key != path):
+                return Path(*own[-depth:]).as_posix()
+        return str(path)
+
+    return [label(Path(path)) for path in paths]
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     qa_pairs = load_qa(args.qa)
     for chunk_path in args.chunks:  # check every file before the first embed or HyDE call
@@ -383,9 +397,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 embedder,
                 transform,
                 tuple(args.ks),
-                method=Path(chunk_path).stem + ("+hyde" if args.hyde else ""),
+                method=label + ("+hyde" if args.hyde else ""),
             )
-            for chunk_path in args.chunks
+            for chunk_path, label in zip(args.chunks, _labels(args.chunks))
         ]
     out_dir = _write_report(reports, args.output_dir)
     _write_run_config(

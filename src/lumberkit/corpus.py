@@ -390,7 +390,7 @@ def generate_qa(
             p.text for p in document.paragraphs[start - 1 : start - 1 + span]
         )
         prompt = QA_PROMPT_TEMPLATE.format(title=document.title, passage=passage)
-        triple = parse_qa_response(llm.complete(prompt, temperature=0.0))
+        triple = parse_qa_response(llm.complete(prompt))
         if triple is None:
             parse_failures += 1
             continue

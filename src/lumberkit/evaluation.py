@@ -27,8 +27,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_KS = (1, 2, 5, 10, 20)
 DEFAULT_THETAS = (450, 550, 650, 1000)
-# judge_relevance's defaults: a chunk holding 80% of the passage's word
-# trigrams is relevant.
+# judge_relevance's rule, read at each call: a chunk holding 80% of the
+# passage's word trigrams is relevant.
 NGRAM_SIZE = 3
 NGRAM_THRESHOLD = 0.8
 
@@ -79,9 +79,7 @@ def normalize_for_matching(text: str) -> str:
     return " ".join(_PUNCTUATION_RE.sub(" ", text.lower()).split())
 
 
-def _passage_matches(
-    text: str, passage: str, ngram_size: int, ngram_threshold: float
-) -> bool:
+def _passage_matches(text: str, passage: str) -> bool:
     """The relevance rule on texts already normalized for matching.
 
     Normalized texts are whitespace-free words joined by single spaces, so a
@@ -94,6 +92,7 @@ def _passage_matches(
         return False
     if passage in text:
         return True
+    ngram_size, ngram_threshold = NGRAM_SIZE, NGRAM_THRESHOLD
     passage_words = passage.split()
     total = len(passage_words) - ngram_size + 1
     if total < 1:
@@ -108,30 +107,21 @@ def _passage_matches(
     return hits / total >= ngram_threshold
 
 
-def judge_relevance(
-    chunk: Chunk,
-    qa: QAPair,
-    *,
-    ngram_size: int = NGRAM_SIZE,
-    ngram_threshold: float = NGRAM_THRESHOLD,
-) -> bool:
+def judge_relevance(chunk: Chunk, qa: QAPair) -> bool:
     """Decide whether a chunk contains the QA pair's supporting passage.
 
     Both texts are normalized first. The chunk is relevant if the passage is
-    a direct substring, or if at least ngram_threshold of the passage's word
-    n-grams occur in the chunk. Passages shorter than ngram_size words rely on
-    the substring rule alone.
+    a direct substring, or if at least NGRAM_THRESHOLD of the passage's word
+    NGRAM_SIZE-grams occur in the chunk. Passages shorter than NGRAM_SIZE
+    words rely on the substring rule alone.
     """
     return _passage_matches(
-        normalize_for_matching(chunk.text),
-        normalize_for_matching(qa.supporting_passage),
-        ngram_size,
-        ngram_threshold,
+        normalize_for_matching(chunk.text), normalize_for_matching(qa.supporting_passage)
     )
 
 
 def _normalizing_judge() -> Callable[[Chunk, QAPair], bool]:
-    """judge_relevance with its defaults, normalizing each distinct text once.
+    """judge_relevance, normalizing each distinct text once.
 
     The memo lives as long as the returned judge, so a caller bounds its
     memory by how long it keeps the judge.
@@ -145,12 +135,7 @@ def _normalizing_judge() -> Callable[[Chunk, QAPair], bool]:
         return result
 
     def judge(chunk: Chunk, qa: QAPair) -> bool:
-        return _passage_matches(
-            normalize(chunk.text),
-            normalize(qa.supporting_passage),
-            NGRAM_SIZE,
-            NGRAM_THRESHOLD,
-        )
+        return _passage_matches(normalize(chunk.text), normalize(qa.supporting_passage))
 
     return judge
 
@@ -269,8 +254,6 @@ def evaluate(
     ks: Sequence[int] = DEFAULT_KS,
     *,
     method: str = "",
-    chunking_seconds: float | None = None,
-    theta: int | None = None,
 ) -> MetricsReport:
     """Score one chunking method: rank every question, then fold into metrics.
 
@@ -279,9 +262,7 @@ def evaluate(
     """
     _check_ks(ks)
     runs = build_runs(chunks, qa_pairs, embed_backend, query_transform, depth=max(ks))
-    return report_from_runs(
-        runs, ks, method=method, chunking_seconds=chunking_seconds, theta=theta
-    )
+    return report_from_runs(runs, ks, method=method)
 
 
 def sweep_theta(

@@ -8,7 +8,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,8 +20,6 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 # Texts per embedding request; embed_texts is the only reader.
 EMBED_BATCH = 64
-
-Tokenizer = Callable[[str], list[str]]
 
 
 class IndexingError(LumberkitError):
@@ -132,12 +130,6 @@ class Bm25Index:
     """
 
     chunks: tuple[Chunk, ...]
-    k1: float
-    b: float
-    tokenizer: Tokenizer
-    document_frequency: dict[str, int] = field(repr=False)
-    lengths: tuple[int, ...]
-    average_length: float
     terms: dict[str, int] = field(repr=False)
     starts: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
@@ -147,15 +139,10 @@ class Bm25Index:
         return len(self.chunks)
 
 
-def bm25_build(
-    chunks: Sequence[Chunk],
-    tokenizer: Tokenizer | None = None,
-    *,
-    k1: float = BM25_K1,
-    b: float = BM25_B,
-) -> Bm25Index:
-    """Build a BM25 index over chunk texts with the given analyzer.
+def bm25_build(chunks: Sequence[Chunk]) -> Bm25Index:
+    """Build a BM25 index over chunk texts analyzed by bm25_tokenize.
 
+    k1 and b are BM25_K1 and BM25_B, read when the index is built.
     idf(t) = log(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive.
     Postings are collected in typed 8-byte buffers, each dropped once sorted by
     term. The weights are computed in place with the textbook per-chunk loop's
@@ -163,19 +150,18 @@ def bm25_build(
     """
     if not chunks:
         raise IndexingError("no chunks to index")
-    tokenizer = tokenizer or bm25_tokenize
     terms: dict[str, int] = {}
     posting_terms, posting_rows, posting_tfs = array("q"), array("q"), array("q")
     lengths: list[int] = []
     for row, chunk in enumerate(chunks):
-        tokens = tokenizer(chunk.text)
+        tokens = bm25_tokenize(chunk.text)
         lengths.append(len(tokens))
         counts = Counter(tokens)
         posting_terms.extend([terms.setdefault(term, len(terms)) for term in counts])
         posting_rows.extend(repeat(row, len(counts)))
         posting_tfs.extend(counts.values())
     n = len(chunks)
-    average_length = sum(lengths) / n
+    average_length = sum(lengths) / n or 1.0  # 0 only when every chunk is empty
     df = np.bincount(np.frombuffer(posting_terms, dtype=np.int64), minlength=len(terms))
     order = np.argsort(np.frombuffer(posting_terms, dtype=np.int64), kind="stable")
     del posting_terms
@@ -185,31 +171,17 @@ def bm25_build(
     del posting_tfs, order
     starts = np.zeros(len(terms) + 1, dtype=np.intp)
     np.cumsum(df, out=starts[1:])
-    df_list = df.tolist()
-    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df_list])
-    norm_average = average_length if average_length > 0.0 else 1.0
-    length_norm = 1.0 - b + b * np.array(lengths, dtype=np.int64) / norm_average
+    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
+    length_norm = 1.0 - BM25_B + BM25_B * np.array(lengths, dtype=np.int64) / average_length
     # idf * tf * (k1 + 1) / (tf + k1 * length_norm); postings are sorted by term
     weights = np.repeat(idf, df)
     weights *= tf
-    weights *= k1 + 1.0
+    weights *= BM25_K1 + 1.0
     denominators = length_norm[rows]
-    denominators *= k1
+    denominators *= BM25_K1
     denominators += tf
     weights /= denominators
-    return Bm25Index(
-        chunks=tuple(chunks),
-        k1=k1,
-        b=b,
-        tokenizer=tokenizer,
-        document_frequency=dict(zip(terms, df_list)),
-        lengths=tuple(lengths),
-        average_length=average_length,
-        terms=terms,
-        starts=starts,
-        rows=rows,
-        weights=weights,
-    )
+    return Bm25Index(tuple(chunks), terms, starts, rows, weights)
 
 
 def bm25_scores(index: Bm25Index, query: str) -> np.ndarray:
@@ -219,7 +191,7 @@ def bm25_scores(index: Bm25Index, query: str) -> np.ndarray:
     token occurrence adds its term's weights once more, in query order.
     """
     scores = np.zeros(len(index), dtype=np.float64)
-    for token in index.tokenizer(query):
+    for token in bm25_tokenize(query):
         term = index.terms.get(token)
         if term is None:
             continue

@@ -223,7 +223,7 @@ def rerank(chunks: Sequence[Chunk], query: str, backend: CompletionBackend) -> l
     documents = "\n".join(f"[{i}] {chunk.text}" for i, chunk in enumerate(chunks, start=1))
     prompt = RERANK_PROMPT_TEMPLATE.format(query=query, documents=documents)
     try:
-        response = backend.complete(prompt, temperature=0.0)
+        response = backend.complete(prompt)
     except BackendError as exc:
         logger.warning("rerank failed; keeping the retrieval order: %s", exc)
         return chunks
@@ -259,7 +259,7 @@ def answer(query: str, reranked_chunks: Sequence[Chunk], backend: CompletionBack
         f"Passage {i}:\n{chunk.text}" for i, chunk in enumerate(kept, start=1)
     )
     prompt = ANSWER_PROMPT_TEMPLATE.format(passages=passages, query=query)
-    return backend.complete(prompt, temperature=0.0)
+    return backend.complete(prompt)
 
 
 def normalized_match_judge(generated: str, gold: str) -> bool:

@@ -39,14 +39,12 @@ def prompt_ids(prompt: str) -> list[int]:
 class CountingBackend(CompletionBackend):
     """Wraps a response function and counts calls."""
 
-    backend_id = "counting"
-
     def __init__(self, respond):
         self.respond = respond
         self.calls = 0
         self.prompts: list[str] = []
 
-    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         self.calls += 1
         self.prompts.append(prompt)
         return self.respond(prompt)
@@ -64,14 +62,12 @@ def garbage_responder(prompt: str) -> str:
 class FailingBackend(CompletionBackend):
     """Raises BackendError after an optional number of good responses."""
 
-    backend_id = "failing"
-
     def __init__(self, respond=None, fail_after: int = 0):
         self.respond = respond
         self.fail_after = fail_after
         self.calls = 0
 
-    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         self.calls += 1
         if self.calls > self.fail_after or self.respond is None:
             raise BackendError("transport down")

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_document
 from lumberkit.backends import (
     BackendError,
     CacheError,
@@ -31,6 +32,8 @@ from lumberkit.backends import (
     _standard_normal_rows,
     prompt_key,
 )
+from lumberkit.cli import main
+from lumberkit.corpus import write_document
 from lumberkit.parallel import WORKERS
 
 
@@ -104,7 +107,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval keeps shutdown() from waiting half a second per test
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     _StubHandler.fail_next = 0
     _StubHandler.raw_reply = None
@@ -196,7 +200,7 @@ class TestReplayBackend:
 class TestHttpCompletionBackend:
     def test_round_trip(self, stub_server):
         backend = HttpCompletionBackend(stub_server, "test-model", api_key="sk-test")
-        assert backend.complete("hello", temperature=0.0) == "echo:hello"
+        assert backend.complete("hello") == "echo:hello"
         request = _StubHandler.requests_seen[-1]
         assert request["payload"]["model"] == "test-model"
         assert request["payload"]["temperature"] == 0.0
@@ -219,6 +223,41 @@ class TestHttpCompletionBackend:
         )
         with pytest.raises(BackendError):
             backend.complete("hi")
+
+    @pytest.mark.parametrize("content", ["null", "7", '["a"]'])
+    def test_non_string_content_is_retried_then_raises(self, stub_server, content):
+        reply = f'{{"choices": [{{"message": {{"content": {content}}}}}]}}'
+        _StubHandler.raw_reply = reply.encode()
+        backend = HttpCompletionBackend(stub_server, "m", max_attempts=2, retry_wait=0.0)
+        with pytest.raises(BackendError, match="after 2 attempts: completion content is"):
+            backend.complete("hi")
+        assert len(_StubHandler.requests_seen) == 2
+
+    def test_null_content_ends_chunk_in_one_error_line(
+        self, stub_server, tmp_path, monkeypatch, capsys
+    ):
+        _StubHandler.raw_reply = b'{"choices": [{"message": {"content": null}}]}'
+        waits: list[float] = []
+        monkeypatch.setattr(time, "sleep", waits.append)
+        document = tmp_path / "book.jsonl"
+        write_document(make_document([30] * 4, doc_id="book"), document)
+        record = tmp_path / "record.jsonl"
+        code = main(
+            [
+                "chunk", "--document", str(document), "--method", "lumber", "--theta", "60",
+                "--backend-url", stub_server, "--model", "m", "--record-cache", str(record),
+                "--output-dir", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "completion content is NoneType, not a string" in errors[0]
+        assert "re-run the same command to resume" in errors[0]
+        assert "Traceback" not in err
+        assert waits == [1.0, 2.0]  # three attempts with linear backoff
+        assert not record.exists()
 
     def test_no_auth_header_without_key(self, stub_server):
         HttpCompletionBackend(stub_server, "test-model").complete("x")
@@ -608,6 +647,56 @@ CACHE_KINDS = [
     pytest.param(lambda path: ResponseCache(path, model_id="m"), "response", id="response"),
     pytest.param(lambda path: EmbeddingCache(path, backend_id="b"), [0.5, 1.5], id="embedding"),
 ]
+
+
+# vector entries that are not finite JSON numbers, as JSON text
+BAD_VECTOR_ENTRIES = {
+    "numeric-string": '"1.5"',
+    "true": "true",
+    "false": "false",
+    "null": "null",
+    "nan": "NaN",
+    "infinity": "-Infinity",
+    "float-overflow": "1e999",
+    "int-overflow": "1" + "0" * 400,
+    "nested": "[1.0]",
+}
+
+
+class TestNonFiniteVectors:
+    @pytest.mark.parametrize("entry", BAD_VECTOR_ENTRIES.values(), ids=BAD_VECTOR_ENTRIES)
+    def test_cache_line_before_the_last_names_file_and_line(self, tmp_path, entry):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(
+            f'{{"key": "a", "vector": [0.5, {entry}]}}\n{{"key": "b", "vector": [0.5, 1.5]}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(CacheError, match=r"emb\.jsonl, line 1: unreadable record"):
+            EmbeddingCache(path, backend_id="b")
+
+    @pytest.mark.parametrize("entry", BAD_VECTOR_ENTRIES.values(), ids=BAD_VECTOR_ENTRIES)
+    def test_cache_final_line_is_skipped_as_torn(self, tmp_path, entry, caplog):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(
+            f'{{"key": "a", "vector": [0.5, 1.5]}}\n{{"key": "b", "vector": [0.5, {entry}]}}\n',
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING, logger="lumberkit.backends"):
+            cache = EmbeddingCache(path, backend_id="b")
+        assert "line 2: skipping torn final record" in caplog.text
+        assert len(cache) == 1
+        cache.put("c", np.ones(2))
+        cache.close()
+        assert len(EmbeddingCache(path, backend_id="b")) == 2
+
+    @pytest.mark.parametrize("entry", BAD_VECTOR_ENTRIES.values(), ids=BAD_VECTOR_ENTRIES)
+    def test_http_reply_is_retried_then_raises(self, stub_server, entry):
+        _StubHandler.raw_reply = f'{{"data": [{{"embedding": [0.5, {entry}]}}]}}'.encode()
+        backend = HttpEmbeddingBackend(stub_server, "m", max_attempts=2, retry_wait=0.0)
+        with pytest.raises(BackendError, match="after 2 attempts: a vector entry is not a finite"):
+            backend.embed(["x"])
+        assert len(_StubHandler.requests_seen) == 2
+        assert backend.dimension == 0
 
 
 class TestCacheFileDamage:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from conftest import (
     FailingBackend,
     StubEmbeddingBackend,
     make_document,
+    last_id_responder,
     words,
 )
+from lumberkit import chunker
 from lumberkit.backends import (
     BackendError,
     CachingBackend,
@@ -40,6 +43,7 @@ from lumberkit.baselines import (
     recursive_chunks,
     semantic_chunks,
 )
+from lumberkit.chunker import ChunkerConfig, lumberchunk, read_chunks, write_chunks
 from lumberkit.corpus import Document, Paragraph, count_tokens
 from lumberkit.index import IndexingError
 
@@ -55,10 +59,58 @@ class TestParagraphChunks:
             assert chunk.token_count == count_tokens(para.text)
 
     def test_counts_through_module_count_tokens(self, monkeypatch):
-        # perfbench/tracing.py wraps lumberkit.baselines.count_tokens by name
-        monkeypatch.setattr("lumberkit.baselines.count_tokens", lambda text: 7)
+        # perfbench/tracing.py wraps lumberkit.chunker.count_tokens, which make_chunk calls
+        monkeypatch.setattr("lumberkit.chunker.count_tokens", lambda text: 99)
         chunks = paragraph_chunks(make_document([5]))
-        assert chunks[0].token_count == 7
+        assert chunks[0].token_count == 99
+
+
+def sentence_document() -> Document:
+    """Eight paragraphs over four topics, each paragraph of four sentences."""
+    topics = ["harbor ships sail", "forest trees grow", "desert sand blows", "city lights glow"]
+    paragraphs = tuple(
+        Paragraph(i, f"The {topic} at dawn. Then the {topic} again! Did the {topic} stop? No.")
+        for i, topic in enumerate(topics * 2, start=1)
+    )
+    return Document("sentences", "sentences", paragraphs)
+
+
+CHUNKERS = {
+    "paragraph": paragraph_chunks,
+    "recursive": lambda document: recursive_chunks(document, RecursiveConfig(max_tokens=60)),
+    "semantic-paragraph": lambda document: semantic_chunks(
+        document, MockEmbeddingBackend(), SemanticConfig(breakpoint_percentile=50.0)
+    ),
+    "semantic-sentence": lambda document: semantic_chunks(
+        document,
+        MockEmbeddingBackend(),
+        SemanticConfig(breakpoint_percentile=50.0, min_unit="sentence"),
+    ),
+    "proposition": lambda document: proposition_chunks(
+        document, ScriptedBackend(lambda prompt: "A fact.\nAnother fact.")
+    ),
+    "lumber": lambda document: lumberchunk(
+        document, ChunkerConfig(theta=60), ScriptedBackend(last_id_responder)
+    ),
+}
+
+
+class TestOneChunkConstructor:
+    @pytest.mark.parametrize("method", CHUNKERS)
+    def test_every_chunk_is_built_by_make_chunk(self, method, tmp_path):
+        document = sentence_document()
+        counted = mock.Mock(side_effect=count_tokens)
+        with mock.patch.object(chunker, "count_tokens", counted):
+            chunks = CHUNKERS[method](document)
+        counted_texts = {call.args[0] for call in counted.call_args_list}
+        assert len(chunks) > 1
+        for chunk in chunks:
+            assert chunk.doc_id == document.doc_id
+            assert chunk.token_count == count_tokens(chunk.text)
+            assert chunk.text in counted_texts  # make_chunk counts through chunker.count_tokens
+        path = tmp_path / "chunks.jsonl"
+        write_chunks(chunks, path)
+        assert read_chunks(path) == chunks
 
 
 class TestRecursiveConfig:

@@ -311,6 +311,38 @@ class TestEvalCommand:
         assert run_config["ks"] == [1, 5]
         assert run_config["command"] == "eval"
 
+    def test_files_sharing_a_stem_get_distinct_rows(self, tmp_path, book_records, qa_file):
+        # README's example: out/recursive/chunks.jsonl and out/lumber/chunks.jsonl
+        made = self.make_chunk_files(tmp_path, book_records)
+        chunk_files = []
+        for method, path in zip(("recursive", "lumber"), made):
+            target = tmp_path / "out" / method / "chunks.jsonl"
+            target.parent.mkdir(parents=True)
+            path.rename(target)
+            chunk_files.append(str(target))
+        out_dir = tmp_path / "eval"
+        code = main(
+            ["eval", "--chunks", *chunk_files, "--qa", str(qa_file), "--output-dir", str(out_dir)]
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
+        assert [row["method"] for row in rows] == ["recursive/chunks", "lumber/chunks"]
+
+    @pytest.mark.parametrize(
+        "paths, labels",
+        [
+            (["a/x.jsonl", "b/y.jsonl"], ["x", "y"]),
+            (["a/x.jsonl", "a/x.jsonl"], ["x", "x"]),
+            (["a/x.jsonl", "./a/x.jsonl"], ["x", "x"]),
+            (["r/a/x.jsonl", "r/b/x.jsonl", "s/b/x.jsonl"], ["a/x", "r/b/x", "s/b/x"]),
+            (["x.jsonl", "a/x.jsonl"], ["x.jsonl", "a/x"]),
+            (["a/x.jsonl", "a/x.json"], ["a/x.jsonl", "a/x.json"]),
+        ],
+        ids=["distinct-stems", "same-path", "same-path-twice", "deeper", "prefix", "suffix"],
+    )
+    def test_labels(self, paths, labels):
+        assert cli._labels(paths) == labels
+
     def test_matches_library_evaluation(self, tmp_path, book_records, qa_file):
         chunk_files = self.make_chunk_files(tmp_path, book_records)
         out_dir = tmp_path / "eval"
@@ -677,7 +709,7 @@ class JitteredBackend(CompletionBackend):
             return f"{int(digest[0], 16) % 3 + 1}, 1, 2"
         return "a1" if digest[1] in "0123" else f"answer {digest[:8]}"
 
-    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         with self.lock:
             self.calls += 1
             failing = self.fail_after is not None and self.calls > self.fail_after
@@ -1301,14 +1333,12 @@ class CountingHydeBackend(CompletionBackend):
     concurrent rewrites finish out of order.
     """
 
-    backend_id = "counting-hyde"
-
     def __init__(self, passages: dict[str, str]):
         self.passages = passages
         self.lock = threading.Lock()
         self.calls: dict[str, int] = {}
 
-    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         time.sleep(hashlib.sha256(prompt.encode("utf-8")).digest()[0] / 255 * 0.004)
         with self.lock:
             self.calls[prompt] = self.calls.get(prompt, 0) + 1
@@ -1708,7 +1738,7 @@ class TestSweepScoringFailure:
             self.lock = threading.Lock()
             self.calls = 0
 
-        def complete(self, prompt: str, temperature: float = 0.0) -> str:
+        def complete(self, prompt: str) -> str:
             with self.lock:
                 self.calls += 1
             time.sleep(0.002)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -9,6 +10,7 @@ import math
 import random
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,8 +114,10 @@ class TestJudgeRelevance:
         passage_words = [f"w{i}" for i in range(12)]
         chunk = chunk_of(" ".join(passage_words[:8]))
         qa = qa_of(" ".join(passage_words))
-        assert judge_relevance(chunk, qa, ngram_threshold=0.5)
-        assert not judge_relevance(chunk, qa, ngram_threshold=0.7)
+        with mock.patch.object(evaluation, "NGRAM_THRESHOLD", 0.5):
+            assert judge_relevance(chunk, qa)
+        with mock.patch.object(evaluation, "NGRAM_THRESHOLD", 0.7):
+            assert not judge_relevance(chunk, qa)
 
 
 def set_judge_relevance(
@@ -189,22 +193,30 @@ class TestJudgeExactness:
     @given(judge_cases())
     def test_substring_judge_matches_set_judge(self, case):
         chunk, qa, ngram_size, ngram_threshold = case
-        options = {"ngram_size": ngram_size, "ngram_threshold": ngram_threshold}
-        assert judge_relevance(chunk, qa, **options) == set_judge_relevance(chunk, qa, **options)
+        expected = set_judge_relevance(
+            chunk, qa, ngram_size=ngram_size, ngram_threshold=ngram_threshold
+        )
+        # patched in the body: hypothesis reruns it, and monkeypatch would not reset
+        with mock.patch.multiple(
+            evaluation, NGRAM_SIZE=ngram_size, NGRAM_THRESHOLD=ngram_threshold
+        ):
+            assert judge_relevance(chunk, qa) == expected
 
     def test_ngrams_match_whole_words_only(self):
         # "a b c" is a substring of "xa b cx" but not one of its word trigrams
         qa = qa_of("a b c d")
         chunk = chunk_of("xa b cx b c d")
         assert not set_judge_relevance(chunk, qa, ngram_threshold=0.6)  # 1 of 2 trigrams
-        assert not judge_relevance(chunk, qa, ngram_threshold=0.6)
+        with mock.patch.object(evaluation, "NGRAM_THRESHOLD", 0.6):
+            assert not judge_relevance(chunk, qa)
 
     def test_exact_ratio_on_the_threshold_is_relevant(self):
         passage_words = [f"w{i}" for i in range(7)]  # 5 word trigrams
         chunk = chunk_of(" ".join(passage_words[:6]) + " gap")  # holds 4 of 5
         qa = qa_of(" ".join(passage_words))
-        assert judge_relevance(chunk, qa, ngram_threshold=0.8)
-        assert not judge_relevance(chunk, qa, ngram_threshold=0.81)
+        assert judge_relevance(chunk, qa)  # NGRAM_THRESHOLD is 0.8
+        with mock.patch.object(evaluation, "NGRAM_THRESHOLD", 0.81):
+            assert not judge_relevance(chunk, qa)
 
 
 class TestMetrics:
@@ -626,7 +638,7 @@ class FirstRequestGarbler(CompletionBackend):
         self.lock = threading.Lock()
         self.calls: dict[str, list[str]] = {}
 
-    def complete(self, prompt: str, temperature: float = 0.0) -> str:
+    def complete(self, prompt: str) -> str:
         digest = hashlib.sha256(prompt.encode("utf-8")).digest()
         time.sleep(digest[1] / 255 * 0.004)
         ids = prompt_ids(prompt)
@@ -682,12 +694,9 @@ class TestConcurrentSweep:
                 for document in documents
                 for chunk in lumberchunk(document, ChunkerConfig(theta=theta), backend, cache=cache)
             ]
-            reports.append(
-                evaluate(
-                    chunks, qas, MockEmbeddingBackend(), method=f"lumberchunker(θ={theta})",
-                    theta=theta,
-                )
-            )
+            method = f"lumberchunker(θ={theta})"
+            report = evaluate(chunks, qas, MockEmbeddingBackend(), method=method)
+            reports.append(dataclasses.replace(report, theta=theta))
         return reports
 
     @pytest.mark.parametrize("workers", [1, 2, 4])

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CountingEmbeddingBackend, StubEmbeddingBackend
+import lumberkit.index
 from lumberkit.backends import (
     BackendError,
     CachingEmbedder,
@@ -219,10 +221,13 @@ class TestBm25:
     def test_build_statistics(self):
         index = bm25_build(make_chunks(["cat sat", "dog ran"]))
         assert len(index) == 2
-        assert index.document_frequency == {"cat": 1, "sat": 1, "dog": 1, "ran": 1}
-        assert index.lengths == (2, 2)
-        assert index.average_length == 2.0
-        assert (index.k1, index.b) == (1.2, 0.75)
+        document_frequency = dict(zip(index.terms, np.diff(index.starts).tolist()))
+        assert document_frequency == {"cat": 1, "sat": 1, "dog": 1, "ran": 1}
+        assert index.rows.tolist() == [0, 0, 1, 1]
+        assert (lumberkit.index.BM25_K1, lumberkit.index.BM25_B) == (1.2, 0.75)
+        # both chunks have the average length of 2 tokens, so each weight is
+        # idf * (k1 + 1) / (1 + k1) = idf = log(1 + 1.5 / 1.5)
+        assert index.weights.tolist() == [math.log(2.0)] * 4
 
     def test_empty_chunks_rejected(self):
         with pytest.raises(IndexingError):
@@ -272,7 +277,8 @@ class TestBm25:
         np.testing.assert_allclose(twice, 2.0 * once, atol=1e-12)
 
     def test_custom_parameters_flow_through(self):
-        index = bm25_build(make_chunks(FIVE_TEXTS), k1=2.0, b=0.5)
+        with mock.patch.multiple(lumberkit.index, BM25_K1=2.0, BM25_B=0.5):
+            index = bm25_build(make_chunks(FIVE_TEXTS))
         expected = oracle_bm25(FIVE_TEXTS, "the cat", k1=2.0, b=0.5)
         np.testing.assert_allclose(bm25_scores(index, "the cat"), expected, atol=1e-9)
 
@@ -285,10 +291,6 @@ class TestBm25:
         index = bm25_build(make_chunks(["a b"]))
         with pytest.raises(ValueError):
             bm25_topk(index, "a", k=0)
-
-    def test_custom_tokenizer(self):
-        index = bm25_build(make_chunks(["A-B", "C-D"]), tokenizer=lambda t: t.split("-"))
-        assert index.document_frequency == {"A": 1, "B": 1, "C": 1, "D": 1}
 
     @given(
         texts=st.lists(
@@ -365,7 +367,9 @@ class TestBm25Exactness:
     @settings(max_examples=150, deadline=None)
     def test_scores_bit_identical_to_loop(self, texts, query, k1, b):
         chunks = make_chunks(texts)
-        index = bm25_build(chunks, k1=k1, b=b)
+        # patched in the body: hypothesis reruns it, and monkeypatch would not reset
+        with mock.patch.multiple(lumberkit.index, BM25_K1=k1, BM25_B=b):
+            index = bm25_build(chunks)
         expected = loop_bm25_scores(chunks, query, k1=k1, b=b)
         assert bm25_scores(index, query).tobytes() == expected.tobytes()
 

@@ -37,6 +37,43 @@ assert child._record(step) == 0
 assert cache.read_text(encoding="utf-8").count("\\n") > 1, "no split answers recorded"
 """
 
+# Trace mode's hooks read positional arguments (a backend's prompt is args[1],
+# lumberchunk's config args[1]); run a traced scripted `chunk` and `rag`.
+_TRACED_RUN_PROBE = """
+import json, random, re, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import gen, tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from lumberkit import backends, cli
+
+def reply(prompt):
+    ids = re.findall(r"^ID (\\d+):", prompt, re.MULTILINE)
+    if ids:
+        return f"Answer: ID {ids[-1]}"
+    return "2, 1" if prompt.startswith("Order the numbered") else "an answer"
+
+cli._completion_backend = lambda args, needed_for: backends.ScriptedBackend(reply)
+work = Path(sys.argv[2])
+paragraphs = gen.make_book(random.Random(1), 40)
+book = work / "book.jsonl"
+with open(book, "w", encoding="utf-8") as fh:
+    for index, text in enumerate(paragraphs, start=1):
+        fh.write(json.dumps({"doc_id": "book", "index": index, "text": text}) + "\\n")
+qa = work / "qa.jsonl"
+gen.write_qa(gen.make_qa(random.Random(2), {"book": paragraphs}, 3), qa)
+assert cli.main(["chunk", "--document", str(book), "--method", "lumber",
+                 "--output-dir", str(work / "lumber")]) == 0
+assert cli.main(["rag", "--chunks", str(work / "lumber" / "chunks.jsonl"), "--questions", str(qa),
+                 "--output-dir", str(work / "rag")]) == 0
+folded = tracing.fold([tracer.to_record()])
+for name in ("chunker.lumberchunk", "index.bm25_build", "backends.scripted_complete"):
+    assert folded.get(name, {}).get("calls", 0) > 0, f"no {name} span"
+assert tracer.counts.get("chunker.split_requests", 0) > 0, tracer.counts
+assert tracer.counts.get("ragpipe.rerank_prompt_tokens", 0) > 0, tracer.counts
+"""
+
 
 def test_trace_mode_finds_every_patched_name():
     src = str(Path(lumberkit.__file__).resolve().parents[1])
@@ -60,5 +97,18 @@ def test_record_step_runs_against_the_library(tmp_path):
         text=True,
         env=env,
         timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+
+
+def test_traced_scripted_chunk_and_rag_record_their_spans(tmp_path):
+    src = str(Path(lumberkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN_PROBE, str(PERFBENCH), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert probe.returncode == 0, probe.stderr
