@@ -270,9 +270,10 @@ class _JsonClient:
     at a time; callers beyond that wait for a free one, so concurrent workers
     never hold more connections than there are workers (servers that serve
     one keep-alive connection per thread rely on it). Failed requests,
-    non-2xx replies and replies that `parse` rejects are retried with linear
-    backoff. A pooled connection that the server dropped while it was idle
-    is reopened at once, without a backoff sleep or a spent attempt.
+    5xx, 408 and 429 replies and replies that `parse` rejects are retried
+    with linear backoff; any other 4xx reply raises BackendError at once. A
+    pooled connection that the server dropped while it was idle is reopened
+    at once, without a backoff sleep or a spent attempt.
 
     Proxies come from HTTP_PROXY/HTTPS_PROXY/NO_PROXY, resolved once; HTTPS
     goes through a CONNECT tunnel and verifies certificates against the
@@ -386,7 +387,10 @@ class _JsonClient:
             else:
                 self._idle.append(connection)
         if not 200 <= response.status < 300:
-            raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
+            status = f"HTTP {response.status} {response.reason}"
+            if 400 <= response.status < 500 and response.status not in (408, 429):
+                raise BackendError(f"{self.what} request refused: {status}")
+            raise http.client.HTTPException(status)
         return json.loads(data)
 
 

@@ -53,50 +53,47 @@ class ChunkingAborted(ChunkerError):
         self.chunks = chunks
 
 
+# Digits of the zero-padded IDs in a split prompt, the paper's 'ID XXXX'; a
+# document whose last index needs more digits widens it.
+ID_WIDTH = 4
+
+
 @dataclass(frozen=True)
 class ChunkerConfig:
     """Knobs for the chunking loop.
 
     theta is the token threshold a group must exceed before the backend is
-    asked for a split point. id_width pads the IDs rendered into the prompt;
-    it widens automatically if a document has more paragraphs than it fits.
+    asked for a split point; max_retries is how often an unusable answer is
+    asked again before the group falls back to one chunk.
     """
 
     theta: int = 550
     max_retries: int = 3
-    min_tail_paragraphs: int = 2
-    id_width: int = 4
 
     def __post_init__(self) -> None:
         if self.theta < 1:
             raise ConfigError(f"theta must be >= 1, got {self.theta}")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.min_tail_paragraphs < 1:
-            raise ConfigError(
-                f"min_tail_paragraphs must be >= 1, got {self.min_tail_paragraphs}"
-            )
-        if self.id_width < 1:
-            raise ConfigError(f"id_width must be >= 1, got {self.id_width}")
 
 
 @dataclass(frozen=True)
 class Group:
     """A candidate window of consecutive paragraphs shown to the backend."""
 
-    doc_id: str
     paragraphs: tuple[Paragraph, ...]
-    start_index: int
     token_total: int
 
     def __post_init__(self) -> None:
         if not self.paragraphs:
             raise ValueError("a group must contain at least one paragraph")
-        if self.paragraphs[0].index != self.start_index:
-            raise ValueError("start_index must match the first paragraph")
 
     def __len__(self) -> int:
         return len(self.paragraphs)
+
+    @property
+    def start_index(self) -> int:
+        return self.paragraphs[0].index
 
     @property
     def end_index(self) -> int:
@@ -176,18 +173,17 @@ def build_group(document: Document, start: int, config: ChunkerConfig | None = N
         total += count_tokens(para.text)
         if total > config.theta:
             break
-    return Group(document.doc_id, tuple(members), start, total)
+    return Group(tuple(members), total)
 
 
-def render_prompt(group: Group, config: ChunkerConfig | None = None) -> str:
+def render_prompt(group: Group) -> str:
     """Render the split prompt for a group, byte-identically for equal inputs.
 
     Paragraphs appear as zero-padded 'ID NNNN: <text>' lines separated by
-    blank lines; the pad width grows past config.id_width when the largest
-    index needs more digits.
+    blank lines; the pad width grows past ID_WIDTH when the largest index
+    needs more digits.
     """
-    config = config or ChunkerConfig()
-    width = max(config.id_width, len(str(group.end_index)))
+    width = max(ID_WIDTH, len(str(group.end_index)))
     lines = (f"ID {para.index:0{width}d}: {para.text}" for para in group.paragraphs)
     return PROMPT_HEADER + "\n" + "\n\n".join(lines)
 
@@ -227,17 +223,18 @@ def _ask_for_split(
     config: ChunkerConfig,
     backend: CompletionBackend | None,
 ) -> tuple[int, int, bool]:
-    """Return (split_id, attempts, fell_back); split_id is 0 on fallback."""
+    """Return (end, attempts, fell_back): the chunk ends just before the answered
+    ID, or at the group end once every attempt was unusable."""
     if backend is None:
         raise ChunkerError(
             "a completion backend is required to split groups larger than theta"
         )
-    prompt = render_prompt(group, config)
+    prompt = render_prompt(group)
     for attempts in range(1, config.max_retries + 2):
         ask = backend.complete if attempts == 1 else backend.retry
         response = ask(prompt)
         try:
-            return parse_split_id(response, group), attempts, False
+            return parse_split_id(response, group) - 1, attempts, False
         except (ParseError, OutOfRangeError) as exc:
             logger.debug("split attempt %d rejected: %s", attempts, exc)
     logger.warning(
@@ -247,7 +244,7 @@ def _ask_for_split(
         group.end_index,
         attempts,
     )
-    return 0, attempts, True
+    return group.end_index, attempts, True
 
 
 def lumber_steps(
@@ -257,10 +254,12 @@ def lumber_steps(
 ) -> Iterator[LumberStep]:
     """Yield one LumberStep per emitted chunk while walking the document.
 
-    The loop: build a group from the current start, stop without the backend
-    when the group reaches the document end and is too small to split, ask for
-    a split ID otherwise, close the chunk just before that ID (or at the end
-    of the group after exhausted retries), and continue from the split point.
+    The loop builds a group from the current start. A group that fits within
+    theta (only the document end allows that) or holds one paragraph has no
+    split point to ask for, so it becomes a chunk without the backend.
+    Otherwise the backend is asked for a split ID, and the chunk closes just
+    before it, or at the end of the group after exhausted retries. The next
+    group starts after the chunk.
     """
     config = config or ChunkerConfig()
     n = len(document)
@@ -272,24 +271,15 @@ def lumber_steps(
         if iterations > n:  # each step consumes >= 1 paragraph, so this cannot trip
             raise ChunkerError("chunking loop failed to make progress")
         group = build_group(document, start, config)
-        reaches_end = group.end_index == n
-        if reaches_end and (
-            len(group) < config.min_tail_paragraphs or group.token_total <= config.theta
-        ):
-            chunk = _make_chunk(document, chunk_id, start, n)
-            yield LumberStep(group, chunk, used_llm=False, fell_back=False, attempts=0)
-            return
-        split_id, attempts, fell_back = _ask_for_split(group, config, backend)
-        if fell_back:
-            end = group.end_index
-            next_start = end + 1
+        used_llm = len(group) > 1 and group.token_total > config.theta
+        if used_llm:
+            end, attempts, fell_back = _ask_for_split(group, config, backend)
         else:
-            end = split_id - 1
-            next_start = split_id
+            end, attempts, fell_back = group.end_index, 0, False
         chunk = _make_chunk(document, chunk_id, start, end)
-        yield LumberStep(group, chunk, used_llm=True, fell_back=fell_back, attempts=attempts)
+        yield LumberStep(group, chunk, used_llm=used_llm, fell_back=fell_back, attempts=attempts)
         chunk_id += 1
-        start = next_start
+        start = end + 1
 
 
 def lumberchunk(

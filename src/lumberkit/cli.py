@@ -69,7 +69,6 @@ from .ragpipe import answer_question, qa_accuracy
 
 _COMPLETION = ("replay_cache", "backend_url", "model", "model_id", "record_cache")
 _EMBEDDING = ("embed", "embed_cache")
-_LUMBER = ("max_retries", "min_tail_paragraphs", "id_width")
 _CHUNK = ("document", "method", "output_dir")
 _EVAL = ("chunks", "qa", "ks", "hyde", "output_dir", *_EMBEDDING)
 
@@ -84,11 +83,11 @@ _READS = {
     "chunk --method paragraph": _CHUNK,
     "chunk --method recursive": (*_CHUNK, "max_tokens"),
     "chunk --method semantic": (*_CHUNK, "percentile", "min_unit", *_EMBEDDING),
-    "chunk --method lumber": (*_CHUNK, "theta", *_LUMBER, *_COMPLETION),
+    "chunk --method lumber": (*_CHUNK, "theta", "max_retries", *_COMPLETION),
     "chunk --method proposition": (*_CHUNK, *_COMPLETION),
     "eval": _EVAL,
     "eval --hyde": (*_EVAL, *_COMPLETION),
-    "sweep": ("documents", "qa", "thetas", "ks", *_LUMBER, "output_dir", *_COMPLETION, *_EMBEDDING),
+    "sweep": ("documents", "qa", "thetas", "ks", "max_retries", "output_dir", *_COMPLETION, *_EMBEDDING),
     "rag": ("chunks", "questions", "output_dir", *_COMPLETION, *_EMBEDDING),
     "gen-qa": ("document", "n", "seed", "output", *_COMPLETION),
 }
@@ -258,8 +257,8 @@ def _embedder(args: argparse.Namespace):
 def _backend(args: argparse.Namespace, needed_for: str):
     """Yield the completion backend, in a CachingBackend over the --record-cache store if given.
 
-    The store is closed afterwards. A backend failure while recording, or an
-    embedder failure once an answer is recorded, ends in an error saying how to resume.
+    The store is closed afterwards. A backend or embedder failure once an
+    answer is recorded ends in an error saying how to resume.
     """
     backend = _completion_backend(args, needed_for=needed_for)
     if not args.record_cache:
@@ -269,7 +268,7 @@ def _backend(args: argparse.Namespace, needed_for: str):
         try:
             yield CachingBackend(backend, cache)
         except (BackendError, ChunkingAborted, IndexingError) as exc:
-            if isinstance(exc, IndexingError) and not len(cache):
+            if not len(cache):
                 raise
             raise BackendError(
                 f"{exc}; re-run the same command to resume from the {len(cache)} "
@@ -338,7 +337,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
         with _embedder(args) as embedder:
             chunks = semantic_chunks(document, embedder, semantic_config)
     elif args.method == "lumber":
-        names = ("theta", *_LUMBER)
+        names = ("theta", "max_retries")
         config = ChunkerConfig(**_given(args, *names))
         settings.update({name: getattr(config, name) for name in names})
         with _backend(args, "method 'lumber'") as backend:
@@ -414,7 +413,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     documents = [load_document(path, "paragraph_records") for path in args.documents]
     qa_pairs = load_qa(args.qa)
-    base_config = ChunkerConfig(**_given(args, *_LUMBER))
+    base_config = ChunkerConfig(**_given(args, "max_retries"))
     with _embedder(args) as embedder, _backend(args, "sweep") as backend:
         reports = sweep_theta(
             documents,
@@ -433,7 +432,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         chunker={
             "method": "lumber",
             "thetas": sorted(set(args.thetas)),
-            **{name: getattr(base_config, name) for name in _LUMBER},
+            "max_retries": base_config.max_retries,
         },
         seed=_embedding_settings(args).get("seed"),
     )
@@ -498,15 +497,6 @@ def cmd_gen_qa(args: argparse.Namespace) -> int:
     )
     print(f"wrote {len(pairs)} QA pair(s) to {output}")
     return 0
-
-
-def _add_lumber_flags(parser: argparse.ArgumentParser) -> None:
-    """LumberChunker's flags besides --theta; unset ones keep ChunkerConfig's defaults."""
-    parser.add_argument("--max-retries", type=int, help="split re-asks for lumber")
-    parser.add_argument(
-        "--min-tail-paragraphs", type=int, help="smallest tail group worth splitting"
-    )
-    parser.add_argument("--id-width", type=int, help="prompt ID zero-padding width")
 
 
 def _add_completion_flags(parser: argparse.ArgumentParser) -> None:
@@ -578,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     # method flags default to None, so a flag the chosen method does not read
     # can be rejected; the method's config supplies the default
     chunk.add_argument("--theta", type=int, help="token threshold for lumber")
-    _add_lumber_flags(chunk)
+    chunk.add_argument("--max-retries", type=int, help="split re-asks for lumber")
     chunk.add_argument("--max-tokens", type=int, help="chunk size cap for recursive")
     chunk.add_argument("--percentile", type=float, help="semantic breakpoint percentile")
     chunk.add_argument(
@@ -619,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="token thresholds to sweep",
     )
     sweep.add_argument("--ks", nargs="+", type=int, default=list(DEFAULT_KS), help="metric cutoffs")
-    _add_lumber_flags(sweep)
+    sweep.add_argument("--max-retries", type=int, help="split re-asks for lumber")
     sweep.add_argument("--output-dir", required=True, help="directory for reports")
     _add_completion_flags(sweep)
     _add_embedding_flags(sweep)

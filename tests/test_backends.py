@@ -41,6 +41,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     """Speaks the chat-completion and embedding wire shapes for tests."""
 
     fail_next: int = 0
+    fail_status: int = 500
     raw_reply: bytes | None = None  # sent as a 200 body in place of JSON
     requests_seen: list = []
 
@@ -74,7 +75,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         if type(self).fail_next > 0:
             type(self).fail_next -= 1
-            self.send_response(500)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
         if self.path.endswith("/chat/completions"):
@@ -111,6 +112,7 @@ def stub_server():
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     _StubHandler.fail_next = 0
+    _StubHandler.fail_status = 500
     _StubHandler.raw_reply = None
     _StubHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
@@ -224,6 +226,25 @@ class TestHttpCompletionBackend:
         with pytest.raises(BackendError):
             backend.complete("hi")
 
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_permanent_client_error_is_not_retried(self, stub_server, monkeypatch, status):
+        _StubHandler.fail_next, _StubHandler.fail_status = 5, status
+        waits: list[float] = []
+        monkeypatch.setattr(time, "sleep", waits.append)
+        backend = HttpCompletionBackend(stub_server, "m", max_attempts=3)
+        with pytest.raises(BackendError, match=f"completion request refused: HTTP {status} "):
+            backend.complete("hi")
+        assert len(_StubHandler.requests_seen) == 1
+        assert waits == []
+
+    @pytest.mark.parametrize("status", [408, 429, 503])
+    def test_transient_status_is_retried(self, stub_server, status):
+        _StubHandler.fail_next, _StubHandler.fail_status = 5, status
+        backend = HttpCompletionBackend(stub_server, "m", max_attempts=3, retry_wait=0.0)
+        with pytest.raises(BackendError, match=f"after 3 attempts: HTTP {status} "):
+            backend.complete("hi")
+        assert len(_StubHandler.requests_seen) == 3
+
     @pytest.mark.parametrize("content", ["null", "7", '["a"]'])
     def test_non_string_content_is_retried_then_raises(self, stub_server, content):
         reply = f'{{"choices": [{{"message": {{"content": {content}}}}}]}}'
@@ -254,7 +275,7 @@ class TestHttpCompletionBackend:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
         assert "completion content is NoneType, not a string" in errors[0]
-        assert "re-run the same command to resume" in errors[0]
+        assert "re-run the same command to resume" not in errors[0]  # nothing was recorded
         assert "Traceback" not in err
         assert waits == [1.0, 2.0]  # three attempts with linear backoff
         assert not record.exists()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -17,6 +18,8 @@ from conftest import (
     prompt_ids,
     words,
 )
+from test_acceptance import adversarial_responder
+
 from lumberkit.backends import ReplayBackend, ResponseCache, ScriptedBackend
 from lumberkit.chunker import (
     PROMPT_HEADER,
@@ -57,15 +60,13 @@ class TestChunkerConfig:
     def test_defaults(self):
         config = ChunkerConfig()
         assert (config.theta, config.max_retries) == (550, 3)
-        assert (config.min_tail_paragraphs, config.id_width) == (2, 4)
+        assert [field.name for field in dataclasses.fields(config)] == ["theta", "max_retries"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"theta": 0},
             {"max_retries": -1},
-            {"min_tail_paragraphs": 0},
-            {"id_width": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -152,10 +153,11 @@ class TestRenderPrompt:
         assert prompt_ids(prompt) == [18, 19, 20]
         assert "ID 0019:" in prompt
 
-    def test_width_grows_past_config(self):
+    def test_width_grows_past_config(self, monkeypatch):
+        monkeypatch.setattr("lumberkit.chunker.ID_WIDTH", 2)
         document = make_document([1] * 120)
-        group = build_group(document, 99, ChunkerConfig(theta=2, id_width=2))
-        prompt = render_prompt(group, ChunkerConfig(theta=2, id_width=2))
+        group = build_group(document, 99, ChunkerConfig(theta=2))
+        prompt = render_prompt(group)
         assert "ID 099:" in prompt
         assert "ID 100:" in prompt
 
@@ -263,24 +265,48 @@ class TestLumberchunk:
         assert spans(chunks) == [(1, 1), (2, 2)]
         assert backend.calls == 1
 
-    def test_short_tail_skips_backend_even_over_theta(self):
-        document = make_document([300, 300])
-        backend = CountingBackend(last_id_responder)
-        config = ChunkerConfig(min_tail_paragraphs=3)
-        chunks = lumberchunk(document, config=config, backend=backend)
-        assert spans(chunks) == [(1, 2)]
-        assert backend.calls == 0
-
     def test_oversized_mid_document_paragraph_becomes_its_own_chunk(self):
-        # 600-token paragraph forms a singleton group with no legal split
-        # answer, so the retry budget burns down and fallback emits it alone
+        # the 600-token paragraph forms a one-paragraph group, which has no
+        # split point to ask for, so it becomes a chunk without the backend
         document = make_document([450, 150, 150, 150])
         backend = CountingBackend(last_id_responder)
         config = ChunkerConfig(max_retries=1)
         chunks = lumberchunk(document, config=config, backend=backend)
         assert spans(chunks)[0] == (1, 1)
         verify_partition(chunks, 4)
-        assert backend.calls >= 2  # both singleton attempts rejected as out of range
+        # the one call splits the 600-token tail group 2..4
+        assert [prompt_ids(prompt) for prompt in backend.prompts] == [[2, 3, 4]]
+
+    def test_one_paragraph_window_between_groups_is_never_sent(self):
+        document = make_document([100, 500, 100, 100])  # 134, 667, 134, 134 tokens
+        backend = CountingBackend(last_id_responder)
+        steps = list(lumber_steps(document, backend=backend))
+        assert [(s.chunk.start_para, s.chunk.end_para) for s in steps] == [(1, 1), (2, 2), (3, 4)]
+        assert [s.attempts for s in steps] == [1, 0, 0]
+        assert backend.calls == 1
+
+    @given(
+        word_counts=st.lists(st.integers(1, 900), min_size=1, max_size=25),
+        theta=st.integers(50, 800),
+        mode=st.sampled_from(("valid", "out_of_range", "garbage", "mixed")),
+        max_retries=st.integers(0, 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stop_rule_over_paragraphs_larger_than_theta(
+        self, word_counts, theta, mode, max_retries
+    ):
+        document = make_document(word_counts)
+        config = ChunkerConfig(theta=theta, max_retries=max_retries)
+        backend = CountingBackend(adversarial_responder(mode))
+        steps = list(lumber_steps(document, config, backend))
+        assert all(len(prompt_ids(prompt)) >= 2 for prompt in backend.prompts)
+        verify_partition([step.chunk for step in steps], len(document))
+        for step in steps:
+            if len(step.group) == 1:
+                assert step.chunk.start_para == step.chunk.end_para == step.group.start_index
+                assert step.attempts == 0 and not step.used_llm
+        llm_windows = sum(step.used_llm for step in steps)
+        assert backend.calls <= llm_windows * (1 + max_retries)
 
     def test_garbage_responses_fall_back_to_whole_groups(self):
         document = doc_200s(9)

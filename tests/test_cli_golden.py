@@ -136,7 +136,7 @@ PARAGRAPH_STATS = {
 SEMANTIC_STATS = {
     "count": 2, "mean_tokens": 320.0, "min_tokens": 320, "max_tokens": 320, "mean_paragraphs": 6.0,
 }
-LUMBER_DEFAULTS = {"theta": 550, "max_retries": 3, "min_tail_paragraphs": 2, "id_width": 4}
+LUMBER_DEFAULTS = {"theta": 550, "max_retries": 3}
 
 CASES = {
     "ingest": (
@@ -188,9 +188,8 @@ CASES = {
     ),
     "chunk-lumber-flags": chunk_case(
         "lumber",
-        ["--theta", "120", "--max-retries", "1", "--min-tail-paragraphs", "3", "--id-width", "5",
-         *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl"],
-        {"theta": 120, "max_retries": 1, "min_tail_paragraphs": 3, "id_width": 5},
+        ["--theta", "120", "--max-retries", "1", *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl"],
+        {"theta": 120, "max_retries": 1},
         {"count": 6, "mean_tokens": 107.0, "min_tokens": 107, "max_tokens": 107,
          "mean_paragraphs": 2.0},
         backend=HTTP,
@@ -249,16 +248,14 @@ CASES = {
             "out/run_config.json": run_config(
                 "sweep", {"documents": ["{tmp}/book.jsonl"], "qa": "{tmp}/qa.jsonl"},
                 {"directory": "{tmp}/out"}, backend=REPLAY, embedding=MOCK,
-                chunker={"method": "lumber", "thetas": [450, 550, 650, 1000], "max_retries": 3,
-                         "min_tail_paragraphs": 2, "id_width": 4},
+                chunker={"method": "lumber", "thetas": [450, 550, 650, 1000], "max_retries": 3},
                 ks=KS, seed=0,
             ),
         },
     ),
     "sweep-flags": (
         ["sweep", "--documents", "{tmp}/book.jsonl", "--qa", "{tmp}/qa.jsonl",
-         "--thetas", "650", "120", "650", "--ks", "1", "--max-retries", "1",
-         "--min-tail-paragraphs", "3", "--id-width", "5", *LIVE_FLAGS,
+         "--thetas", "650", "120", "650", "--ks", "1", "--max-retries", "1", *LIVE_FLAGS,
          "--record-cache", "{tmp}/record.jsonl", "--embed-dim", "16", "--embed-seed", "5",
          "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
         {
@@ -267,8 +264,7 @@ CASES = {
                 {"directory": "{tmp}/out"}, backend=HTTP,
                 embedding={"kind": "mock", "dimension": 16, "seed": 5},
                 caches={"completion": "{tmp}/record.jsonl", "embedding": "{tmp}/embed.jsonl"},
-                chunker={"method": "lumber", "thetas": [120, 650], "max_retries": 1,
-                         "min_tail_paragraphs": 3, "id_width": 5},
+                chunker={"method": "lumber", "thetas": [120, 650], "max_retries": 1},
                 ks=[1], seed=5,
             ),
         },
