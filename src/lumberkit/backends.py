@@ -36,6 +36,12 @@ from .parallel import WORKERS
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV_VAR = "LUMBERKIT_API_KEY"
+# The HTTP clients' settings, read when a connection opens or a request is
+# retried: each connection's socket timeout, the requests sent per call before
+# BackendError, and the backoff unit (the nth retry waits n times it).
+HTTP_TIMEOUT_S = 60.0
+HTTP_ATTEMPTS = 3
+HTTP_RETRY_WAIT_S = 1.0
 
 
 class BackendError(LumberkitError):
@@ -281,20 +287,9 @@ class _JsonClient:
     followed.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str | None,
-        *,
-        what: str,
-        timeout: float,
-        max_attempts: int,
-        retry_wait: float,
-    ):
+    def __init__(self, base_url: str, api_key: str | None, *, what: str):
         url = _parse_url(base_url, ("http", "https"))
         self.what = what
-        self.max_attempts = max_attempts
-        self.retry_wait = retry_wait
         self._headers = {
             "Content-Type": "application/json",
             "User-Agent": f"lumberkit/{__version__}",
@@ -314,7 +309,7 @@ class _JsonClient:
                 self._prefix = f"http://{address}{self._prefix}"
                 self._headers.update(_proxy_authorization(via))
             host, port = via.hostname, via.port or 80
-        connection_class, options = http.client.HTTPConnection, {"timeout": timeout}
+        connection_class, options = http.client.HTTPConnection, {}
         if url.scheme == "https":
             connection_class = http.client.HTTPSConnection
             options["context"] = ssl.create_default_context()
@@ -328,9 +323,10 @@ class _JsonClient:
         """POST payload as JSON to path; return parse(decoded reply body)."""
         body = json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        attempts = HTTP_ATTEMPTS
+        for attempt in range(attempts):
             if attempt:
-                time.sleep(self.retry_wait * attempt)
+                time.sleep(HTTP_RETRY_WAIT_S * attempt)
             try:
                 return parse(self._exchange(self._prefix + path, body))
             except (
@@ -346,15 +342,15 @@ class _JsonClient:
                     "%s request failed (attempt %d/%d): %s",
                     self.what,
                     attempt + 1,
-                    self.max_attempts,
+                    attempts,
                     exc,
                 )
         raise BackendError(
-            f"{self.what} request failed after {self.max_attempts} attempts: {last_error}"
+            f"{self.what} request failed after {attempts} attempts: {last_error}"
         )
 
     def _connect(self) -> http.client.HTTPConnection:
-        connection = self._new_connection()
+        connection = self._new_connection(timeout=HTTP_TIMEOUT_S)
         if self._tunnel is not None:
             connection.set_tunnel(*self._tunnel)
         return connection
@@ -416,20 +412,9 @@ class HttpCompletionBackend(CompletionBackend):
         base_url: str,
         model: str,
         api_key: str | None = None,
-        *,
-        timeout: float = 60.0,
-        max_attempts: int = 3,
-        retry_wait: float = 1.0,
     ):
         self.model = model
-        self._http = _JsonClient(
-            base_url,
-            api_key,
-            what="completion",
-            timeout=timeout,
-            max_attempts=max_attempts,
-            retry_wait=retry_wait,
-        )
+        self._http = _JsonClient(base_url, api_key, what="completion")
 
     def complete(self, prompt: str) -> str:
         payload = {
@@ -627,22 +612,11 @@ class HttpEmbeddingBackend(EmbeddingBackend):
         base_url: str,
         model: str,
         api_key: str | None = None,
-        *,
-        timeout: float = 60.0,
-        max_attempts: int = 3,
-        retry_wait: float = 1.0,
     ):
         self.model = model
         self.backend_id = f"http-embed:{model}"
         self.dimension = 0  # learned from the first response
-        self._http = _JsonClient(
-            base_url,
-            api_key,
-            what="embedding",
-            timeout=timeout,
-            max_attempts=max_attempts,
-            retry_wait=retry_wait,
-        )
+        self._http = _JsonClient(base_url, api_key, what="embedding")
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         payload = {"model": self.model, "input": list(texts)}

@@ -269,32 +269,19 @@ def _iter_delimited_rows(path: Path, columns: list[str]) -> Iterator[tuple[int, 
             raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
-def load_qa(path: str | Path) -> list[QAPair]:
+def load_qa(path: str | Path, columns: Mapping[str, str] | None = None) -> list[QAPair]:
     """Load QA records from a .jsonl or delimited (.csv/.tsv) table.
 
     Required columns: doc_id, question, answer, supporting_passage; JSONL
-    values must be strings. Rows with an empty supporting passage are skipped
-    and counted in a logged warning; an absent column raises
-    MissingColumnError naming the file and line, and a file that yields no
-    pair raises CorpusError naming the file.
+    values must be strings. columns maps any of these names to the name the
+    file uses instead, so published question sets such as GutenQA load
+    without renaming files by hand. Rows with an empty supporting passage are
+    skipped and counted in a logged warning; an absent column raises
+    MissingColumnError naming it as the file spells it, with the file and
+    line, and a file that yields no pair raises CorpusError naming the file.
     """
-    return load_qa_mapped(path, {column: column for column in _QA_COLUMNS})
-
-
-def load_qa_mapped(path: str | Path, column_map: Mapping[str, str]) -> list[QAPair]:
-    """Load QA rows whose columns use external names.
-
-    column_map maps each of our column names (doc_id, question, answer,
-    supporting_passage) to the name used in the file, so externally published
-    question sets import without renaming files by hand. Otherwise rows are
-    read as by load_qa, and a missing column is reported by its name in the
-    file.
-    """
-    for column in _QA_COLUMNS:
-        if column not in column_map:
-            raise MissingColumnError(column, path)
     path = Path(path)
-    names = [column_map[column] for column in _QA_COLUMNS]
+    names = [(columns or {}).get(column, column) for column in _QA_COLUMNS]
     if path.suffix.lower() in {".csv", ".tsv"}:
         rows = _iter_delimited_rows(path, names)
     else:

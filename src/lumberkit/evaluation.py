@@ -8,6 +8,7 @@ Recall@1 exactly.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -79,8 +80,14 @@ def normalize_for_matching(text: str) -> str:
     return " ".join(_PUNCTUATION_RE.sub(" ", text.lower()).split())
 
 
-def _passage_matches(text: str, passage: str) -> bool:
-    """The relevance rule on texts already normalized for matching.
+def judge_relevance(text: str, passage: str) -> bool:
+    """Decide whether a chunk's text contains a QA pair's supporting passage.
+
+    Both arguments must already be normalized by normalize_for_matching. The
+    text is relevant if the passage is a direct substring, or if at least
+    NGRAM_THRESHOLD of the passage's word NGRAM_SIZE-grams occur in the text.
+    Passages shorter than NGRAM_SIZE words rely on the substring rule alone,
+    and an empty passage is never relevant.
 
     Normalized texts are whitespace-free words joined by single spaces, so a
     word n-gram occurs in the text's word list exactly when " w1 ... wn " is
@@ -105,39 +112,6 @@ def _passage_matches(text: str, passage: str) -> bool:
         elif (hits + total - start - 1) / total < ngram_threshold:
             return False
     return hits / total >= ngram_threshold
-
-
-def judge_relevance(chunk: Chunk, qa: QAPair) -> bool:
-    """Decide whether a chunk contains the QA pair's supporting passage.
-
-    Both texts are normalized first. The chunk is relevant if the passage is
-    a direct substring, or if at least NGRAM_THRESHOLD of the passage's word
-    NGRAM_SIZE-grams occur in the chunk. Passages shorter than NGRAM_SIZE
-    words rely on the substring rule alone.
-    """
-    return _passage_matches(
-        normalize_for_matching(chunk.text), normalize_for_matching(qa.supporting_passage)
-    )
-
-
-def _normalizing_judge() -> Callable[[Chunk, QAPair], bool]:
-    """judge_relevance, normalizing each distinct text once.
-
-    The memo lives as long as the returned judge, so a caller bounds its
-    memory by how long it keeps the judge.
-    """
-    normalized: dict[str, str] = {}
-
-    def normalize(text: str) -> str:
-        result = normalized.get(text)
-        if result is None:
-            result = normalized[text] = normalize_for_matching(text)
-        return result
-
-    def judge(chunk: Chunk, qa: QAPair) -> bool:
-        return _passage_matches(normalize(chunk.text), normalize(qa.supporting_passage))
-
-    return judge
 
 
 def _check_ks(ks: Sequence[int]) -> None:
@@ -185,9 +159,9 @@ def build_runs(
     query_transform concurrently, once per distinct question, then embedded
     through embed_texts. Questions whose doc_id has no chunks get an
     absent gold rank and a warning. The gold rank is the first position,
-    scanning down the ranking, whose chunk judge_relevance's rule accepts;
-    the rule runs on texts normalized once per document. Runs come back in
-    question order.
+    scanning down the ranking, whose chunk judge_relevance accepts; each
+    distinct text is normalized once per document, and judge_relevance is
+    looked up at every call. Runs come back in question order.
     """
     by_doc: dict[str, list[Chunk]] = {}
     for chunk in chunks:
@@ -211,12 +185,17 @@ def build_runs(
             rewrites = dict(zip(distinct, ordered_map(query_transform, distinct)))
             query_texts = [rewrites[text] for text in query_texts]
         query_vectors = embed_texts(query_texts, embed_backend)
-        doc_judge = _normalizing_judge()
+        normalize = functools.cache(normalize_for_matching)
         for position, query_vector in zip(positions, query_vectors, strict=True):
             qa = qa_pairs[position]
             ranked = tuple(chunk for chunk, _score in cosine_topk(index, query_vector, depth))
+            passage = normalize(qa.supporting_passage)
             gold_rank = next(
-                (rank for rank, chunk in enumerate(ranked, start=1) if doc_judge(chunk, qa)),
+                (
+                    rank
+                    for rank, chunk in enumerate(ranked, start=1)
+                    if judge_relevance(normalize(chunk.text), passage)
+                ),
                 None,
             )
             runs[position] = RetrievalRun(qa, ranked, gold_rank)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_document
+from lumberkit import backends
 from lumberkit.backends import (
     BackendError,
     CacheError,
@@ -35,6 +36,12 @@ from lumberkit.backends import (
 from lumberkit.cli import main
 from lumberkit.corpus import write_document
 from lumberkit.parallel import WORKERS
+
+
+def set_http(monkeypatch, **settings):
+    """Set the HTTP clients' constants (HTTP_ATTEMPTS=2, ...) for one test."""
+    for name, value in settings.items():
+        monkeypatch.setattr(backends, name, value)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -211,18 +218,16 @@ class TestHttpCompletionBackend:
         assert request["user_agent"] == "lumberkit/0.1.0"
         assert request["accept_encoding"] in (None, "identity")
 
-    def test_retries_then_succeeds(self, stub_server):
+    def test_retries_then_succeeds(self, stub_server, monkeypatch):
         _StubHandler.fail_next = 1
-        backend = HttpCompletionBackend(
-            stub_server, "test-model", max_attempts=2, retry_wait=0.0
-        )
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0)
+        backend = HttpCompletionBackend(stub_server, "test-model")
         assert backend.complete("hi") == "echo:hi"
 
-    def test_exhausted_retries_raise(self, stub_server):
+    def test_exhausted_retries_raise(self, stub_server, monkeypatch):
         _StubHandler.fail_next = 5
-        backend = HttpCompletionBackend(
-            stub_server, "test-model", max_attempts=2, retry_wait=0.0
-        )
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0)
+        backend = HttpCompletionBackend(stub_server, "test-model")
         with pytest.raises(BackendError):
             backend.complete("hi")
 
@@ -231,25 +236,28 @@ class TestHttpCompletionBackend:
         _StubHandler.fail_next, _StubHandler.fail_status = 5, status
         waits: list[float] = []
         monkeypatch.setattr(time, "sleep", waits.append)
-        backend = HttpCompletionBackend(stub_server, "m", max_attempts=3)
+        set_http(monkeypatch, HTTP_ATTEMPTS=3)
+        backend = HttpCompletionBackend(stub_server, "m")
         with pytest.raises(BackendError, match=f"completion request refused: HTTP {status} "):
             backend.complete("hi")
         assert len(_StubHandler.requests_seen) == 1
         assert waits == []
 
     @pytest.mark.parametrize("status", [408, 429, 503])
-    def test_transient_status_is_retried(self, stub_server, status):
+    def test_transient_status_is_retried(self, stub_server, status, monkeypatch):
         _StubHandler.fail_next, _StubHandler.fail_status = 5, status
-        backend = HttpCompletionBackend(stub_server, "m", max_attempts=3, retry_wait=0.0)
+        set_http(monkeypatch, HTTP_ATTEMPTS=3, HTTP_RETRY_WAIT_S=0.0)
+        backend = HttpCompletionBackend(stub_server, "m")
         with pytest.raises(BackendError, match=f"after 3 attempts: HTTP {status} "):
             backend.complete("hi")
         assert len(_StubHandler.requests_seen) == 3
 
     @pytest.mark.parametrize("content", ["null", "7", '["a"]'])
-    def test_non_string_content_is_retried_then_raises(self, stub_server, content):
+    def test_non_string_content_is_retried_then_raises(self, stub_server, content, monkeypatch):
         reply = f'{{"choices": [{{"message": {{"content": {content}}}}}]}}'
         _StubHandler.raw_reply = reply.encode()
-        backend = HttpCompletionBackend(stub_server, "m", max_attempts=2, retry_wait=0.0)
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0)
+        backend = HttpCompletionBackend(stub_server, "m")
         with pytest.raises(BackendError, match="after 2 attempts: completion content is"):
             backend.complete("hi")
         assert len(_StubHandler.requests_seen) == 2
@@ -324,16 +332,15 @@ class _ConnectionCountingHandler(BaseHTTPRequestHandler):
         pass
 
 
-def test_default_session_opens_at_most_one_connection_per_worker():
+def test_default_session_opens_at_most_one_connection_per_worker(monkeypatch):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ConnectionCountingHandler)
     server.daemon_threads = True
     _ConnectionCountingHandler.open_now = _ConnectionCountingHandler.most_open = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        backend = HttpCompletionBackend(
-            f"http://127.0.0.1:{server.server_port}", "m", max_attempts=1, timeout=10
-        )
+        set_http(monkeypatch, HTTP_ATTEMPTS=1, HTTP_TIMEOUT_S=10)
+        backend = HttpCompletionBackend(f"http://127.0.0.1:{server.server_port}", "m")
         prompts = [f"p{i}" for i in range(12 * WORKERS)]
         # more callers than workers: the pool must make the extra ones wait
         with ThreadPoolExecutor(max_workers=4 * WORKERS) as callers:
@@ -371,19 +378,19 @@ def keep_alive_server(request):
 
 
 class TestHttpConnections:
-    def test_sequential_calls_reuse_one_connection(self, keep_alive_server):
-        backend = HttpCompletionBackend(keep_alive_server, "m", max_attempts=1, timeout=10)
+    def test_sequential_calls_reuse_one_connection(self, keep_alive_server, monkeypatch):
+        set_http(monkeypatch, HTTP_ATTEMPTS=1, HTTP_TIMEOUT_S=10)
+        backend = HttpCompletionBackend(keep_alive_server, "m")
         replies = [backend.complete(f"p{i}") for i in range(10)]
         assert replies == [f"p{i}" for i in range(10)]
         assert _ConnectionCountingHandler.opened == 1
 
     @pytest.mark.parametrize("keep_alive_server", [_DroppingHandler], indirect=True)
     def test_connection_dropped_while_idle_is_reopened_without_backoff(
-        self, keep_alive_server, caplog
+        self, keep_alive_server, caplog, monkeypatch
     ):
-        backend = HttpCompletionBackend(
-            keep_alive_server, "m", max_attempts=2, retry_wait=30, timeout=10
-        )
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=30, HTTP_TIMEOUT_S=10)
+        backend = HttpCompletionBackend(keep_alive_server, "m")
         replies = []
         # a backoff sleep (30 s) would outlast the join deadline
         caller = threading.Thread(
@@ -408,7 +415,8 @@ class TestProxies:
 
     def test_http_goes_through_proxy_with_absolute_target(self, stub_server, monkeypatch):
         monkeypatch.setenv("HTTP_PROXY", stub_server.replace("http://", "http://u:p%40ss@"))
-        backend = HttpCompletionBackend("http://backend.invalid:8080/v1", "m", max_attempts=1)
+        set_http(monkeypatch, HTTP_ATTEMPTS=1)
+        backend = HttpCompletionBackend("http://backend.invalid:8080/v1", "m")
         assert backend.complete("hi") == "echo:hi"
         request = _StubHandler.requests_seen[-1]
         assert request["path"] == "http://backend.invalid:8080/v1/chat/completions"
@@ -417,15 +425,15 @@ class TestProxies:
     def test_no_proxy_bypasses_proxy(self, stub_server, monkeypatch):
         monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-        backend = HttpCompletionBackend(stub_server + "/v1", "m", max_attempts=1)
+        set_http(monkeypatch, HTTP_ATTEMPTS=1)
+        backend = HttpCompletionBackend(stub_server + "/v1", "m")
         assert backend.complete("hi") == "echo:hi"
         assert _StubHandler.requests_seen[-1]["path"] == "/v1/chat/completions"
 
     def test_https_goes_through_connect_tunnel(self, stub_server, monkeypatch):
         monkeypatch.setenv("HTTPS_PROXY", stub_server)
-        backend = HttpCompletionBackend(
-            "https://backend.invalid/v1", "m", max_attempts=1, retry_wait=0.0
-        )
+        set_http(monkeypatch, HTTP_ATTEMPTS=1, HTTP_RETRY_WAIT_S=0.0)
+        backend = HttpCompletionBackend("https://backend.invalid/v1", "m")
         with pytest.raises(BackendError, match="502"):
             backend.complete("hi")
         request = _StubHandler.requests_seen[-1]
@@ -433,26 +441,22 @@ class TestProxies:
 
 
 class TestHttpFailures:
-    def test_read_timeout_raises_after_max_attempts(self, caplog):
+    def test_read_timeout_raises_after_max_attempts(self, caplog, monkeypatch):
         # the kernel completes each connect from the listen backlog, but
         # nothing ever reads the request or replies
         with socket.create_server(("127.0.0.1", 0), backlog=8) as silent:
-            backend = HttpCompletionBackend(
-                f"http://127.0.0.1:{silent.getsockname()[1]}",
-                "m",
-                timeout=0.2,
-                max_attempts=2,
-                retry_wait=0.0,
-            )
+            set_http(monkeypatch, HTTP_TIMEOUT_S=0.2, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0)
+            backend = HttpCompletionBackend(f"http://127.0.0.1:{silent.getsockname()[1]}", "m")
             with caplog.at_level(logging.WARNING, logger="lumberkit.backends"):
                 with pytest.raises(BackendError, match="after 2 attempts.*timed out"):
                     backend.complete("hi")
         assert caplog.text.count("timed out") == 2
 
     @pytest.mark.parametrize("make", [HttpCompletionBackend, HttpEmbeddingBackend])
-    def test_non_json_reply_raises(self, stub_server, make):
+    def test_non_json_reply_raises(self, stub_server, make, monkeypatch):
         _StubHandler.raw_reply = b"<html>gateway says hello</html>"
-        backend = make(stub_server, "m", max_attempts=2, retry_wait=0.0)
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0)
+        backend = make(stub_server, "m")
         with pytest.raises(BackendError, match="after 2 attempts"):
             backend.embed(["x"]) if make is HttpEmbeddingBackend else backend.complete("x")
         assert len(_StubHandler.requests_seen) == 2
@@ -472,11 +476,10 @@ class TestHttpEmbeddingBackend:
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-9)
         assert backend.dimension == 3
 
-    def test_failure_raises(self, stub_server):
+    def test_failure_raises(self, stub_server, monkeypatch):
         _StubHandler.fail_next = 5
-        backend = HttpEmbeddingBackend(
-            stub_server, "embed-model", max_attempts=2, retry_wait=0.0
-        )
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0)
+        backend = HttpEmbeddingBackend(stub_server, "embed-model")
         with pytest.raises(BackendError):
             backend.embed(["x"])
 
@@ -711,9 +714,10 @@ class TestNonFiniteVectors:
         assert len(EmbeddingCache(path, backend_id="b")) == 2
 
     @pytest.mark.parametrize("entry", BAD_VECTOR_ENTRIES.values(), ids=BAD_VECTOR_ENTRIES)
-    def test_http_reply_is_retried_then_raises(self, stub_server, entry):
+    def test_http_reply_is_retried_then_raises(self, stub_server, entry, monkeypatch):
         _StubHandler.raw_reply = f'{{"data": [{{"embedding": [0.5, {entry}]}}]}}'.encode()
-        backend = HttpEmbeddingBackend(stub_server, "m", max_attempts=2, retry_wait=0.0)
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0)
+        backend = HttpEmbeddingBackend(stub_server, "m")
         with pytest.raises(BackendError, match="after 2 attempts: a vector entry is not a finite"):
             backend.embed(["x"])
         assert len(_StubHandler.requests_seen) == 2

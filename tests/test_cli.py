@@ -1771,31 +1771,51 @@ def test_sweep_rejects_duplicate_cutoffs_before_chunking(
 
 class TestSweepScoringFailure:
     THETAS = ("200", "300", "400", "500")
+    WAIT_S = 10  # bounds every wait below, so a broken order fails instead of hanging
 
     class SlowCountingBackend(CompletionBackend):
-        """Answers each split with its last ID after 2 ms; counts calls thread-safely."""
+        """Answers each split with its last ID after 2 ms; counts calls thread-safely.
 
-        def __init__(self):
+        With a gate, a worker's first split call of its second theta (the
+        second window it sends that starts at ID 1) reports the worker as
+        parked, then waits for the gate before it is counted.
+        """
+
+        def __init__(self, gate: threading.Event | None = None):
             self.lock = threading.Lock()
             self.calls = 0
+            self.gate = gate
+            self.parked = threading.Semaphore(0)
+            self.starts: dict[int, int] = {}  # thread id -> windows sent from ID 1
 
         def complete(self, prompt: str) -> str:
+            if self.gate is not None and prompt_ids(prompt)[0] == 1:
+                thread = threading.get_ident()
+                self.starts[thread] = self.starts.get(thread, 0) + 1
+                if self.starts[thread] == 2:
+                    self.parked.release()
+                    self.gate.wait(TestSweepScoringFailure.WAIT_S)
             with self.lock:
                 self.calls += 1
             time.sleep(0.002)
             return last_id_responder(prompt)
 
     class DyingEmbedder(CountingEmbeddingBackend):
-        def __init__(self, fail_on: int | None):
+        """Raises on call fail_on; given parked, first waits for every worker to park."""
+
+        def __init__(self, fail_on: int | None, parked: threading.Semaphore | None = None):
             super().__init__()
             self.fail_on = fail_on
+            self.parked = parked
 
         def embed(self, texts):
             if self.calls + 1 == self.fail_on:
+                for _ in range(parallel.WORKERS if self.parked else 0):
+                    self.parked.acquire(timeout=TestSweepScoringFailure.WAIT_S)
                 raise BackendError("embedding endpoint went away")
             return super().embed(texts)
 
-    def run_sweep(self, tmp_path, monkeypatch, fail_on):
+    def run_sweep(self, tmp_path, monkeypatch, fail_on, backend):
         paths = []
         pairs = []
         for d in range(4):
@@ -1805,26 +1825,45 @@ class TestSweepScoringFailure:
             pairs += [QAPair(f"doc{d}", f"q{i}?", "a", document.paragraphs[i].text) for i in (2, 20)]
         qa_path = tmp_path / "qa.jsonl"
         write_qa(pairs, qa_path)
-        backend = self.SlowCountingBackend()
         monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
-        monkeypatch.setattr(cli, "_embedding_backend", lambda args: self.DyingEmbedder(fail_on))
-        code = main(
+        monkeypatch.setattr(
+            cli, "_embedding_backend", lambda args: self.DyingEmbedder(fail_on, backend.parked)
+        )
+        return main(
             ["sweep", "--documents", *map(str, paths), "--qa", str(qa_path),
              "--thetas", *self.THETAS, "--backend-url", "http://127.0.0.1:9", "--model", "m",
              "--output-dir", str(tmp_path / f"out-{fail_on}")]
         )
-        return code, backend
 
     def test_embedder_dying_mid_sweep_stops_the_workers(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(parallel, "WORKERS", 2)
-        code, healthy = self.run_sweep(tmp_path, monkeypatch, fail_on=None)
-        assert code == 0
+        document = make_document([40] * 30)
+        per_theta = []
+        for theta in self.THETAS:
+            counting = CountingBackend(last_id_responder)
+            lumberchunk(document, ChunkerConfig(theta=int(theta)), counting)
+            per_theta.append(counting.calls)
+        healthy = self.SlowCountingBackend()
+        assert self.run_sweep(tmp_path, monkeypatch, None, healthy) == 0
+        assert healthy.calls == 4 * sum(per_theta)
         capsys.readouterr()
 
+        # Each worker chunks its document at theta 200, then parks on its
+        # first split call at theta 300. Call 1 embeds the first scored
+        # document's chunks; call 2, its questions, fails once both workers
+        # are parked. The gate opens when stream_map shuts its pool down,
+        # which is after it has told the workers to stop.
+        gate = threading.Event()
+
+        class GatedPool(parallel.ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                gate.set()
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", GatedPool)
         threads = threading.active_count()
-        # call 1 embeds the first scored document's chunks and call 2, which
-        # fails, its questions
-        code, backend = self.run_sweep(tmp_path, monkeypatch, fail_on=2)
+        backend = self.SlowCountingBackend(gate)
+        code = self.run_sweep(tmp_path, monkeypatch, 2, backend)
         calls_at_exit = backend.calls
         error = _one_error_line(code, capsys.readouterr().err)
         assert error.startswith("error: embedding failed for texts 0..")
@@ -1833,6 +1872,6 @@ class TestSweepScoringFailure:
         time.sleep(0.05)
         assert backend.calls == calls_at_exit
         # two of the four documents were started, and each stopped after its
-        # current theta instead of chunking all four
-        assert calls_at_exit < healthy.calls / 2
+        # current theta (300) instead of chunking all four
+        assert calls_at_exit == 2 * (per_theta[0] + per_theta[1])
         assert not (tmp_path / "out-2").exists()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from fractions import Fraction
@@ -25,7 +26,6 @@ from lumberkit.corpus import (
     generate_qa,
     load_document,
     load_qa,
-    load_qa_mapped,
     split_paragraphs,
     utf8_lines,
     write_document,
@@ -317,9 +317,9 @@ class TestLoadQa:
             "Book,Question,Answer,Chunk\nGenesis,who,cain,the passage text\n",
             encoding="utf-8",
         )
-        (pair,) = load_qa_mapped(
+        (pair,) = load_qa(
             path,
-            {
+            columns={
                 "doc_id": "Book",
                 "question": "Question",
                 "answer": "Answer",
@@ -329,13 +329,22 @@ class TestLoadQa:
         assert pair.doc_id == "Genesis"
         assert pair.supporting_passage == "the passage text"
 
+    def test_columns_not_mapped_keep_their_names(self, tmp_path):
+        path = tmp_path / "external.jsonl"
+        record = {"doc_id": "d", "question": "q", "answer": "a", "passage": "the text"}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        (pair,) = load_qa(path, columns={"supporting_passage": "passage"})
+        assert pair == QAPair("d", "q", "a", "the text")
+        with pytest.raises(MissingColumnError, match="'supporting_passage' in .*, line 1"):
+            load_qa(path)
+
     def test_mapped_missing_external_column(self, tmp_path):
         path = tmp_path / "external.csv"
         path.write_text("Book,Question,Answer\nGenesis,who,cain\n", encoding="utf-8")
         with pytest.raises(MissingColumnError, match="Chunk"):
-            load_qa_mapped(
+            load_qa(
                 path,
-                {
+                columns={
                     "doc_id": "Book",
                     "question": "Question",
                     "answer": "Answer",

@@ -81,43 +81,54 @@ class TestNormalizeForMatching:
         assert normalize_for_matching("!!! ... ---") == ""
 
 
+def judges(chunk: Chunk, qa: QAPair) -> bool:
+    """judge_relevance on the chunk's text and the QA pair's passage, normalized."""
+    return judge_relevance(
+        normalize_for_matching(chunk.text), normalize_for_matching(qa.supporting_passage)
+    )
+
+
 class TestJudgeRelevance:
+    def test_takes_texts_already_normalized(self):
+        assert judge_relevance("at dusk the keeper lit the lamp", "the keeper lit the lamp")
+        assert not judge_relevance("at dusk the keeper lit the lamp", "The KEEPER lit the lamp")
+
     def test_verbatim_passage(self):
         chunk = chunk_of("At dusk the keeper lit the lamp and waited for fog.")
-        assert judge_relevance(chunk, qa_of("the keeper lit the lamp"))
+        assert judges(chunk, qa_of("the keeper lit the lamp"))
 
     def test_case_and_punctuation_ignored(self):
         chunk = chunk_of("At dusk the keeper lit the lamp and waited.")
-        assert judge_relevance(chunk, qa_of("The KEEPER -- lit, the LAMP!"))
+        assert judges(chunk, qa_of("The KEEPER -- lit, the LAMP!"))
 
     def test_disjoint_texts(self):
-        assert not judge_relevance(chunk_of("granite quarry records"), qa_of("the keeper lit the lamp"))
+        assert not judges(chunk_of("granite quarry records"), qa_of("the keeper lit the lamp"))
 
     def test_ngram_ratio_above_threshold(self):
         passage_words = [f"w{i}" for i in range(12)]  # 10 word 3-grams
         chunk = chunk_of(" ".join(passage_words[:11]))  # holds 9 of the 10
-        assert judge_relevance(chunk, qa_of(" ".join(passage_words)))
+        assert judges(chunk, qa_of(" ".join(passage_words)))
 
     def test_ngram_ratio_below_threshold(self):
         passage_words = [f"w{i}" for i in range(12)]
         chunk = chunk_of(" ".join(passage_words[:8]))  # holds 6 of 10 grams
-        assert not judge_relevance(chunk, qa_of(" ".join(passage_words)))
+        assert not judges(chunk, qa_of(" ".join(passage_words)))
 
     def test_short_passage_uses_substring_only(self):
-        assert judge_relevance(chunk_of("the tall tower stands"), qa_of("tall tower"))
-        assert not judge_relevance(chunk_of("tower of the tall king"), qa_of("tall tower"))
+        assert judges(chunk_of("the tall tower stands"), qa_of("tall tower"))
+        assert not judges(chunk_of("tower of the tall king"), qa_of("tall tower"))
 
     def test_punctuation_only_passage_is_never_relevant(self):
-        assert not judge_relevance(chunk_of("anything at all"), qa_of("?!"))
+        assert not judges(chunk_of("anything at all"), qa_of("?!"))
 
     def test_custom_threshold(self):
         passage_words = [f"w{i}" for i in range(12)]
         chunk = chunk_of(" ".join(passage_words[:8]))
         qa = qa_of(" ".join(passage_words))
         with mock.patch.object(evaluation, "NGRAM_THRESHOLD", 0.5):
-            assert judge_relevance(chunk, qa)
+            assert judges(chunk, qa)
         with mock.patch.object(evaluation, "NGRAM_THRESHOLD", 0.7):
-            assert not judge_relevance(chunk, qa)
+            assert not judges(chunk, qa)
 
 
 def set_judge_relevance(
@@ -200,7 +211,7 @@ class TestJudgeExactness:
         with mock.patch.multiple(
             evaluation, NGRAM_SIZE=ngram_size, NGRAM_THRESHOLD=ngram_threshold
         ):
-            assert judge_relevance(chunk, qa) == expected
+            assert judges(chunk, qa) == expected
 
     def test_ngrams_match_whole_words_only(self):
         # "a b c" is a substring of "xa b cx" but not one of its word trigrams
@@ -208,15 +219,15 @@ class TestJudgeExactness:
         chunk = chunk_of("xa b cx b c d")
         assert not set_judge_relevance(chunk, qa, ngram_threshold=0.6)  # 1 of 2 trigrams
         with mock.patch.object(evaluation, "NGRAM_THRESHOLD", 0.6):
-            assert not judge_relevance(chunk, qa)
+            assert not judges(chunk, qa)
 
     def test_exact_ratio_on_the_threshold_is_relevant(self):
         passage_words = [f"w{i}" for i in range(7)]  # 5 word trigrams
         chunk = chunk_of(" ".join(passage_words[:6]) + " gap")  # holds 4 of 5
         qa = qa_of(" ".join(passage_words))
-        assert judge_relevance(chunk, qa)  # NGRAM_THRESHOLD is 0.8
+        assert judges(chunk, qa)  # NGRAM_THRESHOLD is 0.8
         with mock.patch.object(evaluation, "NGRAM_THRESHOLD", 0.81):
-            assert not judge_relevance(chunk, qa)
+            assert not judges(chunk, qa)
 
 
 class TestMetrics:
@@ -426,23 +437,18 @@ class TestBuildRunsExactness:
         chunks, qa_pairs = interleaved_corpus(0)
         backend = MockEmbeddingBackend(dimension=16)
         expected = reference_runs(chunks, qa_pairs, backend)
-        judged: list[tuple[int, str, str]] = []
-        make_judge = evaluation._normalizing_judge
+        judged: list[tuple[str, str]] = []
+        judge = evaluation.judge_relevance
 
-        def recording_judge():
-            judge = make_judge()
+        def recording_judge(text, passage):
+            judged.append((text, passage))
+            return judge(text, passage)
 
-            def record(chunk, qa):
-                judged.append((chunk.chunk_id, chunk.doc_id, qa.question))
-                return judge(chunk, qa)
-
-            return record
-
-        monkeypatch.setattr(evaluation, "_normalizing_judge", recording_judge)
+        monkeypatch.setattr(evaluation, "judge_relevance", recording_judge)
         runs = build_runs(chunks, qa_pairs, backend)
         assert [run.gold_rank for run in runs] == [run.gold_rank for run in expected]
         expected_pairs = sorted(
-            (chunk.chunk_id, chunk.doc_id, run.qa.question)
+            (normalize_for_matching(chunk.text), normalize_for_matching(run.qa.supporting_passage))
             for run in expected
             for chunk in run.ranked_chunks[: run.gold_rank or len(run.ranked_chunks)]
         )

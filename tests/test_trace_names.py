@@ -74,6 +74,45 @@ assert tracer.counts.get("chunker.split_requests", 0) > 0, tracer.counts
 assert tracer.counts.get("ragpipe.rerank_prompt_tokens", 0) > 0, tracer.counts
 """
 
+# Trace mode counts the relevance judge where build_runs looks it up; run a
+# traced `eval` and compare the count with the (chunk, question) pairs judged:
+# each ranking is scanned down to its gold rank, or to its end.
+_TRACED_EVAL_PROBE = """
+import json, random, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import gen, tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from lumberkit import cli, evaluation
+
+runs = []
+traced_build_runs = evaluation.build_runs
+
+def build_runs(*args, **kwargs):
+    found = traced_build_runs(*args, **kwargs)
+    runs.extend(found)
+    return found
+
+evaluation.build_runs = build_runs
+work = Path(sys.argv[2])
+paragraphs = gen.make_book(random.Random(1), 40)
+book = work / "book.jsonl"
+with open(book, "w", encoding="utf-8") as fh:
+    for index, text in enumerate(paragraphs, start=1):
+        fh.write(json.dumps({"doc_id": "book", "index": index, "text": text}) + "\\n")
+qa = work / "qa.jsonl"
+gen.write_qa(gen.make_qa(random.Random(2), {"book": paragraphs}, 6), qa)
+assert cli.main(["chunk", "--document", str(book), "--method", "paragraph",
+                 "--output-dir", str(work / "chunks")]) == 0
+assert cli.main(["eval", "--chunks", str(work / "chunks" / "chunks.jsonl"), "--qa", str(qa),
+                 "--output-dir", str(work / "eval")]) == 0
+judged = sum(run.gold_rank or len(run.ranked_chunks) for run in runs)
+assert len(runs) == 6, runs
+assert judged > 0
+assert tracer.calls["evaluation.judge_relevance"][0] == judged, (tracer.calls, judged)
+"""
+
 
 def test_trace_mode_finds_every_patched_name():
     src = str(Path(lumberkit.__file__).resolve().parents[1])
@@ -106,6 +145,19 @@ def test_traced_scripted_chunk_and_rag_record_their_spans(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = subprocess.run(
         [sys.executable, "-c", _TRACED_RUN_PROBE, str(PERFBENCH), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+
+
+def test_traced_eval_counts_every_judged_pair(tmp_path):
+    src = str(Path(lumberkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c", _TRACED_EVAL_PROBE, str(PERFBENCH), str(tmp_path)],
         capture_output=True,
         text=True,
         env=env,
