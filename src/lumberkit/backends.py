@@ -95,12 +95,14 @@ class ScriptedBackend(CompletionBackend):
 class _JsonlStore:
     """Append-only JSONL file of {"key": ..., <field>: ...} records.
 
-    On load the last record for a key wins, so re-recording overwrites and
-    concurrent writers appending distinct keys do not corrupt each other. A
-    record that cannot be read raises CacheError naming the file and line,
-    except on the final line: a crash mid-append leaves it torn, so it is
-    skipped with a warning and cut off before the next append, which lets a
-    re-run resume from the finished prefix.
+    A text's key is prompt_key(namespace, text), so one file can hold the
+    records of several models or embedders. On load the last record for a key
+    wins, so re-recording overwrites and concurrent writers appending distinct
+    keys do not corrupt each other. A record that cannot be read raises
+    CacheError naming the file and line, except on the final line: a crash
+    mid-append leaves it torn, so it is skipped with a warning and cut off
+    before the next append, which lets a re-run resume from the finished
+    prefix.
 
     The file is opened for appending on the first put and kept open until
     close(), or until the store is collected; each record is flushed as it
@@ -109,8 +111,9 @@ class _JsonlStore:
 
     field: str  # record field holding the value; subclasses also define _decode
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, namespace: str):
         self.path = Path(path)
+        self.namespace = namespace
         self._lock = threading.Lock()
         self._entries: dict = {}
         self._torn_at: int | None = None
@@ -156,6 +159,13 @@ class _JsonlStore:
             # a crash then tears at most the final line
             self._handle.flush()
 
+    def key_for(self, text: str) -> str:
+        return prompt_key(self.namespace, text)
+
+    def get(self, text: str):
+        """The value last recorded for text, or None."""
+        return self._entries.get(self.key_for(text))
+
     def close(self) -> None:
         with self._lock:
             if self._handle is not None:
@@ -182,19 +192,12 @@ class ResponseCache(_JsonlStore):
     field = "response"
 
     def __init__(self, path: str | Path, model_id: str = "default"):
-        self.model_id = model_id
-        super().__init__(path)
+        super().__init__(path, model_id)
 
     def _decode(self, value) -> str:
         if not isinstance(value, str):
             raise TypeError(f"response is {type(value).__name__}, not a string")
         return value
-
-    def key_for(self, prompt: str) -> str:
-        return prompt_key(self.model_id, prompt)
-
-    def get(self, prompt: str) -> str | None:
-        return self._entries.get(self.key_for(prompt))
 
     def put(self, prompt: str, response: str) -> None:
         self._append(self.key_for(prompt), response, response)
@@ -218,7 +221,8 @@ class CachingBackend(CompletionBackend):
             return response
         if self.inner is None:
             raise BackendError(
-                f"no recorded response for prompt key {self.cache.key_for(prompt)[:12]}..."
+                f"no recorded response in {self.cache.path} "
+                f"for prompt key {self.cache.key_for(prompt)[:12]}..."
             )
         response = self.inner.complete(prompt)
         self.cache.put(prompt, response)
@@ -237,10 +241,6 @@ class ReplayBackend(CachingBackend):
 
     def __init__(self, cache: ResponseCache):
         super().__init__(None, cache)
-
-    @classmethod
-    def from_file(cls, path: str | Path, model_id: str = "default") -> "ReplayBackend":
-        return cls(ResponseCache(path, model_id=model_id))
 
 
 def _parse_url(url: str, schemes: tuple[str, ...]) -> urllib.parse.SplitResult:
@@ -532,9 +532,10 @@ class MockEmbeddingBackend(EmbeddingBackend):
     def _add_tokens(self, tokens: list[str]) -> None:
         start = len(self._rows)
         needed = start + len(tokens)
-        # realloc: growth never holds the old and new table at once, and resizing to
-        # the exact row count zero-fills no spare rows; no view of _table outlives
-        # an embed call, so the reference check is not needed
+        # realloc to the exact row count zero-fills no spare rows. It may copy: glibc
+        # moves an mmapped block with mremap, but a heap block can be copied, which
+        # holds the old and new table at once. No view of _table outlives an embed
+        # call, so the reference check is not needed
         self._table.resize((needed, self.dimension), refcheck=False)
         digests = (
             hashlib.blake2b(f"{self.seed}:{token}".encode("utf-8"), digest_size=8).digest()
@@ -650,9 +651,8 @@ class EmbeddingCache(_JsonlStore):
     field = "vector"
 
     def __init__(self, path: str | Path, backend_id: str):
-        self.backend_id = backend_id
         self.dimension: int | None = None
-        super().__init__(path)
+        super().__init__(path, backend_id)
 
     def _decode(self, value) -> np.ndarray:
         row = _finite_row(value)
@@ -677,12 +677,6 @@ class EmbeddingCache(_JsonlStore):
                 f"{self.path} holds vectors of length {self.dimension}, "
                 f"but the embedder returns length {dimension}"
             )
-
-    def key_for(self, text: str) -> str:
-        return prompt_key(self.backend_id, text)
-
-    def get(self, text: str) -> np.ndarray | None:
-        return self._entries.get(self.key_for(text))
 
     def put(self, text: str, vector: np.ndarray) -> None:
         row = np.asarray(vector, dtype=np.float64)

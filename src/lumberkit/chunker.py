@@ -56,25 +56,24 @@ class ChunkingAborted(ChunkerError):
 # Digits of the zero-padded IDs in a split prompt, the paper's 'ID XXXX'; a
 # document whose last index needs more digits widens it.
 ID_WIDTH = 4
+# How often an unusable split answer is asked again before the window falls
+# back to one chunk; read for each window.
+MAX_RETRIES = 3
 
 
 @dataclass(frozen=True)
 class ChunkerConfig:
-    """Knobs for the chunking loop.
+    """The chunking loop's one setting.
 
     theta is the token threshold a group must exceed before the backend is
-    asked for a split point; max_retries is how often an unusable answer is
-    asked again before the group falls back to one chunk.
+    asked for a split point.
     """
 
     theta: int = 550
-    max_retries: int = 3
 
     def __post_init__(self) -> None:
         if self.theta < 1:
             raise ConfigError(f"theta must be >= 1, got {self.theta}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
 @dataclass(frozen=True)
@@ -218,11 +217,7 @@ def _make_chunk(document: Document, chunk_id: int, start: int, end: int) -> Chun
     return make_chunk(document.doc_id, chunk_id, start, end, text)
 
 
-def _ask_for_split(
-    group: Group,
-    config: ChunkerConfig,
-    backend: CompletionBackend | None,
-) -> tuple[int, int, bool]:
+def _ask_for_split(group: Group, backend: CompletionBackend | None) -> tuple[int, int, bool]:
     """Return (end, attempts, fell_back): the chunk ends just before the answered
     ID, or at the group end once every attempt was unusable."""
     if backend is None:
@@ -230,7 +225,7 @@ def _ask_for_split(
             "a completion backend is required to split groups larger than theta"
         )
     prompt = render_prompt(group)
-    for attempts in range(1, config.max_retries + 2):
+    for attempts in range(1, MAX_RETRIES + 2):
         ask = backend.complete if attempts == 1 else backend.retry
         response = ask(prompt)
         try:
@@ -273,7 +268,7 @@ def lumber_steps(
         group = build_group(document, start, config)
         used_llm = len(group) > 1 and group.token_total > config.theta
         if used_llm:
-            end, attempts, fell_back = _ask_for_split(group, config, backend)
+            end, attempts, fell_back = _ask_for_split(group, backend)
         else:
             end, attempts, fell_back = group.end_index, 0, False
         chunk = _make_chunk(document, chunk_id, start, end)

@@ -20,6 +20,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
+from . import chunker
 from .backends import (
     API_KEY_ENV_VAR,
     BackendError,
@@ -67,31 +68,31 @@ from .index import IndexingError, bm25_build, embed_chunks, embed_texts
 from .parallel import ordered_map
 from .ragpipe import answer_question, qa_accuracy
 
-_COMPLETION = ("replay_cache", "backend_url", "model", "model_id", "record_cache")
+_COMPLETION = ("replay_cache", "backend_url", "model", "record_cache")
 _EMBEDDING = ("embed", "embed_cache")
 _CHUNK = ("document", "method", "output_dir")
 _EVAL = ("chunks", "qa", "ks", "hyde", "output_dir", *_EMBEDDING)
 
 # The flags (argparse dests) each command reads: one row per command, per
 # chunk --method, and for eval with and without --hyde. A row that reads
-# --embed also reads the chosen embedder's flags in _EMBEDDERS. Any other flag
-# of the command that is given is rejected before input is read, and
-# run_config.json records a completion backend, embedder or cache only where
-# the row reads it.
+# --embed http also reads _EMBED_HTTP (the mock embedder reads no flag). Any
+# other flag of the command that is given is rejected before input is read,
+# and run_config.json records a completion backend, embedder or cache only
+# where the row reads it.
 _READS = {
     "ingest": ("input", "format", "doc_id", "title", "output"),
     "chunk --method paragraph": _CHUNK,
     "chunk --method recursive": (*_CHUNK, "max_tokens"),
     "chunk --method semantic": (*_CHUNK, "percentile", "min_unit", *_EMBEDDING),
-    "chunk --method lumber": (*_CHUNK, "theta", "max_retries", *_COMPLETION),
+    "chunk --method lumber": (*_CHUNK, "theta", *_COMPLETION),
     "chunk --method proposition": (*_CHUNK, *_COMPLETION),
     "eval": _EVAL,
     "eval --hyde": (*_EVAL, *_COMPLETION),
-    "sweep": ("documents", "qa", "thetas", "ks", "max_retries", "output_dir", *_COMPLETION, *_EMBEDDING),
+    "sweep": ("documents", "qa", "thetas", "ks", "output_dir", *_COMPLETION, *_EMBEDDING),
     "rag": ("chunks", "questions", "output_dir", *_COMPLETION, *_EMBEDDING),
     "gen-qa": ("document", "n", "seed", "output", *_COMPLETION),
 }
-_EMBEDDERS = {"mock": ("embed_dim", "embed_seed"), "http": ("embed_url", "embed_model")}
+_EMBED_HTTP = ("embed_url", "embed_model")
 
 # parsed names that are not the subcommand's flags
 _NOT_COMMAND_FLAGS = {"quiet", "command", "func"}
@@ -116,12 +117,14 @@ def _reject_unread_flags(args: argparse.Namespace) -> None:
     A flag is given when it differs from its default, which is None for every
     flag that some row of its command does not read, but mock for --embed.
     One CliError names all of them, in the order the parser defines them.
+    --backend-url is refused beside --replay-cache, which never calls it.
     """
     row = _row(args)
     reads = set(_READS[row]) | _NOT_COMMAND_FLAGS
     where = row
     if "embed" in reads:
-        reads.update(_EMBEDDERS[args.embed])
+        if args.embed == "http":
+            reads.update(_EMBED_HTTP)
         where += f" with --embed {args.embed}"
     if row == "eval":
         where += " and without --hyde"
@@ -132,11 +135,13 @@ def _reject_unread_flags(args: argparse.Namespace) -> None:
     ]
     if given:
         raise CliError(f"{', '.join(given)} not supported by {where}")
+    if "replay_cache" in reads and args.replay_cache and args.backend_url:
+        raise CliError("--replay-cache and --backend-url exclude each other: a replay is offline")
 
 
 def _model_id(args: argparse.Namespace) -> str:
-    """The model id in completion cache keys: --model-id, else --model, else 'default'."""
-    return args.model_id or args.model or "default"
+    """The model id in completion cache keys: --model, else 'default'."""
+    return args.model or "default"
 
 
 def _backend_settings(args: argparse.Namespace) -> dict:
@@ -161,13 +166,8 @@ def _embedding_settings(args: argparse.Namespace) -> dict:
             "model": args.embed_model,
             "api_key_source": f"env:{API_KEY_ENV_VAR}",
         }
-    mock = _mock_embedder(args)
+    mock = MockEmbeddingBackend()
     return {"kind": "mock", "dimension": mock.dimension, "seed": mock.seed}
-
-
-def _mock_embedder(args: argparse.Namespace) -> MockEmbeddingBackend:
-    """The mock embedder; --embed-dim and --embed-seed left unset keep its defaults."""
-    return MockEmbeddingBackend(**_given(args, dimension="embed_dim", seed="embed_seed"))
 
 
 def _write_json(obj, path: Path) -> None:
@@ -184,24 +184,27 @@ def _write_run_config(
     *,
     outputs: dict | None = None,
     chunker: dict | None = None,
-    seed: int | None = None,
 ) -> None:
     """Write the resolved settings of this run next to its outputs.
 
     outputs defaults to the directory that holds path. The backend,
     embedding, caches and ks sections follow args' row of _READS: a group the
-    row does not read is {"kind": "none"} or null. The API key itself never
-    appears here; only its source environment variable is recorded.
+    row does not read is {"kind": "none"} or null. The seed is gen-qa's
+    --seed, else the mock embedder's seed where eval, sweep or rag embed
+    with it. The API key itself never appears here; only its source
+    environment variable is recorded.
     """
     reads = _READS[_row(args)]
     caches = {"completion": "record_cache", "embedding": "embed_cache"}
+    embedding = _embedding_settings(args) if "embed" in reads else {"kind": "none"}
+    seed = getattr(args, "seed", None if args.command == "chunk" else embedding.get("seed"))
     _write_json(
         {
             "command": args.command,
             "inputs": inputs,
             "outputs": outputs or {"directory": str(path.parent)},
             "backend": _backend_settings(args) if "backend_url" in reads else {"kind": "none"},
-            "embedding": _embedding_settings(args) if "embed" in reads else {"kind": "none"},
+            "embedding": embedding,
             "caches": {
                 cache: str(getattr(args, name)) if name in reads and getattr(args, name) else None
                 for cache, name in caches.items()
@@ -216,7 +219,7 @@ def _write_run_config(
 
 def _completion_backend(args: argparse.Namespace, *, needed_for: str) -> CompletionBackend:
     if args.replay_cache:
-        return ReplayBackend.from_file(args.replay_cache, model_id=_model_id(args))
+        return ReplayBackend(ResponseCache(args.replay_cache, model_id=_model_id(args)))
     if args.backend_url:
         if not args.model:
             raise CliError("--backend-url requires --model")
@@ -236,7 +239,7 @@ def _embedding_backend(args: argparse.Namespace) -> EmbeddingBackend:
         return HttpEmbeddingBackend(
             args.embed_url, args.embed_model, api_key=os.environ.get(API_KEY_ENV_VAR)
         )
-    return _mock_embedder(args)
+    return MockEmbeddingBackend()
 
 
 @contextmanager
@@ -337,9 +340,8 @@ def cmd_chunk(args: argparse.Namespace) -> int:
         with _embedder(args) as embedder:
             chunks = semantic_chunks(document, embedder, semantic_config)
     elif args.method == "lumber":
-        names = ("theta", "max_retries")
-        config = ChunkerConfig(**_given(args, *names))
-        settings.update({name: getattr(config, name) for name in names})
+        config = ChunkerConfig(**_given(args, "theta"))
+        settings.update(theta=config.theta, max_retries=chunker.MAX_RETRIES)
         with _backend(args, "method 'lumber'") as backend:
             chunks = lumberchunk(document, config, backend)
     else:  # proposition
@@ -405,7 +407,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         args,
         out_dir / "run_config.json",
         {"chunks": [str(p) for p in args.chunks], "qa": str(args.qa)},
-        seed=_embedding_settings(args).get("seed"),
     )
     return 0
 
@@ -413,16 +414,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     documents = [load_document(path, "paragraph_records") for path in args.documents]
     qa_pairs = load_qa(args.qa)
-    base_config = ChunkerConfig(**_given(args, "max_retries"))
     with _embedder(args) as embedder, _backend(args, "sweep") as backend:
         reports = sweep_theta(
-            documents,
-            qa_pairs,
-            args.thetas,
-            backend,
-            embedder,
-            config=base_config,
-            ks=tuple(args.ks),
+            documents, qa_pairs, args.thetas, backend, embedder, ks=tuple(args.ks)
         )
     out_dir = _write_report(reports, args.output_dir)
     _write_run_config(
@@ -432,9 +426,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         chunker={
             "method": "lumber",
             "thetas": sorted(set(args.thetas)),
-            "max_retries": base_config.max_retries,
+            "max_retries": chunker.MAX_RETRIES,
         },
-        seed=_embedding_settings(args).get("seed"),
     )
     return 0
 
@@ -475,7 +468,6 @@ def cmd_rag(args: argparse.Namespace) -> int:
         args,
         out_dir / "run_config.json",
         {"chunks": str(args.chunks), "questions": str(args.questions)},
-        seed=_embedding_settings(args).get("seed"),
     )
     print(f"qa_accuracy {accuracy:.2f} over {len(qa_pairs)} question(s)")
     return 0
@@ -493,7 +485,6 @@ def cmd_gen_qa(args: argparse.Namespace) -> int:
         output.with_name(output.name + ".run.json"),
         {"document": str(args.document), "n": args.n},
         outputs={"qa": str(output)},
-        seed=args.seed,
     )
     print(f"wrote {len(pairs)} QA pair(s) to {output}")
     return 0
@@ -511,11 +502,10 @@ def _add_completion_flags(parser: argparse.ArgumentParser) -> None:
         metavar="URL",
         help=f"chat-completion endpoint base URL; key comes from ${API_KEY_ENV_VAR}",
     )
-    group.add_argument("--model", metavar="NAME", help="model name for the live backend")
     group.add_argument(
-        "--model-id",
-        metavar="ID",
-        help="identifier used in completion cache keys (default: --model, else 'default')",
+        "--model",
+        metavar="NAME",
+        help="model name for the live backend and in completion cache keys (else 'default')",
     )
     group.add_argument(
         "--record-cache",
@@ -532,8 +522,6 @@ def _add_embedding_flags(parser: argparse.ArgumentParser) -> None:
         default="mock",
         help="embedding backend (default: deterministic mock)",
     )
-    group.add_argument("--embed-dim", type=int, help="mock embedding dimension")
-    group.add_argument("--embed-seed", type=int, help="mock embedding seed")
     group.add_argument("--embed-url", metavar="URL", help="embedding endpoint base URL")
     group.add_argument("--embed-model", metavar="NAME", help="embedding model name")
     group.add_argument("--embed-cache", metavar="FILE", help="embedding cache sidecar file")
@@ -568,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     # method flags default to None, so a flag the chosen method does not read
     # can be rejected; the method's config supplies the default
     chunk.add_argument("--theta", type=int, help="token threshold for lumber")
-    chunk.add_argument("--max-retries", type=int, help="split re-asks for lumber")
     chunk.add_argument("--max-tokens", type=int, help="chunk size cap for recursive")
     chunk.add_argument("--percentile", type=float, help="semantic breakpoint percentile")
     chunk.add_argument(
@@ -609,22 +596,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="token thresholds to sweep",
     )
     sweep.add_argument("--ks", nargs="+", type=int, default=list(DEFAULT_KS), help="metric cutoffs")
-    sweep.add_argument("--max-retries", type=int, help="split re-asks for lumber")
     sweep.add_argument("--output-dir", required=True, help="directory for reports")
     _add_completion_flags(sweep)
     _add_embedding_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
-    rag = subparsers.add_parser(
-        "rag", aliases=["rag-answer"], help="answer questions over a chunk file"
-    )
+    rag = subparsers.add_parser("rag", help="answer questions over a chunk file")
     rag.add_argument("--chunks", required=True, help="chunk records path")
     rag.add_argument("--questions", required=True, help="QA records path")
     rag.add_argument("--output-dir", required=True, help="directory for answers")
     _add_completion_flags(rag)
     _add_embedding_flags(rag)
-    # the rag-answer alias runs, and records itself, as rag
-    rag.set_defaults(func=cmd_rag, command="rag")
+    rag.set_defaults(func=cmd_rag)
 
     gen_qa = subparsers.add_parser("gen-qa", help="generate QA pairs from a document")
     gen_qa.add_argument("--document", required=True, help="paragraph records path")

@@ -13,7 +13,7 @@ import logging
 import math
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -251,7 +251,6 @@ def sweep_theta(
     backend: CompletionBackend,
     embed_backend: EmbeddingBackend,
     *,
-    config: ChunkerConfig | None = None,
     ks: Sequence[int] = DEFAULT_KS,
 ) -> list[MetricsReport]:
     """Chunk every document at each theta and evaluate each result.
@@ -281,7 +280,6 @@ def sweep_theta(
     unswept: list[int] = []
     for position, qa in enumerate(qa_pairs):
         questions_by_doc.get(qa.doc_id, unswept).append(position)
-    base = config or ChunkerConfig()
     ordered = sorted(set(thetas))
     runs: list[dict[int, RetrievalRun]] = [{} for _ in ordered]
     seconds = [0.0] * len(ordered)
@@ -289,7 +287,7 @@ def sweep_theta(
     def chunk_document(document: Document) -> Iterator[tuple[int, list[Chunk], float]]:
         for step, theta in enumerate(ordered):
             started = time.perf_counter()
-            chunks = lumberchunk(document, replace(base, theta=theta), backend)
+            chunks = lumberchunk(document, ChunkerConfig(theta=theta), backend)
             yield step, chunks, time.perf_counter() - started
 
     def score(step: int, chunks: Sequence[Chunk], positions: list[int]) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 import socket
 import sys
 import threading
@@ -188,6 +189,11 @@ class TestResponseCache:
     def test_key_depends_on_model_id(self):
         assert prompt_key("m1", "p") != prompt_key("m2", "p")
 
+    def test_both_stores_key_a_text_by_their_namespace(self, tmp_path):
+        responses = ResponseCache(tmp_path / "r.jsonl", model_id="x")
+        vectors = EmbeddingCache(tmp_path / "e.jsonl", "x")
+        assert responses.key_for("t") == vectors.key_for("t") == prompt_key("x", "t")
+
 
 class TestReplayBackend:
     def test_serves_recorded_response_byte_exactly(self, tmp_path):
@@ -195,14 +201,14 @@ class TestReplayBackend:
         recording = ResponseCache(path, model_id="m")
         response = "Answer: ID 0007\n\ttrailing whitespace  "
         recording.put("the prompt", response)
-        replay = ReplayBackend.from_file(path, model_id="m")
+        replay = ReplayBackend(ResponseCache(path, model_id="m"))
         assert replay.complete("the prompt") == response
 
     def test_miss_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         ResponseCache(path, model_id="m").put("known", "r")
-        replay = ReplayBackend.from_file(path, model_id="m")
-        with pytest.raises(BackendError):
+        replay = ReplayBackend(ResponseCache(path, model_id="m"))
+        with pytest.raises(BackendError, match=f"no recorded response in {re.escape(str(path))} "):
             replay.complete("unknown")
 
 

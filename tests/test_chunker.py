@@ -22,6 +22,7 @@ from test_acceptance import adversarial_responder
 
 from lumberkit.backends import ReplayBackend, ResponseCache, ScriptedBackend
 from lumberkit.chunker import (
+    MAX_RETRIES,
     PROMPT_HEADER,
     Chunk,
     ChunkerConfig,
@@ -59,14 +60,13 @@ def spans(chunks):
 class TestChunkerConfig:
     def test_defaults(self):
         config = ChunkerConfig()
-        assert (config.theta, config.max_retries) == (550, 3)
-        assert [field.name for field in dataclasses.fields(config)] == ["theta", "max_retries"]
+        assert (config.theta, MAX_RETRIES) == (550, 3)
+        assert [field.name for field in dataclasses.fields(config)] == ["theta"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"theta": 0},
-            {"max_retries": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -265,13 +265,13 @@ class TestLumberchunk:
         assert spans(chunks) == [(1, 1), (2, 2)]
         assert backend.calls == 1
 
-    def test_oversized_mid_document_paragraph_becomes_its_own_chunk(self):
+    def test_oversized_mid_document_paragraph_becomes_its_own_chunk(self, monkeypatch):
         # the 600-token paragraph forms a one-paragraph group, which has no
         # split point to ask for, so it becomes a chunk without the backend
         document = make_document([450, 150, 150, 150])
         backend = CountingBackend(last_id_responder)
-        config = ChunkerConfig(max_retries=1)
-        chunks = lumberchunk(document, config=config, backend=backend)
+        monkeypatch.setattr("lumberkit.chunker.MAX_RETRIES", 1)
+        chunks = lumberchunk(document, backend=backend)
         assert spans(chunks)[0] == (1, 1)
         verify_partition(chunks, 4)
         # the one call splits the 600-token tail group 2..4
@@ -296,9 +296,11 @@ class TestLumberchunk:
         self, word_counts, theta, mode, max_retries
     ):
         document = make_document(word_counts)
-        config = ChunkerConfig(theta=theta, max_retries=max_retries)
+        config = ChunkerConfig(theta=theta)
         backend = CountingBackend(adversarial_responder(mode))
-        steps = list(lumber_steps(document, config, backend))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("lumberkit.chunker.MAX_RETRIES", max_retries)
+            steps = list(lumber_steps(document, config, backend))
         assert all(len(prompt_ids(prompt)) >= 2 for prompt in backend.prompts)
         verify_partition([step.chunk for step in steps], len(document))
         for step in steps:
@@ -308,29 +310,27 @@ class TestLumberchunk:
         llm_windows = sum(step.used_llm for step in steps)
         assert backend.calls <= llm_windows * (1 + max_retries)
 
-    def test_garbage_responses_fall_back_to_whole_groups(self):
+    def test_garbage_responses_fall_back_to_whole_groups(self, monkeypatch):
         document = doc_200s(9)
         backend = CountingBackend(garbage_responder)
-        config = ChunkerConfig(max_retries=2)
-        chunks = lumberchunk(document, config=config, backend=backend)
+        monkeypatch.setattr("lumberkit.chunker.MAX_RETRIES", 2)
+        chunks = lumberchunk(document, backend=backend)
         assert spans(chunks) == [(1, 3), (4, 6), (7, 9)]
         assert backend.calls == 9  # 3 groups x (1 attempt + 2 retries)
         verify_partition(chunks, 9)
 
-    def test_fallback_step_metadata(self):
+    def test_fallback_step_metadata(self, monkeypatch):
         document = doc_200s(9)
-        config = ChunkerConfig(max_retries=2)
-        steps = list(
-            lumber_steps(document, config=config, backend=CountingBackend(garbage_responder))
-        )
+        monkeypatch.setattr("lumberkit.chunker.MAX_RETRIES", 2)
+        steps = list(lumber_steps(document, backend=CountingBackend(garbage_responder)))
         assert all(s.fell_back for s in steps)
         assert [s.attempts for s in steps] == [3, 3, 3]
 
-    def test_out_of_range_answers_also_retry(self):
+    def test_out_of_range_answers_also_retry(self, monkeypatch):
         document = doc_200s(9)
         backend = CountingBackend(lambda p: "Answer: ID 9999")
-        config = ChunkerConfig(max_retries=1)
-        chunks = lumberchunk(document, config=config, backend=backend)
+        monkeypatch.setattr("lumberkit.chunker.MAX_RETRIES", 1)
+        chunks = lumberchunk(document, backend=backend)
         assert spans(chunks) == [(1, 3), (4, 6), (7, 9)]
         assert backend.calls == 6
 
@@ -380,7 +380,7 @@ class TestCacheIntegration:
         cache_path = tmp_path / "cache.jsonl"
         cache = ResponseCache(cache_path, model_id="m")
         live = lumberchunk(document, backend=CountingBackend(last_id_responder), cache=cache)
-        replayed = lumberchunk(document, backend=ReplayBackend.from_file(cache_path, "m"))
+        replayed = lumberchunk(document, backend=ReplayBackend(ResponseCache(cache_path, "m")))
         assert replayed == live
         live_file = tmp_path / "live.jsonl"
         replay_file = tmp_path / "replay.jsonl"
@@ -530,10 +530,12 @@ class TestPartitionProperty:
     @settings(max_examples=120, deadline=None)
     def test_any_backend_behavior_yields_a_partition(self, word_counts, theta, max_retries):
         document = make_document(word_counts)
-        config = ChunkerConfig(theta=theta, max_retries=max_retries)
-        chunks = lumberchunk(
-            document, config=config, backend=ScriptedBackend(_pseudo_random_responder)
-        )
+        config = ChunkerConfig(theta=theta)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("lumberkit.chunker.MAX_RETRIES", max_retries)
+            chunks = lumberchunk(
+                document, config=config, backend=ScriptedBackend(_pseudo_random_responder)
+            )
         verify_partition(chunks, len(document))
         reconstructed = "\n\n".join(c.text for c in chunks)
         assert reconstructed == document.text

@@ -527,11 +527,11 @@ class TestRagCommand:
         seed_rag_cache(chunks, qa_pairs, cache_path)
         return chunk_path, qa_path, cache_path
 
-    def run_rag(self, rag_inputs, out_dir, command="rag"):
+    def run_rag(self, rag_inputs, out_dir):
         chunk_path, qa_path, cache_path = rag_inputs
         return main(
             [
-                command,
+                "rag",
                 "--chunks",
                 str(chunk_path),
                 "--questions",
@@ -567,9 +567,6 @@ class TestRagCommand:
             assert self.run_rag(rag_inputs, out_dir) == 0
         for name in ("answers.jsonl", "summary.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
-
-    def test_rag_answer_alias(self, tmp_path, rag_inputs):
-        assert self.run_rag(rag_inputs, tmp_path / "alias-out", command="rag-answer") == 0
 
 
 class TestEmptyInputs:
@@ -922,7 +919,6 @@ class TestUnusedCompletionFlags:
             ("--replay-cache", "nothere.jsonl"),
             ("--backend-url", "http://127.0.0.1:9"),
             ("--model", "m"),
-            ("--model-id", "m"),
             ("--record-cache", "record.jsonl"),
         ],
         ids=lambda flag: flag[0],
@@ -972,16 +968,11 @@ class TestUnusedEmbeddingFlags:
         "flags, named",
         [
             (
-                ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "m",
-                 "--embed-dim", "8", "--embed-seed", "3"],
-                "--embed-dim, --embed-seed not supported by {command} with --embed http",
-            ),
-            (
                 ["--embed-url", "http://x", "--embed-model", "m"],
                 "--embed-url, --embed-model not supported by {command} with --embed mock",
             ),
         ],
-        ids=["mock-flags-with-http", "http-flags-with-mock"],
+        ids=["http-flags-with-mock"],
     )
     def test_rejected_where_the_embedder_does_not_read_them(
         self, tmp_path, argv, flags, named, capsys
@@ -1024,6 +1015,41 @@ class TestUnusableBackendUrl:
         assert err.startswith("error: bad URL")
         assert "Traceback" not in err
         assert time.perf_counter() - started < 1.0  # no backoff sleeps
+
+
+class TestReplayCacheFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chunk", "--document", "{missing}", "--method", "lumber", "--output-dir", "{out}"],
+            ["chunk", "--document", "{missing}", "--method", "proposition", "--output-dir", "{out}"],
+            ["eval", "--chunks", "{missing}", "--qa", "{missing}", "--hyde", "--output-dir", "{out}"],
+            ["sweep", "--documents", "{missing}", "--qa", "{missing}", "--output-dir", "{out}"],
+            ["rag", "--chunks", "{missing}", "--questions", "{missing}", "--output-dir", "{out}"],
+            ["gen-qa", "--document", "{missing}", "-n", "1", "--output", "{out}/qa.jsonl"],
+        ],
+        ids=["chunk-lumber", "chunk-proposition", "eval-hyde", "sweep", "rag", "gen-qa"],
+    )
+    def test_backend_url_beside_it_is_rejected_before_input_is_read(self, tmp_path, argv, capsys):
+        out = tmp_path / "out"
+        paths = {"missing": tmp_path / "missing.jsonl", "out": out}
+        code = main(
+            [arg.format(**paths) for arg in argv]
+            + ["--replay-cache", str(tmp_path / "replay.jsonl"),
+               "--backend-url", "http://127.0.0.1:9", "--model", "m"]
+        )
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert "--replay-cache and --backend-url" in error
+        assert not out.exists()
+
+    def test_a_miss_names_the_cache_file(self, tmp_path, book_records, capsys):
+        cache_path = tmp_path / "mistyped.jsonl"  # no such file: it opens as an empty store
+        code = main(
+            ["chunk", "--document", str(book_records), "--method", "lumber",
+             "--replay-cache", str(cache_path), "--output-dir", str(tmp_path / "out")]
+        )
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert f"no recorded response in {cache_path} for prompt key " in error
 
 
 def first_split_responder(prompt: str) -> str:
@@ -1202,21 +1228,13 @@ class TestUnreadChunkFlags:
     @pytest.mark.parametrize(
         "method, flags, named",
         [
-            ("paragraph", ["--embed-dim", "8", "--embed-seed", "3"], "--embed-dim, --embed-seed"),
             ("recursive", ["--theta", "900", "--percentile", "10"], "--theta, --percentile"),
-            ("paragraph", ["--max-retries", "1"], "--max-retries"),
             ("paragraph", ["--max-tokens", "100"], "--max-tokens"),
             ("paragraph", ["--min-unit", "sentence"], "--min-unit"),
             ("semantic", ["--theta", "900", "--max-tokens", "100"], "--theta, --max-tokens"),
-            ("lumber", ["--max-tokens", "100", "--embed-seed", "1"], "--max-tokens, --embed-seed"),
+            ("lumber", ["--max-tokens", "100", "--embed-cache", "e.jsonl"], "--max-tokens, --embed-cache"),
             ("lumber", ["--percentile", "80", "--min-unit", "paragraph"], "--percentile, --min-unit"),
             ("proposition", ["--theta", "550"], "--theta"),
-            (
-                "semantic",
-                ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "m",
-                 "--embed-dim", "8"],
-                "--embed-dim",
-            ),
         ],
     )
     def test_rejected_where_the_method_does_not_read_them(
@@ -1232,24 +1250,52 @@ class TestUnreadChunkFlags:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, removed",
         [
-            ["chunk", "--document", "{book}", "--method", "lumber"],
-            ["sweep", "--documents", "{book}", "--qa", "{qa}"],
+            (["chunk", "--document", "{book}", "--method", "lumber", "--output-dir", "{out}"],
+             "--min-tail-paragraphs 3 --id-width 5"),
+            (["sweep", "--documents", "{book}", "--qa", "{qa}", "--output-dir", "{out}"],
+             "--min-tail-paragraphs 3 --id-width 5"),
+            (["chunk", "--document", "{book}", "--method", "lumber", "--output-dir", "{out}"],
+             "--max-retries 1 --model-id m"),
+            (["chunk", "--document", "{book}", "--method", "semantic", "--output-dir", "{out}"],
+             "--embed-dim 16 --embed-seed 3"),
+            (["chunk", "--document", "{book}", "--method", "proposition", "--output-dir", "{out}"],
+             "--model-id m"),
+            (["eval", "--chunks", "{book}", "--qa", "{qa}", "--output-dir", "{out}"],
+             "--model-id m --embed-dim 16 --embed-seed 3"),
+            (["sweep", "--documents", "{book}", "--qa", "{qa}", "--output-dir", "{out}"],
+             "--max-retries 1 --model-id m --embed-dim 16 --embed-seed 3"),
+            (["rag", "--chunks", "{book}", "--questions", "{qa}", "--output-dir", "{out}"],
+             "--model-id m --embed-dim 16 --embed-seed 3"),
+            (["gen-qa", "--document", "{book}", "-n", "1", "--output", "{out}"], "--model-id m"),
         ],
-        ids=["chunk-lumber", "sweep"],
+        ids=["chunk-lumber", "sweep", "chunk-lumber-retries", "chunk-semantic", "chunk-proposition",
+             "eval", "sweep-retries", "rag", "gen-qa"],
     )
     def test_removed_lumber_flags_are_unrecognized(
-        self, tmp_path, book_records, qa_file, argv, capsys
+        self, tmp_path, book_records, qa_file, argv, removed, capsys
     ):
         out = tmp_path / "out"
-        paths = {"book": book_records, "qa": qa_file}
+        paths = {"book": book_records, "qa": qa_file, "out": out}
         with pytest.raises(SystemExit) as excinfo:
-            main([arg.format(**paths) for arg in argv]
-                 + ["--min-tail-paragraphs", "3", "--id-width", "5", "--output-dir", str(out)])
+            main([arg.format(**paths) for arg in argv] + removed.split())
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "error: unrecognized arguments: --min-tail-paragraphs 3 --id-width 5" in err
+        assert f"error: unrecognized arguments: {removed}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_removed_rag_answer_alias_is_an_invalid_command(
+        self, tmp_path, book_records, qa_file, capsys
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rag-answer", "--chunks", str(book_records), "--questions", str(qa_file),
+                  "--output-dir", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'rag-answer'" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1268,10 +1314,9 @@ class TestUnreadChunkFlags:
             ),
             (
                 "semantic",
-                ["--percentile", "80", "--min-unit", "sentence", "--embed-dim", "16",
-                 "--embed-seed", "3"],
+                ["--percentile", "80", "--min-unit", "sentence"],
                 {"method": "semantic", "percentile": 80.0, "min_unit": "sentence"},
-                {"kind": "mock", "dimension": 16, "seed": 3},
+                {"kind": "mock", "dimension": 64, "seed": 0},
             ),
             (
                 "lumber",
@@ -1281,8 +1326,8 @@ class TestUnreadChunkFlags:
             ),
             (
                 "lumber",
-                ["--theta", "120", "--max-retries", "1"],
-                {"method": "lumber", "theta": 120, "max_retries": 1},
+                ["--theta", "120"],
+                {"method": "lumber", "theta": 120, "max_retries": 3},
                 {"kind": "none"},
             ),
         ],
@@ -1311,7 +1356,6 @@ class TestUnreadChunkFlags:
         "flags, embedding, seed",
         [
             ([], {"kind": "mock", "dimension": 64, "seed": 0}, 0),
-            (["--embed-dim", "16", "--embed-seed", "5"], {"kind": "mock", "dimension": 16, "seed": 5}, 5),
             # no mock embedder runs, so there is no embedding seed to record
             (
                 ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "em"],
@@ -1413,16 +1457,12 @@ class TestOutOfRangeFlags:
             ["eval", "--chunks", "{chunks}", "--qa", "{qa}", "--ks", "0", "--output-dir", "{out}"],
             ["eval", "--chunks", "{chunks}", "--qa", "{qa}", "--ks", "5", "5", "1",
              "--output-dir", "{out}"],
-            ["eval", "--chunks", "{chunks}", "--qa", "{qa}", "--embed-dim", "1",
-             "--output-dir", "{out}"],
             ["sweep", "--documents", "{book}", "--qa", "{qa}", "--thetas", "0",
-             "--replay-cache", "{cache}", "--output-dir", "{out}"],
-            ["sweep", "--documents", "{book}", "--qa", "{qa}", "--max-retries", "-1",
              "--replay-cache", "{cache}", "--output-dir", "{out}"],
             ["gen-qa", "--document", "{book}", "-n", "-1", "--replay-cache", "{cache}",
              "--output", "{out}"],
         ],
-        ids=["max-tokens", "ks", "ks-duplicate", "embed-dim", "thetas", "max-retries", "gen-qa-n"],
+        ids=["max-tokens", "ks", "ks-duplicate", "thetas", "gen-qa-n"],
     )
     def test_one_error_line_and_no_traceback(self, tmp_path, book_records, qa_file, argv, capsys):
         chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[1]
@@ -1444,7 +1484,7 @@ class TestFlagTable:
         parser = cli.build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         commands = {row.split()[0] for row in cli._READS}
-        assert set(subparsers.choices) == commands | {"rag-answer"}
+        assert set(subparsers.choices) == commands
         methods = {row.split()[-1] for row in cli._READS if row.startswith("chunk ")}
         assert methods == set(chunk_method_names())
         for command in commands:
@@ -1454,8 +1494,7 @@ class TestFlagTable:
                 if row.split()[0] == command:
                     read.update(names)
             if "embed" in read:
-                for names in cli._EMBEDDERS.values():
-                    read.update(names)
+                read.update(cli._EMBED_HTTP)
             assert read == dests, command
 
     def test_readme_table_is_the_reads_table(self):

@@ -86,10 +86,10 @@ HTTP = {
     "kind": "http",
     "url": "http://127.0.0.1:9",
     "model": "m",
-    "model_id": "mid",
+    "model_id": "m",
     "api_key_source": "env:LUMBERKIT_API_KEY",
 }
-LIVE_FLAGS = ["--backend-url", "http://127.0.0.1:9", "--model", "m", "--model-id", "mid"]
+LIVE_FLAGS = ["--backend-url", "http://127.0.0.1:9", "--model", "m"]
 KS = [1, 2, 5, 10, 20]
 RAG_SUMMARY = {"qa_accuracy": 33.333333333333336, "questions": 3}
 RAG_ANSWERS = [
@@ -164,11 +164,11 @@ CASES = {
     ),
     "chunk-semantic-flags": chunk_case(
         "semantic",
-        ["--percentile", "80", "--min-unit", "sentence", "--embed-dim", "16", "--embed-seed", "3"],
+        ["--percentile", "80", "--min-unit", "sentence"],
         {"percentile": 80.0, "min_unit": "sentence"},
-        {"count": 3, "mean_tokens": 213.66666666666666, "min_tokens": 54, "max_tokens": 480,
+        {"count": 3, "mean_tokens": 213.66666666666666, "min_tokens": 107, "max_tokens": 320,
          "mean_paragraphs": 4.0},
-        embedding={"kind": "mock", "dimension": 16, "seed": 3},
+        embedding=MOCK,
     ),
     "chunk-semantic-http": chunk_case(
         "semantic",
@@ -188,8 +188,8 @@ CASES = {
     ),
     "chunk-lumber-flags": chunk_case(
         "lumber",
-        ["--theta", "120", "--max-retries", "1", *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl"],
-        {"theta": 120, "max_retries": 1},
+        ["--theta", "120", *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl"],
+        {"theta": 120, "max_retries": 3},
         {"count": 6, "mean_tokens": 107.0, "min_tokens": 107, "max_tokens": 107,
          "mean_paragraphs": 2.0},
         backend=HTTP,
@@ -215,7 +215,7 @@ CASES = {
     ),
     "eval-flags": (
         ["eval", "--chunks", "{tmp}/paragraph.jsonl", "{tmp}/paragraph.jsonl",
-         "--qa", "{tmp}/qa.jsonl", "--ks", "1", "5", "--embed-dim", "16", "--embed-seed", "5",
+         "--qa", "{tmp}/qa.jsonl", "--ks", "1", "5",
          "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
         {
             "out/run_config.json": run_config(
@@ -223,10 +223,10 @@ CASES = {
                 {"chunks": ["{tmp}/paragraph.jsonl", "{tmp}/paragraph.jsonl"],
                  "qa": "{tmp}/qa.jsonl"},
                 {"directory": "{tmp}/out"},
-                embedding={"kind": "mock", "dimension": 16, "seed": 5},
+                embedding=MOCK,
                 caches={"completion": None, "embedding": "{tmp}/embed.jsonl"},
                 ks=[1, 5],
-                seed=5,
+                seed=0,
             ),
         },
     ),
@@ -255,17 +255,16 @@ CASES = {
     ),
     "sweep-flags": (
         ["sweep", "--documents", "{tmp}/book.jsonl", "--qa", "{tmp}/qa.jsonl",
-         "--thetas", "650", "120", "650", "--ks", "1", "--max-retries", "1", *LIVE_FLAGS,
-         "--record-cache", "{tmp}/record.jsonl", "--embed-dim", "16", "--embed-seed", "5",
+         "--thetas", "650", "120", "650", "--ks", "1", *LIVE_FLAGS,
+         "--record-cache", "{tmp}/record.jsonl",
          "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
         {
             "out/run_config.json": run_config(
                 "sweep", {"documents": ["{tmp}/book.jsonl"], "qa": "{tmp}/qa.jsonl"},
-                {"directory": "{tmp}/out"}, backend=HTTP,
-                embedding={"kind": "mock", "dimension": 16, "seed": 5},
+                {"directory": "{tmp}/out"}, backend=HTTP, embedding=MOCK,
                 caches={"completion": "{tmp}/record.jsonl", "embedding": "{tmp}/embed.jsonl"},
-                chunker={"method": "lumber", "thetas": [120, 650], "max_retries": 1},
-                ks=[1], seed=5,
+                chunker={"method": "lumber", "thetas": [120, 650], "max_retries": 3},
+                ks=[1], seed=0,
             ),
         },
     ),
@@ -281,8 +280,8 @@ CASES = {
             "out/answers.jsonl": RAG_ANSWERS,
         },
     ),
-    "rag-answer-flags": (
-        ["rag-answer", "--chunks", "{tmp}/paragraph.jsonl", "--questions", "{tmp}/qa.jsonl",
+    "rag-flags": (
+        ["rag", "--chunks", "{tmp}/paragraph.jsonl", "--questions", "{tmp}/qa.jsonl",
          *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl", "--embed", "http",
          "--embed-url", "http://127.0.0.1:9", "--embed-model", "em",
          "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
