@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, LumberkitError
+from .errors import LumberkitError
 from .parallel import WORKERS
 
 logger = logging.getLogger(__name__)
@@ -514,20 +514,19 @@ class MockEmbeddingBackend(EmbeddingBackend):
     Every lowercased whitespace token maps to a fixed pseudo-random direction,
     np.random.default_rng(blake2b-64("{seed}:{token}")).standard_normal(dimension);
     a text embeds as the normalized sum over its tokens, added left to right.
-    Vectors are a pure function of (seed, dimension, text), and one instance
-    may be shared by threads. Word order is deliberately ignored, which is a
-    documented limitation of the mock.
+    Vectors are a pure function of the text, and one instance may be shared
+    by threads. Word order is deliberately ignored, which is a documented
+    limitation of the mock.
     """
 
-    def __init__(self, dimension: int = 64, seed: int = 0):
-        if dimension < 2:
-            raise ConfigError(f"dimension must be >= 2, got {dimension}")
-        self.dimension = dimension
-        self.seed = seed
-        self.backend_id = f"mock:{dimension}:{seed}"
+    dimension = 64
+    seed = 0
+    backend_id = "mock:64:0"  # keys --embed-cache files
+
+    def __init__(self):
         self._lock = threading.Lock()  # guards _rows, _table and its growth
         self._rows: dict[str, int] = {}  # token -> its row of _table
-        self._table = np.empty((0, dimension), dtype=np.float64)
+        self._table = np.empty((0, self.dimension), dtype=np.float64)
 
     def _add_tokens(self, tokens: list[str]) -> None:
         start = len(self._rows)

@@ -11,8 +11,8 @@ one paragraph.
 from __future__ import annotations
 
 import logging
+import math
 import re
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -38,11 +38,7 @@ class ChunkerError(LumberkitError):
 
 
 class ParseError(ChunkerError):
-    """The backend response contained no usable paragraph ID."""
-
-
-class OutOfRangeError(ChunkerError):
-    """The answered paragraph ID falls outside the current group."""
+    """The backend response holds no paragraph ID, or one outside the group."""
 
 
 class ChunkingAborted(ChunkerError):
@@ -199,7 +195,7 @@ def parse_split_id(response: str, group: Group) -> int:
         raise ParseError("no paragraph ID found in response")
     split_id = int(match.group(1))
     if not group.start_index < split_id <= group.end_index:
-        raise OutOfRangeError(
+        raise ParseError(
             f"ID {split_id} outside permitted range "
             f"({group.start_index}, {group.end_index}]"
         )
@@ -230,7 +226,7 @@ def _ask_for_split(group: Group, backend: CompletionBackend | None) -> tuple[int
         response = ask(prompt)
         try:
             return parse_split_id(response, group) - 1, attempts, False
-        except (ParseError, OutOfRangeError) as exc:
+        except ParseError as exc:
             logger.debug("split attempt %d rejected: %s", attempts, exc)
     logger.warning(
         "no usable split for paragraphs %d-%d after %d attempt(s); "
@@ -348,10 +344,10 @@ def chunk_stats(chunks: list[Chunk]) -> ChunkStats:
     spans = [c.paragraph_count for c in chunks]
     return ChunkStats(
         count=len(chunks),
-        mean_tokens=statistics.fmean(tokens),
+        mean_tokens=math.fsum(tokens) / len(tokens),
         min_tokens=min(tokens),
         max_tokens=max(tokens),
-        mean_paragraphs=statistics.fmean(spans),
+        mean_paragraphs=math.fsum(spans) / len(spans),
     )
 
 

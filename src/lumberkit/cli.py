@@ -166,8 +166,11 @@ def _embedding_settings(args: argparse.Namespace) -> dict:
             "model": args.embed_model,
             "api_key_source": f"env:{API_KEY_ENV_VAR}",
         }
-    mock = MockEmbeddingBackend()
-    return {"kind": "mock", "dimension": mock.dimension, "seed": mock.seed}
+    return {
+        "kind": "mock",
+        "dimension": MockEmbeddingBackend.dimension,
+        "seed": MockEmbeddingBackend.seed,
+    }
 
 
 def _write_json(obj, path: Path) -> None:
@@ -190,14 +193,12 @@ def _write_run_config(
     outputs defaults to the directory that holds path. The backend,
     embedding, caches and ks sections follow args' row of _READS: a group the
     row does not read is {"kind": "none"} or null. The seed is gen-qa's
-    --seed, else the mock embedder's seed where eval, sweep or rag embed
-    with it. The API key itself never appears here; only its source
-    environment variable is recorded.
+    --seed, else the embedding section's seed. The API key itself never
+    appears here; only its source environment variable is recorded.
     """
     reads = _READS[_row(args)]
     caches = {"completion": "record_cache", "embedding": "embed_cache"}
     embedding = _embedding_settings(args) if "embed" in reads else {"kind": "none"}
-    seed = getattr(args, "seed", None if args.command == "chunk" else embedding.get("seed"))
     _write_json(
         {
             "command": args.command,
@@ -211,7 +212,7 @@ def _write_run_config(
             },
             "chunker": chunker or {},
             "ks": list(args.ks) if "ks" in reads else None,
-            "seed": seed,
+            "seed": getattr(args, "seed", embedding.get("seed")),
         },
         path,
     )

@@ -65,12 +65,6 @@ class MetricsReport:
     chunking_seconds: float | None = None
     theta: int | None = None
 
-    def __post_init__(self) -> None:
-        for table in (self.dcg, self.recall):
-            for k, value in table.items():
-                if not 0.0 <= value <= 100.0:
-                    raise ValueError(f"metric value {value} at k={k} outside [0, 100]")
-
 
 _PUNCTUATION_RE = re.compile(r"[^\w\s]")
 

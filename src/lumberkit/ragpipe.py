@@ -40,15 +40,8 @@ class RagPipelineError(LumberkitError):
 class RoutingDecision:
     """How many lexical hits to retrieve for a query and why."""
 
-    mentions_found: bool
     mention_strings: tuple[str, ...]
     bm25_k: int
-
-    def __post_init__(self) -> None:
-        if self.bm25_k not in (FALLBACK_BM25_K, MENTION_BM25_K):
-            raise ValueError(
-                f"bm25_k must be {FALLBACK_BM25_K} or {MENTION_BM25_K}, got {self.bm25_k}"
-            )
 
 
 _MENTION_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z'\-]*")
@@ -107,12 +100,7 @@ def heuristic_mentions(query: str) -> list[str]:
 def detect_mentions(query: str) -> RoutingDecision:
     """Route the query: 3 lexical hits when heuristic_mentions finds a name, otherwise 1."""
     mentions = tuple(heuristic_mentions(query))
-    found = bool(mentions)
-    return RoutingDecision(
-        mentions_found=found,
-        mention_strings=mentions,
-        bm25_k=MENTION_BM25_K if found else FALLBACK_BM25_K,
-    )
+    return RoutingDecision(mentions, MENTION_BM25_K if mentions else FALLBACK_BM25_K)
 
 
 @dataclass(frozen=True)
@@ -121,10 +109,6 @@ class AssemblyEntry:
 
     chunk: Chunk
     source: str  # "lexical" or "dense"
-
-    def __post_init__(self) -> None:
-        if self.source not in ("lexical", "dense"):
-            raise ValueError(f"source must be 'lexical' or 'dense', got {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +124,6 @@ class ContextAssembly:
             if key in seen:
                 raise ValueError(f"duplicate chunk in assembly: {key}")
             seen.add(key)
-        lexical = sum(1 for entry in self.entries if entry.source == "lexical")
-        dense = sum(1 for entry in self.entries if entry.source == "dense")
-        if lexical > MENTION_BM25_K:
-            raise ValueError(f"{lexical} lexical entries exceed the limit of {MENTION_BM25_K}")
-        if dense > DENSE_K:
-            raise ValueError(f"{dense} dense entries exceed the limit of {DENSE_K}")
 
     def __len__(self) -> int:
         return len(self.entries)

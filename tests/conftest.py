@@ -77,10 +77,10 @@ class FailingBackend(CompletionBackend):
 class CountingEmbeddingBackend(EmbeddingBackend):
     """Delegates to the deterministic mock embedder and counts texts embedded."""
 
-    def __init__(self, dimension: int = 32, seed: int = 0):
-        self._inner = MockEmbeddingBackend(dimension=dimension, seed=seed)
+    def __init__(self):
+        self._inner = MockEmbeddingBackend()
         self.backend_id = self._inner.backend_id
-        self.dimension = dimension
+        self.dimension = self._inner.dimension
         self.calls = 0
         self.texts_embedded = 0
 

@@ -321,7 +321,7 @@ def test_criterion_7_fusion_placement():
             "zebra",
             bm25_build(chunks),
             embed_chunks(chunks, embedder),
-            RoutingDecision(True, ("Zebra",), 3),
+            RoutingDecision(("Zebra",), 3),
             embedder.embed(["zebra"])[0],
         )
         got_ids = [chunk.chunk_id for chunk in assembly.chunks]
@@ -358,7 +358,7 @@ def test_criterion_8_theta_sweep_harness():
             qa_pairs,
             list(reversed(DEFAULT_THETAS)),
             ScriptedBackend(last_id_responder),
-            MockEmbeddingBackend(dimension=32, seed=0),
+            MockEmbeddingBackend(),
         )
         elapsed = time.perf_counter() - started
         assert [report.theta for report in reports] == [450, 550, 650, 1000]

@@ -269,13 +269,13 @@ class TestSemanticChunks:
 
     def test_reproducible_with_mock_embedder(self):
         document = make_document([30, 40, 50, 60, 20, 10, 80])
-        first = semantic_chunks(document, MockEmbeddingBackend(seed=5))
-        second = semantic_chunks(document, MockEmbeddingBackend(seed=5))
+        first = semantic_chunks(document, MockEmbeddingBackend())
+        second = semantic_chunks(document, MockEmbeddingBackend())
         assert first == second
 
     def test_chunk_count_matches_breakpoint_count(self):
         document = make_document([12, 34, 9, 27, 18, 45, 6, 22])
-        backend = MockEmbeddingBackend(seed=7)
+        backend = MockEmbeddingBackend()
         config = SemanticConfig(breakpoint_percentile=60.0)
         chunks = semantic_chunks(document, backend, config)
         rows = backend.embed([p.text for p in document.paragraphs])

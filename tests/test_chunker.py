@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,6 @@ from lumberkit.chunker import (
     ChunkingAborted,
     ChunkStats,
     Group,
-    OutOfRangeError,
     ParseError,
     build_group,
     chunk_stats,
@@ -42,7 +42,7 @@ from lumberkit.chunker import (
     verify_partition,
     write_chunks,
 )
-from lumberkit.corpus import MalformedRecordError, count_tokens
+from lumberkit.corpus import Document, MalformedRecordError, Paragraph, count_tokens
 
 # 150 words -> 200 tokens under the default counter
 PARA_WORDS = 150
@@ -199,15 +199,15 @@ class TestParseSplitId:
 
     def test_first_paragraph_of_group_rejected(self):
         group = build_group(doc_200s(9), 1)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ParseError):
             parse_split_id("Answer: ID 0001", group)
 
     def test_id_past_group_end_rejected(self, group):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ParseError):
             parse_split_id("Answer: ID 0021", group)
 
     def test_id_before_group_rejected(self, group):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ParseError):
             parse_split_id("Answer: ID 0002", group)
 
     def test_no_id_raises_parse_error(self, group):
@@ -539,3 +539,66 @@ class TestPartitionProperty:
         verify_partition(chunks, len(document))
         reconstructed = "\n\n".join(c.text for c in chunks)
         assert reconstructed == document.text
+
+
+# topic t writes only the words v{t * TOPIC_WORDS} .. v{(t + 1) * TOPIC_WORDS - 1}
+TOPIC_WORDS = 40
+_PROMPT_TOPIC_RE = re.compile(r"^ID (\d+): v(\d+)", re.MULTILINE)
+
+
+def topic_oracle(prompt: str) -> str:
+    """Answer the first paragraph after the window's first whose topic differs from the one before.
+
+    A window that holds no topic change gets a reply with no ID in it.
+    """
+    lines = [
+        (int(pid), int(word) // TOPIC_WORDS) for pid, word in _PROMPT_TOPIC_RE.findall(prompt)
+    ]
+    for (_, previous), (pid, topic) in zip(lines, lines[1:]):
+        if topic != previous:
+            return f"Answer: ID {pid:04d}"
+    return "the topic never changes here"
+
+
+def planted_document(segments: list[list[int]]) -> Document:
+    """Segment t holds paragraphs of the given word counts, written in topic t's words."""
+    paragraphs = []
+    for topic, word_counts in enumerate(segments):
+        for count in word_counts:
+            index = len(paragraphs) + 1
+            first = topic * TOPIC_WORDS
+            text = " ".join(f"v{first + (index + i) % TOPIC_WORDS}" for i in range(count))
+            paragraphs.append(Paragraph(index, text))
+    return Document("planted", "planted", tuple(paragraphs))
+
+
+class TestPlantedBoundaries:
+    @given(
+        segments=st.lists(
+            st.lists(st.integers(1, 400), min_size=1, max_size=4), min_size=1, max_size=8
+        ),
+        theta=st.integers(20, 600),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_boundaries_come_back_as_chunks(self, segments, theta):
+        document = planted_document(segments)
+        totals, planted, start = [], [], 1
+        for word_counts in segments:
+            end = start + len(word_counts) - 1
+            totals.append(sum(count_tokens(p.text) for p in document.paragraphs[start - 1 : end]))
+            planted.append((start, end))
+            start = end + 1
+        # every segment of two or more paragraphs fits under theta; a one-paragraph
+        # segment may exceed it, since a one-paragraph window is never sent
+        theta = max([theta] + [total for total, counts in zip(totals, segments) if len(counts) > 1])
+        # a window that reaches the document end within theta has no split to ask
+        # for, so the trailing segments that fit in it together come out as one chunk
+        tail = next(
+            (j for j in range(len(segments) - 1) if sum(totals[j:]) <= theta), len(segments) - 1
+        )
+        expected = planted[:tail] + [(planted[tail][0], planted[-1][1])]
+        backend = CountingBackend(topic_oracle)
+        chunks = lumberchunk(document, ChunkerConfig(theta=theta), backend)
+        assert spans(chunks) == expected
+        # every window sent holds a boundary, so no split is asked for twice
+        assert len(set(backend.prompts)) == backend.calls

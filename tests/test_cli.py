@@ -365,7 +365,7 @@ class TestEvalCommand:
         expected = evaluate(
             paragraph_chunks(document),
             load_qa(qa_file),
-            MockEmbeddingBackend(dimension=64, seed=0),
+            MockEmbeddingBackend(),
         )
         assert row["dcg"]["1"] == pytest.approx(expected.dcg[1])
         assert row["recall"]["20"] == pytest.approx(expected.recall[20])
@@ -444,7 +444,7 @@ class TestSweepCommand:
         chunks = lumberchunk(document, ChunkerConfig(theta=550), ScriptedBackend(last_id_responder))
         from lumberkit.corpus import load_qa
 
-        expected = evaluate(chunks, load_qa(qa_file), MockEmbeddingBackend(dimension=64, seed=0))
+        expected = evaluate(chunks, load_qa(qa_file), MockEmbeddingBackend())
         assert rows[0]["dcg"] == {str(k): pytest.approx(v) for k, v in expected.dcg.items()}
         assert rows[0]["recall"] == {str(k): pytest.approx(v) for k, v in expected.recall.items()}
 
@@ -490,7 +490,7 @@ class TestSweepCommand:
 
 def seed_rag_cache(chunks, qa_pairs, cache_path: Path) -> None:
     """Record pipeline responses by dry-running each question in-process."""
-    embedder = MockEmbeddingBackend(dimension=64, seed=0)
+    embedder = MockEmbeddingBackend()
     vector_index = embed_chunks(chunks, embedder)
     bm25_index = bm25_build(chunks)
 
@@ -746,7 +746,7 @@ class TestConcurrentRag:
 
     def test_outputs_match_sequential_loop(self, tmp_path, inputs, monkeypatch):
         chunks, pairs, _, _ = inputs
-        embedder = MockEmbeddingBackend(dimension=64, seed=0)
+        embedder = MockEmbeddingBackend()
         vector_index = embed_chunks(chunks, embedder)
         bm25_index = bm25_build(chunks)
         backend = ScriptedBackend(JitteredBackend.reply)
@@ -1349,6 +1349,7 @@ class TestUnreadChunkFlags:
         record = json.loads(text)
         assert record["chunker"] == chunker
         assert record["embedding"] == embedding
+        assert record["seed"] == embedding.get("seed")
         if method == "semantic":
             assert f'"percentile": {chunker["percentile"]}' in text  # still a float
 
@@ -1369,7 +1370,7 @@ class TestUnreadChunkFlags:
         self, tmp_path, book_records, qa_file, monkeypatch, flags, embedding, seed
     ):
         monkeypatch.setattr(
-            cli, "_embedding_backend", lambda args: MockEmbeddingBackend(dimension=64, seed=0)
+            cli, "_embedding_backend", lambda args: MockEmbeddingBackend()
         )
         chunk_path = tmp_path / "chunks.jsonl"
         write_chunks(lumberchunk(
@@ -1428,7 +1429,7 @@ class TestHydeRewrites:
         rewrites = {pair.question: hyde_transform(pair.question, sequential) for pair in pairs}
         expected = [
             evaluate(
-                read_chunks(path), pairs, MockEmbeddingBackend(dimension=64, seed=0),
+                read_chunks(path), pairs, MockEmbeddingBackend(),
                 rewrites.__getitem__, method=path.stem + "+hyde",
             )
             for path in chunk_files
@@ -1683,7 +1684,7 @@ class LazyLengthEmbedder(EmbeddingBackend):
     HttpEmbeddingBackend has."""
 
     def __init__(self):
-        self.inner = MockEmbeddingBackend(dimension=64, seed=0)
+        self.inner = MockEmbeddingBackend()
         self.backend_id = self.inner.backend_id
         self.dimension = 0
 
@@ -1722,7 +1723,7 @@ class TestEmbedCache:
         embedders = []
 
         def counting_embedder(args):
-            embedders.append(CountingEmbeddingBackend(dimension=64, seed=0))
+            embedders.append(CountingEmbeddingBackend())
             return embedders[-1]
 
         monkeypatch.setattr(cli, "_embedding_backend", counting_embedder)

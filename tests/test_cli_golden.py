@@ -71,7 +71,7 @@ def inputs(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli,
         "_embedding_backend",
-        lambda args: MockEmbeddingBackend(dimension=64, seed=0)
+        lambda args: MockEmbeddingBackend()
         if args.embed == "http"
         else embedding_backend(args),
     )
@@ -160,7 +160,7 @@ CASES = {
     ),
     "chunk-semantic": chunk_case(
         "semantic", [], {"percentile": 95.0, "min_unit": "paragraph"}, SEMANTIC_STATS,
-        embedding=MOCK,
+        embedding=MOCK, seed=0,
     ),
     "chunk-semantic-flags": chunk_case(
         "semantic",
@@ -168,7 +168,7 @@ CASES = {
         {"percentile": 80.0, "min_unit": "sentence"},
         {"count": 3, "mean_tokens": 213.66666666666666, "min_tokens": 107, "max_tokens": 320,
          "mean_paragraphs": 4.0},
-        embedding=MOCK,
+        embedding=MOCK, seed=0,
     ),
     "chunk-semantic-http": chunk_case(
         "semantic",

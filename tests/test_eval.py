@@ -44,7 +44,6 @@ from lumberkit.evaluation import (
     DEFAULT_KS,
     DEFAULT_THETAS,
     EvaluationError,
-    MetricsReport,
     RetrievalRun,
     build_runs,
     dcg_at_k,
@@ -423,7 +422,7 @@ class TestBuildRunsExactness:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_question_reference(self, seed):
         chunks, qa_pairs = interleaved_corpus(seed)
-        backend = MockEmbeddingBackend(dimension=16)
+        backend = MockEmbeddingBackend()
         expected = reference_runs(chunks, qa_pairs, backend)
         runs = build_runs(chunks, qa_pairs, backend)
         assert [run.qa for run in runs] == qa_pairs
@@ -435,7 +434,7 @@ class TestBuildRunsExactness:
 
     def test_judge_called_once_per_judged_pair(self, monkeypatch):
         chunks, qa_pairs = interleaved_corpus(0)
-        backend = MockEmbeddingBackend(dimension=16)
+        backend = MockEmbeddingBackend()
         expected = reference_runs(chunks, qa_pairs, backend)
         judged: list[tuple[str, str]] = []
         judge = evaluation.judge_relevance
@@ -459,9 +458,9 @@ class RecordingEmbeddingBackend(EmbeddingBackend):
     """The mock embedder, keeping the texts of every embed call."""
 
     def __init__(self):
-        self._inner = MockEmbeddingBackend(dimension=16)
+        self._inner = MockEmbeddingBackend()
         self.backend_id = self._inner.backend_id
-        self.dimension = 16
+        self.dimension = self._inner.dimension
         self.calls: list[list[str]] = []
 
     def embed(self, texts):
@@ -549,10 +548,6 @@ class TestEvaluate:
         backend.texts_embedded = 0
         evaluate(chunks, qas, CachingEmbedder(backend, cache))
         assert backend.texts_embedded == 0  # questions are cached too
-
-    def test_metrics_report_validates_range(self):
-        with pytest.raises(ValueError):
-            MetricsReport("m", (1,), {1: 101.0}, {1: 50.0}, 1)
 
 
 class TestSweepTheta:

@@ -63,8 +63,8 @@ class TestVectorIndex:
 class TestEmbedChunks:
     def test_one_vector_per_chunk(self):
         chunks = make_chunks(["alpha beta", "gamma delta"])
-        index = embed_chunks(chunks, MockEmbeddingBackend(dimension=32))
-        assert index.vectors.shape == (2, 32)
+        index = embed_chunks(chunks, MockEmbeddingBackend())
+        assert index.vectors.shape == (2, 64)
         np.testing.assert_allclose(np.linalg.norm(index.vectors, axis=1), 1.0, atol=1e-6)
 
     def test_identical_texts_identical_rows(self):
@@ -135,7 +135,7 @@ class TestCosineTopk:
 
     def test_dimension_mismatch_rejected(self):
         chunks = make_chunks(["a"])
-        index = embed_chunks(chunks, MockEmbeddingBackend(dimension=16))
+        index = embed_chunks(chunks, MockEmbeddingBackend())
         with pytest.raises(IndexingError):
             cosine_topk(index, np.zeros(8), k=1)
 
