@@ -518,6 +518,14 @@ class TestMockEmbeddingBackend:
         dissimilar = float(rows[0] @ rows[2])
         assert similar > dissimilar
 
+    def test_fixed_settings_key_embed_cache_files(self):
+        backend = MockEmbeddingBackend()
+        assert (backend.dimension, backend.seed) == (64, 0)
+        # the id that keys --embed-cache files written before the settings were fixed
+        assert backend.backend_id == f"mock:{backend.dimension}:{backend.seed}" == "mock:64:0"
+        with pytest.raises(TypeError):
+            MockEmbeddingBackend(dimension=48)
+
 
 def token_seed(seed: int, token: str) -> int:
     digest = hashlib.blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()

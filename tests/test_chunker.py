@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import re
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,25 @@ class TestParseSplitId:
     def test_no_id_raises_parse_error(self, group):
         with pytest.raises(ParseError):
             parse_split_id("the shift happens early on", group)
+
+    @given(
+        paragraphs=st.integers(2, 30),
+        start=st.integers(1, 30),
+        reply=st.one_of(
+            st.text(max_size=40),
+            st.integers(0, 40).map(lambda i: f"Answer: ID {i:04d}"),
+            st.tuples(st.text(max_size=20), st.integers(0, 40)).map(lambda t: f"{t[0]} ID {t[1]}"),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_reply_gives_an_id_in_range_or_parse_error(self, paragraphs, start, reply):
+        group = build_group(make_document([20] * paragraphs), min(start, paragraphs))
+        try:
+            split_id = parse_split_id(reply, group)
+        except ParseError:
+            return
+        assert group.start_index < split_id <= group.end_index
+        assert str(split_id) in reply
 
 
 class TestLumberchunk:
@@ -465,6 +486,16 @@ class TestChunkStats:
         assert (stats.min_tokens, stats.max_tokens) == (100, 300)
         assert stats.mean_paragraphs == 1.5
 
+    @given(spans=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 500)), min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_means_are_statistics_fmean(self, spans):
+        chunks = [Chunk("d", i, 1, count, "x", tokens) for i, (tokens, count) in enumerate(spans)]
+        stats = chunk_stats(chunks)
+        assert stats.mean_tokens == statistics.fmean(tokens for tokens, _ in spans)
+        assert stats.mean_paragraphs == statistics.fmean(count for _, count in spans)
+        # stats.json writes these floats, so their text must match too
+        assert json.dumps(stats.mean_tokens) == json.dumps(statistics.fmean(t for t, _ in spans))
+
 
 class TestChunkSerialization:
     def test_round_trip(self, tmp_path):
@@ -602,3 +633,11 @@ class TestPlantedBoundaries:
         assert spans(chunks) == expected
         # every window sent holds a boundary, so no split is asked for twice
         assert len(set(backend.prompts)) == backend.calls
+
+    def test_one_paragraph_segment_over_theta_comes_out_whole(self):
+        document = planted_document([[20, 20], [300], [20, 20], [20, 20]])
+        theta = 100
+        assert count_tokens(document.paragraphs[2].text) > theta
+        assert sum(count_tokens(p.text) for p in document.paragraphs[3:]) > theta
+        chunks = lumberchunk(document, ChunkerConfig(theta=theta), ScriptedBackend(topic_oracle))
+        assert spans(chunks) == [(1, 2), (3, 3), (4, 5), (6, 7)]

@@ -290,6 +290,20 @@ class TestMetrics:
             assert dcg_at_k(runs, lo) <= dcg_at_k(runs, hi) + 1e-12
             assert recall_at_k(runs, lo) <= recall_at_k(runs, hi) + 1e-12
 
+    @given(
+        ranks=st.lists(st.one_of(st.none(), st.integers(1, 10**6)), min_size=1, max_size=60),
+        ks=st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_report_from_runs_stays_on_the_0_to_100_scale(self, ranks, ks):
+        runs = [run_with_rank(r) for r in ranks]
+        report = report_from_runs(runs, ks)
+        assert report.ks == tuple(ks) and report.query_count == len(ranks)
+        for k in ks:
+            assert report.dcg[k] == dcg_at_k(runs, k)
+            assert report.recall[k] == recall_at_k(runs, k)
+            assert 0.0 <= report.dcg[k] <= report.recall[k] <= 100.0
+
 
 def _unit(dimension: int, axis: int) -> np.ndarray:
     vec = np.zeros(dimension)

@@ -6,11 +6,13 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CountingBackend, FailingBackend, StubEmbeddingBackend
 from lumberkit.backends import MockEmbeddingBackend, ScriptedBackend
 from lumberkit.chunker import Chunk
-from lumberkit.index import bm25_build, embed_chunks
+from lumberkit.index import VectorIndex, bm25_build, embed_chunks
 from lumberkit.ragpipe import (
     ANSWER_TOP_N,
     DENSE_K,
@@ -88,6 +90,19 @@ class TestDetectMentions:
         assert not decision.mention_strings
         assert decision.bm25_k == FALLBACK_BM25_K == 1
 
+    @given(
+        query=st.lists(
+            st.sampled_from(["Who", "met", "Joshua", "Haldeman", "in", "Pretoria", "?", ".", "I"]),
+            max_size=8,
+        ).map(" ".join)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bm25_k_follows_the_mentions_found(self, query):
+        decision = detect_mentions(query)
+        assert decision.mention_strings == tuple(heuristic_mentions(query))
+        expected = MENTION_BM25_K if decision.mention_strings else FALLBACK_BM25_K
+        assert decision.bm25_k == expected
+
 
 class TestContextAssembly:
     def test_rejects_duplicates(self):
@@ -163,6 +178,14 @@ class TestHybridRetrieve:
         for decision in (RoutingDecision(("X",), 3), RoutingDecision((), 1)):
             assembly = hybrid_retrieve("zebra question", bm25, vectors, decision, query_vector)
             assert len(assembly) <= decision.bm25_k + DENSE_K
+
+    def test_index_holding_one_chunk_twice_is_rejected(self):
+        bm25, vectors, query_vector = _fusion_fixture(lexical_overlaps_dense=False)
+        doubled = VectorIndex(
+            vectors.chunks + vectors.chunks[3:4], np.vstack([vectors.vectors, vectors.vectors[3]])
+        )
+        with pytest.raises(ValueError, match="duplicate chunk"):
+            hybrid_retrieve("zebra question", bm25, doubled, RoutingDecision((), 1), query_vector)
 
 
 class TestMidpointReverse:
