@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import base64
 import contextlib
-import functools
 import hashlib
-import http.client
 import itertools
 import json
 import logging
 import os
-import ssl
+import re
+import socket
 import threading
 import time
 import urllib.parse
-import urllib.request
 import weakref
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -243,6 +241,13 @@ class ReplayBackend(CachingBackend):
         super().__init__(None, cache)
 
 
+# whitespace, control and non-ASCII characters, which a URL or an API key sent
+# as is in a request line or header must not hold
+_UNSAFE = re.compile(r"[^\x21-\x7e]")
+_MAX_LINE = 65536  # bytes in one status, header or chunk-size line of a reply
+_MAX_HEADERS = 100  # header lines in one reply
+
+
 def _parse_url(url: str, schemes: tuple[str, ...]) -> urllib.parse.SplitResult:
     parts = urllib.parse.urlsplit(url)
     try:
@@ -252,25 +257,154 @@ def _parse_url(url: str, schemes: tuple[str, ...]) -> urllib.parse.SplitResult:
     if parts.scheme not in schemes or not parts.hostname:
         wanted = " or ".join(f"{scheme}://" for scheme in schemes)
         raise BackendError(f"bad URL {url!r}: expected {wanted} and a host")
+    if _UNSAFE.search(parts.netloc + parts.path):
+        raise BackendError(f"bad URL {url!r}: whitespace, control or non-ASCII characters")
     return parts
 
 
-def _proxy_authorization(proxy: urllib.parse.SplitResult) -> dict[str, str]:
+def _environment_proxies() -> dict[str, str]:
+    """Proxy URLs by scheme ("no" holds NO_PROXY) from the environment, by urllib's rules.
+
+    Variables named <scheme>_proxy in any case are read first; those whose
+    name ends in lowercase "_proxy" then win, and an empty one unsets its
+    scheme. Under CGI (REQUEST_METHOD set) a client can set HTTP_PROXY
+    through a "Proxy:" request header, so only http_proxy counts there.
+    """
+    proxies = {}
+    for name, value in os.environ.items():
+        if value and name.lower().endswith("_proxy"):
+            proxies[name[:-6].lower()] = value
+    if "REQUEST_METHOD" in os.environ:
+        proxies.pop("http", None)
+    for name, value in os.environ.items():
+        if name.endswith("_proxy"):
+            proxies[name[:-6].lower()] = value
+    return {scheme: proxy for scheme, proxy in proxies.items() if proxy}
+
+
+def _bypasses_proxy(address: str, no_proxy: str) -> bool:
+    """Whether NO_PROXY ("*" or comma-separated domain suffixes) covers host[:port]."""
+    if no_proxy == "*":
+        return True
+    address = address.lower()
+    host = re.sub(r":[0-9]*\Z", "", address)
+    names = [name.strip().lstrip(".").lower() for name in no_proxy.split(",")]
+    return any(
+        name and (target == name or target.endswith(f".{name}"))
+        for name in names
+        for target in (host, address)
+    )
+
+
+def _proxy_authorization(proxy: urllib.parse.SplitResult) -> str:
     if proxy.username is None:
-        return {}
+        return ""
     user = urllib.parse.unquote(proxy.username)
     password = urllib.parse.unquote(proxy.password or "")
     token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
-    return {"Proxy-Authorization": f"Basic {token}"}
+    return f"Proxy-Authorization: Basic {token}\r\n"
 
 
-def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+def _read_line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_exactly(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise ConnectionError(f"reply body ended after {len(data)} of {size} bytes")
+    return data
+
+
+def _read_headers(reader) -> dict[str, str]:
+    """Header lines up to the blank line, by lowercased name; the last of a name wins."""
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raise ValueError(f"reply has more than {_MAX_HEADERS} header lines")
+
+
+def _read_head(reader) -> tuple[int, str, dict[str, str], bool]:
+    """Read the final reply's status line and headers, skipping 1xx interim replies.
+
+    Returns the status, reason, headers and whether the server keeps the
+    connection open. EOF before the status line raises ConnectionResetError:
+    that is how a server that closed an idle keep-alive connection answers.
+    """
+    while True:
+        line = _read_line(reader)
+        if not line:
+            raise ConnectionResetError("the server closed the connection without replying")
+        version, status, reason = (line.decode("latin-1").split(None, 2) + ["", ""])[:3]
+        if not (version.startswith("HTTP/") and len(status) == 3 and status.isdigit()):
+            raise ValueError(f"malformed status line {line[:80]!r}")
+        headers = _read_headers(reader)
+        if status[0] != "1":
+            tokens = headers.get("connection", "").lower()
+            persistent = "close" not in tokens if version == "HTTP/1.1" else "keep-alive" in tokens
+            return int(status), reason.strip(), headers, persistent
+
+
+def _read_body(reader, status: int, headers: dict[str, str]) -> tuple[bytes, bool]:
+    """Read the reply body; return it and whether it ended before the connection did.
+
+    The body is framed by Transfer-Encoding: chunked, else by Content-Length,
+    else by the server closing the connection.
+    """
+    if headers.get("transfer-encoding", "").lower().endswith("chunked"):
+        chunks = []
+        while size := int(_read_line(reader).partition(b";")[0], 16):  # drop extensions
+            if size < 0:
+                raise ValueError(f"negative chunk size {size}")
+            chunks.append(_read_exactly(reader, size))
+            _read_line(reader)  # the CRLF that ends the chunk
+        _read_headers(reader)  # the trailer
+        return b"".join(chunks), True
+    if status in (204, 304):
+        return b"", True
+    length = headers.get("content-length")
+    if length is None:
+        return reader.read(), False
+    if not (length.isascii() and length.isdigit()):
+        raise ValueError(f"bad Content-Length {length!r}")
+    return _read_exactly(reader, int(length)), True
+
+
+class _Connection:
+    """A socket to the server, or to the proxy in front of it, and a buffered reader of it."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def _close_all(connections: list[_Connection]) -> None:
     for connection in connections:
         connection.close()
 
 
 class _JsonClient:
-    """POSTs JSON to one origin over a bounded pool of keep-alive connections.
+    """POSTs JSON to one origin over a bounded pool of keep-alive HTTP/1.1 connections.
+
+    Each request goes out in one write: the POST line, then Host,
+    Content-Type: application/json, Accept-Encoding: identity, User-Agent,
+    Authorization (with a key), Proxy-Authorization (through a plain-HTTP
+    proxy with credentials) and Content-Length headers, then the body.
+    Replies are read from the socket: 1xx interim replies are skipped, and the
+    body is framed by Transfer-Encoding: chunked, by Content-Length or by the
+    server closing the connection. A connection goes back to the pool unless
+    the server closed it or asked to.
 
     At most WORKERS connections are open at once and each serves one thread
     at a time; callers beyond that wait for a free one, so concurrent workers
@@ -281,62 +415,75 @@ class _JsonClient:
     pooled connection that the server dropped while it was idle is reopened
     at once, without a backoff sleep or a spent attempt.
 
-    Proxies come from HTTP_PROXY/HTTPS_PROXY/NO_PROXY, resolved once; HTTPS
-    goes through a CONNECT tunnel and verifies certificates against the
-    system trust store (SSL_CERT_FILE overrides it). Redirects are not
-    followed.
+    Proxies come from the HTTP_PROXY/HTTPS_PROXY/NO_PROXY environment
+    variables only, resolved once; HTTPS goes through a CONNECT tunnel and
+    verifies certificates against the system trust store (SSL_CERT_FILE
+    overrides it). Redirects are not followed.
     """
 
     def __init__(self, base_url: str, api_key: str | None, *, what: str):
         url = _parse_url(base_url, ("http", "https"))
         self.what = what
-        self._headers = {
-            "Content-Type": "application/json",
-            "User-Agent": f"lumberkit/{__version__}",
-        }
-        if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
         address = url.netloc.rpartition("@")[2]
-        self._prefix = url.path.rstrip("/")
-        host, port, tunnel = url.hostname, url.port, None
-        proxy = urllib.request.getproxies().get(url.scheme)
-        if proxy and not urllib.request.proxy_bypass(address):
+        target = url.path.rstrip("/")
+        headers = (
+            f"Host: {address}\r\nContent-Type: application/json\r\n"
+            f"Accept-Encoding: identity\r\nUser-Agent: lumberkit/{__version__}\r\n"
+        )
+        if api_key:
+            if _UNSAFE.search(api_key):
+                raise BackendError(
+                    f"{API_KEY_ENV_VAR} holds whitespace, control or non-ASCII characters"
+                )
+            headers += f"Authorization: Bearer {api_key}\r\n"
+        host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
+        self._tunnel = None
+        proxies = _environment_proxies()
+        proxy = proxies.get(url.scheme)
+        if proxy and not _bypasses_proxy(address, proxies.get("no", "")):
             via = _parse_url(proxy if "://" in proxy else f"http://{proxy}", ("http",))
             if url.scheme == "https":
-                tunnel = (host, port, _proxy_authorization(via))
+                origin = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+                self._tunnel = (
+                    f"CONNECT {origin} HTTP/1.1\r\nHost: {origin}\r\n"
+                    f"{_proxy_authorization(via)}\r\n"
+                ).encode("ascii")
             else:
                 # a plain-HTTP proxy takes the absolute URL as request target
-                self._prefix = f"http://{address}{self._prefix}"
-                self._headers.update(_proxy_authorization(via))
+                target = f"http://{address}{target}"
+                headers += _proxy_authorization(via)
             host, port = via.hostname, via.port or 80
-        connection_class, options = http.client.HTTPConnection, {}
+        self._address = (host, port)
+        self._target = target.encode("ascii")
+        self._headers = headers.encode("ascii")
+        self._tls = self._server_name = None
         if url.scheme == "https":
-            connection_class = http.client.HTTPSConnection
-            options["context"] = ssl.create_default_context()
-        self._new_connection = functools.partial(connection_class, host, port, **options)
-        self._tunnel = tunnel
-        self._idle: list[http.client.HTTPConnection] = []  # LIFO: the warmest first
+            import ssl  # here, not at the top: it costs 1.3 MB that http:// runs never use
+
+            self._tls = ssl.create_default_context()
+            self._server_name = url.hostname
+        self._idle: list[_Connection] = []  # LIFO: the warmest first
         self._slots = threading.BoundedSemaphore(WORKERS)
         weakref.finalize(self, _close_all, self._idle)
 
     def post(self, path: str, payload: dict, parse: Callable[[object], object]):
         """POST payload as JSON to path; return parse(decoded reply body)."""
         body = json.dumps(payload).encode("utf-8")
+        request = b"POST %s%s HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n%s" % (
+            self._target,
+            path.encode("ascii"),
+            self._headers,
+            len(body),
+            body,
+        )
         last_error: Exception | None = None
         attempts = HTTP_ATTEMPTS
         for attempt in range(attempts):
             if attempt:
                 time.sleep(HTTP_RETRY_WAIT_S * attempt)
             try:
-                return parse(self._exchange(self._prefix + path, body))
-            except (
-                OSError,
-                http.client.HTTPException,
-                KeyError,
-                IndexError,
-                TypeError,
-                ValueError,
-            ) as exc:
+                return parse(self._exchange(request))
+            except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
                 last_error = exc
                 logger.warning(
                     "%s request failed (attempt %d/%d): %s",
@@ -349,13 +496,24 @@ class _JsonClient:
             f"{self.what} request failed after {attempts} attempts: {last_error}"
         )
 
-    def _connect(self) -> http.client.HTTPConnection:
-        connection = self._new_connection(timeout=HTTP_TIMEOUT_S)
-        if self._tunnel is not None:
-            connection.set_tunnel(*self._tunnel)
-        return connection
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection(self._address, HTTP_TIMEOUT_S)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel is not None:
+                sock.sendall(self._tunnel)
+                with sock.makefile("rb") as reader:
+                    status, reason = _read_head(reader)[:2]
+                if status != 200:
+                    raise OSError(f"proxy refused the tunnel: HTTP {status} {reason}")
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._server_name)
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
 
-    def _exchange(self, target: str, body: bytes):
+    def _exchange(self, request: bytes):
         with self._slots:
             try:
                 connection, reused = self._idle.pop(), True
@@ -364,8 +522,8 @@ class _JsonClient:
             try:
                 while True:
                     try:
-                        connection.request("POST", target, body, self._headers)
-                        response = connection.getresponse()
+                        connection.sock.sendall(request)
+                        status, reason, headers, persistent = _read_head(connection.reader)
                         break
                     except (ConnectionResetError, BrokenPipeError):
                         if not reused:
@@ -373,20 +531,20 @@ class _JsonClient:
                         # dropped while idle: the request never reached the
                         # server, so send it again on a new socket
                         connection.close()
-                        reused = False
-                data = response.read()
+                        connection, reused = self._connect(), False
+                data, framed = _read_body(connection.reader, status, headers)
             except BaseException:
                 connection.close()
                 raise
-            if response.will_close:
-                connection.close()
-            else:
+            if persistent and framed:
                 self._idle.append(connection)
-        if not 200 <= response.status < 300:
-            status = f"HTTP {response.status} {response.reason}"
-            if 400 <= response.status < 500 and response.status not in (408, 429):
-                raise BackendError(f"{self.what} request refused: {status}")
-            raise http.client.HTTPException(status)
+            else:
+                connection.close()
+        if not 200 <= status < 300:
+            text = f"HTTP {status} {reason}"
+            if 400 <= status < 500 and status not in (408, 429):
+                raise BackendError(f"{self.what} request refused: {text}")
+            raise OSError(text)  # a transient status: post retries it
         return json.loads(data)
 
 

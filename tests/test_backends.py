@@ -7,12 +7,15 @@ import json
 import logging
 import re
 import socket
+import socketserver
+import ssl
 import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from conftest import make_document
 from lumberkit import backends
 from lumberkit.backends import (
+    API_KEY_ENV_VAR,
     BackendError,
     CacheError,
     EmbeddingCache,
@@ -113,9 +117,22 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+# A self-signed certificate for localhost and 127.0.0.1, made once with
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes \
+#     -days 36500 -subj /CN=localhost -addext "subjectAltName=DNS:localhost,IP:127.0.0.1" \
+#     -keyout tests/tls/localhost.key -out tests/tls/localhost.pem
+_CERTIFICATE = Path(__file__).parent / "tls" / "localhost.pem"
+
+
 @pytest.fixture()
-def stub_server():
+def stub_server(request):
+    """The stub's base URL; parametrize indirectly with "https" to serve it over TLS."""
+    scheme = getattr(request, "param", "http")
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+    if scheme == "https":
+        context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+        context.load_cert_chain(_CERTIFICATE, _CERTIFICATE.with_suffix(".key"))
+        server.socket = context.wrap_socket(server.socket, server_side=True)
     # a short poll interval keeps shutdown() from waiting half a second per test
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
@@ -123,7 +140,7 @@ def stub_server():
     _StubHandler.fail_status = 500
     _StubHandler.raw_reply = None
     _StubHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_port}"
+    yield f"{scheme}://{'localhost' if scheme == 'https' else '127.0.0.1'}:{server.server_port}"
     server.shutdown()
     server.server_close()
 
@@ -298,6 +315,27 @@ class TestHttpCompletionBackend:
         HttpCompletionBackend(stub_server, "test-model").complete("x")
         assert _StubHandler.requests_seen[-1]["auth"] is None
 
+    @pytest.mark.parametrize("key", ["sk-secret123\n", "sk-secret\r\n123", "sk-secret\u2028123"])
+    def test_key_that_breaks_a_header_is_refused_without_showing_it(
+        self, stub_server, tmp_path, monkeypatch, capsys, caplog, key
+    ):
+        monkeypatch.setenv(API_KEY_ENV_VAR, key)
+        document = tmp_path / "book.jsonl"
+        write_document(make_document([30] * 4, doc_id="book"), document)
+        with caplog.at_level(logging.DEBUG):
+            code = main(
+                [
+                    "chunk", "--document", str(document), "--method", "lumber", "--theta", "60",
+                    "--backend-url", stub_server, "--model", "m",
+                    "--output-dir", str(tmp_path / "out"),
+                ]
+            )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {API_KEY_ENV_VAR} holds whitespace, control or non-ASCII" in err
+        assert "secret" not in err and "secret" not in caplog.text
+        assert _StubHandler.requests_seen == []
+
 
 class _ConnectionCountingHandler(BaseHTTPRequestHandler):
     """Keep-alive chat endpoint that records how many connections are open at once."""
@@ -412,6 +450,77 @@ class TestHttpConnections:
         assert "request failed" not in caplog.text
 
 
+class _CannedReplyHandler(socketserver.StreamRequestHandler):
+    """Answers every request on a connection with the server's reply bytes, as they are."""
+
+    def handle(self):
+        self.server.connections += 1
+        while True:
+            length = 0
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            if not line:
+                return  # the client closed the connection
+            self.rfile.read(length)
+            self.wfile.write(self.server.reply)
+            if self.server.close_after:
+                return
+
+
+_OK = b'{"choices": [{"message": {"content": "ok"}}]}'
+
+
+def _length_reply(head: bytes, length: int = len(_OK)) -> bytes:
+    return b"%sContent-Length: %d\r\n\r\n%s" % (head, length, _OK)
+
+
+@pytest.mark.parametrize(
+    "reply, close_after, calls, connections",
+    [
+        (_length_reply(b"HTTP/1.1 200 OK\r\n"), False, 2, 1),
+        (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"a;name=value\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: done\r\n\r\n"
+            % (_OK[:10], len(_OK) - 10, _OK[10:]),
+            False,
+            2,
+            1,
+        ),
+        (b"HTTP/1.0 200 OK\r\n\r\n" + _OK, True, 2, 2),
+        # the stub keeps the connection open: only the header says to drop it
+        (_length_reply(b"HTTP/1.1 200 OK\r\nConnection: close\r\n"), False, 2, 2),
+        (_length_reply(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n"), False, 2, 1),
+        (_length_reply(b"HTTP/1.1 200 OK\r\n", len(_OK) + 10), True, 0, 2),
+    ],
+    ids=["content-length", "chunked", "http-1.0-until-close", "connection-close", "100-continue",
+         "short-body"],
+)
+def test_reply_framing(reply, close_after, calls, connections, monkeypatch):
+    """Each framing yields the body; `calls` 0 means every attempt fails."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _CannedReplyHandler)
+    server.daemon_threads, server.block_on_close = True, False
+    server.reply, server.close_after, server.connections = reply, close_after, 0
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0, HTTP_TIMEOUT_S=10)
+        backend = HttpCompletionBackend(f"http://127.0.0.1:{server.server_address[1]}", "m")
+        if calls:
+            assert [backend.complete(f"p{i}") for i in range(calls)] == ["ok"] * calls
+        else:
+            with pytest.raises(BackendError, match="after 2 attempts: reply body ended after"):
+                backend.complete("p")
+        assert server.connections == connections
+        del backend  # closes its idle connection, which ends the handler's read
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 class TestProxies:
     @pytest.fixture(autouse=True)
     def clean_proxy_environment(self, monkeypatch):
@@ -428,13 +537,35 @@ class TestProxies:
         assert request["path"] == "http://backend.invalid:8080/v1/chat/completions"
         assert request["proxy_auth"] == "Basic dTpwQHNz"  # base64 of "u:p@ss"
 
-    def test_no_proxy_bypasses_proxy(self, stub_server, monkeypatch):
+    @pytest.mark.parametrize("no_proxy", ["127.0.0.1", "*", "example.com, .0.0.1"])
+    def test_no_proxy_bypasses_proxy(self, stub_server, monkeypatch, no_proxy):
         monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
-        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        monkeypatch.setenv("NO_PROXY", no_proxy)
         set_http(monkeypatch, HTTP_ATTEMPTS=1)
         backend = HttpCompletionBackend(stub_server + "/v1", "m")
         assert backend.complete("hi") == "echo:hi"
         assert _StubHandler.requests_seen[-1]["path"] == "/v1/chat/completions"
+
+    def test_lowercase_variables_win(self, stub_server, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        monkeypatch.setenv("http_proxy", stub_server)
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        monkeypatch.setenv("no_proxy", "")  # an empty lowercase variable unsets NO_PROXY
+        set_http(monkeypatch, HTTP_ATTEMPTS=1)
+        # nothing listens on port 9, so only the proxy can answer
+        backend = HttpCompletionBackend("http://127.0.0.1:9/v1", "m")
+        assert backend.complete("hi") == "echo:hi"
+        assert _StubHandler.requests_seen[-1]["path"] == "http://127.0.0.1:9/v1/chat/completions"
+
+    @pytest.mark.parametrize("name, proxied", [("HTTP_PROXY", False), ("http_proxy", True)])
+    def test_cgi_request_ignores_uppercase_http_proxy(self, stub_server, monkeypatch, name, proxied):
+        # under CGI a client's "Proxy:" request header arrives as HTTP_PROXY
+        monkeypatch.setenv("REQUEST_METHOD", "POST")
+        monkeypatch.setenv(name, stub_server)  # the stub is both proxy and origin
+        set_http(monkeypatch, HTTP_ATTEMPTS=1)
+        HttpCompletionBackend(stub_server + "/v1", "m").complete("hi")
+        path = _StubHandler.requests_seen[-1]["path"]
+        assert path == (stub_server if proxied else "") + "/v1/chat/completions"
 
     def test_https_goes_through_connect_tunnel(self, stub_server, monkeypatch):
         monkeypatch.setenv("HTTPS_PROXY", stub_server)
@@ -444,6 +575,24 @@ class TestProxies:
             backend.complete("hi")
         request = _StubHandler.requests_seen[-1]
         assert (request["method"], request["path"]) == ("CONNECT", "backend.invalid:443")
+
+
+@pytest.mark.parametrize("stub_server", ["https"], indirect=True)
+class TestTls:
+    def test_round_trip_trusts_ssl_cert_file(self, stub_server, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(_CERTIFICATE))
+        backend = HttpCompletionBackend(stub_server + "/v1", "m", api_key="sk-test")
+        assert backend.complete("hi") == "echo:hi"
+        request = _StubHandler.requests_seen[-1]
+        assert (request["path"], request["auth"]) == ("/v1/chat/completions", "Bearer sk-test")
+
+    def test_unknown_certificate_fails_verification(self, stub_server, monkeypatch):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        set_http(monkeypatch, HTTP_ATTEMPTS=1)
+        backend = HttpCompletionBackend(stub_server, "m")
+        with pytest.raises(BackendError, match="after 1 attempts: .*CERTIFICATE_VERIFY_FAILED"):
+            backend.complete("hi")
+        assert _StubHandler.requests_seen == []
 
 
 class TestHttpFailures:
@@ -468,7 +617,10 @@ class TestHttpFailures:
         assert len(_StubHandler.requests_seen) == 2
 
     @pytest.mark.parametrize("make", [HttpCompletionBackend, HttpEmbeddingBackend])
-    @pytest.mark.parametrize("url", ["ftp://x", "http://", "http://host:port"])
+    @pytest.mark.parametrize(
+        "url",
+        ["ftp://x", "http://", "http://host:port", "http://host/v 1", "http://host/v1\x00", "http://hôst/v1"],
+    )
     def test_unusable_url_raises_at_construction(self, make, url):
         with pytest.raises(BackendError, match="bad URL"):
             make(url, "m")
