@@ -30,7 +30,6 @@ from .baselines import (
 from .chunker import (
     Chunk,
     ChunkerConfig,
-    ChunkingAborted,
     Group,
     LumberStep,
     build_group,

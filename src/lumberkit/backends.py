@@ -257,8 +257,10 @@ def _parse_url(url: str, schemes: tuple[str, ...]) -> urllib.parse.SplitResult:
     if parts.scheme not in schemes or not parts.hostname:
         wanted = " or ".join(f"{scheme}://" for scheme in schemes)
         raise BackendError(f"bad URL {url!r}: expected {wanted} and a host")
-    if _UNSAFE.search(parts.netloc + parts.path):
+    if _UNSAFE.search(parts.netloc + parts.path + parts.query):
         raise BackendError(f"bad URL {url!r}: whitespace, control or non-ASCII characters")
+    if "#" in url:
+        raise BackendError(f"bad URL {url!r}: a fragment is never sent")
     return parts
 
 
@@ -397,7 +399,8 @@ def _close_all(connections: list[_Connection]) -> None:
 class _JsonClient:
     """POSTs JSON to one origin over a bounded pool of keep-alive HTTP/1.1 connections.
 
-    Each request goes out in one write: the POST line, then Host,
+    Each request goes out in one write: the POST line, whose target is the
+    base URL's path, the endpoint path and the base URL's query, then Host,
     Content-Type: application/json, Accept-Encoding: identity, User-Agent,
     Authorization (with a key), Proxy-Authorization (through a plain-HTTP
     proxy with credentials) and Content-Length headers, then the body.
@@ -455,6 +458,7 @@ class _JsonClient:
             host, port = via.hostname, via.port or 80
         self._address = (host, port)
         self._target = target.encode("ascii")
+        self._query = (f"?{url.query}" if url.query else "").encode("ascii")
         self._headers = headers.encode("ascii")
         self._tls = self._server_name = None
         if url.scheme == "https":
@@ -469,9 +473,10 @@ class _JsonClient:
     def post(self, path: str, payload: dict, parse: Callable[[object], object]):
         """POST payload as JSON to path; return parse(decoded reply body)."""
         body = json.dumps(payload).encode("utf-8")
-        request = b"POST %s%s HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n%s" % (
+        request = b"POST %s%s%s HTTP/1.1\r\n%sContent-Length: %d\r\n\r\n%s" % (
             self._target,
             path.encode("ascii"),
+            self._query,
             self._headers,
             len(body),
             body,

@@ -41,14 +41,6 @@ class ParseError(ChunkerError):
     """The backend response holds no paragraph ID, or one outside the group."""
 
 
-class ChunkingAborted(ChunkerError):
-    """The backend failed for good; carries the chunks emitted so far."""
-
-    def __init__(self, message: str, chunks: list["Chunk"]):
-        super().__init__(message)
-        self.chunks = chunks
-
-
 # Digits of the zero-padded IDs in a split prompt, the paper's 'ID XXXX'; a
 # document whose last index needs more digits widens it.
 ID_WIDTH = 4
@@ -284,7 +276,7 @@ def lumberchunk(
     Returns chunks whose paragraph spans partition the document in order.
     Given a cache, backend is wrapped in a CachingBackend over it, so a
     recorded run replays to identical chunks. An unrecoverable backend failure
-    raises ChunkingAborted carrying the chunks emitted so far and naming the last one.
+    raises BackendError naming the document, the last chunk emitted and the cause.
     """
     if cache is not None and backend is not None:
         backend = CachingBackend(backend, cache)
@@ -301,9 +293,8 @@ def lumberchunk(
             )
         else:
             progress = "no chunks emitted"
-        raise ChunkingAborted(
-            f"backend failure while chunking {document.doc_id!r}; {progress}: {exc}",
-            chunks,
+        raise BackendError(
+            f"backend failure while chunking {document.doc_id!r}; {progress}: {exc}"
         ) from exc
     return chunks
 

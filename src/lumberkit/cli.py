@@ -9,15 +9,13 @@ deterministic given fixed seeds.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import os
 import sys
 import time
-from collections import deque
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import chunker
@@ -47,7 +45,6 @@ from .baselines import (
 )
 from .chunker import (
     ChunkerConfig,
-    ChunkingAborted,
     chunk_stats,
     iter_chunks,
     lumberchunk,
@@ -271,7 +268,7 @@ def _backend(args: argparse.Namespace, needed_for: str):
     with ResponseCache(args.record_cache, model_id=_model_id(args)) as cache:
         try:
             yield CachingBackend(backend, cache)
-        except (BackendError, ChunkingAborted, IndexingError) as exc:
+        except (BackendError, IndexingError) as exc:
             if not len(cache):
                 raise
             raise BackendError(
@@ -382,22 +379,25 @@ def _labels(paths: list[str]) -> list[str]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     qa_pairs = load_qa(args.qa)
-    for chunk_path in args.chunks:  # check every file before the first embed or HyDE call
-        deque(iter_chunks(chunk_path), maxlen=0)
+    # check every file before the first embed or HyDE call
+    doc_ids = {chunk.doc_id for chunk_path in args.chunks for chunk in iter_chunks(chunk_path)}
     with (
         _embedder(args) as embedder,
         (_backend(args, "--hyde") if args.hyde else nullcontext()) as hyde_backend,
     ):
-        transform = None
         if hyde_backend is not None:
-            # one rewrite per question for the whole command, shared by every chunk file
-            transform = functools.cache(lambda query: hyde_transform(query, hyde_backend))
+            # each distinct question that some file scores is rewritten once, before any scoring
+            texts = list(dict.fromkeys(qa.question for qa in qa_pairs if qa.doc_id in doc_ids))
+            rewrites = ordered_map(lambda text: hyde_transform(text, hyde_backend), texts)
+            rewrite = dict(zip(texts, rewrites))
+            qa_pairs = [
+                replace(qa, question=rewrite.get(qa.question, qa.question)) for qa in qa_pairs
+            ]
         reports = [
             evaluate(
                 read_chunks(chunk_path),
                 qa_pairs,
                 embedder,
-                transform,
                 tuple(args.ks),
                 method=label + ("+hyde" if args.hyde else ""),
             )

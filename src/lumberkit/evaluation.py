@@ -15,14 +15,14 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .backends import CompletionBackend, EmbeddingBackend
 from .chunker import Chunk, ChunkerConfig, lumberchunk
 from .corpus import Document, QAPair, write_jsonl
 from .errors import ConfigError, LumberkitError
 from .index import cosine_topk, embed_chunks, embed_texts
-from .parallel import ordered_map, stream_map
+from .parallel import stream_map
 
 logger = logging.getLogger(__name__)
 
@@ -32,8 +32,6 @@ DEFAULT_THETAS = (450, 550, 650, 1000)
 # passage's word trigrams is relevant.
 NGRAM_SIZE = 3
 NGRAM_THRESHOLD = 0.8
-
-QueryTransform = Callable[[str], str]
 
 
 class EvaluationError(LumberkitError):
@@ -141,7 +139,6 @@ def build_runs(
     chunks: Sequence[Chunk],
     qa_pairs: Sequence[QAPair],
     embed_backend: EmbeddingBackend,
-    query_transform: QueryTransform | None = None,
     *,
     depth: int = max(DEFAULT_KS),
 ) -> list[RetrievalRun]:
@@ -149,13 +146,12 @@ def build_runs(
 
     Chunks are grouped by doc_id and embedded once per document, in the order
     the documents first appear among the questions; only documents with
-    questions are embedded. A document's questions are rewritten by
-    query_transform concurrently, once per distinct question, then embedded
-    through embed_texts. Questions whose doc_id has no chunks get an
-    absent gold rank and a warning. The gold rank is the first position,
-    scanning down the ranking, whose chunk judge_relevance accepts; each
-    distinct text is normalized once per document, and judge_relevance is
-    looked up at every call. Runs come back in question order.
+    questions are embedded, each document's questions through one embed_texts.
+    Questions whose doc_id has no chunks get an absent gold rank and a
+    warning. The gold rank is the first position, scanning down the ranking,
+    whose chunk judge_relevance accepts; each distinct text is normalized once
+    per document, and judge_relevance is looked up at every call. Runs come
+    back in question order.
     """
     by_doc: dict[str, list[Chunk]] = {}
     for chunk in chunks:
@@ -173,12 +169,9 @@ def build_runs(
             missing += len(positions)
             continue
         index = embed_chunks(doc_chunks, embed_backend)
-        query_texts = [qa_pairs[position].question for position in positions]
-        if query_transform:
-            distinct = list(dict.fromkeys(query_texts))
-            rewrites = dict(zip(distinct, ordered_map(query_transform, distinct)))
-            query_texts = [rewrites[text] for text in query_texts]
-        query_vectors = embed_texts(query_texts, embed_backend)
+        query_vectors = embed_texts(
+            [qa_pairs[position].question for position in positions], embed_backend
+        )
         normalize = functools.cache(normalize_for_matching)
         for position, query_vector in zip(positions, query_vectors, strict=True):
             qa = qa_pairs[position]
@@ -223,18 +216,16 @@ def evaluate(
     chunks: Sequence[Chunk],
     qa_pairs: Sequence[QAPair],
     embed_backend: EmbeddingBackend,
-    query_transform: QueryTransform | None = None,
     ks: Sequence[int] = DEFAULT_KS,
     *,
     method: str = "",
 ) -> MetricsReport:
     """Score one chunking method: rank every question, then fold into metrics.
 
-    query_transform, when given, rewrites the question text before embedding
-    (the HyDE route); ranking depth is max(ks). ks must be distinct.
+    Ranking depth is max(ks). ks must be distinct.
     """
     _check_ks(ks)
-    runs = build_runs(chunks, qa_pairs, embed_backend, query_transform, depth=max(ks))
+    runs = build_runs(chunks, qa_pairs, embed_backend, depth=max(ks))
     return report_from_runs(runs, ks, method=method)
 
 

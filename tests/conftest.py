@@ -90,6 +90,20 @@ class CountingEmbeddingBackend(EmbeddingBackend):
         return self._inner.embed(texts)
 
 
+class RecordingEmbeddingBackend(EmbeddingBackend):
+    """The mock embedder, keeping the texts of every embed call."""
+
+    def __init__(self):
+        self._inner = MockEmbeddingBackend()
+        self.backend_id = self._inner.backend_id
+        self.dimension = self._inner.dimension
+        self.calls: list[list[str]] = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return self._inner.embed(texts)
+
+
 class StubEmbeddingBackend(EmbeddingBackend):
     """Serves fixed vectors from a text -> vector mapping."""
 

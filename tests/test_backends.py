@@ -90,13 +90,14 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(type(self).fail_status)
             self.end_headers()
             return
-        if self.path.endswith("/chat/completions"):
+        path = self.path.partition("?")[0]  # route on the path, before any query
+        if path.endswith("/chat/completions"):
             body = {
                 "choices": [
                     {"message": {"content": f"echo:{payload['messages'][0]['content']}"}}
                 ]
             }
-        elif self.path.endswith("/embeddings"):
+        elif path.endswith("/embeddings"):
             body = {
                 "data": [
                     {"embedding": [float(len(text)), 1.0, 2.0]} for text in payload["input"]
@@ -240,6 +241,19 @@ class TestHttpCompletionBackend:
         assert request["auth"] == "Bearer sk-test"
         assert request["user_agent"] == "lumberkit/0.1.0"
         assert request["accept_encoding"] in (None, "identity")
+
+    @pytest.mark.parametrize("make, endpoint", [
+        (HttpCompletionBackend, "/chat/completions"), (HttpEmbeddingBackend, "/embeddings")
+    ])
+    def test_base_url_query_follows_the_endpoint_path(self, stub_server, make, endpoint):
+        # Azure OpenAI picks its API version by query string
+        backend = make(stub_server + "/openai/?api-version=2024-06-01&x=%2F", "m")
+        if make is HttpCompletionBackend:
+            assert backend.complete("hi") == "echo:hi"
+        else:
+            assert backend.embed(["hi"]).shape == (1, 3)
+        path = _StubHandler.requests_seen[-1]["path"]
+        assert path == f"/openai{endpoint}?api-version=2024-06-01&x=%2F"
 
     def test_retries_then_succeeds(self, stub_server, monkeypatch):
         _StubHandler.fail_next = 1
@@ -537,6 +551,14 @@ class TestProxies:
         assert request["path"] == "http://backend.invalid:8080/v1/chat/completions"
         assert request["proxy_auth"] == "Basic dTpwQHNz"  # base64 of "u:p@ss"
 
+    def test_proxied_target_keeps_the_base_url_query(self, stub_server, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", stub_server)
+        set_http(monkeypatch, HTTP_ATTEMPTS=1)
+        backend = HttpEmbeddingBackend("http://backend.invalid/v1?api-version=1", "m")
+        assert backend.embed(["hi"]).shape == (1, 3)
+        path = _StubHandler.requests_seen[-1]["path"]
+        assert path == "http://backend.invalid/v1/embeddings?api-version=1"
+
     @pytest.mark.parametrize("no_proxy", ["127.0.0.1", "*", "example.com, .0.0.1"])
     def test_no_proxy_bypasses_proxy(self, stub_server, monkeypatch, no_proxy):
         monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
@@ -619,7 +641,11 @@ class TestHttpFailures:
     @pytest.mark.parametrize("make", [HttpCompletionBackend, HttpEmbeddingBackend])
     @pytest.mark.parametrize(
         "url",
-        ["ftp://x", "http://", "http://host:port", "http://host/v 1", "http://host/v1\x00", "http://hôst/v1"],
+        [
+            "ftp://x", "http://", "http://host:port", "http://host/v 1", "http://host/v1\x00",
+            "http://hôst/v1", "http://host/v1?v=a b", "http://host/v1?v=ä", "http://host/v1#top",
+            "http://host/v1?v=1#",
+        ],
     )
     def test_unusable_url_raises_at_construction(self, make, url):
         with pytest.raises(BackendError, match="bad URL"):

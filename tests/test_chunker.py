@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 import re
 import statistics
 
@@ -23,14 +24,19 @@ from conftest import (
 )
 from test_acceptance import adversarial_responder
 
-from lumberkit.backends import ReplayBackend, ResponseCache, ScriptedBackend
+from lumberkit.backends import (
+    BackendError,
+    CompletionBackend,
+    ReplayBackend,
+    ResponseCache,
+    ScriptedBackend,
+)
 from lumberkit.chunker import (
     MAX_RETRIES,
     PROMPT_HEADER,
     Chunk,
     ChunkerConfig,
     ChunkerError,
-    ChunkingAborted,
     ChunkStats,
     Group,
     ParseError,
@@ -368,20 +374,19 @@ class TestLumberchunk:
         chunks = lumberchunk(document, backend=CountingBackend(flaky))
         assert spans(chunks) == [(1, 2), (3, 4), (5, 6), (7, 8), (9, 9)]
 
-    def test_transport_failure_carries_partial_chunks(self):
+    def test_transport_failure_names_the_last_chunk(self):
         document = doc_200s(9)
         backend = FailingBackend(respond=last_id_responder, fail_after=2)
-        with pytest.raises(ChunkingAborted) as excinfo:
+        with pytest.raises(BackendError) as excinfo:
             lumberchunk(document, backend=backend)
-        aborted = excinfo.value
-        assert spans(aborted.chunks) == [(1, 2), (3, 4)]
-        assert "last emitted chunk 1 (paragraphs 3-4)" in str(aborted)
+        message = str(excinfo.value)
+        assert message.startswith("backend failure while chunking 'doc'; ")
+        assert message.endswith("last emitted chunk 1 (paragraphs 3-4): transport down")
 
     def test_immediate_transport_failure(self):
         document = doc_200s(9)
-        with pytest.raises(ChunkingAborted) as excinfo:
+        with pytest.raises(BackendError) as excinfo:
             lumberchunk(document, backend=FailingBackend())
-        assert excinfo.value.chunks == []
         assert "no chunks emitted" in str(excinfo.value)
 
 
@@ -591,6 +596,37 @@ def topic_oracle(prompt: str) -> str:
     return "the topic never changes here"
 
 
+class NoisyOracle(CompletionBackend):
+    """topic_oracle whose every reply, with probability p, is shifted by -1 or +1 or
+    made unparseable, drawn from a seeded generator in call order.
+
+    rejected counts the replies that parse_split_id refuses for the window asked.
+    """
+
+    def __init__(self, document: Document, p: float, seed: int):
+        self.document = document
+        self.p = p
+        self.draw = random.Random(seed)
+        self.rejected = 0
+
+    def complete(self, prompt: str) -> str:
+        reply = topic_oracle(prompt)
+        if self.draw.random() < self.p:
+            shift = self.draw.choice((-1, 1, None))
+            answered = re.search(r"ID (\d+)", reply)
+            if shift is None or answered is None:
+                reply = "the model rambled"
+            else:
+                reply = f"Answer: ID {int(answered.group(1)) + shift:04d}"
+        ids = prompt_ids(prompt)
+        window = Group(self.document.paragraphs[ids[0] - 1 : ids[-1]], 0)
+        try:
+            parse_split_id(reply, window)
+        except ParseError:
+            self.rejected += 1
+        return reply
+
+
 def planted_document(segments: list[list[int]]) -> Document:
     """Segment t holds paragraphs of the given word counts, written in topic t's words."""
     paragraphs = []
@@ -633,6 +669,30 @@ class TestPlantedBoundaries:
         assert spans(chunks) == expected
         # every window sent holds a boundary, so no split is asked for twice
         assert len(set(backend.prompts)) == backend.calls
+
+    @given(
+        segments=st.lists(
+            st.lists(st.integers(1, 200), min_size=1, max_size=4), min_size=1, max_size=8
+        ),
+        theta=st.integers(20, 600),
+        p=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_noisy_oracle_keeps_the_partition_and_counts_every_fault(
+        self, segments, theta, p, seed
+    ):
+        document = planted_document(segments)
+        backend = NoisyOracle(document, p, seed)
+        steps = list(lumber_steps(document, ChunkerConfig(theta=theta), backend))
+        chunks = [step.chunk for step in steps]
+        verify_partition(chunks, len(document))
+        assert "\n\n".join(chunk.text for chunk in chunks) == document.text
+        # a window ends after its first accepted reply, or falls back once every
+        # reply of its MAX_RETRIES + 1 attempts was rejected
+        retries = sum(step.attempts - 1 for step in steps if step.used_llm)
+        fallbacks = sum(step.fell_back for step in steps)
+        assert retries + fallbacks == backend.rejected
 
     def test_one_paragraph_segment_over_theta_comes_out_whole(self):
         document = planted_document([[20, 20], [300], [20, 20], [20, 20]])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import re
@@ -17,6 +18,7 @@ from conftest import (
     CountingBackend,
     CountingEmbeddingBackend,
     FailingBackend,
+    RecordingEmbeddingBackend,
     make_document,
     prompt_ids,
 )
@@ -1427,10 +1429,10 @@ class TestHydeRewrites:
         # the reference: one sequential rewrite per question, then each file in turn
         sequential = CountingHydeBackend(passages)
         rewrites = {pair.question: hyde_transform(pair.question, sequential) for pair in pairs}
+        rewritten = [dataclasses.replace(pair, question=rewrites[pair.question]) for pair in pairs]
         expected = [
             evaluate(
-                read_chunks(path), pairs, MockEmbeddingBackend(),
-                rewrites.__getitem__, method=path.stem + "+hyde",
+                read_chunks(path), rewritten, MockEmbeddingBackend(), method=path.stem + "+hyde"
             )
             for path in chunk_files
         ]
@@ -1447,6 +1449,46 @@ class TestHydeRewrites:
         assert sorted(backend.calls.values()) == [1] * 10
         assert backend.calls.keys() == sequential.calls.keys()
         assert (out / "reports.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+    def test_one_pool_rewrites_only_questions_some_file_scores(self, tmp_path, monkeypatch):
+        # file one holds document a, file two document b; document c is in no file
+        from lumberkit.baselines import paragraph_chunks
+
+        documents = {doc_id: make_document([30] * 4, doc_id=doc_id) for doc_id in "abc"}
+        chunk_files = []
+        for doc_id in "ab":
+            chunk_files.append(tmp_path / f"{doc_id}.jsonl")
+            write_chunks(paragraph_chunks(documents[doc_id]), chunk_files[-1])
+        asked = [("a", "q1"), ("a", "shared"), ("b", "shared"), ("b", "q2"), ("c", "q3")]
+        pairs = [
+            QAPair(doc_id, question, "x", documents[doc_id].paragraphs[i % 4].text)
+            for i, (doc_id, question) in enumerate(asked)
+        ]
+        write_qa(pairs, tmp_path / "qa.jsonl")
+        passages = {question: f"a passage about {question}" for _, question in asked}
+        backend = CountingHydeBackend(passages)
+        embedder = RecordingEmbeddingBackend()
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        monkeypatch.setattr(cli, "_embedding_backend", lambda args: embedder)
+        pools = []
+
+        class CountedPool(parallel.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountedPool)
+        code = main(
+            ["eval", "--chunks", *map(str, chunk_files), "--qa", str(tmp_path / "qa.jsonl"),
+             "--hyde", "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 0
+        scored = ["q1", "shared", "q2"]
+        assert backend.calls == {HYDE_PROMPT_TEMPLATE.format(query=q): 1 for q in scored}
+        chunk_texts = {c.text for path in chunk_files for c in read_chunks(path)}
+        embedded = [text for call in embedder.calls for text in call if text not in chunk_texts]
+        assert embedded == [passages[q] for q in ("q1", "shared", "shared", "q2")]
+        assert len(pools) == 1
 
 
 class TestOutOfRangeFlags:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import (
     CountingBackend,
     CountingEmbeddingBackend,
+    RecordingEmbeddingBackend,
     StubEmbeddingBackend,
     last_id_responder,
     make_document,
@@ -31,7 +32,6 @@ from lumberkit.backends import (
     CachingBackend,
     CachingEmbedder,
     CompletionBackend,
-    EmbeddingBackend,
     EmbeddingCache,
     MockEmbeddingBackend,
     ResponseCache,
@@ -354,15 +354,6 @@ class TestBuildRuns:
         runs = build_runs(chunks, [qa_of("text 0")], MockEmbeddingBackend(), depth=3)
         assert len(runs[0].ranked_chunks) == 3
 
-    def test_query_transform_rewrites_before_embedding(self):
-        chunks = [chunk_of("alpha beta gamma", 0), chunk_of("delta epsilon zeta", 1)]
-        qa = qa_of("delta epsilon zeta", question="unrelated wording")
-        transformed = build_runs(
-            chunks, [qa], MockEmbeddingBackend(), lambda q: "delta epsilon zeta"
-        )
-        assert transformed[0].ranked_chunks[0].chunk_id == 1
-        assert transformed[0].gold_rank == 1
-
     def test_questions_grouped_per_document(self):
         chunks = [
             chunk_of("dockside morning", 0, doc_id="a"),
@@ -468,20 +459,6 @@ class TestBuildRunsExactness:
         assert sorted(judged) == expected_pairs
 
 
-class RecordingEmbeddingBackend(EmbeddingBackend):
-    """The mock embedder, keeping the texts of every embed call."""
-
-    def __init__(self):
-        self._inner = MockEmbeddingBackend()
-        self.backend_id = self._inner.backend_id
-        self.dimension = self._inner.dimension
-        self.calls: list[list[str]] = []
-
-    def embed(self, texts):
-        self.calls.append(list(texts))
-        return self._inner.embed(texts)
-
-
 class TestQueryBatching:
     def test_two_query_calls_per_document_of_seventy_questions(self):
         chunks = [
@@ -502,13 +479,6 @@ class TestQueryBatching:
         chunk_calls = [call for call in backend.calls if call[0].startswith("chunk")]
         assert [call[0].split()[1] for call in chunk_calls] == ["0", "1", "2"]
         assert not any("chunk 3" in text for call in backend.calls for text in call)
-
-    def test_transform_applied_before_batching(self):
-        chunks = [chunk_of("alpha beta", 0), chunk_of("gamma delta", 1)]
-        qa_pairs = [qa_of("gamma delta", question=f"q{i}") for i in range(3)]
-        backend = RecordingEmbeddingBackend()
-        build_runs(chunks, qa_pairs, backend, lambda question: question.upper())
-        assert backend.calls[-1] == ["Q0", "Q1", "Q2"]
 
 
 class TestEvaluate:
