@@ -246,6 +246,7 @@ class ReplayBackend(CachingBackend):
 _UNSAFE = re.compile(r"[^\x21-\x7e]")
 _MAX_LINE = 65536  # bytes in one status, header or chunk-size line of a reply
 _MAX_HEADERS = 100  # header lines in one reply
+_READ_PIECE = 1 << 20  # bytes asked of the socket at once, whatever length the reply claims
 
 
 def _parse_url(url: str, schemes: tuple[str, ...]) -> urllib.parse.SplitResult:
@@ -315,10 +316,16 @@ def _read_line(reader) -> bytes:
 
 
 def _read_exactly(reader, size: int) -> bytes:
-    data = reader.read(size)
-    if len(data) < size:
-        raise ConnectionError(f"reply body ended after {len(data)} of {size} bytes")
-    return data
+    """size bytes, read _READ_PIECE at a time; ConnectionError if the reply ends first."""
+    pieces = []
+    left = size
+    while left:
+        piece = reader.read(min(left, _READ_PIECE))
+        if not piece:
+            raise ConnectionError(f"reply body ended after {size - left} of {size} bytes")
+        pieces.append(piece)
+        left -= len(piece)
+    return b"".join(pieces)
 
 
 def _read_headers(reader) -> dict[str, str]:
@@ -753,7 +760,9 @@ class MockEmbeddingBackend(EmbeddingBackend):
 
 
 def _finite_row(values) -> np.ndarray:
-    """values as a float64 row; ValueError unless it is a list of finite JSON numbers."""
+    """values as a float64 row; ValueError unless it is a non-empty list of finite JSON numbers."""
+    if values == []:
+        raise ValueError("a vector is empty")
     if isinstance(values, list) and all(type(value) in (int, float) for value in values):
         with contextlib.suppress(OverflowError):  # an int beyond float range
             row = np.array(values, dtype=np.float64)
@@ -766,8 +775,8 @@ class HttpEmbeddingBackend(EmbeddingBackend):
     """Embedding client for OpenAI-compatible HTTP endpoints.
 
     Sends POST {base_url}/embeddings with {"model": ..., "input": [...]} and
-    reads data[i].embedding. A reply whose rows are not lists of finite numbers
-    is retried; rows are re-normalized to unit norm on receipt.
+    reads data[i].embedding. A reply whose rows are not non-empty lists of
+    finite numbers is retried; rows are re-normalized to unit norm on receipt.
     """
 
     def __init__(
@@ -804,7 +813,8 @@ class EmbeddingCache(_JsonlStore):
     """JSONL sidecar of embedding vectors keyed by (backend id, text hash).
 
     Vectors are stored as JSON float lists, which round-trip float64 exactly;
-    a vector entry that is not a finite number makes its record unreadable.
+    an empty vector, or an entry that is not a finite number, makes its record
+    unreadable.
     Every vector in one file has the same length, `dimension` (None while the
     file is empty); a record or embedder of another length raises CacheError.
     The file is safe to delete at any time; it only saves backend calls.

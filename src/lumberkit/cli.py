@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: ingest, chunk, eval, sweep, rag, gen-qa. Every run writes a
-resolved run-config record next to its outputs, API keys are read only from
-the environment, and all offline paths (mock embeddings, replay backends) are
-deterministic given fixed seeds.
+Subcommands: ingest, chunk, eval, sweep, rag, gen-qa. Every run records its
+command and the resolved value of each flag it read next to its outputs, API
+keys are read only from the environment, and all offline paths (mock
+embeddings, replay backends) are deterministic given fixed seeds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from . import chunker
 from .backends import (
     API_KEY_ENV_VAR,
     BackendError,
@@ -56,6 +55,7 @@ from .errors import LumberkitError
 from .evaluation import (
     DEFAULT_KS,
     DEFAULT_THETAS,
+    check_ks,
     evaluate,
     format_report_table,
     sweep_theta,
@@ -74,8 +74,7 @@ _EVAL = ("chunks", "qa", "ks", "hyde", "output_dir", *_EMBEDDING)
 # chunk --method, and for eval with and without --hyde. A row that reads
 # --embed http also reads _EMBED_HTTP (the mock embedder reads no flag). Any
 # other flag of the command that is given is rejected before input is read,
-# and run_config.json records a completion backend, embedder or cache only
-# where the row reads it.
+# and the run record lists exactly the flags read, with their values.
 _READS = {
     "ingest": ("input", "format", "doc_id", "title", "output"),
     "chunk --method paragraph": _CHUNK,
@@ -90,6 +89,16 @@ _READS = {
     "gen-qa": ("document", "n", "seed", "output", *_COMPLETION),
 }
 _EMBED_HTTP = ("embed_url", "embed_model")
+
+# Defaults of the flags whose parser default is None, so that a flag the row
+# does not read can be told from one left out; a row that reads one gets it.
+_DEFAULTS = {
+    "embed": "mock",
+    "theta": ChunkerConfig.theta,
+    "max_tokens": RecursiveConfig.max_tokens,
+    "percentile": SemanticConfig.breakpoint_percentile,
+    "min_unit": SemanticConfig.min_unit,
+}
 
 # parsed names that are not the subcommand's flags
 _NOT_COMMAND_FLAGS = {"quiet", "command", "func"}
@@ -108,27 +117,35 @@ def _row(args: argparse.Namespace) -> str:
     return args.command
 
 
-def _reject_unread_flags(args: argparse.Namespace) -> None:
-    """Refuse every given flag that args' row of _READS does not read.
+def _reads(args: argparse.Namespace) -> tuple[str, ...]:
+    """The flags args' row of _READS reads, plus _EMBED_HTTP under --embed http."""
+    reads = _READS[_row(args)]
+    if "embed" in reads and args.embed == "http":
+        return (*reads, *_EMBED_HTTP)
+    return reads
 
-    A flag is given when it differs from its default, which is None for every
-    flag that some row of its command does not read, but mock for --embed.
-    One CliError names all of them, in the order the parser defines them.
-    --backend-url is refused beside --replay-cache, which never calls it.
+
+def _resolve_flags(args: argparse.Namespace) -> None:
+    """Give each flag args' row reads its _DEFAULTS value if left out; refuse the rest.
+
+    A flag the row does not read is given when it is not None. One CliError
+    names all of them, in the order the parser defines them. --backend-url is
+    refused beside --replay-cache, which never calls it.
     """
     row = _row(args)
-    reads = set(_READS[row]) | _NOT_COMMAND_FLAGS
+    for name in _READS[row]:
+        if getattr(args, name) is None and name in _DEFAULTS:
+            setattr(args, name, _DEFAULTS[name])
+    reads = set(_reads(args)) | _NOT_COMMAND_FLAGS
     where = row
     if "embed" in reads:
-        if args.embed == "http":
-            reads.update(_EMBED_HTTP)
         where += f" with --embed {args.embed}"
     if row == "eval":
         where += " and without --hyde"
     given = [
         "--" + name.replace("_", "-") + (f" {value}" if name == "embed" else "")
         for name, value in vars(args).items()
-        if name not in reads and value != ("mock" if name == "embed" else None)
+        if name not in reads and value is not None
     ]
     if given:
         raise CliError(f"{', '.join(given)} not supported by {where}")
@@ -141,35 +158,6 @@ def _model_id(args: argparse.Namespace) -> str:
     return args.model or "default"
 
 
-def _backend_settings(args: argparse.Namespace) -> dict:
-    if args.replay_cache:
-        return {"kind": "replay", "cache_path": str(args.replay_cache), "model_id": _model_id(args)}
-    if args.backend_url:
-        return {
-            "kind": "http",
-            "url": args.backend_url,
-            "model": args.model,
-            "model_id": _model_id(args),
-            "api_key_source": f"env:{API_KEY_ENV_VAR}",
-        }
-    return {"kind": "none"}
-
-
-def _embedding_settings(args: argparse.Namespace) -> dict:
-    if args.embed == "http":
-        return {
-            "kind": "http",
-            "url": args.embed_url,
-            "model": args.embed_model,
-            "api_key_source": f"env:{API_KEY_ENV_VAR}",
-        }
-    return {
-        "kind": "mock",
-        "dimension": MockEmbeddingBackend.dimension,
-        "seed": MockEmbeddingBackend.seed,
-    }
-
-
 def _write_json(obj, path: Path) -> None:
     """Write one JSON record: indent 2, sorted keys, no ASCII escaping, final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -177,40 +165,10 @@ def _write_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_run_config(
-    args: argparse.Namespace,
-    path: Path,
-    inputs: dict,
-    *,
-    outputs: dict | None = None,
-    chunker: dict | None = None,
-) -> None:
-    """Write the resolved settings of this run next to its outputs.
-
-    outputs defaults to the directory that holds path. The backend,
-    embedding, caches and ks sections follow args' row of _READS: a group the
-    row does not read is {"kind": "none"} or null. The seed is gen-qa's
-    --seed, else the embedding section's seed. The API key itself never
-    appears here; only its source environment variable is recorded.
-    """
-    reads = _READS[_row(args)]
-    caches = {"completion": "record_cache", "embedding": "embed_cache"}
-    embedding = _embedding_settings(args) if "embed" in reads else {"kind": "none"}
+def _write_run_config(args: argparse.Namespace, path: Path) -> None:
+    """Record the command and the resolved value of every flag it read at path."""
     _write_json(
-        {
-            "command": args.command,
-            "inputs": inputs,
-            "outputs": outputs or {"directory": str(path.parent)},
-            "backend": _backend_settings(args) if "backend_url" in reads else {"kind": "none"},
-            "embedding": embedding,
-            "caches": {
-                cache: str(getattr(args, name)) if name in reads and getattr(args, name) else None
-                for cache, name in caches.items()
-            },
-            "chunker": chunker or {},
-            "ks": list(args.ks) if "ks" in reads else None,
-            "seed": getattr(args, "seed", embedding.get("seed")),
-        },
+        {"command": args.command, "flags": {name: getattr(args, name) for name in _reads(args)}},
         path,
     )
 
@@ -277,20 +235,6 @@ def _backend(args: argparse.Namespace, needed_for: str):
             ) from exc
 
 
-def _given(args: argparse.Namespace, *names: str, **renamed: str) -> dict:
-    """Config keyword arguments for the flags given; unset ones keep the config's defaults.
-
-    names are config fields set by the flag of the same name; renamed maps a
-    config field to the flag's attribute name where the two differ.
-    """
-    fields = {name: name for name in names} | renamed
-    return {
-        field: getattr(args, name)
-        for field, name in fields.items()
-        if getattr(args, name) is not None
-    }
-
-
 def _write_report(reports: list, output_dir: str) -> Path:
     """Print the report table and write it, plus one JSONL record per report, to output_dir."""
     table = format_report_table(reports)
@@ -308,40 +252,25 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_document(document, output)
-    _write_run_config(
-        args,
-        output.with_name(output.name + ".run.json"),
-        {"document": str(args.input), "format": args.format},
-        outputs={"paragraph_records": str(output)},
-    )
+    _write_run_config(args, output.with_name(output.name + ".run.json"))
     print(f"wrote {len(document)} paragraph record(s) to {output}")
     return 0
 
 
 def cmd_chunk(args: argparse.Namespace) -> int:
     document = load_document(args.document, "paragraph_records")
-    settings: dict = {"method": args.method}
     started = time.perf_counter()
     if args.method == "paragraph":
         chunks = paragraph_chunks(document)
     elif args.method == "recursive":
-        recursive_config = RecursiveConfig(**_given(args, "max_tokens"))
-        settings["max_tokens"] = recursive_config.max_tokens
-        chunks = recursive_chunks(document, recursive_config)
+        chunks = recursive_chunks(document, RecursiveConfig(max_tokens=args.max_tokens))
     elif args.method == "semantic":
-        semantic_config = SemanticConfig(
-            **_given(args, "min_unit", breakpoint_percentile="percentile")
-        )
-        settings.update(
-            percentile=semantic_config.breakpoint_percentile, min_unit=semantic_config.min_unit
-        )
+        config = SemanticConfig(breakpoint_percentile=args.percentile, min_unit=args.min_unit)
         with _embedder(args) as embedder:
-            chunks = semantic_chunks(document, embedder, semantic_config)
+            chunks = semantic_chunks(document, embedder, config)
     elif args.method == "lumber":
-        config = ChunkerConfig(**_given(args, "theta"))
-        settings.update(theta=config.theta, max_retries=chunker.MAX_RETRIES)
         with _backend(args, "method 'lumber'") as backend:
-            chunks = lumberchunk(document, config, backend)
+            chunks = lumberchunk(document, ChunkerConfig(theta=args.theta), backend)
     else:  # proposition
         with _backend(args, "method 'proposition'") as backend:
             chunks = proposition_chunks(document, backend)
@@ -353,9 +282,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     stats = chunk_stats(chunks)
     _write_json(asdict(stats), out_dir / "stats.json")
     _write_json({"seconds": seconds}, out_dir / "timing.json")
-    _write_run_config(
-        args, out_dir / "run_config.json", {"document": str(args.document)}, chunker=settings
-    )
+    _write_run_config(args, out_dir / "run_config.json")
     print(
         f"{args.method}: {stats.count} chunk(s) from {len(document)} paragraph(s) "
         f"in {seconds:.2f}s -> {out_dir / 'chunks.jsonl'}"
@@ -378,6 +305,7 @@ def _labels(paths: list[str]) -> list[str]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    check_ks(args.ks)
     qa_pairs = load_qa(args.qa)
     # check every file before the first embed or HyDE call
     doc_ids = {chunk.doc_id for chunk_path in args.chunks for chunk in iter_chunks(chunk_path)}
@@ -404,11 +332,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             for chunk_path, label in zip(args.chunks, _labels(args.chunks))
         ]
     out_dir = _write_report(reports, args.output_dir)
-    _write_run_config(
-        args,
-        out_dir / "run_config.json",
-        {"chunks": [str(p) for p in args.chunks], "qa": str(args.qa)},
-    )
+    _write_run_config(args, out_dir / "run_config.json")
     return 0
 
 
@@ -420,16 +344,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             documents, qa_pairs, args.thetas, backend, embedder, ks=tuple(args.ks)
         )
     out_dir = _write_report(reports, args.output_dir)
-    _write_run_config(
-        args,
-        out_dir / "run_config.json",
-        {"documents": [str(p) for p in args.documents], "qa": str(args.qa)},
-        chunker={
-            "method": "lumber",
-            "thetas": sorted(set(args.thetas)),
-            "max_retries": chunker.MAX_RETRIES,
-        },
-    )
+    _write_run_config(args, out_dir / "run_config.json")
     return 0
 
 
@@ -465,11 +380,7 @@ def cmd_rag(args: argparse.Namespace) -> int:
         out_dir / "answers.jsonl",
     )
     _write_json({"qa_accuracy": accuracy, "questions": len(qa_pairs)}, out_dir / "summary.json")
-    _write_run_config(
-        args,
-        out_dir / "run_config.json",
-        {"chunks": str(args.chunks), "questions": str(args.questions)},
-    )
+    _write_run_config(args, out_dir / "run_config.json")
     print(f"qa_accuracy {accuracy:.2f} over {len(qa_pairs)} question(s)")
     return 0
 
@@ -481,12 +392,7 @@ def cmd_gen_qa(args: argparse.Namespace) -> int:
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_qa(pairs, output)
-    _write_run_config(
-        args,
-        output.with_name(output.name + ".run.json"),
-        {"document": str(args.document), "n": args.n},
-        outputs={"qa": str(output)},
-    )
+    _write_run_config(args, output.with_name(output.name + ".run.json"))
     print(f"wrote {len(pairs)} QA pair(s) to {output}")
     return 0
 
@@ -520,7 +426,6 @@ def _add_embedding_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--embed",
         choices=("mock", "http"),
-        default="mock",
         help="embedding backend (default: deterministic mock)",
     )
     group.add_argument("--embed-url", metavar="URL", help="embedding endpoint base URL")
@@ -555,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=chunk_method_names(), required=True, help="chunking method"
     )
     # method flags default to None, so a flag the chosen method does not read
-    # can be rejected; the method's config supplies the default
+    # can be rejected; _DEFAULTS holds the method config's default
     chunk.add_argument("--theta", type=int, help="token threshold for lumber")
     chunk.add_argument("--max-tokens", type=int, help="chunk size cap for recursive")
     chunk.add_argument("--percentile", type=float, help="semantic breakpoint percentile")
@@ -628,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        _reject_unread_flags(args)
+        _resolve_flags(args)
         return args.func(args)
     except (LumberkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -106,7 +106,8 @@ def judge_relevance(text: str, passage: str) -> bool:
     return hits / total >= ngram_threshold
 
 
-def _check_ks(ks: Sequence[int]) -> None:
+def check_ks(ks: Sequence[int]) -> None:
+    """Raise ConfigError unless the metric cutoffs are non-empty, distinct and each >= 1."""
     if not ks or min(ks) < 1 or len(set(ks)) != len(ks):
         raise ConfigError(f"ks must be non-empty, distinct and each >= 1, got {list(ks)}")
 
@@ -224,7 +225,7 @@ def evaluate(
 
     Ranking depth is max(ks). ks must be distinct.
     """
-    _check_ks(ks)
+    check_ks(ks)
     runs = build_runs(chunks, qa_pairs, embed_backend, depth=max(ks))
     return report_from_runs(runs, ks, method=method)
 
@@ -254,7 +255,7 @@ def sweep_theta(
     """
     if not thetas:
         raise ConfigError("thetas must be non-empty")
-    _check_ks(ks)
+    check_ks(ks)
     if not qa_pairs:
         raise EvaluationError("no questions to score")
     questions_by_doc: dict[str, list[int]] = {}

@@ -507,9 +507,14 @@ def _length_reply(head: bytes, length: int = len(_OK)) -> bytes:
         (_length_reply(b"HTTP/1.1 200 OK\r\nConnection: close\r\n"), False, 2, 2),
         (_length_reply(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n"), False, 2, 1),
         (_length_reply(b"HTTP/1.1 200 OK\r\n", len(_OK) + 10), True, 0, 2),
+        # lengths far beyond the body are read in bounded pieces, so the body ends early
+        (_length_reply(b"HTTP/1.1 200 OK\r\n", 10**23 - 1), True, 0, 2),
+        (_length_reply(b"HTTP/1.1 200 OK\r\n", 10**12), True, 0, 2),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s" % (10**23, _OK),
+         True, 0, 2),
     ],
     ids=["content-length", "chunked", "http-1.0-until-close", "connection-close", "100-continue",
-         "short-body"],
+         "short-body", "overflowing-length", "terabyte-length", "overflowing-chunk-size"],
 )
 def test_reply_framing(reply, close_after, calls, connections, monkeypatch):
     """Each framing yields the body; `calls` 0 means every attempt fails."""
@@ -903,6 +908,25 @@ class TestNonFiniteVectors:
         backend = HttpEmbeddingBackend(stub_server, "m")
         with pytest.raises(BackendError, match="after 2 attempts: a vector entry is not a finite"):
             backend.embed(["x"])
+        assert len(_StubHandler.requests_seen) == 2
+        assert backend.dimension == 0
+
+
+class TestEmptyVectors:
+    def test_cache_record_names_file_and_line(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(
+            '{"key": "a", "vector": []}\n{"key": "b", "vector": [0.5, 1.5]}\n', encoding="utf-8"
+        )
+        with pytest.raises(CacheError, match=r"emb\.jsonl, line 1: unreadable record: .*empty"):
+            EmbeddingCache(path, backend_id="b")
+
+    def test_http_reply_is_retried_then_raises(self, stub_server, monkeypatch):
+        _StubHandler.raw_reply = b'{"data": [{"embedding": []}, {"embedding": []}]}'
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0)
+        backend = HttpEmbeddingBackend(stub_server, "m")
+        with pytest.raises(BackendError, match="after 2 attempts: a vector is empty"):
+            backend.embed(["a", "b"])
         assert len(_StubHandler.requests_seen) == 2
         assert backend.dimension == 0
 

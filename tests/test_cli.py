@@ -148,8 +148,6 @@ class TestChunkCommand:
         assert stats["mean_tokens"] == pytest.approx(54.0)  # 40 words -> 54 tokens
         timing = json.loads((out_dir / "timing.json").read_text())
         assert timing["seconds"] >= 0.0
-        run_config = json.loads((out_dir / "run_config.json").read_text())
-        assert run_config["chunker"] == {"method": "paragraph"}
         assert "12 chunk(s)" in capsys.readouterr().out
 
     def test_deterministic_outputs_across_runs(self, tmp_path, book_records):
@@ -238,9 +236,6 @@ class TestChunkCommand:
         document = load_document(book_records, "paragraph_records")
         direct = lumberchunk(document, ChunkerConfig(), ScriptedBackend(last_id_responder))
         assert read_chunks(dirs[0] / "chunks.jsonl") == direct
-        run_config = json.loads((dirs[0] / "run_config.json").read_text())
-        assert run_config["backend"]["kind"] == "replay"
-        assert run_config["chunker"]["theta"] == 550
 
     def test_lumber_without_backend_fails_fast(self, tmp_path, book_records, capsys):
         code = main(
@@ -309,9 +304,6 @@ class TestEvalCommand:
         rows = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
         assert [row["method"] for row in rows] == ["paragraph", "lumber"]
         assert all(row["ks"] == [1, 5] for row in rows)
-        run_config = json.loads((out_dir / "run_config.json").read_text())
-        assert run_config["ks"] == [1, 5]
-        assert run_config["command"] == "eval"
 
     def test_files_sharing_a_stem_get_distinct_rows(self, tmp_path, book_records, qa_file):
         # README's example: out/recursive/chunks.jsonl and out/lumber/chunks.jsonl
@@ -665,9 +657,6 @@ class TestGenQaCommand:
         loaded = load_qa(out)
         assert loaded == direct
         assert len(loaded) == 3
-        run_config = json.loads(out.with_name("generated.jsonl.run.json").read_text())
-        assert run_config["seed"] == 11
-        assert run_config["inputs"]["n"] == 3
 
     def test_zero_samples(self, tmp_path, book_records, capsys):
         empty_cache = tmp_path / "empty.jsonl"
@@ -878,32 +867,6 @@ class TestRecordThenReplay:
         assert run(tmp_path / "replay", "--replay-cache", str(cache_path)) == recorded
 
 
-class TestRecordCacheFlag:
-    def test_listed_in_run_config_when_used(self, tmp_path, book_records):
-        record = tmp_path / "record.jsonl"
-        seed_lumber_cache(book_records, tmp_path / "replay.jsonl")
-        out = tmp_path / "out"
-        code = main(
-            [
-                "chunk", "--document", str(book_records), "--method", "lumber",
-                "--replay-cache", str(tmp_path / "replay.jsonl"),
-                "--record-cache", str(record), "--output-dir", str(out),
-            ]
-        )
-        assert code == 0
-        assert record.exists()
-        run_config = json.loads((out / "run_config.json").read_text())
-        assert run_config["caches"]["completion"] == str(record)
-
-    def test_paragraph_run_config_lists_no_completion_cache(self, tmp_path, book_records):
-        out = tmp_path / "out"
-        code = main(
-            ["chunk", "--document", str(book_records), "--method", "paragraph", "--output-dir", str(out)]
-        )
-        assert code == 0
-        assert json.loads((out / "run_config.json").read_text())["caches"]["completion"] is None
-
-
 class TestUnusedCompletionFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -939,21 +902,22 @@ class TestUnusedEmbeddingFlags:
         "flag",
         [
             ("--embed", "http"),
+            ("--embed", "mock"),
             ("--embed-url", "http://127.0.0.1:9"),
             ("--embed-model", "m"),
             ("--embed-cache", "nothere.jsonl"),
         ],
-        ids=lambda flag: flag[0],
+        ids=lambda flag: " ".join(flag) if flag[0] == "--embed" else flag[0],
     )
-    def test_rejected_where_nothing_embeds(self, tmp_path, method, flag, capsys):
+    def test_rejected_where_nothing_embeds(self, tmp_path, book_records, method, flag, capsys):
         out = tmp_path / "out"
         code = main(
-            ["chunk", "--document", "d.jsonl", "--method", method, *flag, "--output-dir", str(out)]
+            ["chunk", "--document", str(book_records), "--method", method, *flag,
+             "--output-dir", str(out)]
         )
-        assert code == 1
-        assert f"{' '.join(flag) if flag[0] == '--embed' else flag[0]} not supported by" in (
-            capsys.readouterr().err
-        )
+        error = _one_error_line(code, capsys.readouterr().err)
+        named = " ".join(flag) if flag[0] == "--embed" else flag[0]
+        assert error == f"error: {named} not supported by chunk --method {method}"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -996,8 +960,7 @@ class TestUnusedEmbeddingFlags:
             ]
         )
         assert code == 0
-        record = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
-        assert record["caches"] == {"completion": None, "embedding": str(cache)}
+        assert cache.read_text(encoding="utf-8").count("\n") > 1
         paragraphs = load_document(book_records, "paragraph_records").paragraphs
         assert len(EmbeddingCache(cache, "mock:64:0")) == len({p.text for p in paragraphs})
 
@@ -1085,8 +1048,6 @@ class TestModelKeyedCache:
         for model in responders:
             out_dir = tmp_path / f"replay-{model}"
             assert chunk(out_dir, "--model", model, "--replay-cache", str(cache_path)) == recorded[model]
-            run_config = json.loads((out_dir / "run_config.json").read_text())
-            assert run_config["backend"]["model_id"] == model
 
 
 @pytest.mark.parametrize(
@@ -1301,94 +1262,6 @@ class TestUnreadChunkFlags:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "method, flags, chunker, embedding",
-        [
-            ("paragraph", [], {"method": "paragraph"}, {"kind": "none"}),
-            ("recursive", [], {"method": "recursive", "max_tokens": 450}, {"kind": "none"}),
-            ("recursive", ["--max-tokens", "100"], {"method": "recursive", "max_tokens": 100},
-             {"kind": "none"}),
-            (
-                "semantic",
-                [],
-                {"method": "semantic", "percentile": 95.0, "min_unit": "paragraph"},
-                {"kind": "mock", "dimension": 64, "seed": 0},
-            ),
-            (
-                "semantic",
-                ["--percentile", "80", "--min-unit", "sentence"],
-                {"method": "semantic", "percentile": 80.0, "min_unit": "sentence"},
-                {"kind": "mock", "dimension": 64, "seed": 0},
-            ),
-            (
-                "lumber",
-                [],
-                {"method": "lumber", "theta": 550, "max_retries": 3},
-                {"kind": "none"},
-            ),
-            (
-                "lumber",
-                ["--theta", "120"],
-                {"method": "lumber", "theta": 120, "max_retries": 3},
-                {"kind": "none"},
-            ),
-        ],
-    )
-    def test_run_config_records_given_or_default_values(
-        self, tmp_path, book_records, monkeypatch, method, flags, chunker, embedding
-    ):
-        monkeypatch.setattr(
-            cli, "_completion_backend",
-            lambda args, needed_for: ScriptedBackend(last_id_responder),
-        )
-        out = tmp_path / "out"
-        code = main(
-            ["chunk", "--document", str(book_records), "--method", method, *flags,
-             "--output-dir", str(out)]
-        )
-        assert code == 0
-        text = (out / "run_config.json").read_text(encoding="utf-8")
-        record = json.loads(text)
-        assert record["chunker"] == chunker
-        assert record["embedding"] == embedding
-        assert record["seed"] == embedding.get("seed")
-        if method == "semantic":
-            assert f'"percentile": {chunker["percentile"]}' in text  # still a float
-
-    @pytest.mark.parametrize(
-        "flags, embedding, seed",
-        [
-            ([], {"kind": "mock", "dimension": 64, "seed": 0}, 0),
-            # no mock embedder runs, so there is no embedding seed to record
-            (
-                ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "em"],
-                {"kind": "http", "url": "http://127.0.0.1:9", "model": "em",
-                 "api_key_source": "env:LUMBERKIT_API_KEY"},
-                None,
-            ),
-        ],
-    )
-    def test_eval_records_mock_embedder_and_seed(
-        self, tmp_path, book_records, qa_file, monkeypatch, flags, embedding, seed
-    ):
-        monkeypatch.setattr(
-            cli, "_embedding_backend", lambda args: MockEmbeddingBackend()
-        )
-        chunk_path = tmp_path / "chunks.jsonl"
-        write_chunks(lumberchunk(
-            load_document(book_records, "paragraph_records"), ChunkerConfig(theta=200),
-            ScriptedBackend(last_id_responder),
-        ), chunk_path)
-        out = tmp_path / "eval"
-        code = main(
-            ["eval", "--chunks", str(chunk_path), "--qa", str(qa_file), *flags,
-             "--output-dir", str(out)]
-        )
-        assert code == 0
-        record = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
-        assert record["embedding"] == embedding
-        assert record["seed"] == seed
-
 
 class CountingHydeBackend(CompletionBackend):
     """Writes a hypothetical passage per question, counting calls per prompt.
@@ -1411,6 +1284,22 @@ class CountingHydeBackend(CompletionBackend):
 
 
 class TestHydeRewrites:
+    def test_bad_ks_ends_the_run_before_any_rewrite(
+        self, tmp_path, book_records, qa_file, monkeypatch, capsys
+    ):
+        backend = CountingHydeBackend({})
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        out = tmp_path / "eval"
+        code = main(
+            ["eval", "--chunks", str(chunk_path), "--qa", str(qa_file), "--hyde", "--ks", "0",
+             "--output-dir", str(out)]
+        )
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert "ks must be non-empty, distinct and each >= 1, got [0]" in error
+        assert backend.calls == {}
+        assert not out.exists()
+
     def test_one_rewrite_per_question_for_all_chunk_files(
         self, tmp_path, book_records, monkeypatch
     ):
@@ -1778,8 +1667,7 @@ class TestEmbedCache:
                 text = path.read_text(encoding="utf-8")
                 if path.name == "run_config.json":
                     record = json.loads(text.replace(str(out_dir), "{out}"))
-                    assert record["caches"]["embedding"] == (flags[1] if flags else None)
-                    record["caches"]["embedding"] = None
+                    assert record["flags"].pop("embed_cache") == (flags[1] if flags else None)
                     outputs[path.name] = record
                 elif path.name != "timing.json":  # wall-clock seconds
                     outputs[path.name] = re.sub(r', "chunking_seconds": [^,}]+', "", text)

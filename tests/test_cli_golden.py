@@ -2,8 +2,11 @@
 
 Each case runs one command in-process, with a scripted completion backend in
 place of a live or replayed one, and compares what it writes with the records
-spelled out below: run_config.json for every command, plus stats.json for
-chunk, summary.json and answers.jsonl for rag and the QA file of gen-qa.
+spelled out below: the run record (run_config.json, or <output>.run.json for
+ingest and gen-qa) for every command, plus stats.json for chunk, summary.json
+and answers.jsonl for rag and the QA file of gen-qa. A second test runs every
+row of the CLI's flag table and checks that its run record lists exactly the
+flags the row reads.
 "{tmp}" stands for the test's tmp_path. A JSON record is expected as indent-2
 text with sorted keys, no ASCII escaping and a trailing newline; a JSONL file
 as one compact record per line.
@@ -20,8 +23,8 @@ import pytest
 from conftest import last_id_responder, make_document
 from lumberkit import cli
 from lumberkit.backends import MockEmbeddingBackend, ScriptedBackend
-from lumberkit.baselines import paragraph_chunks
-from lumberkit.chunker import PROMPT_HEADER, write_chunks
+from lumberkit.baselines import RecursiveConfig, SemanticConfig, paragraph_chunks
+from lumberkit.chunker import PROMPT_HEADER, ChunkerConfig, write_chunks
 from lumberkit.cli import main
 from lumberkit.corpus import QAPair, write_document, write_qa
 
@@ -78,18 +81,15 @@ def inputs(tmp_path, monkeypatch):
     return tmp_path
 
 
-NO_CACHES = {"completion": None, "embedding": None}
-MOCK = {"kind": "mock", "dimension": 64, "seed": 0}
-NONE = {"kind": "none"}
-REPLAY = {"kind": "replay", "cache_path": "{tmp}/replay.jsonl", "model_id": "default"}
-HTTP = {
-    "kind": "http",
-    "url": "http://127.0.0.1:9",
-    "model": "m",
-    "model_id": "m",
-    "api_key_source": "env:LUMBERKIT_API_KEY",
-}
+NO_COMPLETION = {"replay_cache": None, "backend_url": None, "model": None, "record_cache": None}
+REPLAY = NO_COMPLETION | {"replay_cache": "{tmp}/replay.jsonl"}
 LIVE_FLAGS = ["--backend-url", "http://127.0.0.1:9", "--model", "m"]
+LIVE = NO_COMPLETION | {"backend_url": "http://127.0.0.1:9", "model": "m",
+                        "record_cache": "{tmp}/record.jsonl"}
+MOCK = {"embed": "mock", "embed_cache": None}
+HTTP_FLAGS = ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "em"]
+HTTP = {"embed": "http", "embed_url": "http://127.0.0.1:9", "embed_model": "em",
+        "embed_cache": None}
 KS = [1, 2, 5, 10, 20]
 RAG_SUMMARY = {"qa_accuracy": 33.333333333333336, "questions": 3}
 RAG_ANSWERS = [
@@ -102,30 +102,15 @@ RAG_ANSWERS = [
 ]
 
 
-def run_config(command, inputs, outputs, *, backend=NONE, embedding=NONE, caches=NO_CACHES,
-               chunker=None, ks=None, seed=None) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "backend": backend,
-        "embedding": embedding,
-        "caches": caches,
-        "chunker": chunker or {},
-        "ks": ks,
-        "seed": seed,
-    }
-
-
-def chunk_case(method, flags, chunker, stats, **sections):
+def chunk_case(method, argv, flags, stats):
     out = "{tmp}/out"
-    argv = ["chunk", "--document", "{tmp}/book.jsonl", "--method", method, *flags,
-            "--output-dir", out]
-    return argv, {
-        "out/run_config.json": run_config(
-            "chunk", {"document": "{tmp}/book.jsonl"}, {"directory": out},
-            chunker={"method": method, **chunker}, **sections,
-        ),
+    return ["chunk", "--document", "{tmp}/book.jsonl", "--method", method, *argv,
+            "--output-dir", out], {
+        "out/run_config.json": {
+            "command": "chunk",
+            "flags": {"document": "{tmp}/book.jsonl", "method": method, "output_dir": out,
+                      **flags},
+        },
         "out/stats.json": stats,
     }
 
@@ -136,17 +121,23 @@ PARAGRAPH_STATS = {
 SEMANTIC_STATS = {
     "count": 2, "mean_tokens": 320.0, "min_tokens": 320, "max_tokens": 320, "mean_paragraphs": 6.0,
 }
-LUMBER_DEFAULTS = {"theta": 550, "max_retries": 3}
+SEMANTIC_DEFAULTS = {"percentile": 95.0, "min_unit": "paragraph"}
+EVAL = {"chunks": ["{tmp}/paragraph.jsonl"], "qa": "{tmp}/qa.jsonl", "ks": KS, "hyde": False,
+        "output_dir": "{tmp}/out"}
+SWEEP = {"documents": ["{tmp}/book.jsonl"], "qa": "{tmp}/qa.jsonl", "output_dir": "{tmp}/out"}
+RAG = {"chunks": "{tmp}/paragraph.jsonl", "questions": "{tmp}/qa.jsonl",
+       "output_dir": "{tmp}/out"}
 
 CASES = {
     "ingest": (
         ["ingest", "--input", "{tmp}/book.txt", "--doc-id", "book", "--title", "A Book",
          "--output", "{tmp}/out/book.jsonl"],
         {
-            "out/book.jsonl.run.json": run_config(
-                "ingest", {"document": "{tmp}/book.txt", "format": "plain_text"},
-                {"paragraph_records": "{tmp}/out/book.jsonl"},
-            ),
+            "out/book.jsonl.run.json": {
+                "command": "ingest",
+                "flags": {"input": "{tmp}/book.txt", "format": "plain_text", "doc_id": "book",
+                          "title": "A Book", "output": "{tmp}/out/book.jsonl"},
+            },
         },
     ),
     "chunk-paragraph": chunk_case("paragraph", [], {}, PARAGRAPH_STATS),
@@ -158,99 +149,68 @@ CASES = {
     "chunk-recursive-flags": chunk_case(
         "recursive", ["--max-tokens", "100"], {"max_tokens": 100}, PARAGRAPH_STATS
     ),
-    "chunk-semantic": chunk_case(
-        "semantic", [], {"percentile": 95.0, "min_unit": "paragraph"}, SEMANTIC_STATS,
-        embedding=MOCK, seed=0,
-    ),
+    "chunk-semantic": chunk_case("semantic", [], SEMANTIC_DEFAULTS | MOCK, SEMANTIC_STATS),
     "chunk-semantic-flags": chunk_case(
         "semantic",
         ["--percentile", "80", "--min-unit", "sentence"],
-        {"percentile": 80.0, "min_unit": "sentence"},
+        {"percentile": 80.0, "min_unit": "sentence"} | MOCK,
         {"count": 3, "mean_tokens": 213.66666666666666, "min_tokens": 107, "max_tokens": 320,
          "mean_paragraphs": 4.0},
-        embedding=MOCK, seed=0,
     ),
     "chunk-semantic-http": chunk_case(
-        "semantic",
-        ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "em"],
-        {"percentile": 95.0, "min_unit": "paragraph"},
-        SEMANTIC_STATS,
-        embedding={"kind": "http", "url": "http://127.0.0.1:9", "model": "em",
-                   "api_key_source": "env:LUMBERKIT_API_KEY"},
+        "semantic", HTTP_FLAGS, SEMANTIC_DEFAULTS | HTTP, SEMANTIC_STATS
     ),
     "chunk-lumber": chunk_case(
         "lumber",
         ["--replay-cache", "{tmp}/replay.jsonl"],
-        LUMBER_DEFAULTS,
+        {"theta": 550} | REPLAY,
         {"count": 2, "mean_tokens": 320.5, "min_tokens": 107, "max_tokens": 534,
          "mean_paragraphs": 6.0},
-        backend=REPLAY,
     ),
     "chunk-lumber-flags": chunk_case(
         "lumber",
         ["--theta", "120", *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl"],
-        {"theta": 120, "max_retries": 3},
+        {"theta": 120} | LIVE,
         {"count": 6, "mean_tokens": 107.0, "min_tokens": 107, "max_tokens": 107,
          "mean_paragraphs": 2.0},
-        backend=HTTP,
-        caches={"completion": "{tmp}/record.jsonl", "embedding": None},
     ),
     "chunk-proposition": chunk_case(
         "proposition",
         ["--replay-cache", "{tmp}/replay.jsonl"],
-        {},
+        REPLAY,
         {"count": 24, "mean_tokens": 5.0, "min_tokens": 4, "max_tokens": 6,
          "mean_paragraphs": 1.0},
-        backend=REPLAY,
     ),
     "eval": (
         ["eval", "--chunks", "{tmp}/paragraph.jsonl", "--qa", "{tmp}/qa.jsonl",
          "--output-dir", "{tmp}/out"],
-        {
-            "out/run_config.json": run_config(
-                "eval", {"chunks": ["{tmp}/paragraph.jsonl"], "qa": "{tmp}/qa.jsonl"},
-                {"directory": "{tmp}/out"}, embedding=MOCK, ks=KS, seed=0,
-            ),
-        },
+        {"out/run_config.json": {"command": "eval", "flags": EVAL | MOCK}},
     ),
     "eval-flags": (
         ["eval", "--chunks", "{tmp}/paragraph.jsonl", "{tmp}/paragraph.jsonl",
          "--qa", "{tmp}/qa.jsonl", "--ks", "1", "5",
          "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
         {
-            "out/run_config.json": run_config(
-                "eval",
-                {"chunks": ["{tmp}/paragraph.jsonl", "{tmp}/paragraph.jsonl"],
-                 "qa": "{tmp}/qa.jsonl"},
-                {"directory": "{tmp}/out"},
-                embedding=MOCK,
-                caches={"completion": None, "embedding": "{tmp}/embed.jsonl"},
-                ks=[1, 5],
-                seed=0,
-            ),
+            "out/run_config.json": {
+                "command": "eval",
+                "flags": EVAL | {"chunks": ["{tmp}/paragraph.jsonl", "{tmp}/paragraph.jsonl"],
+                                 "ks": [1, 5], "embed": "mock", "embed_cache": "{tmp}/embed.jsonl"},
+            },
         },
     ),
     "eval-hyde": (
         ["eval", "--chunks", "{tmp}/paragraph.jsonl", "--qa", "{tmp}/qa.jsonl", "--hyde",
          *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl", "--output-dir", "{tmp}/out"],
-        {
-            "out/run_config.json": run_config(
-                "eval", {"chunks": ["{tmp}/paragraph.jsonl"], "qa": "{tmp}/qa.jsonl"},
-                {"directory": "{tmp}/out"}, backend=HTTP, embedding=MOCK,
-                caches={"completion": "{tmp}/record.jsonl", "embedding": None}, ks=KS, seed=0,
-            ),
-        },
+        {"out/run_config.json": {"command": "eval", "flags": EVAL | {"hyde": True} | LIVE | MOCK}},
     ),
     "sweep": (
         ["sweep", "--documents", "{tmp}/book.jsonl", "--qa", "{tmp}/qa.jsonl",
          "--replay-cache", "{tmp}/replay.jsonl", "--output-dir", "{tmp}/out"],
         {
-            "out/run_config.json": run_config(
-                "sweep", {"documents": ["{tmp}/book.jsonl"], "qa": "{tmp}/qa.jsonl"},
-                {"directory": "{tmp}/out"}, backend=REPLAY, embedding=MOCK,
-                chunker={"method": "lumber", "thetas": [450, 550, 650, 1000], "max_retries": 3},
-                ks=KS, seed=0,
-            ),
+            "out/run_config.json": {
+                "command": "sweep",
+                "flags": SWEEP | {"thetas": [450, 550, 650, 1000], "ks": KS} | REPLAY | MOCK,
+            },
         },
     ),
     "sweep-flags": (
@@ -259,40 +219,31 @@ CASES = {
          "--record-cache", "{tmp}/record.jsonl",
          "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
         {
-            "out/run_config.json": run_config(
-                "sweep", {"documents": ["{tmp}/book.jsonl"], "qa": "{tmp}/qa.jsonl"},
-                {"directory": "{tmp}/out"}, backend=HTTP, embedding=MOCK,
-                caches={"completion": "{tmp}/record.jsonl", "embedding": "{tmp}/embed.jsonl"},
-                chunker={"method": "lumber", "thetas": [120, 650], "max_retries": 3},
-                ks=[1], seed=0,
-            ),
+            "out/run_config.json": {
+                "command": "sweep",
+                "flags": SWEEP | {"thetas": [650, 120, 650], "ks": [1]} | LIVE
+                | {"embed": "mock", "embed_cache": "{tmp}/embed.jsonl"},
+            },
         },
     ),
     "rag": (
         ["rag", "--chunks", "{tmp}/paragraph.jsonl", "--questions", "{tmp}/qa.jsonl",
          "--replay-cache", "{tmp}/replay.jsonl", "--output-dir", "{tmp}/out"],
         {
-            "out/run_config.json": run_config(
-                "rag", {"chunks": "{tmp}/paragraph.jsonl", "questions": "{tmp}/qa.jsonl"},
-                {"directory": "{tmp}/out"}, backend=REPLAY, embedding=MOCK, seed=0,
-            ),
+            "out/run_config.json": {"command": "rag", "flags": RAG | REPLAY | MOCK},
             "out/summary.json": RAG_SUMMARY,
             "out/answers.jsonl": RAG_ANSWERS,
         },
     ),
     "rag-flags": (
         ["rag", "--chunks", "{tmp}/paragraph.jsonl", "--questions", "{tmp}/qa.jsonl",
-         *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl", "--embed", "http",
-         "--embed-url", "http://127.0.0.1:9", "--embed-model", "em",
+         *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl", *HTTP_FLAGS,
          "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
         {
-            "out/run_config.json": run_config(
-                "rag", {"chunks": "{tmp}/paragraph.jsonl", "questions": "{tmp}/qa.jsonl"},
-                {"directory": "{tmp}/out"}, backend=HTTP,
-                embedding={"kind": "http", "url": "http://127.0.0.1:9", "model": "em",
-                           "api_key_source": "env:LUMBERKIT_API_KEY"},
-                caches={"completion": "{tmp}/record.jsonl", "embedding": "{tmp}/embed.jsonl"},
-            ),
+            "out/run_config.json": {
+                "command": "rag",
+                "flags": RAG | LIVE | HTTP | {"embed_cache": "{tmp}/embed.jsonl"},
+            },
             "out/summary.json": RAG_SUMMARY,
             "out/answers.jsonl": RAG_ANSWERS,
         },
@@ -301,11 +252,11 @@ CASES = {
         ["gen-qa", "--document", "{tmp}/book.jsonl", "-n", "2", "--seed", "11",
          *LIVE_FLAGS, "--record-cache", "{tmp}/record.jsonl", "--output", "{tmp}/out/qa.jsonl"],
         {
-            "out/qa.jsonl.run.json": run_config(
-                "gen-qa", {"document": "{tmp}/book.jsonl", "n": 2}, {"qa": "{tmp}/out/qa.jsonl"},
-                backend=HTTP, caches={"completion": "{tmp}/record.jsonl", "embedding": None},
-                seed=11,
-            ),
+            "out/qa.jsonl.run.json": {
+                "command": "gen-qa",
+                "flags": {"document": "{tmp}/book.jsonl", "n": 2, "seed": 11,
+                          "output": "{tmp}/out/qa.jsonl"} | LIVE,
+            },
             "out/qa.jsonl": [
                 {"doc_id": "book", "question": "What comes after p7w0?", "answer": "p7w1",
                  "supporting_passage": "p7w0 p7w1 p7w2 p7w3 p7w4 p7w5 p7w6 p7w7 p7w8 p7w9"},
@@ -334,3 +285,52 @@ def test_outputs_match_the_records(inputs, case):
     timing = inputs / "out" / "timing.json"
     if argv[0] == "chunk":
         assert re.fullmatch(r'\{\n  "seconds": [0-9.e-]+\n\}\n', timing.read_text(encoding="utf-8"))
+
+
+CHUNK_ARGV = ["chunk", "--document", "{tmp}/book.jsonl", "--output-dir", "{tmp}/out", "--method"]
+# the fewest flags each row of cli._READS runs with; the fixture supplies the backends
+ROW_ARGV = {
+    "ingest": ["ingest", "--input", "{tmp}/book.txt", "--output", "{tmp}/out/book.jsonl"],
+    **{f"chunk --method {method}": [*CHUNK_ARGV, method]
+       for method in ("paragraph", "recursive", "semantic", "lumber", "proposition")},
+    "eval": ["eval", "--chunks", "{tmp}/paragraph.jsonl", "--qa", "{tmp}/qa.jsonl",
+             "--output-dir", "{tmp}/out"],
+    "eval --hyde": ["eval", "--chunks", "{tmp}/paragraph.jsonl", "--qa", "{tmp}/qa.jsonl",
+                    "--hyde", "--output-dir", "{tmp}/out"],
+    "sweep": ["sweep", "--documents", "{tmp}/book.jsonl", "--qa", "{tmp}/qa.jsonl",
+              "--output-dir", "{tmp}/out"],
+    "rag": ["rag", "--chunks", "{tmp}/paragraph.jsonl", "--questions", "{tmp}/qa.jsonl",
+            "--output-dir", "{tmp}/out"],
+    "gen-qa": ["gen-qa", "--document", "{tmp}/book.jsonl", "-n", "1",
+               "--output", "{tmp}/out/qa.jsonl"],
+}
+METHOD_DEFAULTS = {
+    "theta": ChunkerConfig().theta,
+    "max_tokens": RecursiveConfig().max_tokens,
+    "percentile": SemanticConfig().breakpoint_percentile,
+    "min_unit": SemanticConfig().min_unit,
+}
+
+
+@pytest.mark.parametrize(
+    "row, embed_http",
+    [pytest.param(row, False, id=row) for row in cli._READS]
+    + [
+        pytest.param(row, True, id=f"{row} --embed http")
+        for row, reads in cli._READS.items()
+        if "embed" in reads
+    ],
+)
+def test_run_record_lists_the_rows_flags_resolved(inputs, row, embed_http):
+    argv = ROW_ARGV[row] + (HTTP_FLAGS if embed_http else [])
+    assert main([arg.replace("{tmp}", str(inputs)) for arg in argv]) == 0
+    name = {"ingest": "book.jsonl.run.json", "gen-qa": "qa.jsonl.run.json"}.get(argv[0])
+    record = json.loads((inputs / "out" / (name or "run_config.json")).read_text(encoding="utf-8"))
+    assert record["command"] == argv[0]
+    flags = record["flags"]
+    assert set(flags) == set(cli._READS[row]) | (set(cli._EMBED_HTTP) if embed_http else set())
+    for method_flag, default in METHOD_DEFAULTS.items():
+        if method_flag in flags:
+            assert flags[method_flag] == default and default is not None
+    if "embed" in flags:
+        assert flags["embed"] == ("http" if embed_http else "mock")
