@@ -761,9 +761,9 @@ class MockEmbeddingBackend(EmbeddingBackend):
 
 def _finite_row(values) -> np.ndarray:
     """values as a float64 row; ValueError unless it is a non-empty list of finite JSON numbers."""
-    if values == []:
-        raise ValueError("a vector is empty")
     if isinstance(values, list) and all(type(value) in (int, float) for value in values):
+        if not values:
+            raise ValueError("a vector is empty")
         with contextlib.suppress(OverflowError):  # an int beyond float range
             row = np.array(values, dtype=np.float64)
             if np.isfinite(row).all():

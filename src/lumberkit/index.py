@@ -125,8 +125,8 @@ class Bm25Index:
     """Okapi BM25 over a chunk list, with every (term, chunk) weight precomputed.
 
     The weights are stored as one flat CSR: term t (id terms[t]) occurs in the
-    chunks rows[starts[id]:starts[id + 1]], in ascending order, with the Okapi
-    weights weights[starts[id]:starts[id + 1]].
+    chunks rows[starts[id]:starts[id + 1]] (C ints), in ascending order, with
+    the Okapi weights weights[starts[id]:starts[id + 1]].
     """
 
     chunks: tuple[Chunk, ...]
@@ -144,14 +144,15 @@ def bm25_build(chunks: Sequence[Chunk]) -> Bm25Index:
 
     k1 and b are BM25_K1 and BM25_B, read when the index is built.
     idf(t) = log(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive.
-    Postings are collected in typed 8-byte buffers, each dropped once sorted by
-    term. The weights are computed in place with the textbook per-chunk loop's
-    float64 operations in its order, so scores are bit-identical to it.
+    Postings are collected in typed C-int (4-byte) buffers, each dropped once
+    sorted by term. The weights are computed in place with the textbook
+    per-chunk loop's float64 operations in its order, so scores are
+    bit-identical to it.
     """
     if not chunks:
         raise IndexingError("no chunks to index")
     terms: dict[str, int] = {}
-    posting_terms, posting_rows, posting_tfs = array("q"), array("q"), array("q")
+    posting_terms, posting_rows, posting_tfs = array("i"), array("i"), array("i")
     lengths: list[int] = []
     for row, chunk in enumerate(chunks):
         tokens = bm25_tokenize(chunk.text)
@@ -162,12 +163,12 @@ def bm25_build(chunks: Sequence[Chunk]) -> Bm25Index:
         posting_tfs.extend(counts.values())
     n = len(chunks)
     average_length = sum(lengths) / n or 1.0  # 0 only when every chunk is empty
-    df = np.bincount(np.frombuffer(posting_terms, dtype=np.int64), minlength=len(terms))
-    order = np.argsort(np.frombuffer(posting_terms, dtype=np.int64), kind="stable")
+    df = np.bincount(np.frombuffer(posting_terms, dtype=np.intc), minlength=len(terms))
+    order = np.argsort(np.frombuffer(posting_terms, dtype=np.intc), kind="stable")
     del posting_terms
-    rows = np.frombuffer(posting_rows, dtype=np.int64)[order]
+    rows = np.frombuffer(posting_rows, dtype=np.intc)[order]
     del posting_rows
-    tf = np.frombuffer(posting_tfs, dtype=np.int64)[order]
+    tf = np.frombuffer(posting_tfs, dtype=np.intc)[order]
     del posting_tfs, order
     starts = np.zeros(len(terms) + 1, dtype=np.intp)
     np.cumsum(df, out=starts[1:])

@@ -867,6 +867,24 @@ class TestRecordThenReplay:
         assert run(tmp_path / "replay", "--replay-cache", str(cache_path)) == recorded
 
 
+class TestRecordCacheFlag:
+    def test_listed_in_run_config_when_used(self, tmp_path, book_records):
+        record = tmp_path / "record.jsonl"
+        seed_lumber_cache(book_records, tmp_path / "replay.jsonl")
+        out = tmp_path / "out"
+        code = main(
+            [
+                "chunk", "--document", str(book_records), "--method", "lumber",
+                "--replay-cache", str(tmp_path / "replay.jsonl"),
+                "--record-cache", str(record), "--output-dir", str(out),
+            ]
+        )
+        assert code == 0
+        assert len(ResponseCache(record)) == len(ResponseCache(tmp_path / "replay.jsonl"))
+        run_config = json.loads((out / "run_config.json").read_text())
+        assert run_config["flags"]["record_cache"] == str(record)
+
+
 class TestUnusedCompletionFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -960,7 +978,6 @@ class TestUnusedEmbeddingFlags:
             ]
         )
         assert code == 0
-        assert cache.read_text(encoding="utf-8").count("\n") > 1
         paragraphs = load_document(book_records, "paragraph_records").paragraphs
         assert len(EmbeddingCache(cache, "mock:64:0")) == len({p.text for p in paragraphs})
 
