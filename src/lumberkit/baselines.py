@@ -273,8 +273,3 @@ def hyde_transform(query: str, backend: CompletionBackend) -> str:
     """
     prompt = HYDE_PROMPT_TEMPLATE.format(query=query)
     return backend.complete(prompt).strip() or query
-
-
-def chunk_method_names() -> tuple[str, ...]:
-    """The chunking methods the CLI exposes."""
-    return ("lumber", "paragraph", "recursive", "semantic", "proposition")

@@ -35,7 +35,6 @@ from .backends import (
 from .baselines import (
     RecursiveConfig,
     SemanticConfig,
-    chunk_method_names,
     hyde_transform,
     paragraph_chunks,
     proposition_chunks,
@@ -66,17 +65,16 @@ from .parallel import ordered_map
 from .ragpipe import answer_question, qa_accuracy
 
 _COMPLETION = ("replay_cache", "backend_url", "model", "record_cache")
-_EMBEDDING = ("embed", "embed_cache")
+_EMBEDDING = ("embed_url", "embed_model", "embed_cache")
 _CHUNK = ("document", "method", "output_dir")
 _EVAL = ("chunks", "qa", "ks", "hyde", "output_dir", *_EMBEDDING)
 
 # The flags (argparse dests) each command reads: one row per command, per
-# chunk --method, and for eval with and without --hyde. A row that reads
-# --embed http also reads _EMBED_HTTP (the mock embedder reads no flag). Any
-# other flag of the command that is given is rejected before input is read,
-# and the run record lists exactly the flags read, with their values.
+# chunk --method, and for eval with and without --hyde. Any other flag of the
+# command that is given is rejected before input is read, and the run record
+# lists exactly the flags read, with their values.
 _READS = {
-    "ingest": ("input", "format", "doc_id", "title", "output"),
+    "ingest": ("input", "format", "doc_id", "output"),
     "chunk --method paragraph": _CHUNK,
     "chunk --method recursive": (*_CHUNK, "max_tokens"),
     "chunk --method semantic": (*_CHUNK, "percentile", "min_unit", *_EMBEDDING),
@@ -88,12 +86,9 @@ _READS = {
     "rag": ("chunks", "questions", "output_dir", *_COMPLETION, *_EMBEDDING),
     "gen-qa": ("document", "n", "seed", "output", *_COMPLETION),
 }
-_EMBED_HTTP = ("embed_url", "embed_model")
-
 # Defaults of the flags whose parser default is None, so that a flag the row
 # does not read can be told from one left out; a row that reads one gets it.
 _DEFAULTS = {
-    "embed": "mock",
     "theta": ChunkerConfig.theta,
     "max_tokens": RecursiveConfig.max_tokens,
     "percentile": SemanticConfig.breakpoint_percentile,
@@ -117,40 +112,35 @@ def _row(args: argparse.Namespace) -> str:
     return args.command
 
 
-def _reads(args: argparse.Namespace) -> tuple[str, ...]:
-    """The flags args' row of _READS reads, plus _EMBED_HTTP under --embed http."""
-    reads = _READS[_row(args)]
-    if "embed" in reads and args.embed == "http":
-        return (*reads, *_EMBED_HTTP)
-    return reads
-
-
 def _resolve_flags(args: argparse.Namespace) -> None:
     """Give each flag args' row reads its _DEFAULTS value if left out; refuse the rest.
 
     A flag the row does not read is given when it is not None. One CliError
-    names all of them, in the order the parser defines them. --backend-url is
-    refused beside --replay-cache, which never calls it.
+    names all of them, in the order the parser defines them. Then the rules
+    between flags: --backend-url is refused beside --replay-cache, which never
+    calls it, and needs --model; --embed-url and --embed-model select the HTTP
+    embedder together, and neither the mock.
     """
     row = _row(args)
-    for name in _READS[row]:
+    reads = _READS[row]
+    for name in reads:
         if getattr(args, name) is None and name in _DEFAULTS:
             setattr(args, name, _DEFAULTS[name])
-    reads = set(_reads(args)) | _NOT_COMMAND_FLAGS
-    where = row
-    if "embed" in reads:
-        where += f" with --embed {args.embed}"
-    if row == "eval":
-        where += " and without --hyde"
     given = [
-        "--" + name.replace("_", "-") + (f" {value}" if name == "embed" else "")
+        "--" + name.replace("_", "-")
         for name, value in vars(args).items()
-        if name not in reads and value is not None
+        if name not in reads and name not in _NOT_COMMAND_FLAGS and value is not None
     ]
     if given:
+        where = row + (" without --hyde" if row == "eval" else "")
         raise CliError(f"{', '.join(given)} not supported by {where}")
-    if "replay_cache" in reads and args.replay_cache and args.backend_url:
-        raise CliError("--replay-cache and --backend-url exclude each other: a replay is offline")
+    if "replay_cache" in reads:
+        if args.replay_cache and args.backend_url:
+            raise CliError("--replay-cache and --backend-url exclude each other: a replay is offline")
+        if args.backend_url and not args.model:
+            raise CliError("--backend-url requires --model")
+    if "embed_url" in reads and (args.embed_url is None) != (args.embed_model is None):
+        raise CliError("--embed-url and --embed-model select the HTTP embedder only together")
 
 
 def _model_id(args: argparse.Namespace) -> str:
@@ -168,7 +158,10 @@ def _write_json(obj, path: Path) -> None:
 def _write_run_config(args: argparse.Namespace, path: Path) -> None:
     """Record the command and the resolved value of every flag it read at path."""
     _write_json(
-        {"command": args.command, "flags": {name: getattr(args, name) for name in _reads(args)}},
+        {
+            "command": args.command,
+            "flags": {name: getattr(args, name) for name in _READS[_row(args)]},
+        },
         path,
     )
 
@@ -177,8 +170,6 @@ def _completion_backend(args: argparse.Namespace, *, needed_for: str) -> Complet
     if args.replay_cache:
         return ReplayBackend(ResponseCache(args.replay_cache, model_id=_model_id(args)))
     if args.backend_url:
-        if not args.model:
-            raise CliError("--backend-url requires --model")
         return HttpCompletionBackend(
             args.backend_url, args.model, api_key=os.environ.get(API_KEY_ENV_VAR)
         )
@@ -189,13 +180,11 @@ def _completion_backend(args: argparse.Namespace, *, needed_for: str) -> Complet
 
 
 def _embedding_backend(args: argparse.Namespace) -> EmbeddingBackend:
-    if args.embed == "http":
-        if not args.embed_url or not args.embed_model:
-            raise CliError("--embed http requires --embed-url and --embed-model")
-        return HttpEmbeddingBackend(
-            args.embed_url, args.embed_model, api_key=os.environ.get(API_KEY_ENV_VAR)
-        )
-    return MockEmbeddingBackend()
+    if args.embed_url is None:
+        return MockEmbeddingBackend()
+    return HttpEmbeddingBackend(
+        args.embed_url, args.embed_model, api_key=os.environ.get(API_KEY_ENV_VAR)
+    )
 
 
 @contextmanager
@@ -248,7 +237,7 @@ def _write_report(reports: list, output_dir: str) -> Path:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    document = load_document(args.input, args.format, doc_id=args.doc_id, title=args.title)
+    document = load_document(args.input, args.format, doc_id=args.doc_id)
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_document(document, output)
@@ -424,11 +413,10 @@ def _add_completion_flags(parser: argparse.ArgumentParser) -> None:
 def _add_embedding_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("embedding backend")
     group.add_argument(
-        "--embed",
-        choices=("mock", "http"),
-        help="embedding backend (default: deterministic mock)",
+        "--embed-url",
+        metavar="URL",
+        help="embedding endpoint base URL, with --embed-model (default: deterministic mock)",
     )
-    group.add_argument("--embed-url", metavar="URL", help="embedding endpoint base URL")
     group.add_argument("--embed-model", metavar="NAME", help="embedding model name")
     group.add_argument("--embed-cache", metavar="FILE", help="embedding cache sidecar file")
 
@@ -450,14 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="input format (default: plain_text)",
     )
     ingest.add_argument("--doc-id", help="document identifier (default: file stem)")
-    ingest.add_argument("--title", help="document title (default: doc id)")
     ingest.add_argument("--output", required=True, help="paragraph records output path")
     ingest.set_defaults(func=cmd_ingest)
 
     chunk = subparsers.add_parser("chunk", help="chunk a document with one method")
     chunk.add_argument("--document", required=True, help="paragraph records path")
     chunk.add_argument(
-        "--method", choices=chunk_method_names(), required=True, help="chunking method"
+        "--method",
+        choices=[row.split()[-1] for row in _READS if row.startswith("chunk ")],
+        required=True,
+        help="chunking method",
     )
     # method flags default to None, so a flag the chosen method does not read
     # can be rejected; _DEFAULTS holds the method config's default

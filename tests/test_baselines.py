@@ -35,7 +35,6 @@ from lumberkit.baselines import (
     PROPOSITION_PROMPT_TEMPLATE,
     RecursiveConfig,
     SemanticConfig,
-    chunk_method_names,
     hyde_transform,
     paragraph_chunks,
     proposition_chunks,
@@ -394,7 +393,3 @@ class TestHydeTransform:
         for i in range(30):
             hyde_transform(f"question {i}", backend)
         assert backend.calls == 30
-
-
-def test_chunk_method_names():
-    assert chunk_method_names() == ("lumber", "paragraph", "recursive", "semantic", "proposition")

@@ -33,7 +33,7 @@ from lumberkit.backends import (
     ScriptedBackend,
     prompt_key,
 )
-from lumberkit.baselines import HYDE_PROMPT_TEMPLATE, chunk_method_names, hyde_transform
+from lumberkit.baselines import HYDE_PROMPT_TEMPLATE, hyde_transform
 from lumberkit.chunker import PROMPT_HEADER, ChunkerConfig, lumberchunk, read_chunks, write_chunks
 from lumberkit.cli import main
 from lumberkit.corpus import QAPair, generate_qa, load_document, write_document, write_qa
@@ -919,13 +919,11 @@ class TestUnusedEmbeddingFlags:
     @pytest.mark.parametrize(
         "flag",
         [
-            ("--embed", "http"),
-            ("--embed", "mock"),
             ("--embed-url", "http://127.0.0.1:9"),
             ("--embed-model", "m"),
             ("--embed-cache", "nothere.jsonl"),
         ],
-        ids=lambda flag: " ".join(flag) if flag[0] == "--embed" else flag[0],
+        ids=lambda flag: flag[0],
     )
     def test_rejected_where_nothing_embeds(self, tmp_path, book_records, method, flag, capsys):
         out = tmp_path / "out"
@@ -934,8 +932,7 @@ class TestUnusedEmbeddingFlags:
              "--output-dir", str(out)]
         )
         error = _one_error_line(code, capsys.readouterr().err)
-        named = " ".join(flag) if flag[0] == "--embed" else flag[0]
-        assert error == f"error: {named} not supported by chunk --method {method}"
+        assert error == f"error: {flag[0]} not supported by chunk --method {method}"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -949,23 +946,25 @@ class TestUnusedEmbeddingFlags:
         ids=["eval", "sweep", "rag", "chunk-semantic"],
     )
     @pytest.mark.parametrize(
-        "flags, named",
-        [
-            (
-                ["--embed-url", "http://x", "--embed-model", "m"],
-                "--embed-url, --embed-model not supported by {command} with --embed mock",
-            ),
-        ],
-        ids=["http-flags-with-mock"],
+        "flag", [("--embed-url", "http://x"), ("--embed-model", "m")], ids=lambda flag: flag[0]
     )
-    def test_rejected_where_the_embedder_does_not_read_them(
-        self, tmp_path, argv, flags, named, capsys
+    def test_one_http_embedder_flag_alone_is_refused_before_input_is_read(
+        self, tmp_path, argv, flag, capsys
     ):
         out = tmp_path / "out"
-        code = main([*argv, *flags, "--output-dir", str(out)])
-        assert code == 1
-        command = "chunk --method semantic" if argv[0] == "chunk" else argv[0]
-        assert f"error: {named.format(command=command)}" in capsys.readouterr().err
+        code = main([*argv, *flag, "--output-dir", str(out)])
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == "error: --embed-url and --embed-model select the HTTP embedder only together"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["http", "mock"])
+    def test_removed_embed_flag_ends_in_a_usage_error(self, tmp_path, value, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--chunks", "c.jsonl", "--qa", "q.jsonl", "--embed", value,
+                  "--output-dir", str(out)])
+        assert excinfo.value.code == 2
+        assert "error: ambiguous option: --embed could match" in capsys.readouterr().err
         assert not out.exists()
 
     def test_semantic_reads_embedding_cache(self, tmp_path, book_records):
@@ -984,12 +983,17 @@ class TestUnusedEmbeddingFlags:
 
 class TestUnusableBackendUrl:
     @pytest.mark.parametrize("url", ["ftp://x", "http://"])
-    def test_exits_1_before_any_request(self, tmp_path, book_records, url, capsys):
+    @pytest.mark.parametrize(
+        "method, flags",
+        [("lumber", ["--backend-url", "--model"]), ("semantic", ["--embed-url", "--embed-model"])],
+        ids=["backend-url", "embed-url"],
+    )
+    def test_exits_1_before_any_request(self, tmp_path, book_records, method, flags, url, capsys):
         started = time.perf_counter()
         code = main(
             [
-                "chunk", "--document", str(book_records), "--method", "lumber",
-                "--backend-url", url, "--model", "m", "--output-dir", str(tmp_path / "out"),
+                "chunk", "--document", str(book_records), "--method", method,
+                flags[0], url, flags[1], "m", "--output-dir", str(tmp_path / "out"),
             ]
         )
         err = capsys.readouterr().err
@@ -1012,16 +1016,23 @@ class TestReplayCacheFlag:
         ],
         ids=["chunk-lumber", "chunk-proposition", "eval-hyde", "sweep", "rag", "gen-qa"],
     )
-    def test_backend_url_beside_it_is_rejected_before_input_is_read(self, tmp_path, argv, capsys):
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--replay-cache", "{out}.jsonl", "--backend-url", "http://127.0.0.1:9",
+              "--model", "m"], "--replay-cache and --backend-url exclude each other"),
+            (["--backend-url", "http://127.0.0.1:9"], "--backend-url requires --model"),
+        ],
+        ids=["beside-replay-cache", "without-model"],
+    )
+    def test_backend_url_is_rejected_before_input_is_read(
+        self, tmp_path, argv, flags, named, capsys
+    ):
         out = tmp_path / "out"
         paths = {"missing": tmp_path / "missing.jsonl", "out": out}
-        code = main(
-            [arg.format(**paths) for arg in argv]
-            + ["--replay-cache", str(tmp_path / "replay.jsonl"),
-               "--backend-url", "http://127.0.0.1:9", "--model", "m"]
-        )
+        code = main([arg.format(**paths) for arg in argv + flags])
         error = _one_error_line(code, capsys.readouterr().err)
-        assert "--replay-cache and --backend-url" in error
+        assert error.startswith(f"error: {named}")
         assert not out.exists()
 
     def test_a_miss_names_the_cache_file(self, tmp_path, book_records, capsys):
@@ -1249,9 +1260,10 @@ class TestUnreadChunkFlags:
             (["rag", "--chunks", "{book}", "--questions", "{qa}", "--output-dir", "{out}"],
              "--model-id m --embed-dim 16 --embed-seed 3"),
             (["gen-qa", "--document", "{book}", "-n", "1", "--output", "{out}"], "--model-id m"),
+            (["ingest", "--input", "{book}", "--output", "{out}/book.jsonl"], "--title T"),
         ],
         ids=["chunk-lumber", "sweep", "chunk-lumber-retries", "chunk-semantic", "chunk-proposition",
-             "eval", "sweep-retries", "rag", "gen-qa"],
+             "eval", "sweep-retries", "rag", "gen-qa", "ingest-title"],
     )
     def test_removed_lumber_flags_are_unrecognized(
         self, tmp_path, book_records, qa_file, argv, removed, capsys
@@ -1434,16 +1446,12 @@ class TestFlagTable:
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         commands = {row.split()[0] for row in cli._READS}
         assert set(subparsers.choices) == commands
-        methods = {row.split()[-1] for row in cli._READS if row.startswith("chunk ")}
-        assert methods == set(chunk_method_names())
         for command in commands:
             dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
             read = set()
             for row, names in cli._READS.items():
                 if row.split()[0] == command:
                     read.update(names)
-            if "embed" in read:
-                read.update(cli._EMBED_HTTP)
             assert read == dests, command
 
     def test_readme_table_is_the_reads_table(self):
@@ -1465,7 +1473,7 @@ class TestFlagTable:
             row: (
                 [("-" if len(name) == 1 else "--") + name.replace("_", "-")
                  for name in names if name not in groups],
-                [set(cli._COMPLETION) <= set(names), "embed" in names, "embed_cache" in names],
+                [set(group) <= set(names) for group in (cli._COMPLETION, cli._EMBEDDING)],
             )
             for row, names in cli._READS.items()
         }

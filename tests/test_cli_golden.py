@@ -51,7 +51,7 @@ def golden_reply(prompt: str) -> str:
 def inputs(tmp_path, monkeypatch):
     """The book as text and as records, three questions and a chunk file.
 
-    Every completion comes from golden_reply; a command given --embed http
+    Every completion comes from golden_reply; a command given --embed-url
     embeds with the default mock, so no case opens a connection.
     """
     document = make_document([40] * 12, doc_id="book")
@@ -74,9 +74,7 @@ def inputs(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli,
         "_embedding_backend",
-        lambda args: MockEmbeddingBackend()
-        if args.embed == "http"
-        else embedding_backend(args),
+        lambda args: MockEmbeddingBackend() if args.embed_url else embedding_backend(args),
     )
     return tmp_path
 
@@ -86,10 +84,9 @@ REPLAY = NO_COMPLETION | {"replay_cache": "{tmp}/replay.jsonl"}
 LIVE_FLAGS = ["--backend-url", "http://127.0.0.1:9", "--model", "m"]
 LIVE = NO_COMPLETION | {"backend_url": "http://127.0.0.1:9", "model": "m",
                         "record_cache": "{tmp}/record.jsonl"}
-MOCK = {"embed": "mock", "embed_cache": None}
-HTTP_FLAGS = ["--embed", "http", "--embed-url", "http://127.0.0.1:9", "--embed-model", "em"]
-HTTP = {"embed": "http", "embed_url": "http://127.0.0.1:9", "embed_model": "em",
-        "embed_cache": None}
+MOCK = {"embed_url": None, "embed_model": None, "embed_cache": None}
+HTTP_FLAGS = ["--embed-url", "http://127.0.0.1:9", "--embed-model", "em"]
+HTTP = {"embed_url": "http://127.0.0.1:9", "embed_model": "em", "embed_cache": None}
 KS = [1, 2, 5, 10, 20]
 RAG_SUMMARY = {"qa_accuracy": 33.333333333333336, "questions": 3}
 RAG_ANSWERS = [
@@ -130,13 +127,13 @@ RAG = {"chunks": "{tmp}/paragraph.jsonl", "questions": "{tmp}/qa.jsonl",
 
 CASES = {
     "ingest": (
-        ["ingest", "--input", "{tmp}/book.txt", "--doc-id", "book", "--title", "A Book",
+        ["ingest", "--input", "{tmp}/book.txt", "--doc-id", "book",
          "--output", "{tmp}/out/book.jsonl"],
         {
             "out/book.jsonl.run.json": {
                 "command": "ingest",
                 "flags": {"input": "{tmp}/book.txt", "format": "plain_text", "doc_id": "book",
-                          "title": "A Book", "output": "{tmp}/out/book.jsonl"},
+                          "output": "{tmp}/out/book.jsonl"},
             },
         },
     ),
@@ -193,8 +190,9 @@ CASES = {
         {
             "out/run_config.json": {
                 "command": "eval",
-                "flags": EVAL | {"chunks": ["{tmp}/paragraph.jsonl", "{tmp}/paragraph.jsonl"],
-                                 "ks": [1, 5], "embed": "mock", "embed_cache": "{tmp}/embed.jsonl"},
+                "flags": EVAL | MOCK | {"chunks": ["{tmp}/paragraph.jsonl",
+                                                   "{tmp}/paragraph.jsonl"],
+                                        "ks": [1, 5], "embed_cache": "{tmp}/embed.jsonl"},
             },
         },
     ),
@@ -222,7 +220,7 @@ CASES = {
             "out/run_config.json": {
                 "command": "sweep",
                 "flags": SWEEP | {"thetas": [650, 120, 650], "ks": [1]} | LIVE
-                | {"embed": "mock", "embed_cache": "{tmp}/embed.jsonl"},
+                | MOCK | {"embed_cache": "{tmp}/embed.jsonl"},
             },
         },
     ),
@@ -316,9 +314,9 @@ METHOD_DEFAULTS = {
     "row, embed_http",
     [pytest.param(row, False, id=row) for row in cli._READS]
     + [
-        pytest.param(row, True, id=f"{row} --embed http")
+        pytest.param(row, True, id=f"{row} --embed-url")
         for row, reads in cli._READS.items()
-        if "embed" in reads
+        if "embed_url" in reads
     ],
 )
 def test_run_record_lists_the_rows_flags_resolved(inputs, row, embed_http):
@@ -328,9 +326,9 @@ def test_run_record_lists_the_rows_flags_resolved(inputs, row, embed_http):
     record = json.loads((inputs / "out" / (name or "run_config.json")).read_text(encoding="utf-8"))
     assert record["command"] == argv[0]
     flags = record["flags"]
-    assert set(flags) == set(cli._READS[row]) | (set(cli._EMBED_HTTP) if embed_http else set())
+    assert set(flags) == set(cli._READS[row])
     for method_flag, default in METHOD_DEFAULTS.items():
         if method_flag in flags:
             assert flags[method_flag] == default and default is not None
-    if "embed" in flags:
-        assert flags["embed"] == ("http" if embed_http else "mock")
+    if "embed_url" in flags:
+        assert flags["embed_url"] == ("http://127.0.0.1:9" if embed_http else None)
