@@ -41,6 +41,9 @@ HTTP_TIMEOUT_S = 60.0
 HTTP_ATTEMPTS = 3
 HTTP_RETRY_WAIT_S = 1.0
 
+# a lone UTF-16 surrogate, which a JSON \u escape can give a str but no UTF-8 text can hold
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 class BackendError(LumberkitError):
     """A backend failed to produce a usable response."""
@@ -195,6 +198,8 @@ class ResponseCache(_JsonlStore):
     def _decode(self, value) -> str:
         if not isinstance(value, str):
             raise TypeError(f"response is {type(value).__name__}, not a string")
+        if _LONE_SURROGATE.search(value):
+            raise CacheError("response holds a lone surrogate, which is not text")
         return value
 
     def put(self, prompt: str, response: str) -> None:
@@ -463,7 +468,9 @@ class _JsonClient:
                 target = f"http://{address}{target}"
                 headers += _proxy_authorization(via)
             host, port = via.hostname, via.port or 80
-        self._address = (host, port)
+        # bytes, which _parse_url guarantees ASCII, so that getaddrinfo does not
+        # load the idna codec (with stringprep and unicodedata) to encode a str
+        self._address = (host.encode("ascii"), port)
         self._target = target.encode("ascii")
         self._query = (f"?{url.query}" if url.query else "").encode("ascii")
         self._headers = headers.encode("ascii")
@@ -561,9 +568,18 @@ class _JsonClient:
 
 
 def _message_content(body) -> str:
+    """choices[0].message.content, each lone surrogate escape in it replaced by U+FFFD.
+
+    json.loads joins an escaped surrogate pair into one character, so what is
+    left is a lone half, which no UTF-8 output or cache file can hold.
+    Replacing it keeps an otherwise usable answer.
+    """
     content = body["choices"][0]["message"]["content"]
     if not isinstance(content, str):
         raise TypeError(f"completion content is {type(content).__name__}, not a string")
+    content, replaced = _LONE_SURROGATE.subn("\ufffd", content)
+    if replaced:
+        logger.warning("completion reply held %d lone surrogate(s); replaced by U+FFFD", replaced)
     return content
 
 

@@ -99,8 +99,8 @@ class Chunk:
     token_count: int
 
     def __post_init__(self) -> None:
-        if self.chunk_id < 0:
-            raise ValueError(f"chunk_id must be >= 0, got {self.chunk_id}")
+        if not 0 <= self.chunk_id < 2**63:  # retrieval ranks ids as int64
+            raise ValueError(f"chunk_id must be in [0, 2**63), got {self.chunk_id}")
         if not 1 <= self.start_para <= self.end_para:
             raise ValueError(
                 f"invalid paragraph span [{self.start_para}, {self.end_para}]"

@@ -116,10 +116,12 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     """Give each flag args' row reads its _DEFAULTS value if left out; refuse the rest.
 
     A flag the row does not read is given when it is not None. One CliError
-    names all of them, in the order the parser defines them. Then the rules
-    between flags: --backend-url is refused beside --replay-cache, which never
-    calls it, and needs --model; --embed-url and --embed-model select the HTTP
-    embedder together, and neither the mock.
+    names all of them, in the order the parser defines them. Then a CliError
+    names the first flag read whose text is not valid UTF-8 (argv bytes that
+    do not decode arrive as lone surrogates, which the UTF-8 run record cannot
+    hold), and the rules between flags follow: --backend-url is refused beside
+    --replay-cache, which never calls it, and needs --model; --embed-url and
+    --embed-model select the HTTP embedder together, and neither the mock.
     """
     row = _row(args)
     reads = _READS[row]
@@ -134,6 +136,11 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     if given:
         where = row + (" without --hyde" if row == "eval" else "")
         raise CliError(f"{', '.join(given)} not supported by {where}")
+    for name in reads:
+        values = getattr(args, name)
+        for value in values if isinstance(values, list) else [values]:
+            if isinstance(value, str) and not _is_utf8(value):
+                raise CliError(f"--{name.replace('_', '-')} is not valid UTF-8: {value!a}")
     if "replay_cache" in reads:
         if args.replay_cache and args.backend_url:
             raise CliError("--replay-cache and --backend-url exclude each other: a replay is offline")
@@ -141,6 +148,14 @@ def _resolve_flags(args: argparse.Namespace) -> None:
             raise CliError("--backend-url requires --model")
     if "embed_url" in reads and (args.embed_url is None) != (args.embed_model is None):
         raise CliError("--embed-url and --embed-model select the HTTP embedder only together")
+
+
+def _is_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _model_id(args: argparse.Namespace) -> str:

@@ -224,9 +224,11 @@ def read_records(path: str | Path, fields: Mapping[str, type]) -> Iterator[tuple
 
     Lines end only at "\\n", so the U+2028, U+2029 and U+0085 that write_jsonl
     leaves unescaped stay inside their record. Each record must be a JSON
-    object holding every name in fields with exactly the mapped type (a bool
-    is not an int). A line that fails raises MalformedRecordError naming the
-    file and line; an absent field raises its subclass MissingColumnError.
+    object whose strings hold no lone surrogate (a \\ud800-\\udfff escape
+    that is not half of a pair), holding every name in fields with exactly
+    the mapped type (a bool is not an int). A line that fails raises
+    MalformedRecordError naming the file and line; an absent field raises its
+    subclass MissingColumnError.
     """
     path = Path(path)
     for line_number, line in utf8_lines(path):
@@ -240,6 +242,13 @@ def read_records(path: str | Path, fields: Mapping[str, type]) -> Iterator[tuple
             raise MalformedRecordError(path, line_number, f"invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise MalformedRecordError(path, line_number, "record is not an object")
+        if "\\u" in line:  # only a \u escape can give a string a lone surrogate
+            try:
+                json.dumps(record, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedRecordError(
+                    path, line_number, "a \\u escape holds a lone surrogate, which is not text"
+                ) from None
         for field, kind in fields.items():
             if field not in record:
                 raise MissingColumnError(field, path, line_number)

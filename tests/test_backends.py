@@ -960,6 +960,12 @@ class TestCacheFileDamage:
         assert len(reloaded) == 2
         np.testing.assert_array_equal(reloaded.get("second"), value)
 
+    def test_lone_surrogate_response_is_rejected_even_on_the_final_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"key": "a", "response": "x"}\n{"key": "b", "response": "\\ud83d"}\n')
+        with pytest.raises(CacheError, match=r"cache\.jsonl, line 2: response holds a lone"):
+            ResponseCache(path)
+
     def test_non_string_response_is_rejected(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text('{"key": "a", "response": 7}\n{"key": "b", "response": "x"}\n')

@@ -22,7 +22,7 @@ from conftest import (
     make_document,
     prompt_ids,
 )
-from lumberkit import cli, parallel
+from lumberkit import backends, cli, parallel
 from lumberkit.backends import (
     BackendError,
     CompletionBackend,
@@ -1572,6 +1572,86 @@ class TestNonUtf8Input:
         )
         error = _one_error_line(code, capsys.readouterr().err)
         assert error.startswith(f"error: {qa_path} is not valid UTF-8")
+
+
+LONE_SURROGATE = "a \\u escape holds a lone surrogate, which is not text"
+CHUNK_ID_RANGE = "bad chunk record: chunk_id must be in [0, 2**63), got 9223372036854775808"
+
+
+class TestTextAndIdsThatOutputsCannotHold:
+    """Text that no UTF-8 output can hold, and a chunk_id that retrieval cannot rank,
+    stop where they enter: one error line naming the file and line, or the flag.
+    A lone surrogate in a completion reply becomes U+FFFD instead."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["ingest", "--input", "{surrogate_records}", "--format", "paragraph_records",
+              "--output", "{out}/book.jsonl"], "{surrogate_records}, line 2: " + LONE_SURROGATE),
+            (["chunk", "--document", "{surrogate_records}", "--method", "paragraph",
+              "--output-dir", "{out}"], "{surrogate_records}, line 2: " + LONE_SURROGATE),
+            (["eval", "--chunks", "{chunks}", "--qa", "{surrogate_qa}", "--output-dir", "{out}"],
+             "{surrogate_qa}, line 2: " + LONE_SURROGATE),
+            (["rag", "--chunks", "{surrogate_chunks}", "--questions", "{qa}", "--replay-cache",
+              "{cache}", "--output-dir", "{out}"], "{surrogate_chunks}, line 2: " + LONE_SURROGATE),
+            (["ingest", "--input", "{records}", "--format", "paragraph_records", "--doc-id",
+              "\udcff", "--output", "{out}/book.jsonl"], "--doc-id is not valid UTF-8: '\\udcff'"),
+            (["chunk", "--document", "{records}", "--method", "lumber", "--replay-cache", "{cache}",
+              "--model", "\udcff", "--output-dir", "{out}"], "--model is not valid UTF-8"),
+            (["eval", "--chunks", "{chunks}", "--qa", "{qa}", "--embed-url", "http://127.0.0.1:9",
+              "--embed-model", "\udcff", "--output-dir", "{out}"],
+             "--embed-model is not valid UTF-8"),
+            (["rag", "--chunks", "{chunks}", "--questions", "{qa}", "--replay-cache", "{cache}",
+              "--output-dir", "{out}\udcff"], "--output-dir is not valid UTF-8"),
+            (["eval", "--chunks", "{chunks}", "{big_id_chunks}", "--qa", "{qa}", "--output-dir",
+              "{out}"], "{big_id_chunks}, line 2: " + CHUNK_ID_RANGE),
+            (["rag", "--chunks", "{big_id_chunks}", "--questions", "{qa}", "--replay-cache",
+              "{cache}", "--output-dir", "{out}"], "{big_id_chunks}, line 2: " + CHUNK_ID_RANGE),
+            (["chunk", "--document", "{records}", "--method", "lumber", "--backend-url",
+              "http://127.0.0.1:9", "--model", "m", "--record-cache", "{record}",
+              "--output-dir", "{out}"], None),
+        ],
+        ids=["ingest-text", "chunk-text", "eval-text", "rag-text", "ingest-argv", "chunk-argv",
+             "eval-argv", "rag-argv", "eval-chunk-id", "rag-chunk-id", "chunk-reply"],
+    )
+    def test_one_error_line_or_u_fffd(
+        self, tmp_path, book_records, qa_file, monkeypatch, argv, named, capsys
+    ):
+        def exchange(client, request):
+            prompt = json.loads(request.partition(b"\r\n\r\n")[2])["messages"][0]["content"]
+            # as the wire carries it: an escaped surrogate pair, then a lone half
+            content = last_id_responder(prompt) + " \\ud83d\\ude00 \\ud83d"
+            return json.loads('{"choices": [{"message": {"content": "%s"}}]}' % content)
+
+        monkeypatch.setattr(backends._JsonClient, "_exchange", exchange)
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        cache_path = tmp_path / "empty.jsonl"
+        cache_path.write_bytes(b"")
+        paths = {
+            "records": book_records, "chunks": chunk_path, "qa": qa_file, "cache": cache_path,
+            "record": tmp_path / "record.jsonl", "out": tmp_path / "out",
+        }
+        line_2_edits = {  # name: (source, text in line 2, its replacement)
+            "surrogate_records": (book_records, '"text": "', '"text": "\\ud800'),
+            "surrogate_qa": (qa_file, '"question": "', '"question": "\\udc80'),
+            "surrogate_chunks": (chunk_path, '"text": "', '"text": "\\ud800'),
+            "big_id_chunks": (chunk_path, '"chunk_id": 1,', '"chunk_id": 9223372036854775808,'),
+        }
+        for name, (source, old, new) in line_2_edits.items():
+            first, second, *rest = source.read_text(encoding="utf-8").splitlines(keepends=True)
+            assert old in second
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text(first + second.replace(old, new) + "".join(rest), "utf-8")
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        if named is None:
+            assert code == 0, err
+            recorded = paths["record"].read_text(encoding="utf-8")
+            assert recorded.count("\U0001f600 \ufffd") == len(ResponseCache(paths["record"], "m"))
+            return
+        error = _one_error_line(code, err)
+        assert error.startswith("error: " + named.format(**paths))
+        assert not paths["out"].exists()
 
 
 class TestConflictingRecords:
