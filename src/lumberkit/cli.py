@@ -172,13 +172,8 @@ def _write_json(obj, path: Path) -> None:
 
 def _write_run_config(args: argparse.Namespace, path: Path) -> None:
     """Record the command and the resolved value of every flag it read at path."""
-    _write_json(
-        {
-            "command": args.command,
-            "flags": {name: getattr(args, name) for name in _READS[_row(args)]},
-        },
-        path,
-    )
+    flags = {name: getattr(args, name) for name in _READS[_row(args)]}
+    _write_json({"command": args.command, "flags": flags}, path)
 
 
 def _completion_backend(args: argparse.Namespace, *, needed_for: str) -> CompletionBackend:
