@@ -9,6 +9,7 @@ embeddings, replay backends) are deterministic given fixed seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -435,11 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lumberkit",
         description="Chunk documents, evaluate retrieval quality, and answer questions.",
+        allow_abbrev=False,
     )
     parser.add_argument("--quiet", action="store_true", help="only log errors")
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # no parser reads a flag's prefix as the flag
+    add_parser = functools.partial(subparsers.add_parser, allow_abbrev=False)
 
-    ingest = subparsers.add_parser("ingest", help="parse a document into paragraph records")
+    ingest = add_parser("ingest", help="parse a document into paragraph records")
     ingest.add_argument("--input", required=True, help="source document path")
     ingest.add_argument(
         "--format",
@@ -451,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--output", required=True, help="paragraph records output path")
     ingest.set_defaults(func=cmd_ingest)
 
-    chunk = subparsers.add_parser("chunk", help="chunk a document with one method")
+    chunk = add_parser("chunk", help="chunk a document with one method")
     chunk.add_argument("--document", required=True, help="paragraph records path")
     chunk.add_argument(
         "--method",
@@ -472,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_flags(chunk)
     chunk.set_defaults(func=cmd_chunk)
 
-    evaluate_cmd = subparsers.add_parser("eval", help="score chunk files against a QA set")
+    evaluate_cmd = add_parser("eval", help="score chunk files against a QA set")
     evaluate_cmd.add_argument(
         "--chunks", nargs="+", required=True, help="one or more chunk record files"
     )
@@ -491,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_flags(evaluate_cmd)
     evaluate_cmd.set_defaults(func=cmd_eval)
 
-    sweep = subparsers.add_parser("sweep", help="chunk and score across theta values")
+    sweep = add_parser("sweep", help="chunk and score across theta values")
     sweep.add_argument("--documents", nargs="+", required=True, help="paragraph record files")
     sweep.add_argument("--qa", required=True, help="QA records path")
     sweep.add_argument(
@@ -507,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
-    rag = subparsers.add_parser("rag", help="answer questions over a chunk file")
+    rag = add_parser("rag", help="answer questions over a chunk file")
     rag.add_argument("--chunks", required=True, help="chunk records path")
     rag.add_argument("--questions", required=True, help="QA records path")
     rag.add_argument("--output-dir", required=True, help="directory for answers")
@@ -515,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_flags(rag)
     rag.set_defaults(func=cmd_rag)
 
-    gen_qa = subparsers.add_parser("gen-qa", help="generate QA pairs from a document")
+    gen_qa = add_parser("gen-qa", help="generate QA pairs from a document")
     gen_qa.add_argument("--document", required=True, help="paragraph records path")
     gen_qa.add_argument("-n", type=int, required=True, help="samples to draw")
     gen_qa.add_argument("--seed", type=int, default=0, help="passage sampling seed")

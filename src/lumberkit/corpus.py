@@ -42,7 +42,7 @@ class EmptyDocumentError(CorpusError):
 
 
 class MalformedRecordError(CorpusError):
-    """A record file contains an unusable line."""
+    """An input file contains an unusable line."""
 
     def __init__(self, path: object, line_number: int, reason: str):
         super().__init__(f"{path}, line {line_number}: {reason}")
@@ -52,12 +52,9 @@ class MalformedRecordError(CorpusError):
 class MissingColumnError(MalformedRecordError):
     """A record or table row lacks one of the required columns."""
 
-    def __init__(self, column: str, path: object = None, line_number: int | None = None):
-        where = f" in {path}" if path is not None else ""
-        where += f", line {line_number}" if line_number is not None else ""
-        CorpusError.__init__(self, f"missing required column {column!r}{where}")
+    def __init__(self, column: str, path: object, line_number: int):
+        super().__init__(path, line_number, f"missing required column {column!r}")
         self.column = column
-        self.line_number = line_number
 
 
 @dataclass(frozen=True)
@@ -149,20 +146,21 @@ def load_document(
 ) -> Document:
     """Load a document from disk.
 
-    plain_text files are split on blank lines. paragraph_records files hold
-    one JSON record per line with a str doc_id, an int index and a str text,
-    read by read_records. Every record must carry the same doc_id, which
+    plain_text files are split on blank lines; one with no paragraph raises
+    EmptyDocumentError naming it. paragraph_records files hold one JSON
+    record per line with a str doc_id, an int index and a str text, read by
+    read_records. Every record must carry the same doc_id, which
     doc_id= overrides. Records keep their file order and are renumbered from
     1; the index values in the file are checked for type but not used.
     """
     path = Path(path)
     if format == "plain_text":
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
+        raw = "".join(line for _n, line in utf8_lines(path))
         resolved_id = doc_id or path.stem
-        return Document(resolved_id, title or resolved_id, tuple(split_paragraphs(raw)))
+        try:
+            return Document(resolved_id, title or resolved_id, tuple(split_paragraphs(raw)))
+        except EmptyDocumentError:
+            raise EmptyDocumentError(f"{path} contains no paragraphs") from None
     if format != "paragraph_records":
         raise ValueError(f"unknown document format: {format!r}")
     paragraphs: list[Paragraph] = []
@@ -202,38 +200,36 @@ def write_document(document: Document, path: str | Path) -> None:
     )
 
 
-def utf8_lines(path: Path) -> Iterator[tuple[int, str | None]]:
-    """Number a UTF-8 text file's lines; a line that does not decode comes as None.
+def utf8_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Number a UTF-8 text file's lines, each with its line end as written.
 
-    Bad bytes are read as surrogate escapes and checked line by line, so one
-    is pinned to its own line rather than to wherever the decoder's
-    read-ahead met it.
+    This is the one reader of every input file. Lines end at "\\n", "\\r" or
+    "\\r\\n". Bad bytes are read as surrogate escapes and checked line by
+    line, so the MalformedRecordError they raise names their own line rather
+    than wherever the decoder's read-ahead met them.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for line_number, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError:
-                yield line_number, None
-            else:
-                yield line_number, line
+                raise MalformedRecordError(path, line_number, "not valid UTF-8") from None
+            yield line_number, line
 
 
 def read_records(path: str | Path, fields: Mapping[str, type]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of a JSONL file.
 
-    Lines end only at "\\n", so the U+2028, U+2029 and U+0085 that write_jsonl
-    leaves unescaped stay inside their record. Each record must be a JSON
-    object whose strings hold no lone surrogate (a \\ud800-\\udfff escape
-    that is not half of a pair), holding every name in fields with exactly
-    the mapped type (a bool is not an int). A line that fails raises
-    MalformedRecordError naming the file and line; an absent field raises its
-    subclass MissingColumnError.
+    Lines end only at "\\n", "\\r" or "\\r\\n", so the U+2028, U+2029 and
+    U+0085 that write_jsonl leaves unescaped stay inside their record. Each
+    record must be a JSON object whose strings hold no lone surrogate (a
+    \\ud800-\\udfff escape that is not half of a pair), holding every name
+    in fields with exactly the mapped type (a bool is not an int). A line
+    that fails raises MalformedRecordError naming the file and line; an
+    absent field raises its subclass MissingColumnError.
     """
     path = Path(path)
     for line_number, line in utf8_lines(path):
-        if line is None:
-            raise MalformedRecordError(path, line_number, "not valid UTF-8")
         if not line.strip():
             continue
         try:
@@ -262,20 +258,16 @@ def read_records(path: str | Path, fields: Mapping[str, type]) -> Iterator[tuple
 
 def _iter_delimited_rows(path: Path, columns: list[str]) -> Iterator[tuple[int, dict]]:
     delimiter = "\t" if path.suffix.lower() == ".tsv" else ","
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            reader = csv.DictReader(fh, delimiter=delimiter)
-            header = reader.fieldnames or []
-            for column in columns:
-                if column not in header:
-                    raise MissingColumnError(column, path, 1)
-            for row in reader:
-                for column in columns:
-                    if row[column] is None:
-                        raise MissingColumnError(column, path, reader.line_num)
-                yield reader.line_num, row
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
+    reader = csv.DictReader((line for _n, line in utf8_lines(path)), delimiter=delimiter)
+    header = reader.fieldnames or []
+    for column in columns:
+        if column not in header:
+            raise MissingColumnError(column, path, 1)
+    for row in reader:
+        for column in columns:
+            if row[column] is None:
+                raise MissingColumnError(column, path, reader.line_num)
+        yield reader.line_num, row
 
 
 def load_qa(path: str | Path, columns: Mapping[str, str] | None = None) -> list[QAPair]:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .backends import BackendError, CompletionBackend
+from .backends import CompletionBackend
 from .chunker import Chunk
 from .errors import LumberkitError
 from .evaluation import normalize_for_matching
@@ -192,21 +192,17 @@ def rerank(chunks: Sequence[Chunk], query: str, backend: CompletionBackend) -> l
 
     The response is read as a sequence of 1-based indices; duplicates and
     out-of-range values are dropped, and indices the response never mentions
-    keep their prior order at the end. An unusable response or a backend
-    failure keeps the input order with a warning. Nothing here is fatal.
+    keep their prior order at the end. A response with no usable index keeps
+    the input order with a warning. A BackendError propagates; the backend
+    does its own retrying.
     """
     chunks = list(chunks)
     if len(chunks) < 2:
         return chunks
     documents = "\n".join(f"[{i}] {chunk.text}" for i, chunk in enumerate(chunks, start=1))
     prompt = RERANK_PROMPT_TEMPLATE.format(query=query, documents=documents)
-    try:
-        response = backend.complete(prompt)
-    except BackendError as exc:
-        logger.warning("rerank failed; keeping the retrieval order: %s", exc)
-        return chunks
     order: list[int] = []
-    for match in re.finditer(r"\d+", response):
+    for match in re.finditer(r"\d+", backend.complete(prompt)):
         value = int(match.group())
         if 1 <= value <= len(chunks) and value not in order:
             order.append(value)

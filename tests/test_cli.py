@@ -39,7 +39,7 @@ from lumberkit.cli import main
 from lumberkit.corpus import QAPair, generate_qa, load_document, write_document, write_qa
 from lumberkit.evaluation import evaluate, write_reports
 from lumberkit.index import bm25_build, embed_chunks
-from lumberkit.ragpipe import answer_question, qa_accuracy
+from lumberkit.ragpipe import RERANK_PROMPT_TEMPLATE, answer_question, qa_accuracy
 
 from conftest import last_id_responder
 
@@ -116,6 +116,15 @@ class TestIngest:
         )
         assert code == 0
         assert load_document(out, "paragraph_records").doc_id == "renamed"
+
+    def test_empty_plain_text_names_the_file(self, tmp_path, capsys):
+        source = tmp_path / "empty.txt"
+        source.write_text("\n  \n\n", encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = main(["ingest", "--input", str(source), "--output", str(out)])
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == f"error: {source} contains no paragraphs"
+        assert not out.exists()
 
     def test_missing_input_fails_with_path(self, tmp_path, capsys):
         missing = tmp_path / "absent.txt"
@@ -562,6 +571,24 @@ class TestRagCommand:
         for name in ("answers.jsonl", "summary.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_failed_rerank_ends_the_run(self, tmp_path, rag_inputs, monkeypatch, capsys):
+        def respond(prompt):
+            if prompt.startswith(RERANK_PROMPT_TEMPLATE.partition("{")[0]):
+                raise BackendError("rerank endpoint down")
+            return "an answer"
+
+        backend = CountingBackend(respond)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        chunk_path, _qa_path, _cache_path = rag_inputs
+        qa_path = tmp_path / "one.jsonl"
+        write_qa([QAPair("book", "What did Joshua Haldeman study?", "chiropractic", "p1")], qa_path)
+        out_dir = tmp_path / "out"
+        code = main(["rag", "--chunks", str(chunk_path), "--questions", str(qa_path),
+                     "--output-dir", str(out_dir)])
+        assert _one_error_line(code, capsys.readouterr().err) == "error: rerank endpoint down"
+        assert backend.calls == 1
+        assert not out_dir.exists()
+
 
 class TestEmptyInputs:
     """A QA or chunk file with nothing to score ends in one error line naming it."""
@@ -964,7 +991,7 @@ class TestUnusedEmbeddingFlags:
             main(["eval", "--chunks", "c.jsonl", "--qa", "q.jsonl", "--embed", value,
                   "--output-dir", str(out)])
         assert excinfo.value.code == 2
-        assert "error: ambiguous option: --embed could match" in capsys.readouterr().err
+        assert f"error: unrecognized arguments: --embed {value}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_semantic_reads_embedding_cache(self, tmp_path, book_records):
@@ -1278,6 +1305,29 @@ class TestUnreadChunkFlags:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["chunk", "--document", "{book}", "--method", "recursive", "--output-dir", "{out}"],
+             "--ma 100"),
+            (["chunk", "--document", "{book}", "--method", "lumber", "--output-dir", "{out}"],
+             "--the 900"),
+            (["ingest", "--input", "{book}", "--output", "{out}/book.jsonl"], "--out {out}/o.jsonl"),
+        ],
+        ids=["max-tokens", "theta", "output"],
+    )
+    def test_flag_prefixes_are_unrecognized(self, tmp_path, book_records, argv, prefix, capsys):
+        out = tmp_path / "out"
+        paths = {"book": book_records, "out": out}
+        extra = prefix.format(**paths).split()
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(**paths) for arg in argv] + extra)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(extra)}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_removed_rag_answer_alias_is_an_invalid_command(
         self, tmp_path, book_records, qa_file, capsys
     ):
@@ -1524,7 +1574,7 @@ def _one_error_line(code: int, err: str) -> str:
 
 
 class TestNonUtf8Input:
-    """A 0xE9 byte on line 2 of a JSONL input file is named with its file and line."""
+    """A 0xE9 byte in any input file is named with its file and line."""
 
     @pytest.mark.parametrize(
         "argv, bad",
@@ -1571,7 +1621,30 @@ class TestNonUtf8Input:
              str(tmp_path / "out")]
         )
         error = _one_error_line(code, capsys.readouterr().err)
-        assert error.startswith(f"error: {qa_path} is not valid UTF-8")
+        assert error == f"error: {qa_path}, line 2: not valid UTF-8"
+
+    @pytest.mark.parametrize("name", ["qa.csv", "qa.tsv", "book.txt"])
+    def test_bad_byte_past_the_first_read_names_its_line(
+        self, tmp_path, book_records, name, capsys
+    ):
+        # the decoder reads 8 KB ahead; the error names the line, not that offset
+        bad, out = tmp_path / name, tmp_path / "out"
+        if name == "book.txt":
+            lines = [f"Sentence {i} of the book." for i in range(1, 1001)]
+            argv = ["ingest", "--input", str(bad), "--output", str(out / "book.jsonl")]
+        else:
+            sep = "\t" if name == "qa.tsv" else ","
+            lines = [sep.join(("doc_id", "question", "answer", "supporting_passage"))]
+            lines += [sep.join(("book", f"question {i}?", "a", "p")) for i in range(1, 1000)]
+            chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+            argv = ["eval", "--chunks", str(chunk_path), "--qa", str(bad), "--output-dir", str(out)]
+        data = [line.encode("utf-8") + b"\n" for line in lines]
+        data[700] = b"\xe9" + data[700]
+        assert len(b"".join(data[:700])) > 8192
+        bad.write_bytes(b"".join(data))
+        error = _one_error_line(main(argv), capsys.readouterr().err)
+        assert error == f"error: {bad}, line 701: not valid UTF-8"
+        assert not out.exists()
 
 
 LONE_SURROGATE = "a \\u escape holds a lone surrogate, which is not text"

@@ -15,7 +15,6 @@ from conftest import CountingBackend, FailingBackend, make_document, words
 from lumberkit.backends import BackendError, ScriptedBackend
 from lumberkit.chunker import read_chunks
 from lumberkit.corpus import (
-    CorpusError,
     Document,
     EmptyDocumentError,
     MalformedRecordError,
@@ -208,8 +207,14 @@ class TestLoadDocument:
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "doc.txt"
         path.write_bytes("caf\xe9".encode("latin-1"))
-        with pytest.raises(Exception, match="UTF-8"):
+        with pytest.raises(MalformedRecordError, match=r"doc\.txt, line 1: not valid UTF-8$"):
             load_document(path)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_plain_text_crlf_and_cr_load_as_lf(self, tmp_path, end):
+        path = tmp_path / "book.txt"
+        path.write_bytes(end.join(["One", "two.", "", "", "Three.", ""]).encode("utf-8"))
+        assert [p.text for p in load_document(path).paragraphs] == ["One two.", "Three."]
 
     def test_round_trip_is_bit_identical(self, tmp_path):
         doc = make_document([3, 4, 5], doc_id="rt")
@@ -295,7 +300,8 @@ class TestLoadQa:
         path.write_text(content, encoding="utf-8")
         with pytest.raises(MissingColumnError) as info:
             load_qa(path)
-        assert str(info.value) == f"missing required column 'answer' in {path}, line {line}"
+        assert str(info.value) == f"{path}, line {line}: missing required column 'answer'"
+        assert (info.value.column, info.value.line_number) == ("answer", line)
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "qa.csv"
@@ -335,7 +341,7 @@ class TestLoadQa:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         (pair,) = load_qa(path, columns={"supporting_passage": "passage"})
         assert pair == QAPair("d", "q", "a", "the text")
-        with pytest.raises(MissingColumnError, match="'supporting_passage' in .*, line 1"):
+        with pytest.raises(MissingColumnError, match=", line 1: .* 'supporting_passage'$"):
             load_qa(path)
 
     def test_mapped_missing_external_column(self, tmp_path):
@@ -377,8 +383,28 @@ class TestLoadQa:
     def test_non_utf8_csv_names_the_file(self, tmp_path):
         path = tmp_path / "qa.csv"
         path.write_bytes(b"doc_id,question,answer,supporting_passage\nd,q\xe9,a,s\n")
-        with pytest.raises(CorpusError, match=r"qa\.csv is not valid UTF-8"):
+        with pytest.raises(MalformedRecordError, match=r"qa\.csv, line 2: not valid UTF-8$"):
             load_qa(path)
+
+    def test_csv_quoted_field_keeps_its_line_break(self, tmp_path):
+        path = tmp_path / "qa.csv"
+        path.write_bytes(b'doc_id,question,answer,supporting_passage\r\nd,q,"two\r\nlines",s\r\n')
+        (pair,) = load_qa(path)
+        assert pair.answer == "two\r\nlines"
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv", ".tsv"])
+    def test_crlf_and_cr_line_ends_load_as_lf(self, tmp_path, suffix, end):
+        if suffix == ".jsonl":
+            rows = [json.dumps({"doc_id": "d", "question": q, "answer": "a",
+                                "supporting_passage": "s"}) for q in ("q1", "q2")]
+        else:
+            sep = "\t" if suffix == ".tsv" else ","
+            rows = [sep.join(row) for row in (("doc_id", "question", "answer", "supporting_passage"),
+                                              ("d", "q1", "a", "s"), ("d", "q2", "a", "s"))]
+        path = tmp_path / f"qa{suffix}"
+        path.write_bytes((end.join(rows) + end).encode("utf-8"))
+        assert load_qa(path) == [QAPair("d", "q1", "a", "s"), QAPair("d", "q2", "a", "s")]
 
 
 _GOOD_RECORD = {
@@ -419,7 +445,16 @@ def test_hostile_record_names_file_line_and_field(tmp_path, kind, old, new, reas
 def test_utf8_lines_flags_only_the_undecodable_line(tmp_path):
     path = tmp_path / "mixed.txt"
     path.write_bytes("naïve\n".encode("utf-8") + b"caf\xe9\n" + b"last")
-    assert list(utf8_lines(path)) == [(1, "naïve\n"), (2, None), (3, "last")]
+    lines = utf8_lines(path)
+    assert next(lines) == (1, "naïve\n")
+    with pytest.raises(MalformedRecordError, match=r"mixed\.txt, line 2: not valid UTF-8$"):
+        next(lines)
+
+
+def test_utf8_lines_keeps_line_ends_as_written(tmp_path):
+    path = tmp_path / "ends.txt"
+    path.write_bytes(b"a\r\nb\rc\n\xc3\xa9")
+    assert list(utf8_lines(path)) == [(1, "a\r\n"), (2, "b\r"), (3, "c\n"), (4, "é")]
 
 
 class TestGenerateQa:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CountingBackend, FailingBackend, StubEmbeddingBackend
-from lumberkit.backends import MockEmbeddingBackend, ScriptedBackend
+from lumberkit.backends import BackendError, MockEmbeddingBackend, ScriptedBackend
 from lumberkit.chunker import Chunk
 from lumberkit.index import VectorIndex, bm25_build, embed_chunks
 from lumberkit.ragpipe import (
@@ -246,11 +246,11 @@ class TestRerank:
         assert [c.chunk_id for c in ranked] == [0, 1, 2]
         assert any("no usable indices" in r.message for r in caplog.records)
 
-    def test_backend_failure_keeps_input_order(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="lumberkit.ragpipe"):
-            ranked = rerank(self.chunks3(), "q?", FailingBackend())
-        assert [c.chunk_id for c in ranked] == [0, 1, 2]
-        assert any("rerank failed" in r.message for r in caplog.records)
+    def test_backend_failure_propagates(self):
+        backend = FailingBackend()
+        with pytest.raises(BackendError, match="transport down"):
+            rerank(self.chunks3(), "q?", backend)
+        assert backend.calls == 1
 
     def test_single_chunk_skips_backend(self):
         backend = CountingBackend(lambda p: "1")
