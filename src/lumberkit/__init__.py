@@ -83,4 +83,5 @@ from .ragpipe import (
     midpoint_reverse,
     qa_accuracy,
     rerank,
+    retrieve,
 )

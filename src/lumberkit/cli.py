@@ -63,7 +63,7 @@ from .evaluation import (
 )
 from .index import IndexingError, bm25_build, embed_chunks, embed_texts
 from .parallel import ordered_map
-from .ragpipe import answer_question, qa_accuracy
+from .ragpipe import answer_question, qa_accuracy, retrieve
 
 _COMPLETION = ("replay_cache", "backend_url", "model", "record_cache")
 _EMBEDDING = ("embed_url", "embed_model", "embed_cache")
@@ -359,9 +359,14 @@ def cmd_rag(args: argparse.Namespace) -> int:
         # free the embedder and any --embed-cache store before BM25 raises the peak
         del embedder
         bm25_index = bm25_build(chunks)
+        # ordered_map draws each retrieval on this thread while its workers
+        # rerank and answer earlier ones, so scoring overlaps the backend calls
         results = ordered_map(
-            lambda item: answer_question(item[0], bm25_index, vector_index, item[1], backend),
-            zip(questions, query_vectors),
+            lambda retrieval: answer_question(retrieval, backend),
+            (
+                retrieve(question, bm25_index, vector_index, query_vector)
+                for question, query_vector in zip(questions, query_vectors)
+            ),
         )
     accuracy = qa_accuracy((result.answer, pair.answer) for result, pair in zip(results, qa_pairs))
     out_dir = Path(args.output_dir)

@@ -263,10 +263,17 @@ def _iter_delimited_rows(path: Path, columns: list[str]) -> Iterator[tuple[int, 
     for column in columns:
         if column not in header:
             raise MissingColumnError(column, path, 1)
+        if header.count(column) > 1:
+            raise MalformedRecordError(path, 1, f"column {column!r} is named twice")
     for row in reader:
         for column in columns:
             if row[column] is None:
                 raise MissingColumnError(column, path, reader.line_num)
+        if None in row:  # DictReader files cells past the header under None
+            cells = len(header) + len(row[None])
+            raise MalformedRecordError(
+                path, reader.line_num, f"{cells} cells under a {len(header)}-column header"
+            )
         yield reader.line_num, row
 
 
@@ -280,6 +287,8 @@ def load_qa(path: str | Path, columns: Mapping[str, str] | None = None) -> list[
     skipped and counted in a logged warning; an absent column raises
     MissingColumnError naming it as the file spells it, with the file and
     line, and a file that yields no pair raises CorpusError naming the file.
+    A delimited row with more cells than its header, or a header that names a
+    column twice, raises MalformedRecordError with its line.
     """
     path = Path(path)
     names = [(columns or {}).get(column, column) for column in _QA_COLUMNS]

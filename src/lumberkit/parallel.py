@@ -29,25 +29,42 @@ def stream_map(
     result, as soon as it exists, to consume(position of item, result) on the
     calling thread; one item's results come in the order produce yields them.
 
-    On the first failure, in a worker or in consume, items not yet started are
-    cancelled and running ones stop after their current result. Once they have
-    stopped, consume's exception, else the earliest failed item's, is raised.
+    items is drawn on the calling thread, one item per submission, while the
+    workers run the items already submitted; results are consumed only once
+    every item has been drawn. A lazy iterable therefore overlaps its own work
+    with the workers'.
+
+    On the first failure, in a worker or in consume, no further item is drawn,
+    items not yet started are cancelled and running ones stop after their
+    current result. Once they have stopped, consume's exception, else the
+    earliest failed item's, is raised. An exception from items itself is
+    raised the same way.
     """
     handed: queue.SimpleQueue = queue.SimpleQueue()
     stop = threading.Event()
 
     def work(position: int, item: T) -> None:
-        for result in produce(item):
-            handed.put((position, result))
-            if stop.is_set():
-                return
+        if stop.is_set():  # started after a failure, before the pool cancelled it
+            return
+        try:
+            for result in produce(item):
+                handed.put((position, result))
+                if stop.is_set():
+                    return
+        except BaseException:
+            stop.set()
+            raise
 
     pool = ThreadPoolExecutor(max_workers=WORKERS)
+    futures: list[Future] = []
     try:
-        futures = [pool.submit(work, position, item) for position, item in enumerate(items)]
-        for future in futures:
+        for item in items:
+            future = pool.submit(work, len(futures), item)
             # runs once work has returned, so it queues behind the item's results
             future.add_done_callback(handed.put)
+            futures.append(future)
+            if stop.is_set():
+                break
         for _ in futures:
             while not isinstance(message := handed.get(), Future):
                 consume(*message)
@@ -56,8 +73,8 @@ def stream_map(
     finally:
         stop.set()
         pool.shutdown(cancel_futures=True)
-    # items start in submission order, so every cancelled item comes after
-    # the failed one and result() raises that failure before reaching them
+    # items start in submission order, so every cancelled or skipped item
+    # comes after the failed one and result() raises that failure first
     for future in futures:
         future.result()
 

@@ -255,6 +255,15 @@ def qa_accuracy(answers: Iterable[tuple[str, str]]) -> float:
 
 
 @dataclass(frozen=True)
+class Retrieval:
+    """One question's routing and its fused, midpoint-reversed context."""
+
+    question: str
+    decision: RoutingDecision
+    chunks: tuple[Chunk, ...]
+
+
+@dataclass(frozen=True)
 class RagAnswer:
     """The pipeline's output for one question."""
 
@@ -264,18 +273,20 @@ class RagAnswer:
     answer: str
 
 
-def answer_question(
-    query: str,
-    bm25_index: Bm25Index,
-    vector_index: VectorIndex,
-    query_vector: np.ndarray,
-    backend: CompletionBackend,
-) -> RagAnswer:
-    """Answer one query, given its embedding: route, fuse, reorder, rerank, answer."""
+def retrieve(
+    query: str, bm25_index: Bm25Index, vector_index: VectorIndex, query_vector: np.ndarray
+) -> Retrieval:
+    """Route one query, given its embedding, then fuse and reorder its hits; no backend call."""
     decision = detect_mentions(query)
     assembly = hybrid_retrieve(query, bm25_index, vector_index, decision, query_vector)
-    reordered = midpoint_reverse(assembly.chunks)
-    reranked = rerank(reordered, query, backend)
-    text = answer(query, reranked, backend)
+    return Retrieval(query, decision, tuple(midpoint_reverse(assembly.chunks)))
+
+
+def answer_question(retrieval: Retrieval, backend: CompletionBackend) -> RagAnswer:
+    """Rerank one retrieval's chunks and answer its question from the top five."""
+    reranked = rerank(retrieval.chunks, retrieval.question, backend)
+    text = answer(retrieval.question, reranked, backend)
     used = reranked[:ANSWER_TOP_N]
-    return RagAnswer(query, decision, tuple(chunk.chunk_id for chunk in used), text)
+    return RagAnswer(
+        retrieval.question, retrieval.decision, tuple(chunk.chunk_id for chunk in used), text
+    )

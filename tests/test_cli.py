@@ -22,7 +22,7 @@ from conftest import (
     make_document,
     prompt_ids,
 )
-from lumberkit import backends, cli, parallel
+from lumberkit import backends, cli, parallel, ragpipe
 from lumberkit.backends import (
     BackendError,
     CompletionBackend,
@@ -39,7 +39,7 @@ from lumberkit.cli import main
 from lumberkit.corpus import QAPair, generate_qa, load_document, write_document, write_qa
 from lumberkit.evaluation import evaluate, write_reports
 from lumberkit.index import bm25_build, embed_chunks
-from lumberkit.ragpipe import RERANK_PROMPT_TEMPLATE, answer_question, qa_accuracy
+from lumberkit.ragpipe import RERANK_PROMPT_TEMPLATE, answer_question, qa_accuracy, retrieve
 
 from conftest import last_id_responder
 
@@ -505,7 +505,7 @@ def seed_rag_cache(chunks, qa_pairs, cache_path: Path) -> None:
     backend = CountingBackend(respond)
     for pair in qa_pairs:
         query_vector = embedder.embed([pair.question])[0]
-        answer_question(pair.question, bm25_index, vector_index, query_vector, backend)
+        answer_question(retrieve(pair.question, bm25_index, vector_index, query_vector), backend)
     cache = ResponseCache(cache_path, model_id="default")
     for prompt in backend.prompts:
         cache.put(prompt, respond(prompt))
@@ -772,7 +772,8 @@ class TestConcurrentRag:
         scored = []
         for pair in pairs:
             query_vector = embedder.embed([pair.question])[0]
-            result = answer_question(pair.question, bm25_index, vector_index, query_vector, backend)
+            retrieval = retrieve(pair.question, bm25_index, vector_index, query_vector)
+            result = answer_question(retrieval, backend)
             record = {
                 "question": result.question,
                 "mentions": list(result.decision.mention_strings),
@@ -791,6 +792,51 @@ class TestConcurrentRag:
         assert (out_dir / "summary.json").read_text(encoding="utf-8") == (
             json.dumps(summary, ensure_ascii=False, indent=2) + "\n"
         )
+
+    def test_questions_are_retrieved_on_the_calling_thread(self, tmp_path, inputs, monkeypatch):
+        retrieved_on, called_on = [], []
+        traced = ragpipe.hybrid_retrieve
+
+        def hybrid_retrieve(*args, **kwargs):
+            retrieved_on.append(threading.get_ident())
+            return traced(*args, **kwargs)
+
+        class ThreadRecordingBackend(JitteredBackend):
+            def complete(self, prompt: str) -> str:
+                with self.lock:
+                    called_on.append(threading.get_ident())
+                return super().complete(prompt)
+
+        monkeypatch.setattr(ragpipe, "hybrid_retrieve", hybrid_retrieve)
+        assert self.run_rag(inputs, ThreadRecordingBackend(), tmp_path / "rag", monkeypatch) == 0
+        caller = threading.get_ident()
+        assert retrieved_on == [caller] * self.QUESTIONS
+        assert len(called_on) == 2 * self.QUESTIONS
+        assert caller not in called_on
+
+    def test_failed_retrieval_stops_before_later_questions(
+        self, tmp_path, inputs, monkeypatch, capsys
+    ):
+        traced = ragpipe.hybrid_retrieve
+        retrievals = []
+
+        def hybrid_retrieve(query, *args, **kwargs):
+            retrievals.append(query)
+            if len(retrievals) == 3:
+                raise ragpipe.RagPipelineError("index went away at question 3")
+            return traced(query, *args, **kwargs)
+
+        backend = CountingBackend(JitteredBackend.reply)
+        monkeypatch.setattr(ragpipe, "hybrid_retrieve", hybrid_retrieve)
+        code = self.run_rag(inputs, backend, tmp_path / "rag", monkeypatch)
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == "error: index went away at question 3"
+        questions = [pair.question for pair in inputs[1]]
+        assert retrievals == questions[:3]
+        # only the two questions retrieved before it reached the backend
+        asked = {q for q in questions if any(q in prompt for prompt in backend.prompts)}
+        assert asked <= set(questions[:2])
+        assert not (tmp_path / "rag").exists()
 
     def test_backend_dying_mid_run_stops_queued_questions(self, tmp_path, inputs, monkeypatch, capsys):
         backend = JitteredBackend(fail_after=6)
@@ -1622,6 +1668,21 @@ class TestNonUtf8Input:
         )
         error = _one_error_line(code, capsys.readouterr().err)
         assert error == f"error: {qa_path}, line 2: not valid UTF-8"
+
+    def test_delimited_qa_row_with_extra_cells_names_its_line(
+        self, tmp_path, book_records, capsys
+    ):
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        qa_path = tmp_path / "qa.csv"
+        qa_path.write_text(
+            "doc_id,question,answer,supporting_passage\nbook,q,a,p,extra\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        code = main(["eval", "--chunks", str(chunk_path), "--qa", str(qa_path), "--output-dir",
+                     str(out)])
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == f"error: {qa_path}, line 2: 5 cells under a 4-column header"
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["qa.csv", "qa.tsv", "book.txt"])
     def test_bad_byte_past_the_first_read_names_its_line(

@@ -309,6 +309,26 @@ class TestLoadQa:
         with pytest.raises(MissingColumnError, match="question"):
             load_qa(path)
 
+    @pytest.mark.parametrize("sep, suffix", [(",", ".csv"), ("\t", ".tsv")], ids=["csv", "tsv"])
+    def test_row_with_more_cells_than_the_header_names_its_line(self, tmp_path, sep, suffix):
+        path = tmp_path / f"qa{suffix}"
+        rows = [("doc_id", "question", "answer", "supporting_passage"), ("d", "q", "a", "s"),
+                ("d", "q", "a", "s", "extra", "cells")]
+        path.write_text("".join(sep.join(row) + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as info:
+            load_qa(path)
+        assert str(info.value) == f"{path}, line 3: 6 cells under a 4-column header"
+
+    @pytest.mark.parametrize("sep, suffix", [(",", ".csv"), ("\t", ".tsv")], ids=["csv", "tsv"])
+    def test_header_naming_a_column_twice_names_line_1(self, tmp_path, sep, suffix):
+        path = tmp_path / f"qa{suffix}"
+        rows = [("doc_id", "question", "answer", "supporting_passage", "doc_id"),
+                ("d", "q", "a", "s", "e")]
+        path.write_text("".join(sep.join(row) + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as info:
+            load_qa(path)
+        assert str(info.value) == f"{path}, line 1: column 'doc_id' is named twice"
+
     def test_csv_rows_load(self, tmp_path):
         path = tmp_path / "qa.csv"
         path.write_text(

@@ -94,3 +94,69 @@ def test_consume_failure_stops_workers_after_their_current_result():
     assert len(produced) <= parallel.WORKERS
     assert max(produced.values()) <= 2
     assert threading.active_count() == threads
+
+
+def test_items_are_drawn_on_the_calling_thread_while_workers_run():
+    first_result = threading.Event()
+    drawn_on = []
+
+    def items():
+        drawn_on.append(threading.get_ident())
+        yield 0
+        # the worker must be running item 0 while the next item is drawn
+        assert first_result.wait(timeout=10), "item 1 was drawn only after every item"
+        drawn_on.append(threading.get_ident())
+        yield 1
+
+    def work(i: int) -> int:
+        first_result.set()
+        return i
+
+    assert ordered_map(work, items()) == [0, 1]
+    assert drawn_on == [threading.get_ident()] * 2
+
+
+def test_a_failed_item_stops_drawing_items():
+    drawn = []
+
+    def items():
+        for i in range(100):
+            drawn.append(i)
+            time.sleep(0.005)
+            yield i
+
+    def work(i: int) -> int:
+        if i == 0:
+            raise ValueError("item 0 failed")
+        return i
+
+    with pytest.raises(ValueError, match="item 0 failed"):
+        ordered_map(work, items())
+    assert len(drawn) < 10
+
+
+def test_an_exception_from_the_items_waits_for_running_items_and_starts_no_queued_one():
+    started = []
+    lock = threading.Lock()
+    all_running = threading.Event()
+    threads = threading.active_count()
+
+    def items():
+        yield from range(parallel.WORKERS)
+        assert all_running.wait(timeout=10)
+        yield from range(parallel.WORKERS, parallel.WORKERS + 3)  # queued behind them
+        raise RuntimeError("the item source broke")
+
+    def produce(item: int):
+        with lock:
+            started.append(item)
+            if len(started) == parallel.WORKERS:
+                all_running.set()
+        while True:
+            time.sleep(0.005)
+            yield item
+
+    with pytest.raises(RuntimeError, match="the item source broke"):
+        stream_map(produce, items(), lambda position, result: None)
+    assert sorted(started) == list(range(parallel.WORKERS))
+    assert threading.active_count() == threads

@@ -31,6 +31,7 @@ from lumberkit.ragpipe import (
     normalized_match_judge,
     qa_accuracy,
     rerank,
+    retrieve,
 )
 
 
@@ -332,13 +333,9 @@ class TestAnswerQuestion:
                 return "The keeper lit the lamp."
             raise AssertionError(f"unexpected prompt: {prompt[:60]}")
 
-        result = answer_question(
-            "When did the keeper light the lamp?",
-            bm25,
-            vectors,
-            embedder.embed(["When did the keeper light the lamp?"])[0],
-            ScriptedBackend(respond),
-        )
+        query = "When did the keeper light the lamp?"
+        retrieval = retrieve(query, bm25, vectors, embedder.embed([query])[0])
+        result = answer_question(retrieval, ScriptedBackend(respond))
         assert result.answer == "The keeper lit the lamp."
         assert result.question == "When did the keeper light the lamp?"
         assert 1 <= len(result.retrieved_ids) <= ANSWER_TOP_N
@@ -357,9 +354,8 @@ class TestAnswerQuestion:
             return "1" if "Order the numbered documents" in prompt else "Chiropractic."
 
         query = "What did Joshua Haldeman study?"
-        result = answer_question(
-            query, bm25, vectors, embedder.embed([query])[0], ScriptedBackend(respond)
-        )
+        retrieval = retrieve(query, bm25, vectors, embedder.embed([query])[0])
+        result = answer_question(retrieval, ScriptedBackend(respond))
         assert result.decision.bm25_k == 3
         assert result.decision.mention_strings == ("Joshua Haldeman",)
         assert result.answer == "Chiropractic."

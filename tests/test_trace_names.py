@@ -38,7 +38,8 @@ assert cache.read_text(encoding="utf-8").count("\\n") > 1, "no split answers rec
 """
 
 # Trace mode's hooks read positional arguments (a backend's prompt is args[1],
-# lumberchunk's config args[1]); run a traced scripted `chunk` and `rag`.
+# lumberchunk's config args[1]); run a traced scripted `chunk` and `rag`, and check
+# that each rag stage the trace patches is still called where it is patched.
 _TRACED_RUN_PROBE = """
 import json, random, re, sys
 from pathlib import Path
@@ -68,7 +69,9 @@ assert cli.main(["chunk", "--document", str(book), "--method", "lumber",
 assert cli.main(["rag", "--chunks", str(work / "lumber" / "chunks.jsonl"), "--questions", str(qa),
                  "--output-dir", str(work / "rag")]) == 0
 folded = tracing.fold([tracer.to_record()])
-for name in ("chunker.lumberchunk", "index.bm25_build", "backends.scripted_complete"):
+for name in ("chunker.lumberchunk", "index.bm25_build", "backends.scripted_complete",
+             "ragpipe.answer_question", "ragpipe.detect_mentions", "ragpipe.hybrid_retrieve",
+             "ragpipe.rerank"):
     assert folded.get(name, {}).get("calls", 0) > 0, f"no {name} span"
 assert tracer.counts.get("chunker.split_requests", 0) > 0, tracer.counts
 assert tracer.counts.get("ragpipe.rerank_prompt_tokens", 0) > 0, tracer.counts
