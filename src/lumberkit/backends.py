@@ -137,7 +137,7 @@ class _JsonlStore:
                 self._entries[key] = self._decode(record[self.field])
             except CacheError as exc:  # a whole record that conflicts with the file
                 raise CacheError(f"{self.path}, line {i + 1}: {exc}") from None
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 if i < last:
                     raise CacheError(f"{self.path}, line {i + 1}: unreadable record: {exc}") from exc
                 logger.warning(
@@ -502,7 +502,7 @@ class _JsonClient:
                 time.sleep(HTTP_RETRY_WAIT_S * attempt)
             try:
                 return parse(self._exchange(request))
-            except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+            except (OSError, KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
                 last_error = exc
                 logger.warning(
                     "%s request failed (attempt %d/%d): %s",

@@ -9,7 +9,6 @@ embeddings, replay backends) are deterministic given fixed seeds.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import os
@@ -87,17 +86,72 @@ _READS = {
     "rag": ("chunks", "questions", "output_dir", *_COMPLETION, *_EMBEDDING),
     "gen-qa": ("document", "n", "seed", "output", *_COMPLETION),
 }
-# Defaults of the flags whose parser default is None, so that a flag the row
-# does not read can be told from one left out; a row that reads one gets it.
-_DEFAULTS = {
-    "theta": ChunkerConfig.theta,
-    "max_tokens": RecursiveConfig.max_tokens,
-    "percentile": SemanticConfig.breakpoint_percentile,
-    "min_unit": SemanticConfig.min_unit,
+# Every flag by argparse dest, in parser order: its add_argument keywords, the
+# "default" a row that reads it gets when it is left out (else None), and under
+# a command's name the keywords that differ for that command.
+_FLAGS = {
+    "input": dict(required=True, help="source document path"),
+    "format": dict(
+        choices=("plain_text", "paragraph_records"),
+        default="plain_text",
+        help="input format (default: plain_text)",
+    ),
+    "doc_id": dict(help="document identifier (default: file stem)"),
+    "document": dict(required=True, help="paragraph records path"),
+    "method": dict(
+        choices=[row.split()[-1] for row in _READS if row.startswith("chunk ")],
+        required=True,
+        help="chunking method",
+    ),
+    "theta": dict(type=int, default=ChunkerConfig.theta, help="token threshold for lumber"),
+    "max_tokens": dict(
+        type=int, default=RecursiveConfig.max_tokens, help="chunk size cap for recursive"
+    ),
+    "percentile": dict(
+        type=float,
+        default=SemanticConfig.breakpoint_percentile,
+        help="semantic breakpoint percentile",
+    ),
+    "min_unit": dict(
+        choices=("sentence", "paragraph"),
+        default=SemanticConfig.min_unit,
+        help="semantic unit granularity",
+    ),
+    # eval scores several chunk files, rag answers over one
+    "chunks": dict(required=True, help="chunk records path(s)", eval=dict(nargs="+")),
+    "documents": dict(nargs="+", required=True, help="paragraph record files"),
+    "qa": dict(required=True, help="QA records path"),
+    "questions": dict(required=True, help="QA records path"),
+    "thetas": dict(nargs="+", type=int, default=DEFAULT_THETAS, help="token thresholds to sweep"),
+    "ks": dict(nargs="+", type=int, default=DEFAULT_KS, help="metric cutoffs"),
+    "hyde": dict(
+        action="store_true",
+        default=False,
+        help="embed a hypothetical answer passage instead of the raw question "
+        "(conventionally paired with recursive chunks)",
+    ),
+    "n": dict(type=int, required=True, help="samples to draw"),
+    "seed": dict(type=int, default=0, help="passage sampling seed"),
+    "output": dict(required=True, help="output path"),
+    "output_dir": dict(required=True, help="output directory"),
+    "replay_cache": dict(
+        metavar="FILE", help="serve completions from a recorded response cache (offline)"
+    ),
+    "backend_url": dict(
+        metavar="URL", help=f"chat-completion endpoint base URL; key comes from ${API_KEY_ENV_VAR}"
+    ),
+    "model": dict(
+        metavar="NAME",
+        help="model name for the live backend and in completion cache keys (else 'default')",
+    ),
+    "record_cache": dict(metavar="FILE", help="record completion responses to this cache file"),
+    "embed_url": dict(
+        metavar="URL",
+        help="embedding endpoint base URL, with --embed-model (default: deterministic mock)",
+    ),
+    "embed_model": dict(metavar="NAME", help="embedding model name"),
+    "embed_cache": dict(metavar="FILE", help="embedding cache sidecar file"),
 }
-
-# parsed names that are not the subcommand's flags
-_NOT_COMMAND_FLAGS = {"quiet", "command", "func"}
 
 
 class CliError(LumberkitError):
@@ -113,8 +167,13 @@ def _row(args: argparse.Namespace) -> str:
     return args.command
 
 
+def _option(name: str) -> str:
+    """The option string of the flag whose argparse dest is name."""
+    return ("-" if len(name) == 1 else "--") + name.replace("_", "-")
+
+
 def _resolve_flags(args: argparse.Namespace) -> None:
-    """Give each flag args' row reads its _DEFAULTS value if left out; refuse the rest.
+    """Give each flag args' row reads its _FLAGS default if left out; refuse the rest.
 
     A flag the row does not read is given when it is not None. One CliError
     names all of them, in the order the parser defines them. Then a CliError
@@ -126,14 +185,13 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     """
     row = _row(args)
     reads = _READS[row]
-    for name in reads:
-        if getattr(args, name) is None and name in _DEFAULTS:
-            setattr(args, name, _DEFAULTS[name])
-    given = [
-        "--" + name.replace("_", "-")
-        for name, value in vars(args).items()
-        if name not in reads and name not in _NOT_COMMAND_FLAGS and value is not None
-    ]
+    given = []
+    for name, spec in _FLAGS.items():
+        if name in reads:
+            if getattr(args, name) is None:
+                setattr(args, name, spec.get("default"))
+        elif getattr(args, name, None) is not None:
+            given.append(_option(name))
     if given:
         where = row + (" without --hyde" if row == "eval" else "")
         raise CliError(f"{', '.join(given)} not supported by {where}")
@@ -141,7 +199,7 @@ def _resolve_flags(args: argparse.Namespace) -> None:
         values = getattr(args, name)
         for value in values if isinstance(values, list) else [values]:
             if isinstance(value, str) and not _is_utf8(value):
-                raise CliError(f"--{name.replace('_', '-')} is not valid UTF-8: {value!a}")
+                raise CliError(f"{_option(name)} is not valid UTF-8: {value!a}")
     if "replay_cache" in reads:
         if args.replay_cache and args.backend_url:
             raise CliError("--replay-cache and --backend-url exclude each other: a replay is offline")
@@ -171,9 +229,19 @@ def _write_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_run_config(args: argparse.Namespace, path: Path) -> None:
-    """Record the command and the resolved value of every flag it read at path."""
-    flags = {name: getattr(args, name) for name in _READS[_row(args)]}
+def _write_run_config(args: argparse.Namespace) -> None:
+    """Record the command and the resolved value of every flag it read.
+
+    The record is run_config.json in --output-dir, or <output>.run.json
+    beside --output for a row that reads no --output-dir.
+    """
+    reads = _READS[_row(args)]
+    if "output_dir" in reads:
+        path = Path(args.output_dir) / "run_config.json"
+    else:
+        output = Path(args.output)
+        path = output.with_name(output.name + ".run.json")
+    flags = {name: getattr(args, name) for name in reads}
     _write_json({"command": args.command, "flags": flags}, path)
 
 
@@ -235,7 +303,7 @@ def _backend(args: argparse.Namespace, needed_for: str):
             ) from exc
 
 
-def _write_report(reports: list, output_dir: str) -> Path:
+def _write_report(reports: list, output_dir: str) -> None:
     """Print the report table and write it, plus one JSONL record per report, to output_dir."""
     table = format_report_table(reports)
     print(table)
@@ -244,7 +312,6 @@ def _write_report(reports: list, output_dir: str) -> Path:
     with open(out_dir / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(table + "\n")
     write_reports(reports, out_dir / "reports.jsonl")
-    return out_dir
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -252,7 +319,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_document(document, output)
-    _write_run_config(args, output.with_name(output.name + ".run.json"))
     print(f"wrote {len(document)} paragraph record(s) to {output}")
     return 0
 
@@ -282,7 +348,6 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     stats = chunk_stats(chunks)
     _write_json(asdict(stats), out_dir / "stats.json")
     _write_json({"seconds": seconds}, out_dir / "timing.json")
-    _write_run_config(args, out_dir / "run_config.json")
     print(
         f"{args.method}: {stats.count} chunk(s) from {len(document)} paragraph(s) "
         f"in {seconds:.2f}s -> {out_dir / 'chunks.jsonl'}"
@@ -331,8 +396,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
             for chunk_path, label in zip(args.chunks, _labels(args.chunks))
         ]
-    out_dir = _write_report(reports, args.output_dir)
-    _write_run_config(args, out_dir / "run_config.json")
+    _write_report(reports, args.output_dir)
     return 0
 
 
@@ -343,8 +407,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         reports = sweep_theta(
             documents, qa_pairs, args.thetas, backend, embedder, ks=tuple(args.ks)
         )
-    out_dir = _write_report(reports, args.output_dir)
-    _write_run_config(args, out_dir / "run_config.json")
+    _write_report(reports, args.output_dir)
     return 0
 
 
@@ -385,7 +448,6 @@ def cmd_rag(args: argparse.Namespace) -> int:
         out_dir / "answers.jsonl",
     )
     _write_json({"qa_accuracy": accuracy, "questions": len(qa_pairs)}, out_dir / "summary.json")
-    _write_run_config(args, out_dir / "run_config.json")
     print(f"qa_accuracy {accuracy:.2f} over {len(qa_pairs)} question(s)")
     return 0
 
@@ -397,47 +459,22 @@ def cmd_gen_qa(args: argparse.Namespace) -> int:
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
     write_qa(pairs, output)
-    _write_run_config(args, output.with_name(output.name + ".run.json"))
     print(f"wrote {len(pairs)} QA pair(s) to {output}")
     return 0
 
 
-def _add_completion_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("completion backend")
-    group.add_argument(
-        "--replay-cache",
-        metavar="FILE",
-        help="serve completions from a recorded response cache (offline)",
-    )
-    group.add_argument(
-        "--backend-url",
-        metavar="URL",
-        help=f"chat-completion endpoint base URL; key comes from ${API_KEY_ENV_VAR}",
-    )
-    group.add_argument(
-        "--model",
-        metavar="NAME",
-        help="model name for the live backend and in completion cache keys (else 'default')",
-    )
-    group.add_argument(
-        "--record-cache",
-        metavar="FILE",
-        help="record completion responses to this cache file",
-    )
-
-
-def _add_embedding_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("embedding backend")
-    group.add_argument(
-        "--embed-url",
-        metavar="URL",
-        help="embedding endpoint base URL, with --embed-model (default: deterministic mock)",
-    )
-    group.add_argument("--embed-model", metavar="NAME", help="embedding model name")
-    group.add_argument("--embed-cache", metavar="FILE", help="embedding cache sidecar file")
+_COMMANDS = {
+    "ingest": (cmd_ingest, "parse a document into paragraph records"),
+    "chunk": (cmd_chunk, "chunk a document with one method"),
+    "eval": (cmd_eval, "score chunk files against a QA set"),
+    "sweep": (cmd_sweep, "chunk and score across theta values"),
+    "rag": (cmd_rag, "answer questions over a chunk file"),
+    "gen-qa": (cmd_gen_qa, "generate QA pairs from a document"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top parser, with one subparser per command taking the flags its _READS rows read."""
     parser = argparse.ArgumentParser(
         prog="lumberkit",
         description="Chunk documents, evaluate retrieval quality, and answer questions.",
@@ -445,93 +482,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--quiet", action="store_true", help="only log errors")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    # no parser reads a flag's prefix as the flag
-    add_parser = functools.partial(subparsers.add_parser, allow_abbrev=False)
-
-    ingest = add_parser("ingest", help="parse a document into paragraph records")
-    ingest.add_argument("--input", required=True, help="source document path")
-    ingest.add_argument(
-        "--format",
-        choices=("plain_text", "paragraph_records"),
-        default="plain_text",
-        help="input format (default: plain_text)",
-    )
-    ingest.add_argument("--doc-id", help="document identifier (default: file stem)")
-    ingest.add_argument("--output", required=True, help="paragraph records output path")
-    ingest.set_defaults(func=cmd_ingest)
-
-    chunk = add_parser("chunk", help="chunk a document with one method")
-    chunk.add_argument("--document", required=True, help="paragraph records path")
-    chunk.add_argument(
-        "--method",
-        choices=[row.split()[-1] for row in _READS if row.startswith("chunk ")],
-        required=True,
-        help="chunking method",
-    )
-    # method flags default to None, so a flag the chosen method does not read
-    # can be rejected; _DEFAULTS holds the method config's default
-    chunk.add_argument("--theta", type=int, help="token threshold for lumber")
-    chunk.add_argument("--max-tokens", type=int, help="chunk size cap for recursive")
-    chunk.add_argument("--percentile", type=float, help="semantic breakpoint percentile")
-    chunk.add_argument(
-        "--min-unit", choices=("sentence", "paragraph"), help="semantic unit granularity"
-    )
-    chunk.add_argument("--output-dir", required=True, help="directory for chunk outputs")
-    _add_completion_flags(chunk)
-    _add_embedding_flags(chunk)
-    chunk.set_defaults(func=cmd_chunk)
-
-    evaluate_cmd = add_parser("eval", help="score chunk files against a QA set")
-    evaluate_cmd.add_argument(
-        "--chunks", nargs="+", required=True, help="one or more chunk record files"
-    )
-    evaluate_cmd.add_argument("--qa", required=True, help="QA records path")
-    evaluate_cmd.add_argument(
-        "--ks", nargs="+", type=int, default=list(DEFAULT_KS), help="metric cutoffs"
-    )
-    evaluate_cmd.add_argument(
-        "--hyde",
-        action="store_true",
-        help="embed a hypothetical answer passage instead of the raw question "
-        "(conventionally paired with recursive chunks)",
-    )
-    evaluate_cmd.add_argument("--output-dir", required=True, help="directory for reports")
-    _add_completion_flags(evaluate_cmd)
-    _add_embedding_flags(evaluate_cmd)
-    evaluate_cmd.set_defaults(func=cmd_eval)
-
-    sweep = add_parser("sweep", help="chunk and score across theta values")
-    sweep.add_argument("--documents", nargs="+", required=True, help="paragraph record files")
-    sweep.add_argument("--qa", required=True, help="QA records path")
-    sweep.add_argument(
-        "--thetas",
-        nargs="+",
-        type=int,
-        default=list(DEFAULT_THETAS),
-        help="token thresholds to sweep",
-    )
-    sweep.add_argument("--ks", nargs="+", type=int, default=list(DEFAULT_KS), help="metric cutoffs")
-    sweep.add_argument("--output-dir", required=True, help="directory for reports")
-    _add_completion_flags(sweep)
-    _add_embedding_flags(sweep)
-    sweep.set_defaults(func=cmd_sweep)
-
-    rag = add_parser("rag", help="answer questions over a chunk file")
-    rag.add_argument("--chunks", required=True, help="chunk records path")
-    rag.add_argument("--questions", required=True, help="QA records path")
-    rag.add_argument("--output-dir", required=True, help="directory for answers")
-    _add_completion_flags(rag)
-    _add_embedding_flags(rag)
-    rag.set_defaults(func=cmd_rag)
-
-    gen_qa = add_parser("gen-qa", help="generate QA pairs from a document")
-    gen_qa.add_argument("--document", required=True, help="paragraph records path")
-    gen_qa.add_argument("-n", type=int, required=True, help="samples to draw")
-    gen_qa.add_argument("--seed", type=int, default=0, help="passage sampling seed")
-    gen_qa.add_argument("--output", required=True, help="QA records output path")
-    _add_completion_flags(gen_qa)
-    gen_qa.set_defaults(func=cmd_gen_qa)
-
+    for command, (_, help_line) in _COMMANDS.items():
+        # no parser reads a flag's prefix as the flag
+        subparser = subparsers.add_parser(command, help=help_line, allow_abbrev=False)
+        reads = {
+            name for row, names in _READS.items() if row.split()[0] == command for name in names
+        }
+        for name, spec in _FLAGS.items():
+            if name in reads:
+                options = {key: value for key, value in spec.items() if key not in _COMMANDS}
+                # parsed as None when left out, so that a given flag the row
+                # does not read can be refused; _resolve_flags fills defaults
+                options |= spec.get(command, {}) | {"default": None}
+                subparser.add_argument(_option(name), dest=name, **options)
     return parser
 
 
@@ -543,7 +506,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         _resolve_flags(args)
-        return args.func(args)
+        code = _COMMANDS[args.command][0](args)
+        _write_run_config(args)
+        return code
     except (LumberkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

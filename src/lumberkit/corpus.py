@@ -234,7 +234,7 @@ def read_records(path: str | Path, fields: Mapping[str, type]) -> Iterator[tuple
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits or too deep nesting
             raise MalformedRecordError(path, line_number, f"invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise MalformedRecordError(path, line_number, "record is not an object")
@@ -259,22 +259,26 @@ def read_records(path: str | Path, fields: Mapping[str, type]) -> Iterator[tuple
 def _iter_delimited_rows(path: Path, columns: list[str]) -> Iterator[tuple[int, dict]]:
     delimiter = "\t" if path.suffix.lower() == ".tsv" else ","
     reader = csv.DictReader((line for _n, line in utf8_lines(path)), delimiter=delimiter)
-    header = reader.fieldnames or []
-    for column in columns:
-        if column not in header:
-            raise MissingColumnError(column, path, 1)
-        if header.count(column) > 1:
-            raise MalformedRecordError(path, 1, f"column {column!r} is named twice")
-    for row in reader:
+    try:
+        header = reader.fieldnames or []
         for column in columns:
-            if row[column] is None:
-                raise MissingColumnError(column, path, reader.line_num)
-        if None in row:  # DictReader files cells past the header under None
-            cells = len(header) + len(row[None])
-            raise MalformedRecordError(
-                path, reader.line_num, f"{cells} cells under a {len(header)}-column header"
-            )
-        yield reader.line_num, row
+            if column not in header:
+                raise MissingColumnError(column, path, 1)
+            if header.count(column) > 1:
+                raise MalformedRecordError(path, 1, f"column {column!r} is named twice")
+        for row in reader:
+            for column in columns:
+                if row[column] is None:
+                    raise MissingColumnError(column, path, reader.line_num)
+            if None in row:  # DictReader files cells past the header under None
+                cells = len(header) + len(row[None])
+                raise MalformedRecordError(
+                    path, reader.line_num, f"{cells} cells under a {len(header)}-column header"
+                )
+            yield reader.line_num, row
+    except csv.Error as exc:  # a cell past csv.field_size_limit(), as a quote left open runs
+        # reader.line_num is the last line of the last row read; name the next
+        raise MalformedRecordError(path, reader.line_num + 1, str(exc)) from exc
 
 
 def load_qa(path: str | Path, columns: Mapping[str, str] | None = None) -> list[QAPair]:
@@ -287,8 +291,9 @@ def load_qa(path: str | Path, columns: Mapping[str, str] | None = None) -> list[
     skipped and counted in a logged warning; an absent column raises
     MissingColumnError naming it as the file spells it, with the file and
     line, and a file that yields no pair raises CorpusError naming the file.
-    A delimited row with more cells than its header, or a header that names a
-    column twice, raises MalformedRecordError with its line.
+    A delimited row with more cells than its header, a header that names a
+    column twice, or a row the csv module cannot read (a cell longer than
+    csv.field_size_limit()) raises MalformedRecordError with its line.
     """
     path = Path(path)
     names = [(columns or {}).get(column, column) for column in _QA_COLUMNS]

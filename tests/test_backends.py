@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -483,6 +484,23 @@ class _CannedReplyHandler(socketserver.StreamRequestHandler):
                 return
 
 
+@contextlib.contextmanager
+def _canned_server(reply: bytes, close_after: bool = False):
+    """Serve reply to every request, as _CannedReplyHandler does, until the block ends."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _CannedReplyHandler)
+    server.daemon_threads, server.block_on_close = True, False
+    server.reply, server.close_after, server.connections = reply, close_after, 0
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 _OK = b'{"choices": [{"message": {"content": "ok"}}]}'
 
 
@@ -518,12 +536,7 @@ def _length_reply(head: bytes, length: int = len(_OK)) -> bytes:
 )
 def test_reply_framing(reply, close_after, calls, connections, monkeypatch):
     """Each framing yields the body; `calls` 0 means every attempt fails."""
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _CannedReplyHandler)
-    server.daemon_threads, server.block_on_close = True, False
-    server.reply, server.close_after, server.connections = reply, close_after, 0
-    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
-    thread.start()
-    try:
+    with _canned_server(reply, close_after) as server:
         set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0, HTTP_TIMEOUT_S=10)
         backend = HttpCompletionBackend(f"http://127.0.0.1:{server.server_address[1]}", "m")
         if calls:
@@ -533,11 +546,17 @@ def test_reply_framing(reply, close_after, calls, connections, monkeypatch):
                 backend.complete("p")
         assert server.connections == connections
         del backend  # closes its idle connection, which ends the handler's read
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
+
+
+def test_deeply_nested_reply_is_retried_then_raises(monkeypatch):
+    body = b"[" * 100_000
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    with _canned_server(reply) as server:
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0, HTTP_TIMEOUT_S=10)
+        backend = HttpCompletionBackend(f"http://127.0.0.1:{server.server_address[1]}", "m")
+        with pytest.raises(BackendError, match="after 2 attempts: maximum recursion depth"):
+            backend.complete("p")
+        del backend  # closes its idle connection, which ends the handler's read
 
 
 class TestProxies:
@@ -932,12 +951,17 @@ class TestEmptyVectors:
 
 
 class TestCacheFileDamage:
+    @pytest.mark.parametrize(
+        "bad",
+        ['{"key": "abc", "oops"', "[" * 100_000, '{"key": 1' + "0" * 5000 + "}"],
+        ids=["truncated", "deep-nesting", "long-int"],
+    )
     @pytest.mark.parametrize("make, value", CACHE_KINDS)
-    def test_bad_middle_line_names_file_and_line(self, tmp_path, make, value):
+    def test_bad_middle_line_names_file_and_line(self, tmp_path, make, value, bad):
         path = tmp_path / "cache.jsonl"
         make(path).put("first", value)
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "abc", "oops"\n')
+            fh.write(bad + "\n")
             fh.write(path.read_text(encoding="utf-8").splitlines()[0] + "\n")
         with pytest.raises(CacheError, match=r"cache\.jsonl, line 2"):
             make(path)

@@ -1536,14 +1536,113 @@ class TestOutOfRangeFlags:
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+_COMPLETION_FLAGS = [
+    (flag, None, None, False, None)
+    for flag in ("--replay-cache", "--backend-url", "--model", "--record-cache")
+]
+_EMBEDDING_FLAGS = [
+    (flag, None, None, False, None) for flag in ("--embed-url", "--embed-model", "--embed-cache")
+]
+# each command's flags in parser order, as hand-built parsers declared them
+# before the parsers were built from cli._FLAGS: (option, nargs, type,
+# required, choices); --hyde is a store_true flag, whose nargs is 0
+PARSER_FLAGS = {
+    "ingest": [
+        ("--input", None, None, True, None),
+        ("--format", None, None, False, ["plain_text", "paragraph_records"]),
+        ("--doc-id", None, None, False, None),
+        ("--output", None, None, True, None),
+    ],
+    "chunk": [
+        ("--document", None, None, True, None),
+        ("--method", None, None, True, ["paragraph", "recursive", "semantic", "lumber",
+                                        "proposition"]),
+        ("--theta", None, int, False, None),
+        ("--max-tokens", None, int, False, None),
+        ("--percentile", None, float, False, None),
+        ("--min-unit", None, None, False, ["sentence", "paragraph"]),
+        ("--output-dir", None, None, True, None),
+        *_COMPLETION_FLAGS,
+        *_EMBEDDING_FLAGS,
+    ],
+    "eval": [
+        ("--chunks", "+", None, True, None),
+        ("--qa", None, None, True, None),
+        ("--ks", "+", int, False, None),
+        ("--hyde", 0, None, False, None),
+        ("--output-dir", None, None, True, None),
+        *_COMPLETION_FLAGS,
+        *_EMBEDDING_FLAGS,
+    ],
+    "sweep": [
+        ("--documents", "+", None, True, None),
+        ("--qa", None, None, True, None),
+        ("--thetas", "+", int, False, None),
+        ("--ks", "+", int, False, None),
+        ("--output-dir", None, None, True, None),
+        *_COMPLETION_FLAGS,
+        *_EMBEDDING_FLAGS,
+    ],
+    "rag": [
+        ("--chunks", None, None, True, None),
+        ("--questions", None, None, True, None),
+        ("--output-dir", None, None, True, None),
+        *_COMPLETION_FLAGS,
+        *_EMBEDDING_FLAGS,
+    ],
+    "gen-qa": [
+        ("--document", None, None, True, None),
+        ("-n", None, int, True, None),
+        ("--seed", None, int, False, None),
+        ("--output", None, None, True, None),
+        *_COMPLETION_FLAGS,
+    ],
+}
+
+
+def _read_options(command: str) -> set[str]:
+    """The option strings of every flag some _READS row of command reads."""
+    return {
+        ("-" if len(name) == 1 else "--") + name.replace("_", "-")
+        for row, names in cli._READS.items()
+        if row.split()[0] == command
+        for name in names
+    }
+
+
 class TestFlagTable:
+    def test_built_parsers_take_the_flags_the_hand_built_ones_took(self):
+        built = {
+            command: [
+                (" ".join(a.option_strings), a.nargs, a.type, a.required,
+                 None if a.choices is None else list(a.choices))
+                for a in subparser._actions
+                if a.dest != "help"
+            ]
+            for command, subparser in _subparsers(cli.build_parser()).items()
+        }
+        assert built == PARSER_FLAGS
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_exits_0_and_names_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"] if command is None else [command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        names = ["--quiet", *cli._COMMANDS] if command is None else _read_options(command)
+        for name in names:
+            assert re.search(rf"(?<![\w-]){re.escape(name)}\b", out), name
+
     def test_every_flag_is_read_by_a_row_and_every_row_names_real_flags(self):
-        parser = cli.build_parser()
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        subparsers = _subparsers(cli.build_parser())
         commands = {row.split()[0] for row in cli._READS}
-        assert set(subparsers.choices) == commands
+        assert set(subparsers) == commands
         for command in commands:
-            dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+            dests = {a.dest for a in subparsers[command]._actions if a.dest != "help"}
             read = set()
             for row, names in cli._READS.items():
                 if row.split()[0] == command:
@@ -1668,6 +1767,23 @@ class TestNonUtf8Input:
         )
         error = _one_error_line(code, capsys.readouterr().err)
         assert error == f"error: {qa_path}, line 2: not valid UTF-8"
+
+    def test_delimited_qa_cell_past_the_field_limit_names_its_line(
+        self, tmp_path, book_records, capsys
+    ):
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        qa_path = tmp_path / "qa.csv"
+        # a quote left open on line 2 runs its cell on through the 20,000 rows after it
+        rows = ['book,"q,a,p'] + ["book,q,a,p"] * 20_000
+        qa_path.write_text(
+            "doc_id,question,answer,supporting_passage\n" + "\n".join(rows) + "\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        code = main(["eval", "--chunks", str(chunk_path), "--qa", str(qa_path), "--output-dir",
+                     str(out)])
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == f"error: {qa_path}, line 2: field larger than field limit (131072)"
+        assert not out.exists()
 
     def test_delimited_qa_row_with_extra_cells_names_its_line(
         self, tmp_path, book_records, capsys

@@ -241,6 +241,9 @@ class TestLoadDocument:
         assert first.read_bytes() == second.read_bytes()
 
 
+_QA_HEADER = ("doc_id", "question", "answer", "supporting_passage")
+
+
 class TestLoadQa:
     def _write_jsonl(self, path, rows):
         import json
@@ -328,6 +331,24 @@ class TestLoadQa:
         with pytest.raises(MalformedRecordError) as info:
             load_qa(path)
         assert str(info.value) == f"{path}, line 1: column 'doc_id' is named twice"
+
+    @pytest.mark.parametrize("sep, suffix", [(",", ".csv"), ("\t", ".tsv")], ids=["csv", "tsv"])
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ([_QA_HEADER, ("d", "q", "a", "x" * 140_000)], 2),
+            # a quote left open runs its cell on through the rows after it
+            ([_QA_HEADER, ("d", '"q', "a", "s")] + [("d", "q", "a", "s")] * 20_000, 2),
+            ([(*_QA_HEADER, "x" * 140_000), ("d", "q", "a", "s")], 1),
+        ],
+        ids=["long-passage", "unclosed-quote", "long-header"],
+    )
+    def test_cell_past_the_field_limit_names_its_line(self, tmp_path, sep, suffix, rows, line):
+        path = tmp_path / f"qa{suffix}"
+        path.write_text("".join(sep.join(row) + "\n" for row in rows), encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as info:
+            load_qa(path)
+        assert str(info.value) == f"{path}, line {line}: field larger than field limit (131072)"
 
     def test_csv_rows_load(self, tmp_path):
         path = tmp_path / "qa.csv"
@@ -460,6 +481,23 @@ def test_hostile_record_names_file_line_and_field(tmp_path, kind, old, new, reas
     with pytest.raises(MalformedRecordError) as info:
         _LOADERS[kind](path)
     assert str(info.value) == f"{path}, line 3: {reason}"
+
+
+@pytest.mark.parametrize("kind", _LOADERS)
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        ('{"index": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["deep-nesting", "long-int"],
+)
+def test_json_the_decoder_refuses_names_file_and_line(tmp_path, kind, bad, reason):
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(f"{_GOOD_RECORD[kind]}\n\n{bad}\n", encoding="utf-8")
+    with pytest.raises(MalformedRecordError) as info:
+        _LOADERS[kind](path)
+    assert str(info.value).startswith(f"{path}, line 3: invalid JSON: {reason}")
 
 
 def test_utf8_lines_flags_only_the_undecodable_line(tmp_path):
