@@ -31,6 +31,7 @@ from .backends import (
     MockEmbeddingBackend,
     ReplayBackend,
     ResponseCache,
+    _LONE_SURROGATE,
 )
 from .baselines import (
     RecursiveConfig,
@@ -198,7 +199,7 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     for name in reads:
         values = getattr(args, name)
         for value in values if isinstance(values, list) else [values]:
-            if isinstance(value, str) and not _is_utf8(value):
+            if isinstance(value, str) and _LONE_SURROGATE.search(value):
                 raise CliError(f"{_option(name)} is not valid UTF-8: {value!a}")
     if "replay_cache" in reads:
         if args.replay_cache and args.backend_url:
@@ -207,14 +208,6 @@ def _resolve_flags(args: argparse.Namespace) -> None:
             raise CliError("--backend-url requires --model")
     if "embed_url" in reads and (args.embed_url is None) != (args.embed_model is None):
         raise CliError("--embed-url and --embed-model select the HTTP embedder only together")
-
-
-def _is_utf8(text: str) -> bool:
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def _model_id(args: argparse.Namespace) -> str:

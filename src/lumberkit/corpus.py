@@ -76,7 +76,6 @@ class Document:
     """An ordered, contiguously indexed sequence of paragraphs."""
 
     doc_id: str
-    title: str
     paragraphs: tuple[Paragraph, ...]
 
     def __post_init__(self) -> None:
@@ -113,6 +112,16 @@ class QAPair:
             raise ValueError("supporting_passage must be non-empty")
 
 
+def _paragraph_text(raw: str) -> str:
+    """A paragraph's text from its raw text, in plain text or a record.
+
+    Lines end at "\\n", "\\r" or "\\r\\n"; each is stripped, the empty ones
+    are dropped and the rest are joined by one space.
+    """
+    lines = raw.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return " ".join(line for line in map(str.strip, lines) if line)
+
+
 def split_paragraphs(raw_text: str) -> list[Paragraph]:
     """Split raw text into 1-indexed paragraphs on blank-line boundaries.
 
@@ -123,9 +132,7 @@ def split_paragraphs(raw_text: str) -> list[Paragraph]:
     normalized = raw_text.replace("\r\n", "\n").replace("\r", "\n")
     paragraphs: list[Paragraph] = []
     for block in re.split(r"\n\s*\n", normalized):
-        lines = (line.strip() for line in block.split("\n"))
-        text = " ".join(line for line in lines if line)
-        if text:
+        if text := _paragraph_text(block):
             paragraphs.append(Paragraph(index=len(paragraphs) + 1, text=text))
     if not paragraphs:
         raise EmptyDocumentError("input text contains no paragraphs")
@@ -142,7 +149,6 @@ def load_document(
     format: DocumentFormat = "plain_text",
     *,
     doc_id: str | None = None,
-    title: str | None = None,
 ) -> Document:
     """Load a document from disk.
 
@@ -151,14 +157,14 @@ def load_document(
     record per line with a str doc_id, an int index and a str text, read by
     read_records. Every record must carry the same doc_id, which
     doc_id= overrides. Records keep their file order and are renumbered from
-    1; the index values in the file are checked for type but not used.
+    1; the index values in the file are checked for type but not used. A
+    record's text is joined from its lines as a plain-text paragraph's is.
     """
     path = Path(path)
     if format == "plain_text":
         raw = "".join(line for _n, line in utf8_lines(path))
-        resolved_id = doc_id or path.stem
         try:
-            return Document(resolved_id, title or resolved_id, tuple(split_paragraphs(raw)))
+            return Document(doc_id or path.stem, tuple(split_paragraphs(raw)))
         except EmptyDocumentError:
             raise EmptyDocumentError(f"{path} contains no paragraphs") from None
     if format != "paragraph_records":
@@ -172,14 +178,13 @@ def load_document(
             raise MalformedRecordError(
                 path, line_number, f"doc_id {record['doc_id']!r} differs from {record_doc_id!r}"
             )
-        text = " ".join(part.strip() for part in record["text"].split("\n") if part.strip())
+        text = _paragraph_text(record["text"])
         if not text:
             raise MalformedRecordError(path, line_number, "empty paragraph text")
         paragraphs.append(Paragraph(index=len(paragraphs) + 1, text=text))
     if not paragraphs:
         raise EmptyDocumentError(f"{path} contains no paragraph records")
-    resolved_id = doc_id or record_doc_id or path.stem
-    return Document(resolved_id, title or resolved_id, tuple(paragraphs))
+    return Document(doc_id or record_doc_id or path.stem, tuple(paragraphs))
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
@@ -204,11 +209,12 @@ def utf8_lines(path: Path) -> Iterator[tuple[int, str]]:
     """Number a UTF-8 text file's lines, each with its line end as written.
 
     This is the one reader of every input file. Lines end at "\\n", "\\r" or
-    "\\r\\n". Bad bytes are read as surrogate escapes and checked line by
-    line, so the MalformedRecordError they raise names their own line rather
-    than wherever the decoder's read-ahead met them.
+    "\\r\\n", and a byte-order mark (U+FEFF) that starts the file is dropped.
+    Bad bytes are read as surrogate escapes and checked line by line, so the
+    MalformedRecordError they raise names their own line rather than wherever
+    the decoder's read-ahead met them.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         for line_number, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")
@@ -322,7 +328,7 @@ def write_qa(pairs: Iterable[QAPair], path: str | Path) -> None:
 
 
 QA_PROMPT_TEMPLATE = """\
-You are given an excerpt from the book "{title}". Write one question-answer \
+You are given an excerpt from the book "{doc_id}". Write one question-answer \
 pair that is specific to the excerpt, together with the exact sentence or \
 sentences from the excerpt that support the answer. Copy the supporting \
 passage verbatim; do not shorten it with ellipses. Use exactly the field \
@@ -391,7 +397,7 @@ def generate_qa(
         passage = PARAGRAPH_SEPARATOR.join(
             p.text for p in document.paragraphs[start - 1 : start - 1 + span]
         )
-        prompt = QA_PROMPT_TEMPLATE.format(title=document.title, passage=passage)
+        prompt = QA_PROMPT_TEMPLATE.format(doc_id=document.doc_id, passage=passage)
         triple = parse_qa_response(llm.complete(prompt))
         if triple is None:
             parse_failures += 1

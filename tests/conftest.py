@@ -25,7 +25,7 @@ def make_document(word_counts: list[int], doc_id: str = "doc") -> Document:
     paragraphs = tuple(
         Paragraph(i, words(count, tag=f"p{i}w")) for i, count in enumerate(word_counts, start=1)
     )
-    return Document(doc_id, doc_id, paragraphs)
+    return Document(doc_id, paragraphs)
 
 
 _PROMPT_ID_RE = re.compile(r"^ID (\d+):", re.MULTILINE)

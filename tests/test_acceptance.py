@@ -214,7 +214,7 @@ def random_prose_document(rng: random.Random, doc_id: str) -> Document:
             length = rng.randint(3, 40)
             sentences.append(" ".join(f"t{rng.randint(0, 400)}" for _ in range(length)) + ".")
         paragraphs.append(Paragraph(index, " ".join(sentences)))
-    return Document(doc_id, doc_id, tuple(paragraphs))
+    return Document(doc_id, tuple(paragraphs))
 
 
 def test_criterion_5_recursive_chunker_bounds_and_reconstruction():
@@ -287,9 +287,8 @@ def brute_force_bm25(texts: list[str], query: str, k1: float = 1.2, b: float = 0
 
 def test_criterion_6_bm25_oracle():
     with criterion(6, "BM25 scores match direct formula evaluation"):
-        document = Document(
-            "toy", "toy", tuple(Paragraph(i + 1, text) for i, text in enumerate(TOY_TEXTS))
-        )
+        paragraphs = tuple(Paragraph(i + 1, text) for i, text in enumerate(TOY_TEXTS))
+        document = Document("toy", paragraphs)
         index = bm25_build(paragraph_chunks(document))
         for query in TOY_QUERIES:
             expected = brute_force_bm25(TOY_TEXTS, query)
@@ -308,9 +307,7 @@ def test_criterion_7_fusion_placement():
     with criterion(7, "hybrid assembly placement and midpoint reversal"):
         texts = ["zebra zebra zebra alpha", "zebra zebra beta", "zebra gamma"]
         texts += [f"filler topic {i}" for i in range(15)]
-        document = Document(
-            "fuse", "fuse", tuple(Paragraph(i + 1, text) for i, text in enumerate(texts))
-        )
+        document = Document("fuse", tuple(Paragraph(i + 1, text) for i, text in enumerate(texts)))
         chunks = paragraph_chunks(document)
         mapping = {text: [0.0, 0.0, 1.0, 0.0] for text in texts[:3]}
         for i in range(15):

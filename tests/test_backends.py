@@ -548,6 +548,69 @@ def test_reply_framing(reply, close_after, calls, connections, monkeypatch):
         del backend  # closes its idle connection, which ends the handler's read
 
 
+@pytest.mark.parametrize(
+    "reply, reason",
+    [
+        (_length_reply(b"HTTP/1.1 200 OK\r\nX-Long: %s\r\n" % (b"a" * 65536)),
+         "reply line longer than 65536 bytes"),
+        (_length_reply(b"HTTP/1.1 200 OK\r\n" + b"X-Many: a\r\n" * 101),
+         "reply has more than 100 header lines"),
+        (_length_reply(b"HTTP/1.1 2OO OK\r\n"), r"malformed status line b'HTTP/1.1 2OO OK\r\n'"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n%s\r\n0\r\n\r\n" % _OK,
+         "negative chunk size -5"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 4x\r\n\r\n" + _OK, "bad Content-Length '4x'"),
+    ],
+    ids=["long-line", "too-many-headers", "malformed-status", "negative-chunk-size",
+         "non-numeric-length"],
+)
+def test_unreadable_reply_is_retried_then_raises(reply, reason, monkeypatch):
+    with _canned_server(reply) as server:
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0, HTTP_TIMEOUT_S=10)
+        backend = HttpCompletionBackend(f"http://127.0.0.1:{server.server_address[1]}", "m")
+        with pytest.raises(BackendError) as info:
+            backend.complete("p")
+        assert str(info.value) == f"completion request failed after 2 attempts: {reason}"
+        assert server.connections == 2  # each failed reply closes its connection
+        del backend
+
+
+def test_204_reply_is_read_without_a_body(monkeypatch):
+    # the stub keeps the connection open, so reading a body until EOF would time out
+    with _canned_server(b"HTTP/1.1 204 No Content\r\n\r\n") as server:
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0, HTTP_TIMEOUT_S=10)
+        backend = HttpCompletionBackend(f"http://127.0.0.1:{server.server_address[1]}", "m")
+        with pytest.raises(BackendError, match="after 2 attempts: Expecting value"):
+            backend.complete("p")
+        assert server.connections == 1
+        del backend
+
+
+def _embedding_reply(*rows: list[float]) -> bytes:
+    body = json.dumps({"data": [{"embedding": row} for row in rows]}).encode("utf-8")
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+def test_embedding_reply_with_the_wrong_row_count_is_retried_then_raises(monkeypatch):
+    with _canned_server(_embedding_reply([1.0, 2.0])) as server:
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0, HTTP_TIMEOUT_S=10)
+        backend = HttpEmbeddingBackend(f"http://127.0.0.1:{server.server_address[1]}", "m")
+        with pytest.raises(BackendError, match=r"attempts: unexpected embedding shape \(1, 2\)"):
+            backend.embed(["a", "b"])
+        del backend
+
+
+def test_embedding_dimension_that_changes_between_replies_is_retried_then_raises(monkeypatch):
+    with _canned_server(_embedding_reply([1.0, 2.0])) as server:
+        set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0, HTTP_TIMEOUT_S=10)
+        backend = HttpEmbeddingBackend(f"http://127.0.0.1:{server.server_address[1]}", "m")
+        assert backend.embed(["a"]).shape == (1, 2)
+        server.reply = _embedding_reply([1.0, 2.0, 3.0])
+        with pytest.raises(BackendError, match="attempts: embedding dimension changed from 2 to 3"):
+            backend.embed(["a"])
+        assert backend.dimension == 2
+        del backend
+
+
 def test_deeply_nested_reply_is_retried_then_raises(monkeypatch):
     body = b"[" * 100_000
     reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
@@ -965,6 +1028,18 @@ class TestCacheFileDamage:
             fh.write(path.read_text(encoding="utf-8").splitlines()[0] + "\n")
         with pytest.raises(CacheError, match=r"cache\.jsonl, line 2"):
             make(path)
+
+    @pytest.mark.parametrize("make, value", CACHE_KINDS)
+    def test_blank_lines_are_skipped(self, tmp_path, make, value):
+        path = tmp_path / "cache.jsonl"
+        with make(path) as cache:
+            cache.put("first", value)
+            cache.put("second", value)
+        first, second = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(f"\n{first}\n \t\n\n{second}\n\n", encoding="utf-8")
+        reloaded = make(path)
+        assert len(reloaded) == 2
+        np.testing.assert_array_equal(reloaded.get("second"), value)
 
     @pytest.mark.parametrize("make, value", CACHE_KINDS)
     def test_torn_final_line_is_skipped_and_cut_on_resume(self, tmp_path, make, value, caplog):

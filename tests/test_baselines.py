@@ -71,7 +71,7 @@ def sentence_document() -> Document:
         Paragraph(i, f"The {topic} at dawn. Then the {topic} again! Did the {topic} stop? No.")
         for i, topic in enumerate(topics * 2, start=1)
     )
-    return Document("sentences", "sentences", paragraphs)
+    return Document("sentences", paragraphs)
 
 
 CHUNKERS = {
@@ -156,7 +156,7 @@ class TestRecursiveChunks:
     def test_character_level_last_resort(self):
         # one word counts 2 tokens, so only the empty separator splits it, and
         # each single character stays an indivisible 2-token chunk
-        document = Document("d", "d", (Paragraph(1, "abcdef"),))
+        document = Document("d", (Paragraph(1, "abcdef"),))
         chunks = recursive_chunks(document, RecursiveConfig(max_tokens=1))
         assert [c.text for c in chunks] == ["a", "b", "c", "d", "e", "f"]
         assert [(c.start_para, c.end_para) for c in chunks] == [(1, 1)] * 6
@@ -205,7 +205,7 @@ def _orthogonal_stub(texts_a: list[str], texts_b: list[str], dimension: int = 8)
 class TestSemanticChunks:
     def test_identical_units_make_one_chunk(self):
         paragraphs = tuple(Paragraph(i, "same text every time") for i in range(1, 6))
-        document = Document("d", "d", paragraphs)
+        document = Document("d", paragraphs)
         chunks = semantic_chunks(document, MockEmbeddingBackend())
         assert len(chunks) == 1
         assert (chunks[0].start_para, chunks[0].end_para) == (1, 5)
@@ -216,7 +216,7 @@ class TestSemanticChunks:
         second = [f"omega paragraph {i}" for i in range(5)]
         texts = first + second
         paragraphs = tuple(Paragraph(i + 1, t) for i, t in enumerate(texts))
-        document = Document("d", "d", paragraphs)
+        document = Document("d", paragraphs)
         # 9 consecutive distances: eight 0.0 and a single 1.0 at the 5|6 join;
         # the 95th percentile interpolates to 0.6, so only the spike breaks
         chunks = semantic_chunks(document, _orthogonal_stub(first, second))
@@ -231,7 +231,6 @@ class TestSemanticChunks:
 
     def test_sentence_units(self):
         document = Document(
-            "d",
             "d",
             (
                 Paragraph(1, "The fog rolled in. Boats waited at anchor."),

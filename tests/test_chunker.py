@@ -636,7 +636,7 @@ def planted_document(segments: list[list[int]]) -> Document:
             first = topic * TOPIC_WORDS
             text = " ".join(f"v{first + (index + i) % TOPIC_WORDS}" for i in range(count))
             paragraphs.append(Paragraph(index, text))
-    return Document("planted", "planted", tuple(paragraphs))
+    return Document("planted", tuple(paragraphs))
 
 
 class TestPlantedBoundaries:

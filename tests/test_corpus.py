@@ -115,11 +115,11 @@ class TestDocumentTypes:
 
     def test_non_contiguous_indices_rejected(self):
         with pytest.raises(ValueError):
-            Document("d", "d", (Paragraph(1, "a"), Paragraph(3, "b")))
+            Document("d", (Paragraph(1, "a"), Paragraph(3, "b")))
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
-            Document("d", "d", ())
+            Document("d", ())
 
     def test_paragraph_must_be_stripped(self):
         with pytest.raises(ValueError):
@@ -204,6 +204,28 @@ class TestLoadDocument:
         with pytest.raises(MalformedRecordError, match="line 1"):
             load_document(path, "paragraph_records")
 
+    def test_records_file_of_blank_lines_is_empty(self, tmp_path):
+        path = tmp_path / "doc.jsonl"
+        path.write_text("\n  \n\t\r\n", encoding="utf-8")
+        with pytest.raises(EmptyDocumentError) as info:
+            load_document(path, "paragraph_records")
+        assert str(info.value) == f"{path} contains no paragraph records"
+
+    def test_record_lines_join_as_plain_text_lines_do(self, tmp_path):
+        texts = ["one\ntwo", " three\r\nfour ", "five\rsix", "\rseven\r\n eight\r"]
+        records = tmp_path / "book.jsonl"
+        records.write_text(
+            "".join(json.dumps({"doc_id": "book", "index": 1, "text": t}) + "\n" for t in texts),
+            encoding="utf-8",
+        )
+        plain = tmp_path / "book.txt"
+        plain.write_bytes("\n\n".join(texts).encode("utf-8"))
+        document = load_document(records, "paragraph_records")
+        assert document == load_document(plain)
+        assert [p.text for p in document.paragraphs] == [
+            "one two", "three four", "five six", "seven eight"
+        ]
+
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "doc.txt"
         path.write_bytes("caf\xe9".encode("latin-1"))
@@ -229,9 +251,8 @@ class TestLoadDocument:
     def test_line_separators_inside_paragraphs_round_trip(self, tmp_path):
         # write_jsonl leaves U+2028, U+2029 and U+0085 unescaped; they must
         # not end a record when it is read back
-        doc = Document(
-            "ls", "ls", (Paragraph(1, "one\u2028two"), Paragraph(2, "three\u2029four\x85five"))
-        )
+        paragraphs = (Paragraph(1, "one\u2028two"), Paragraph(2, "three\u2029four\x85five"))
+        doc = Document("ls", paragraphs)
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
         write_document(doc, first)
@@ -500,6 +521,15 @@ def test_json_the_decoder_refuses_names_file_and_line(tmp_path, kind, bad, reaso
     assert str(info.value).startswith(f"{path}, line 3: invalid JSON: {reason}")
 
 
+@pytest.mark.parametrize("kind", _LOADERS)
+def test_record_that_is_not_an_object_names_file_and_line(tmp_path, kind):
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(f"{_GOOD_RECORD[kind]}\n\n[1]\n", encoding="utf-8")
+    with pytest.raises(MalformedRecordError) as info:
+        _LOADERS[kind](path)
+    assert str(info.value) == f"{path}, line 3: record is not an object"
+
+
 def test_utf8_lines_flags_only_the_undecodable_line(tmp_path):
     path = tmp_path / "mixed.txt"
     path.write_bytes("naïve\n".encode("utf-8") + b"caf\xe9\n" + b"last")
@@ -513,6 +543,47 @@ def test_utf8_lines_keeps_line_ends_as_written(tmp_path):
     path = tmp_path / "ends.txt"
     path.write_bytes(b"a\r\nb\rc\n\xc3\xa9")
     assert list(utf8_lines(path)) == [(1, "a\r\n"), (2, "b\r"), (3, "c\n"), (4, "é")]
+
+
+def test_utf8_lines_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "marked.txt"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\n\xef\xbb\xbfb\n")
+    assert list(utf8_lines(path)) == [(1, "\ufeffa\n"), (2, "\ufeffb\n")]
+
+
+@pytest.mark.parametrize(
+    "name, content, load",
+    [
+        ("book.txt", "One\ntwo.\n\nThree.\n", load_document),
+        ("book.jsonl", _GOOD_RECORD["paragraph"] + "\n", _LOADERS["paragraph"]),
+        ("qa.jsonl", _GOOD_RECORD["qa"] + "\n", load_qa),
+        ("qa.csv", "doc_id,question,answer,supporting_passage\nd,q,a,s\n", load_qa),
+        ("qa.tsv", "doc_id\tquestion\tanswer\tsupporting_passage\nd\tq\ta\ts\n", load_qa),
+    ],
+    ids=["plain-text", "paragraph-records", "qa-jsonl", "qa-csv", "qa-tsv"],
+)
+def test_leading_byte_order_mark_loads_as_the_file_without_it(tmp_path, name, content, load):
+    plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+    for path, text in ((plain, content), (marked, "\ufeff" + content)):
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load(marked) == load(plain)
+
+
+# the gen-qa prompt for the tale.* documents below, as the code before the
+# Document title field was removed rendered it
+_TALE_PROMPT = (
+    'You are given an excerpt from the book "tale". Write one question-answer pair that is '
+    "specific to the excerpt, together with the exact sentence or sentences from the excerpt "
+    "that support the answer. Copy the supporting passage verbatim; do not shorten it with "
+    "ellipses. Use exactly the field layout of the example.\n\nExample:\n\nPassage: The "
+    "lighthouse keeper wound the great clock at midnight, as his father had done before him. "
+    "The town below slept without ever hearing it.\nQuestion: When did the lighthouse keeper "
+    "wind the great clock?\nAnswer: He wound it at midnight.\nSupporting Passage: The "
+    "lighthouse keeper wound the great clock at midnight, as his father had done before him."
+    "\n\nPassage: The keeper wound the clock.\n\nThe town slept.\n\nIt rained.\n"
+)
 
 
 class TestGenerateQa:
@@ -565,6 +636,27 @@ class TestGenerateQa:
         with pytest.raises(BackendError):
             generate_qa(self._doc(), backend, 1)
         assert backend.calls == 1
+
+    @pytest.mark.parametrize(
+        "name, content, format",
+        [
+            ("tale.txt", b"The keeper wound\r\nthe clock.\n\nThe town slept.\r\rIt rained.\n",
+             "plain_text"),
+            ("tale.jsonl",
+             b'{"doc_id": "tale", "index": 1, "text": "The keeper wound\\nthe clock."}\n'
+             b'{"doc_id": "tale", "index": 2, "text": "The town slept."}\n'
+             b'{"doc_id": "tale", "index": 3, "text": "It rained."}\n',
+             "paragraph_records"),
+        ],
+        ids=["plain-text", "paragraph-records"],
+    )
+    def test_prompt_names_the_book_by_its_doc_id(self, tmp_path, name, content, format):
+        path = tmp_path / name
+        path.write_bytes(content)
+        prompts = []
+        backend = ScriptedBackend(lambda prompt: prompts.append(prompt) or "unparsable")
+        generate_qa(load_document(path, format), backend, 1)
+        assert [prompt.encode("utf-8") for prompt in prompts] == [_TALE_PROMPT.encode("utf-8")]
 
     def test_sampling_is_seeded(self):
         doc = self._doc()

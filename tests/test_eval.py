@@ -662,7 +662,7 @@ class TestConcurrentSweep:
                 Paragraph(i, words(8 + (7 * i + 11 * d) % 33, tag=f"{doc_id}p{i}w"))
                 for i in range(1, 31)
             )
-            documents.append(Document(doc_id, doc_id, paragraphs))
+            documents.append(Document(doc_id, paragraphs))
             qas += [
                 QAPair(doc_id, f"{doc_id} q{i}?", "a", paragraphs[i].text) for i in (3, 17, 28)
             ]
