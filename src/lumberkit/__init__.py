@@ -44,7 +44,6 @@ from .chunker import (
 )
 from .corpus import (
     Document,
-    Paragraph,
     QAPair,
     count_tokens,
     generate_qa,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .backends import CompletionBackend, EmbeddingBackend
 from .chunker import Chunk, make_chunk
-from .corpus import PARAGRAPH_SEPARATOR, Document, Paragraph, count_tokens
+from .corpus import PARAGRAPH_SEPARATOR, Document, count_tokens
 from .errors import ConfigError
 from .index import embed_texts
 
@@ -26,8 +26,8 @@ logger = logging.getLogger(__name__)
 def paragraph_chunks(document: Document) -> list[Chunk]:
     """One chunk per paragraph: the identity partition."""
     return [
-        make_chunk(document.doc_id, i, para.index, para.index, para.text)
-        for i, para in enumerate(document.paragraphs)
+        make_chunk(document.doc_id, i, i + 1, i + 1, text)
+        for i, text in enumerate(document.paragraphs)
     ]
 
 
@@ -125,9 +125,9 @@ def recursive_chunks(document: Document, config: RecursiveConfig | None = None) 
 
     starts: list[int] = []
     offset = 0
-    for para in document.paragraphs:
+    for text in document.paragraphs:
         starts.append(offset)
-        offset += len(para.text) + len(PARAGRAPH_SEPARATOR)
+        offset += len(text) + len(PARAGRAPH_SEPARATOR)
 
     chunks: list[Chunk] = []
     position = 0
@@ -158,16 +158,16 @@ class SemanticConfig:
 _SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+")
 
 
-def _semantic_units(document: Document, config: SemanticConfig) -> list[Paragraph]:
-    """The document's paragraphs, or its sentences, each carrying its paragraph's index."""
+def _semantic_units(document: Document, config: SemanticConfig) -> list[tuple[int, str]]:
+    """(paragraph index, text) for each of the document's paragraphs, or its sentences."""
     if config.min_unit == "paragraph":
-        return list(document.paragraphs)
-    units: list[Paragraph] = []
-    for para in document.paragraphs:
-        for sentence in _SENTENCE_BOUNDARY_RE.split(para.text):
+        return list(enumerate(document.paragraphs, start=1))
+    units: list[tuple[int, str]] = []
+    for index, text in enumerate(document.paragraphs, start=1):
+        for sentence in _SENTENCE_BOUNDARY_RE.split(text):
             sentence = sentence.strip()
             if sentence:
-                units.append(Paragraph(para.index, sentence))
+                units.append((index, sentence))
     return units
 
 
@@ -186,14 +186,14 @@ def semantic_chunks(
     units = _semantic_units(document, config)
     joiner = PARAGRAPH_SEPARATOR if config.min_unit == "paragraph" else " "
 
-    def to_chunk(chunk_id: int, members: list[Paragraph]) -> Chunk:
-        text = joiner.join(u.text for u in members)
-        return make_chunk(document.doc_id, chunk_id, members[0].index, members[-1].index, text)
+    def to_chunk(chunk_id: int, members: list[tuple[int, str]]) -> Chunk:
+        text = joiner.join(unit_text for _index, unit_text in members)
+        return make_chunk(document.doc_id, chunk_id, members[0][0], members[-1][0], text)
 
     if len(units) == 1:
         return [to_chunk(0, units)]
 
-    vectors = embed_texts([u.text for u in units], embed)
+    vectors = embed_texts([text for _index, text in units], embed)
     norms = np.linalg.norm(vectors, axis=1)
     norms[norms == 0.0] = 1.0
     unit_rows = vectors / norms[:, None]
@@ -202,7 +202,7 @@ def semantic_chunks(
     threshold = float(np.percentile(distances, config.breakpoint_percentile))
 
     chunks: list[Chunk] = []
-    members: list[Paragraph] = [units[0]]
+    members: list[tuple[int, str]] = [units[0]]
     for i in range(1, len(units)):
         if distances[i - 1] > threshold:
             chunks.append(to_chunk(len(chunks), members))

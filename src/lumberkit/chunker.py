@@ -23,7 +23,6 @@ from .corpus import (
     CorpusError,
     Document,
     MalformedRecordError,
-    Paragraph,
     count_tokens,
     read_records,
     write_jsonl,
@@ -66,9 +65,10 @@ class ChunkerConfig:
 
 @dataclass(frozen=True)
 class Group:
-    """A candidate window of consecutive paragraphs shown to the backend."""
+    """A window of consecutive paragraph texts, from paragraph start_index, shown to the model."""
 
-    paragraphs: tuple[Paragraph, ...]
+    start_index: int
+    paragraphs: tuple[str, ...]
     token_total: int
 
     def __post_init__(self) -> None:
@@ -79,12 +79,8 @@ class Group:
         return len(self.paragraphs)
 
     @property
-    def start_index(self) -> int:
-        return self.paragraphs[0].index
-
-    @property
     def end_index(self) -> int:
-        return self.paragraphs[-1].index
+        return self.start_index + len(self.paragraphs) - 1
 
 
 @dataclass(frozen=True)
@@ -153,14 +149,14 @@ def build_group(document: Document, start: int, config: ChunkerConfig | None = N
     config = config or ChunkerConfig()
     if not 1 <= start <= len(document):
         raise ChunkerError(f"start index {start} outside 1..{len(document)}")
-    members: list[Paragraph] = []
+    members: list[str] = []
     total = 0
-    for para in document.paragraphs[start - 1 :]:
-        members.append(para)
-        total += count_tokens(para.text)
+    for text in document.paragraphs[start - 1 :]:
+        members.append(text)
+        total += count_tokens(text)
         if total > config.theta:
             break
-    return Group(tuple(members), total)
+    return Group(start, tuple(members), total)
 
 
 def render_prompt(group: Group) -> str:
@@ -171,7 +167,10 @@ def render_prompt(group: Group) -> str:
     needs more digits.
     """
     width = max(ID_WIDTH, len(str(group.end_index)))
-    lines = (f"ID {para.index:0{width}d}: {para.text}" for para in group.paragraphs)
+    lines = (
+        f"ID {index:0{width}d}: {text}"
+        for index, text in enumerate(group.paragraphs, start=group.start_index)
+    )
     return PROMPT_HEADER + "\n" + "\n\n".join(lines)
 
 
@@ -200,8 +199,7 @@ def make_chunk(doc_id: str, chunk_id: int, start_para: int, end_para: int, text:
 
 
 def _make_chunk(document: Document, chunk_id: int, start: int, end: int) -> Chunk:
-    paragraphs = document.paragraphs[start - 1 : end]
-    text = PARAGRAPH_SEPARATOR.join(p.text for p in paragraphs)
+    text = PARAGRAPH_SEPARATOR.join(document.paragraphs[start - 1 : end])
     return make_chunk(document.doc_id, chunk_id, start, end, text)
 
 

@@ -1,6 +1,6 @@
 """Document ingestion and question-answer data handling.
 
-Documents are parsed into 1-based, contiguously numbered paragraphs. The
+A document is a sequence of paragraph texts, paragraph i at position i. The
 paragraph boundary is a blank line; single line breaks inside a paragraph are
 treated as spaces. Paragraph and QA records are line-delimited JSON, parsed
 by read_records, and round-trip bit-identically through their writers.
@@ -58,36 +58,19 @@ class MissingColumnError(MalformedRecordError):
 
 
 @dataclass(frozen=True)
-class Paragraph:
-    """One paragraph of a document; index is 1-based within the document."""
-
-    index: int
-    text: str
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"paragraph index must be >= 1, got {self.index}")
-        if not self.text or self.text != self.text.strip():
-            raise ValueError("paragraph text must be non-empty and stripped")
-
-
-@dataclass(frozen=True)
 class Document:
-    """An ordered, contiguously indexed sequence of paragraphs."""
+    """An ordered sequence of paragraph texts; paragraph i is paragraphs[i - 1]."""
 
     doc_id: str
-    paragraphs: tuple[Paragraph, ...]
+    paragraphs: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "paragraphs", tuple(self.paragraphs))
         if not self.paragraphs:
             raise ValueError("a document must contain at least one paragraph")
-        for position, para in enumerate(self.paragraphs, start=1):
-            if para.index != position:
-                raise ValueError(
-                    f"paragraph indices must run 1..{len(self.paragraphs)} "
-                    f"contiguously; found {para.index} at position {position}"
-                )
+        for text in self.paragraphs:
+            if not text or text != text.strip():
+                raise ValueError("paragraph text must be non-empty and stripped")
 
     def __len__(self) -> int:
         return len(self.paragraphs)
@@ -95,7 +78,7 @@ class Document:
     @property
     def text(self) -> str:
         """The normalized document text: paragraphs joined by blank lines."""
-        return PARAGRAPH_SEPARATOR.join(p.text for p in self.paragraphs)
+        return PARAGRAPH_SEPARATOR.join(self.paragraphs)
 
 
 @dataclass(frozen=True)
@@ -122,18 +105,18 @@ def _paragraph_text(raw: str) -> str:
     return " ".join(line for line in map(str.strip, lines) if line)
 
 
-def split_paragraphs(raw_text: str) -> list[Paragraph]:
-    """Split raw text into 1-indexed paragraphs on blank-line boundaries.
+def split_paragraphs(raw_text: str) -> list[str]:
+    """Split raw text into paragraph texts on blank-line boundaries.
 
     Runs of blank lines collapse into a single boundary, single line breaks
     inside a paragraph become spaces, and each paragraph is trimmed.
     Raises EmptyDocumentError when nothing but whitespace remains.
     """
     normalized = raw_text.replace("\r\n", "\n").replace("\r", "\n")
-    paragraphs: list[Paragraph] = []
+    paragraphs: list[str] = []
     for block in re.split(r"\n\s*\n", normalized):
         if text := _paragraph_text(block):
-            paragraphs.append(Paragraph(index=len(paragraphs) + 1, text=text))
+            paragraphs.append(text)
     if not paragraphs:
         raise EmptyDocumentError("input text contains no paragraphs")
     return paragraphs
@@ -156,20 +139,21 @@ def load_document(
     EmptyDocumentError naming it. paragraph_records files hold one JSON
     record per line with a str doc_id, an int index and a str text, read by
     read_records. Every record must carry the same doc_id, which
-    doc_id= overrides. Records keep their file order and are renumbered from
-    1; the index values in the file are checked for type but not used. A
-    record's text is joined from its lines as a plain-text paragraph's is.
+    doc_id= overrides; a given id is kept even when empty. Paragraphs keep
+    the records' file order; the index values in the file are checked for
+    type but not used. A record's text is joined from its lines as a
+    plain-text paragraph's is.
     """
     path = Path(path)
     if format == "plain_text":
         raw = "".join(line for _n, line in utf8_lines(path))
         try:
-            return Document(doc_id or path.stem, tuple(split_paragraphs(raw)))
+            return Document(path.stem if doc_id is None else doc_id, tuple(split_paragraphs(raw)))
         except EmptyDocumentError:
             raise EmptyDocumentError(f"{path} contains no paragraphs") from None
     if format != "paragraph_records":
         raise ValueError(f"unknown document format: {format!r}")
-    paragraphs: list[Paragraph] = []
+    paragraphs: list[str] = []
     record_doc_id: str | None = None
     for line_number, record in read_records(path, PARAGRAPH_FIELDS):
         if record_doc_id is None:
@@ -181,10 +165,10 @@ def load_document(
         text = _paragraph_text(record["text"])
         if not text:
             raise MalformedRecordError(path, line_number, "empty paragraph text")
-        paragraphs.append(Paragraph(index=len(paragraphs) + 1, text=text))
+        paragraphs.append(text)
     if not paragraphs:
         raise EmptyDocumentError(f"{path} contains no paragraph records")
-    return Document(doc_id or record_doc_id or path.stem, tuple(paragraphs))
+    return Document(record_doc_id if doc_id is None else doc_id, tuple(paragraphs))
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
@@ -198,8 +182,8 @@ def write_document(document: Document, path: str | Path) -> None:
     """Write paragraph records; reading them back round-trips bit-identically."""
     write_jsonl(
         (
-            dict(zip(PARAGRAPH_FIELDS, (document.doc_id, para.index, para.text)))
-            for para in document.paragraphs
+            dict(zip(PARAGRAPH_FIELDS, (document.doc_id, index, text)))
+            for index, text in enumerate(document.paragraphs, start=1)
         ),
         path,
     )
@@ -394,9 +378,7 @@ def generate_qa(
     for _ in range(n):
         span = min(rng.randint(3, 6), len(document))
         start = rng.randint(1, len(document) - span + 1)
-        passage = PARAGRAPH_SEPARATOR.join(
-            p.text for p in document.paragraphs[start - 1 : start - 1 + span]
-        )
+        passage = PARAGRAPH_SEPARATOR.join(document.paragraphs[start - 1 : start - 1 + span])
         prompt = QA_PROMPT_TEMPLATE.format(doc_id=document.doc_id, passage=passage)
         triple = parse_qa_response(llm.complete(prompt))
         if triple is None:

@@ -12,7 +12,7 @@ from lumberkit.backends import (
     EmbeddingBackend,
     MockEmbeddingBackend,
 )
-from lumberkit.corpus import Document, Paragraph
+from lumberkit.corpus import Document
 
 
 def words(count: int, tag: str = "w") -> str:
@@ -23,7 +23,7 @@ def words(count: int, tag: str = "w") -> str:
 def make_document(word_counts: list[int], doc_id: str = "doc") -> Document:
     """A document whose paragraph i+1 has word_counts[i] words."""
     paragraphs = tuple(
-        Paragraph(i, words(count, tag=f"p{i}w")) for i, count in enumerate(word_counts, start=1)
+        words(count, tag=f"p{i}w") for i, count in enumerate(word_counts, start=1)
     )
     return Document(doc_id, paragraphs)
 

@@ -33,7 +33,7 @@ from lumberkit.chunker import (
     verify_partition,
     write_chunks,
 )
-from lumberkit.corpus import Document, Paragraph, QAPair, count_tokens, load_document
+from lumberkit.corpus import Document, QAPair, count_tokens, load_document
 from lumberkit.evaluation import (
     DEFAULT_THETAS,
     RetrievalRun,
@@ -160,7 +160,7 @@ def test_criterion_3_group_token_bound(partition_battery):
                 group = step.group
                 assert len(group) >= 1
                 if group.end_index < len(document):
-                    last_tokens = count_tokens(group.paragraphs[-1].text)
+                    last_tokens = count_tokens(group.paragraphs[-1])
                     overshoot = group.token_total - BATTERY_CONFIG.theta
                     assert overshoot <= last_tokens, (
                         f"group {group.start_index}..{group.end_index} of "
@@ -208,12 +208,12 @@ def test_criterion_4_replay_determinism(tmp_path):
 
 def random_prose_document(rng: random.Random, doc_id: str) -> Document:
     paragraphs = []
-    for index in range(1, rng.randint(1, 12) + 1):
+    for _ in range(rng.randint(1, 12)):
         sentences = []
         for _ in range(rng.randint(1, 6)):
             length = rng.randint(3, 40)
             sentences.append(" ".join(f"t{rng.randint(0, 400)}" for _ in range(length)) + ".")
-        paragraphs.append(Paragraph(index, " ".join(sentences)))
+        paragraphs.append(" ".join(sentences))
     return Document(doc_id, tuple(paragraphs))
 
 
@@ -287,8 +287,7 @@ def brute_force_bm25(texts: list[str], query: str, k1: float = 1.2, b: float = 0
 
 def test_criterion_6_bm25_oracle():
     with criterion(6, "BM25 scores match direct formula evaluation"):
-        paragraphs = tuple(Paragraph(i + 1, text) for i, text in enumerate(TOY_TEXTS))
-        document = Document("toy", paragraphs)
+        document = Document("toy", tuple(TOY_TEXTS))
         index = bm25_build(paragraph_chunks(document))
         for query in TOY_QUERIES:
             expected = brute_force_bm25(TOY_TEXTS, query)
@@ -307,7 +306,7 @@ def test_criterion_7_fusion_placement():
     with criterion(7, "hybrid assembly placement and midpoint reversal"):
         texts = ["zebra zebra zebra alpha", "zebra zebra beta", "zebra gamma"]
         texts += [f"filler topic {i}" for i in range(15)]
-        document = Document("fuse", tuple(Paragraph(i + 1, text) for i, text in enumerate(texts)))
+        document = Document("fuse", tuple(texts))
         chunks = paragraph_chunks(document)
         mapping = {text: [0.0, 0.0, 1.0, 0.0] for text in texts[:3]}
         for i in range(15):
@@ -346,7 +345,7 @@ def test_criterion_8_theta_sweep_harness():
             for _ in range(10):
                 paragraph = document.paragraphs[rng.randrange(len(document))]
                 qa_pairs.append(
-                    QAPair(document.doc_id, f"where is {paragraph.text[:12]}?", "a", paragraph.text)
+                    QAPair(document.doc_id, f"where is {paragraph[:12]}?", "a", paragraph)
                 )
         assert len(qa_pairs) == 30
         started = time.perf_counter()

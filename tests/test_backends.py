@@ -559,12 +559,15 @@ def test_reply_framing(reply, close_after, calls, connections, monkeypatch):
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n%s\r\n0\r\n\r\n" % _OK,
          "negative chunk size -5"),
         (b"HTTP/1.1 200 OK\r\nContent-Length: 4x\r\n\r\n" + _OK, "bad Content-Length '4x'"),
+        # no reply at all: the server closes each new connection; unlike an idle
+        # connection's, the request is not sent again at once but left to the retries
+        (b"", "the server closed the connection without replying"),
     ],
     ids=["long-line", "too-many-headers", "malformed-status", "negative-chunk-size",
-         "non-numeric-length"],
+         "non-numeric-length", "closed-before-reply"],
 )
 def test_unreadable_reply_is_retried_then_raises(reply, reason, monkeypatch):
-    with _canned_server(reply) as server:
+    with _canned_server(reply, close_after=not reply) as server:
         set_http(monkeypatch, HTTP_ATTEMPTS=2, HTTP_RETRY_WAIT_S=0.0, HTTP_TIMEOUT_S=10)
         backend = HttpCompletionBackend(f"http://127.0.0.1:{server.server_address[1]}", "m")
         with pytest.raises(BackendError) as info:

@@ -43,7 +43,7 @@ from lumberkit.baselines import (
     semantic_chunks,
 )
 from lumberkit.chunker import ChunkerConfig, lumberchunk, read_chunks, write_chunks
-from lumberkit.corpus import Document, Paragraph, count_tokens
+from lumberkit.corpus import Document, count_tokens
 from lumberkit.index import IndexingError
 
 
@@ -53,9 +53,9 @@ class TestParagraphChunks:
         chunks = paragraph_chunks(document)
         assert [(c.start_para, c.end_para) for c in chunks] == [(1, 1), (2, 2), (3, 3)]
         assert [c.chunk_id for c in chunks] == [0, 1, 2]
-        for chunk, para in zip(chunks, document.paragraphs):
-            assert chunk.text == para.text
-            assert chunk.token_count == count_tokens(para.text)
+        for chunk, text in zip(chunks, document.paragraphs):
+            assert chunk.text == text
+            assert chunk.token_count == count_tokens(text)
 
     def test_counts_through_module_count_tokens(self, monkeypatch):
         # perfbench/tracing.py wraps lumberkit.chunker.count_tokens, which make_chunk calls
@@ -68,8 +68,8 @@ def sentence_document() -> Document:
     """Eight paragraphs over four topics, each paragraph of four sentences."""
     topics = ["harbor ships sail", "forest trees grow", "desert sand blows", "city lights glow"]
     paragraphs = tuple(
-        Paragraph(i, f"The {topic} at dawn. Then the {topic} again! Did the {topic} stop? No.")
-        for i, topic in enumerate(topics * 2, start=1)
+        f"The {topic} at dawn. Then the {topic} again! Did the {topic} stop? No."
+        for topic in topics * 2
     )
     return Document("sentences", paragraphs)
 
@@ -130,7 +130,7 @@ class TestRecursiveChunks:
         assert len(chunks) == 2
         assert (chunks[0].start_para, chunks[0].end_para) == (1, 2)
         assert (chunks[1].start_para, chunks[1].end_para) == (3, 3)
-        assert chunks[1].text == document.paragraphs[2].text
+        assert chunks[1].text == document.paragraphs[2]
 
     def test_reconstruction_is_exact(self):
         document = make_document([150, 150, 150])
@@ -156,7 +156,7 @@ class TestRecursiveChunks:
     def test_character_level_last_resort(self):
         # one word counts 2 tokens, so only the empty separator splits it, and
         # each single character stays an indivisible 2-token chunk
-        document = Document("d", (Paragraph(1, "abcdef"),))
+        document = Document("d", ("abcdef",))
         chunks = recursive_chunks(document, RecursiveConfig(max_tokens=1))
         assert [c.text for c in chunks] == ["a", "b", "c", "d", "e", "f"]
         assert [(c.start_para, c.end_para) for c in chunks] == [(1, 1)] * 6
@@ -204,8 +204,7 @@ def _orthogonal_stub(texts_a: list[str], texts_b: list[str], dimension: int = 8)
 
 class TestSemanticChunks:
     def test_identical_units_make_one_chunk(self):
-        paragraphs = tuple(Paragraph(i, "same text every time") for i in range(1, 6))
-        document = Document("d", paragraphs)
+        document = Document("d", ("same text every time",) * 5)
         chunks = semantic_chunks(document, MockEmbeddingBackend())
         assert len(chunks) == 1
         assert (chunks[0].start_para, chunks[0].end_para) == (1, 5)
@@ -215,8 +214,7 @@ class TestSemanticChunks:
         first = [f"alpha paragraph {i}" for i in range(5)]
         second = [f"omega paragraph {i}" for i in range(5)]
         texts = first + second
-        paragraphs = tuple(Paragraph(i + 1, t) for i, t in enumerate(texts))
-        document = Document("d", paragraphs)
+        document = Document("d", tuple(texts))
         # 9 consecutive distances: eight 0.0 and a single 1.0 at the 5|6 join;
         # the 95th percentile interpolates to 0.6, so only the spike breaks
         chunks = semantic_chunks(document, _orthogonal_stub(first, second))
@@ -233,8 +231,8 @@ class TestSemanticChunks:
         document = Document(
             "d",
             (
-                Paragraph(1, "The fog rolled in. Boats waited at anchor."),
-                Paragraph(2, "Morning came slowly."),
+                "The fog rolled in. Boats waited at anchor.",
+                "Morning came slowly.",
             ),
         )
         sentences_a = ["The fog rolled in.", "Boats waited at anchor."]
@@ -276,7 +274,7 @@ class TestSemanticChunks:
         backend = MockEmbeddingBackend()
         config = SemanticConfig(breakpoint_percentile=60.0)
         chunks = semantic_chunks(document, backend, config)
-        rows = backend.embed([p.text for p in document.paragraphs])
+        rows = backend.embed(list(document.paragraphs))
         distances = 1.0 - np.sum(rows[:-1] * rows[1:], axis=1)
         threshold = float(np.percentile(distances, 60.0))
         breaks = int(np.sum(distances > threshold))

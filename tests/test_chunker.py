@@ -50,7 +50,7 @@ from lumberkit.chunker import (
     verify_partition,
     write_chunks,
 )
-from lumberkit.corpus import Document, MalformedRecordError, Paragraph, count_tokens
+from lumberkit.corpus import Document, MalformedRecordError, count_tokens
 
 # 150 words -> 200 tokens under the default counter
 PARA_WORDS = 150
@@ -127,7 +127,7 @@ class TestBuildGroup:
         if start > len(document):
             return
         group = build_group(document, start, ChunkerConfig(theta=theta))
-        without_last = group.token_total - count_tokens(group.paragraphs[-1].text)
+        without_last = group.token_total - count_tokens(group.paragraphs[-1])
         assert without_last <= theta
         if group.end_index < len(document):
             assert group.token_total > theta
@@ -176,8 +176,8 @@ class TestRenderPrompt:
     def test_paragraph_text_preserved(self):
         document = doc_200s(3)
         prompt = render_prompt(build_group(document, 1))
-        for para in document.paragraphs[:3]:
-            assert para.text in prompt
+        for text in document.paragraphs[:3]:
+            assert text in prompt
 
 
 class TestParseSplitId:
@@ -256,7 +256,7 @@ class TestLumberchunk:
         document = doc_200s(9)
         chunks = lumberchunk(document, backend=CountingBackend(last_id_responder))
         first = chunks[0]
-        assert first.text == document.paragraphs[0].text + "\n\n" + document.paragraphs[1].text
+        assert first.text == document.paragraphs[0] + "\n\n" + document.paragraphs[1]
         assert first.token_count == count_tokens(first.text)
         assert first.token_count == 400
 
@@ -619,7 +619,7 @@ class NoisyOracle(CompletionBackend):
             else:
                 reply = f"Answer: ID {int(answered.group(1)) + shift:04d}"
         ids = prompt_ids(prompt)
-        window = Group(self.document.paragraphs[ids[0] - 1 : ids[-1]], 0)
+        window = Group(ids[0], self.document.paragraphs[ids[0] - 1 : ids[-1]], 0)
         try:
             parse_split_id(reply, window)
         except ParseError:
@@ -635,7 +635,7 @@ def planted_document(segments: list[list[int]]) -> Document:
             index = len(paragraphs) + 1
             first = topic * TOPIC_WORDS
             text = " ".join(f"v{first + (index + i) % TOPIC_WORDS}" for i in range(count))
-            paragraphs.append(Paragraph(index, text))
+            paragraphs.append(text)
     return Document("planted", tuple(paragraphs))
 
 
@@ -652,7 +652,7 @@ class TestPlantedBoundaries:
         totals, planted, start = [], [], 1
         for word_counts in segments:
             end = start + len(word_counts) - 1
-            totals.append(sum(count_tokens(p.text) for p in document.paragraphs[start - 1 : end]))
+            totals.append(sum(map(count_tokens, document.paragraphs[start - 1 : end])))
             planted.append((start, end))
             start = end + 1
         # every segment of two or more paragraphs fits under theta; a one-paragraph
@@ -697,7 +697,7 @@ class TestPlantedBoundaries:
     def test_one_paragraph_segment_over_theta_comes_out_whole(self):
         document = planted_document([[20, 20], [300], [20, 20], [20, 20]])
         theta = 100
-        assert count_tokens(document.paragraphs[2].text) > theta
-        assert sum(count_tokens(p.text) for p in document.paragraphs[3:]) > theta
+        assert count_tokens(document.paragraphs[2]) > theta
+        assert sum(map(count_tokens, document.paragraphs[3:])) > theta
         chunks = lumberchunk(document, ChunkerConfig(theta=theta), ScriptedBackend(topic_oracle))
         assert spans(chunks) == [(1, 2), (3, 3), (4, 5), (6, 7)]

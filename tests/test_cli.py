@@ -56,9 +56,9 @@ def book_records(tmp_path) -> Path:
 def qa_file(tmp_path, book_records) -> Path:
     document = load_document(book_records, "paragraph_records")
     pairs = [
-        QAPair("book", "first thing?", "a1", document.paragraphs[1].text),
-        QAPair("book", "second thing?", "a2", document.paragraphs[7].text),
-        QAPair("book", "third thing?", "a3", document.paragraphs[10].text),
+        QAPair("book", "first thing?", "a1", document.paragraphs[1]),
+        QAPair("book", "second thing?", "a2", document.paragraphs[7]),
+        QAPair("book", "third thing?", "a3", document.paragraphs[10]),
     ]
     path = tmp_path / "qa.jsonl"
     write_qa(pairs, path)
@@ -116,6 +116,21 @@ class TestIngest:
         )
         assert code == 0
         assert load_document(out, "paragraph_records").doc_id == "renamed"
+
+    @pytest.mark.parametrize("format", ["plain_text", "paragraph_records"])
+    def test_empty_doc_id_flag_is_kept(self, tmp_path, book_records, format):
+        source = tmp_path / "book.txt"
+        source.write_text("First.\n\nSecond.\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        document = source if format == "plain_text" else book_records
+        code = main(
+            ["ingest", "--input", str(document), "--format", format, "--doc-id", "",
+             "--output", str(out)]
+        )
+        assert code == 0
+        run_config = json.loads(out.with_name("out.jsonl.run.json").read_text())
+        assert run_config["flags"]["doc_id"] == ""
+        assert load_document(out, "paragraph_records").doc_id == ""
 
     def test_empty_plain_text_names_the_file(self, tmp_path, capsys):
         source = tmp_path / "empty.txt"
@@ -381,7 +396,7 @@ class TestEvalCommand:
 
         for pair in load_qa(qa_file):
             prompt = HYDE_PROMPT_TEMPLATE.format(query=pair.question)
-            cache.put(prompt, document.paragraphs[1].text)
+            cache.put(prompt, document.paragraphs[1])
         out_dir = tmp_path / "hyde-eval"
         code = main(
             [
@@ -1051,7 +1066,7 @@ class TestUnusedEmbeddingFlags:
         )
         assert code == 0
         paragraphs = load_document(book_records, "paragraph_records").paragraphs
-        assert len(EmbeddingCache(cache, "mock:64:0")) == len({p.text for p in paragraphs})
+        assert len(EmbeddingCache(cache, "mock:64:0")) == len(set(paragraphs))
 
 
 class TestUnusableBackendUrl:
@@ -1431,13 +1446,13 @@ class TestHydeRewrites:
         monkeypatch.setattr(parallel, "WORKERS", 4)
         document = load_document(book_records, "paragraph_records")
         pairs = [
-            QAPair("book", f"what happens in part {i}?", "a", document.paragraphs[i].text)
+            QAPair("book", f"what happens in part {i}?", "a", document.paragraphs[i])
             for i in range(10)
         ]
         pairs.append(pairs[3])  # a repeated question is rewritten once too
         qa_path = tmp_path / "qa.jsonl"
         write_qa(pairs, qa_path)
-        passages = {pair.question: document.paragraphs[(i * 7) % 12].text for i, pair in enumerate(pairs)}
+        passages = {pair.question: document.paragraphs[(i * 7) % 12] for i, pair in enumerate(pairs)}
         chunk_files = TestEvalCommand().make_chunk_files(tmp_path, book_records)
 
         # the reference: one sequential rewrite per question, then each file in turn
@@ -1475,7 +1490,7 @@ class TestHydeRewrites:
             write_chunks(paragraph_chunks(documents[doc_id]), chunk_files[-1])
         asked = [("a", "q1"), ("a", "shared"), ("b", "shared"), ("b", "q2"), ("c", "q3")]
         pairs = [
-            QAPair(doc_id, question, "x", documents[doc_id].paragraphs[i % 4].text)
+            QAPair(doc_id, question, "x", documents[doc_id].paragraphs[i % 4])
             for i, (doc_id, question) in enumerate(asked)
         ]
         write_qa(pairs, tmp_path / "qa.jsonl")
@@ -1826,12 +1841,15 @@ class TestNonUtf8Input:
 
 LONE_SURROGATE = "a \\u escape holds a lone surrogate, which is not text"
 CHUNK_ID_RANGE = "bad chunk record: chunk_id must be in [0, 2**63), got 9223372036854775808"
+BAD_SPAN = "bad chunk record: invalid paragraph span [3, 2]"
+NEGATIVE_TOKENS = "bad chunk record: token_count must be >= 0"
 
 
 class TestTextAndIdsThatOutputsCannotHold:
-    """Text that no UTF-8 output can hold, and a chunk_id that retrieval cannot rank,
-    stop where they enter: one error line naming the file and line, or the flag.
-    A lone surrogate in a completion reply becomes U+FFFD instead."""
+    """Text that no UTF-8 output can hold, a chunk_id that retrieval cannot rank, and
+    a chunk span or token count that no chunker writes stop where they enter: one
+    error line naming the file and line, or the flag. A lone surrogate in a
+    completion reply becomes U+FFFD instead."""
 
     @pytest.mark.parametrize(
         "argv, named",
@@ -1857,12 +1875,21 @@ class TestTextAndIdsThatOutputsCannotHold:
               "{out}"], "{big_id_chunks}, line 2: " + CHUNK_ID_RANGE),
             (["rag", "--chunks", "{big_id_chunks}", "--questions", "{qa}", "--replay-cache",
               "{cache}", "--output-dir", "{out}"], "{big_id_chunks}, line 2: " + CHUNK_ID_RANGE),
+            (["eval", "--chunks", "{bad_span_chunks}", "--qa", "{qa}", "--output-dir", "{out}"],
+             "{bad_span_chunks}, line 2: " + BAD_SPAN),
+            (["rag", "--chunks", "{bad_span_chunks}", "--questions", "{qa}", "--replay-cache",
+              "{cache}", "--output-dir", "{out}"], "{bad_span_chunks}, line 2: " + BAD_SPAN),
+            (["eval", "--chunks", "{negative_chunks}", "--qa", "{qa}", "--output-dir", "{out}"],
+             "{negative_chunks}, line 2: " + NEGATIVE_TOKENS),
+            (["rag", "--chunks", "{negative_chunks}", "--questions", "{qa}", "--replay-cache",
+              "{cache}", "--output-dir", "{out}"], "{negative_chunks}, line 2: " + NEGATIVE_TOKENS),
             (["chunk", "--document", "{records}", "--method", "lumber", "--backend-url",
               "http://127.0.0.1:9", "--model", "m", "--record-cache", "{record}",
               "--output-dir", "{out}"], None),
         ],
         ids=["ingest-text", "chunk-text", "eval-text", "rag-text", "ingest-argv", "chunk-argv",
-             "eval-argv", "rag-argv", "eval-chunk-id", "rag-chunk-id", "chunk-reply"],
+             "eval-argv", "rag-argv", "eval-chunk-id", "rag-chunk-id", "eval-span", "rag-span",
+             "eval-token-count", "rag-token-count", "chunk-reply"],
     )
     def test_one_error_line_or_u_fffd(
         self, tmp_path, book_records, qa_file, monkeypatch, argv, named, capsys
@@ -1886,6 +1913,8 @@ class TestTextAndIdsThatOutputsCannotHold:
             "surrogate_qa": (qa_file, '"question": "', '"question": "\\udc80'),
             "surrogate_chunks": (chunk_path, '"text": "', '"text": "\\ud800'),
             "big_id_chunks": (chunk_path, '"chunk_id": 1,', '"chunk_id": 9223372036854775808,'),
+            "bad_span_chunks": (chunk_path, '"start_para": 2,', '"start_para": 3,'),
+            "negative_chunks": (chunk_path, '"token_count": 54,', '"token_count": -1,'),
         }
         for name, (source, old, new) in line_2_edits.items():
             first, second, *rest = source.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -2147,7 +2176,7 @@ class TestSweepScoringFailure:
             document = make_document([40] * 30, doc_id=f"doc{d}")
             paths.append(tmp_path / f"doc{d}.jsonl")
             write_document(document, paths[-1])
-            pairs += [QAPair(f"doc{d}", f"q{i}?", "a", document.paragraphs[i].text) for i in (2, 20)]
+            pairs += [QAPair(f"doc{d}", f"q{i}?", "a", document.paragraphs[i]) for i in (2, 20)]
         qa_path = tmp_path / "qa.jsonl"
         write_qa(pairs, qa_path)
         monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)

@@ -56,14 +56,14 @@ def inputs(tmp_path, monkeypatch):
     """
     document = make_document([40] * 12, doc_id="book")
     (tmp_path / "book.txt").write_text(
-        "\n\n".join(p.text for p in document.paragraphs) + "\n", encoding="utf-8"
+        "\n\n".join(document.paragraphs) + "\n", encoding="utf-8"
     )
     write_document(document, tmp_path / "book.jsonl")
     write_qa(
         [
-            QAPair("book", "What did Joshua Haldeman study?", "p2w1", document.paragraphs[1].text),
-            QAPair("book", "what happened next?", "answer 0cced83a", document.paragraphs[7].text),
-            QAPair("book", "third thing?", "a3", document.paragraphs[10].text),
+            QAPair("book", "What did Joshua Haldeman study?", "p2w1", document.paragraphs[1]),
+            QAPair("book", "what happened next?", "answer 0cced83a", document.paragraphs[7]),
+            QAPair("book", "third thing?", "a3", document.paragraphs[10]),
         ],
         tmp_path / "qa.jsonl",
     )

@@ -19,7 +19,6 @@ from lumberkit.corpus import (
     EmptyDocumentError,
     MalformedRecordError,
     MissingColumnError,
-    Paragraph,
     QAPair,
     count_tokens,
     generate_qa,
@@ -55,32 +54,27 @@ class TestSplitParagraphs:
     def test_three_blocks_with_mixed_blank_runs(self):
         text = "First block\nstill first.\n\nSecond block.\n\n\n\nThird  block."
         paragraphs = split_paragraphs(text)
-        assert [p.text for p in paragraphs] == oracle_split(text)
-        assert [p.text for p in paragraphs] == [
+        assert paragraphs == oracle_split(text)
+        assert paragraphs == [
             "First block still first.",
             "Second block.",
             "Third  block.",
         ]
 
-    def test_indices_are_one_based_and_contiguous(self):
-        paragraphs = split_paragraphs("a\n\nb\n\nc\n\nd")
-        assert [p.index for p in paragraphs] == [1, 2, 3, 4]
-
     def test_single_newline_becomes_space(self):
-        (para,) = split_paragraphs("line one\nline two")
-        assert para.text == "line one line two"
+        assert split_paragraphs("line one\nline two") == ["line one line two"]
 
     def test_blank_line_with_interior_spaces_is_a_boundary(self):
         paragraphs = split_paragraphs("a\n   \t \nb")
-        assert [p.text for p in paragraphs] == ["a", "b"]
+        assert paragraphs == ["a", "b"]
 
     def test_crlf_input(self):
         paragraphs = split_paragraphs("a\r\n\r\nb\r\nc")
-        assert [p.text for p in paragraphs] == ["a", "b c"]
+        assert paragraphs == ["a", "b c"]
 
     def test_surrounding_blank_lines_dropped(self):
         paragraphs = split_paragraphs("\n\n  \nonly one\n\n\n")
-        assert [p.text for p in paragraphs] == ["only one"]
+        assert paragraphs == ["only one"]
 
     def test_empty_input_raises(self):
         with pytest.raises(EmptyDocumentError):
@@ -94,7 +88,7 @@ class TestSplitParagraphs:
             with pytest.raises(EmptyDocumentError):
                 split_paragraphs(text)
         else:
-            assert [p.text for p in split_paragraphs(text)] == expected
+            assert split_paragraphs(text) == expected
 
     @given(st.text(alphabet="xy .\n", min_size=1, max_size=200))
     @settings(max_examples=200)
@@ -103,19 +97,14 @@ class TestSplitParagraphs:
             first = split_paragraphs(text)
         except EmptyDocumentError:
             return
-        rejoined = "\n\n".join(p.text for p in first)
-        second = split_paragraphs(rejoined)
-        assert [p.text for p in second] == [p.text for p in first]
+        rejoined = "\n\n".join(first)
+        assert split_paragraphs(rejoined) == first
 
 
 class TestDocumentTypes:
     def test_text_joins_with_blank_lines(self):
         doc = make_document([2, 2])
-        assert doc.text == doc.paragraphs[0].text + "\n\n" + doc.paragraphs[1].text
-
-    def test_non_contiguous_indices_rejected(self):
-        with pytest.raises(ValueError):
-            Document("d", (Paragraph(1, "a"), Paragraph(3, "b")))
+        assert doc.text == doc.paragraphs[0] + "\n\n" + doc.paragraphs[1]
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
@@ -123,7 +112,7 @@ class TestDocumentTypes:
 
     def test_paragraph_must_be_stripped(self):
         with pytest.raises(ValueError):
-            Paragraph(1, " padded ")
+            Document("d", ("ok", " padded "))
 
     def test_qa_pair_needs_supporting_passage(self):
         with pytest.raises(ValueError):
@@ -164,7 +153,7 @@ class TestLoadDocument:
         path.write_text("First.\n\nSecond.\n", encoding="utf-8")
         doc = load_document(path)
         assert doc.doc_id == "book"
-        assert [p.text for p in doc.paragraphs] == ["First.", "Second."]
+        assert doc.paragraphs == ("First.", "Second.")
 
     def test_paragraph_records_reassigns_indices(self, tmp_path):
         path = tmp_path / "doc.jsonl"
@@ -176,11 +165,15 @@ class TestLoadDocument:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         doc = load_document(path, "paragraph_records")
         assert doc.doc_id == "d"
-        assert [(p.index, p.text) for p in doc.paragraphs] == [
-            (1, "one"),
-            (2, "two"),
-            (3, "three"),
-        ]
+        assert doc.paragraphs == ("one", "two", "three")
+
+    def test_empty_doc_id_is_kept(self, tmp_path):
+        records = tmp_path / "doc.jsonl"
+        records.write_text('{"doc_id": "", "index": 1, "text": "one"}\n', encoding="utf-8")
+        assert load_document(records, "paragraph_records").doc_id == ""
+        plain = tmp_path / "book.txt"
+        plain.write_text("one\n", encoding="utf-8")
+        assert load_document(plain, doc_id="").doc_id == ""
 
     def test_record_with_empty_text_names_line(self, tmp_path):
         path = tmp_path / "doc.jsonl"
@@ -222,9 +215,7 @@ class TestLoadDocument:
         plain.write_bytes("\n\n".join(texts).encode("utf-8"))
         document = load_document(records, "paragraph_records")
         assert document == load_document(plain)
-        assert [p.text for p in document.paragraphs] == [
-            "one two", "three four", "five six", "seven eight"
-        ]
+        assert document.paragraphs == ("one two", "three four", "five six", "seven eight")
 
     def test_non_utf8_rejected(self, tmp_path):
         path = tmp_path / "doc.txt"
@@ -236,7 +227,7 @@ class TestLoadDocument:
     def test_plain_text_crlf_and_cr_load_as_lf(self, tmp_path, end):
         path = tmp_path / "book.txt"
         path.write_bytes(end.join(["One", "two.", "", "", "Three.", ""]).encode("utf-8"))
-        assert [p.text for p in load_document(path).paragraphs] == ["One two.", "Three."]
+        assert load_document(path).paragraphs == ("One two.", "Three.")
 
     def test_round_trip_is_bit_identical(self, tmp_path):
         doc = make_document([3, 4, 5], doc_id="rt")
@@ -251,8 +242,7 @@ class TestLoadDocument:
     def test_line_separators_inside_paragraphs_round_trip(self, tmp_path):
         # write_jsonl leaves U+2028, U+2029 and U+0085 unescaped; they must
         # not end a record when it is read back
-        paragraphs = (Paragraph(1, "one\u2028two"), Paragraph(2, "three\u2029four\x85five"))
-        doc = Document("ls", paragraphs)
+        doc = Document("ls", ("one\u2028two", "three\u2029four\x85five"))
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
         write_document(doc, first)
@@ -592,7 +582,7 @@ class TestGenerateQa:
 
     def test_keeps_pairs_with_verbatim_passage(self):
         doc = self._doc()
-        passage = doc.paragraphs[0].text
+        passage = doc.paragraphs[0]
 
         def respond(prompt):
             return (
@@ -621,10 +611,22 @@ class TestGenerateQa:
         assert pairs == []
         assert any("not found verbatim" in r.message for r in caplog.records)
 
-    def test_unparsable_response_skipped(self):
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            "no fields here",
+            # every field is present, but the answer is blank once whitespace is normalized
+            "Question: Who came?\nAnswer: \nSupporting Passage: {passage}",
+        ],
+        ids=["no-fields", "blank-answer"],
+    )
+    def test_unparsable_response_skipped(self, reply, caplog):
         doc = self._doc()
-        pairs = generate_qa(doc, ScriptedBackend(lambda p: "no fields here"), 2, seed=0)
+        reply = reply.format(passage=doc.paragraphs[0])
+        with caplog.at_level(logging.WARNING):
+            pairs = generate_qa(doc, ScriptedBackend(lambda p: reply), 2, seed=0)
         assert pairs == []
+        assert "2 unparsable response(s), 0 passage(s) not found verbatim" in caplog.text
 
     def test_zero_samples_no_calls(self):
         backend = CountingBackend(lambda p: "unused")

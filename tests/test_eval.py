@@ -38,7 +38,7 @@ from lumberkit.backends import (
     ScriptedBackend,
 )
 from lumberkit.chunker import Chunk, ChunkerConfig, lumberchunk
-from lumberkit.corpus import Document, Paragraph, QAPair
+from lumberkit.corpus import Document, QAPair
 from lumberkit.errors import ConfigError
 from lumberkit.evaluation import (
     DEFAULT_KS,
@@ -538,8 +538,8 @@ class TestSweepTheta:
     def make_inputs(self):
         documents = [make_document([60] * 12, doc_id="book")]
         qas = [
-            QAPair("book", "who?", "a", documents[0].paragraphs[2].text),
-            QAPair("book", "where?", "b", documents[0].paragraphs[9].text),
+            QAPair("book", "who?", "a", documents[0].paragraphs[2]),
+            QAPair("book", "where?", "b", documents[0].paragraphs[9]),
         ]
         return documents, qas
 
@@ -659,12 +659,11 @@ class TestConcurrentSweep:
         for d in range(5):
             doc_id = f"doc{d}"
             paragraphs = tuple(
-                Paragraph(i, words(8 + (7 * i + 11 * d) % 33, tag=f"{doc_id}p{i}w"))
-                for i in range(1, 31)
+                words(8 + (7 * i + 11 * d) % 33, tag=f"{doc_id}p{i}w") for i in range(1, 31)
             )
             documents.append(Document(doc_id, paragraphs))
             qas += [
-                QAPair(doc_id, f"{doc_id} q{i}?", "a", paragraphs[i].text) for i in (3, 17, 28)
+                QAPair(doc_id, f"{doc_id} q{i}?", "a", paragraphs[i]) for i in (3, 17, 28)
             ]
         # questions about a document the sweep was not given, between swept ones
         qas[4:4] = [QAPair("unswept", f"lost q{i}?", "a", "nowhere to be found") for i in range(2)]
