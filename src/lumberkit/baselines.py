@@ -15,7 +15,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .backends import CompletionBackend, EmbeddingBackend
-from .chunker import Chunk, make_chunk
+from .chunker import Chunk
 from .corpus import PARAGRAPH_SEPARATOR, Document, count_tokens
 from .errors import ConfigError
 from .index import embed_texts
@@ -26,7 +26,7 @@ logger = logging.getLogger(__name__)
 def paragraph_chunks(document: Document) -> list[Chunk]:
     """One chunk per paragraph: the identity partition."""
     return [
-        make_chunk(document.doc_id, i, i + 1, i + 1, text)
+        Chunk(document.doc_id, i, i + 1, i + 1, text)
         for i, text in enumerate(document.paragraphs)
     ]
 
@@ -134,7 +134,7 @@ def recursive_chunks(document: Document, config: RecursiveConfig | None = None) 
     for i, chunk_text in enumerate(packed):
         begin, end = position, position + len(chunk_text)
         start_para, end_para = _paragraph_span(starts, begin, end)
-        chunks.append(make_chunk(document.doc_id, i, start_para, end_para, chunk_text))
+        chunks.append(Chunk(document.doc_id, i, start_para, end_para, chunk_text))
         position = end
     return chunks
 
@@ -188,7 +188,7 @@ def semantic_chunks(
 
     def to_chunk(chunk_id: int, members: list[tuple[int, str]]) -> Chunk:
         text = joiner.join(unit_text for _index, unit_text in members)
-        return make_chunk(document.doc_id, chunk_id, members[0][0], members[-1][0], text)
+        return Chunk(document.doc_id, chunk_id, members[0][0], members[-1][0], text)
 
     if len(units) == 1:
         return [to_chunk(0, units)]
@@ -237,7 +237,7 @@ def propositionize(chunk: Chunk, backend: CompletionBackend) -> list[Chunk]:
         statements = [line for line in lines if line]
         if statements:
             return [
-                make_chunk(chunk.doc_id, i, chunk.start_para, chunk.end_para, statement)
+                Chunk(chunk.doc_id, i, chunk.start_para, chunk.end_para, statement)
                 for i, statement in enumerate(statements)
             ]
     logger.warning(

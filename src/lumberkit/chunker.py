@@ -92,7 +92,6 @@ class Chunk:
     start_para: int
     end_para: int
     text: str
-    token_count: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.chunk_id < 2**63:  # retrieval ranks ids as int64
@@ -101,8 +100,10 @@ class Chunk:
             raise ValueError(
                 f"invalid paragraph span [{self.start_para}, {self.end_para}]"
             )
-        if self.token_count < 0:
-            raise ValueError("token_count must be >= 0")
+
+    @property
+    def token_count(self) -> int:
+        return count_tokens(self.text)
 
     @property
     def paragraph_count(self) -> int:
@@ -193,14 +194,9 @@ def parse_split_id(response: str, group: Group) -> int:
     return split_id
 
 
-def make_chunk(doc_id: str, chunk_id: int, start_para: int, end_para: int, text: str) -> Chunk:
-    """The one chunk constructor of every chunker: token_count is count_tokens(text)."""
-    return Chunk(doc_id, chunk_id, start_para, end_para, text, count_tokens(text))
-
-
 def _make_chunk(document: Document, chunk_id: int, start: int, end: int) -> Chunk:
     text = PARAGRAPH_SEPARATOR.join(document.paragraphs[start - 1 : end])
-    return make_chunk(document.doc_id, chunk_id, start, end, text)
+    return Chunk(document.doc_id, chunk_id, start, end, text)
 
 
 def _ask_for_split(group: Group, backend: CompletionBackend | None) -> tuple[int, int, bool]:
@@ -361,7 +357,8 @@ def iter_chunks(path: str | Path) -> Iterator[Chunk]:
     A bad line, or a second record for one (doc_id, chunk_id), raises
     MalformedRecordError; a file with no record raises CorpusError. Spans
     may overlap: recursive neighbours can share a paragraph and proposition
-    chunks repeat their parent's span.
+    chunks repeat their parent's span. A record's token_count must be a
+    non-negative int and is otherwise unused: a Chunk counts its own text.
     """
     first_line: dict[tuple[str, int], int] = {}
     for line_number, record in read_records(path, CHUNK_FIELDS):
@@ -372,7 +369,9 @@ def iter_chunks(path: str | Path) -> Iterator[Chunk]:
             )
         first_line[key] = line_number
         try:
-            chunk = Chunk(**{name: record[name] for name in CHUNK_FIELDS})
+            chunk = Chunk(**{name: record[name] for name in CHUNK_FIELDS if name != "token_count"})
+            if record["token_count"] < 0:
+                raise ValueError("token_count must be >= 0")
         except ValueError as exc:
             raise MalformedRecordError(path, line_number, f"bad chunk record: {exc}") from exc
         yield chunk

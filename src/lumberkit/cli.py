@@ -97,7 +97,7 @@ _FLAGS = {
         default="plain_text",
         help="input format (default: plain_text)",
     ),
-    "doc_id": dict(help="document identifier (default: file stem)"),
+    "doc_id": dict(help="document identifier (default: the records' doc_id, else the file stem)"),
     "document": dict(required=True, help="paragraph records path"),
     "method": dict(
         choices=[row.split()[-1] for row in _READS if row.startswith("chunk ")],
@@ -180,7 +180,9 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     names all of them, in the order the parser defines them. Then a CliError
     names the first flag read whose text is not valid UTF-8 (argv bytes that
     do not decode arrive as lone surrogates, which the UTF-8 run record cannot
-    hold), and the rules between flags follow: --backend-url is refused beside
+    hold), then a CliError names the first list flag that repeats a value
+    (paths compare in absolute, normalized form; --ks is left to check_ks),
+    and the rules between flags follow: --backend-url is refused beside
     --replay-cache, which never calls it, and needs --model; --embed-url and
     --embed-model select the HTTP embedder together, and neither the mock.
     """
@@ -201,6 +203,17 @@ def _resolve_flags(args: argparse.Namespace) -> None:
         for value in values if isinstance(values, list) else [values]:
             if isinstance(value, str) and _LONE_SURROGATE.search(value):
                 raise CliError(f"{_option(name)} is not valid UTF-8: {value!a}")
+    for name in reads:
+        values = getattr(args, name)
+        if name == "ks" or not isinstance(values, list):
+            continue
+        first: dict = {}
+        for value in values:
+            key = os.path.abspath(value) if isinstance(value, str) else value
+            if key in first:
+                same = "" if first[key] == value else f" as {value}"
+                raise CliError(f"{_option(name)} repeats {first[key]}{same}")
+            first[key] = value
     if "replay_cache" in reads:
         if args.replay_cache and args.backend_url:
             raise CliError("--replay-cache and --backend-url exclude each other: a replay is offline")

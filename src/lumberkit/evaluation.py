@@ -251,10 +251,11 @@ def sweep_theta(
     exist, while the workers go on chunking, so chunking times include waits
     for the interpreter lock that scoring holds. A scoring failure stops the
     workers after their current theta. Empty qa_pairs or duplicate doc_ids raise
-    EvaluationError and bad ks raise ConfigError, all before any chunking.
+    EvaluationError and empty or repeated thetas or bad ks raise ConfigError,
+    all before any chunking.
     """
-    if not thetas:
-        raise ConfigError("thetas must be non-empty")
+    if not thetas or len(set(thetas)) != len(thetas):
+        raise ConfigError(f"thetas must be non-empty and distinct, got {list(thetas)}")
     check_ks(ks)
     if not qa_pairs:
         raise EvaluationError("no questions to score")
@@ -266,7 +267,7 @@ def sweep_theta(
     unswept: list[int] = []
     for position, qa in enumerate(qa_pairs):
         questions_by_doc.get(qa.doc_id, unswept).append(position)
-    ordered = sorted(set(thetas))
+    ordered = sorted(thetas)
     runs: list[dict[int, RetrievalRun]] = [{} for _ in ordered]
     seconds = [0.0] * len(ordered)
 

@@ -58,7 +58,7 @@ class TestParagraphChunks:
             assert chunk.token_count == count_tokens(text)
 
     def test_counts_through_module_count_tokens(self, monkeypatch):
-        # perfbench/tracing.py wraps lumberkit.chunker.count_tokens, which make_chunk calls
+        # perfbench/tracing.py wraps lumberkit.chunker.count_tokens, which token_count calls
         monkeypatch.setattr("lumberkit.chunker.count_tokens", lambda text: 99)
         chunks = paragraph_chunks(make_document([5]))
         assert chunks[0].token_count == 99
@@ -96,17 +96,17 @@ CHUNKERS = {
 
 class TestOneChunkConstructor:
     @pytest.mark.parametrize("method", CHUNKERS)
-    def test_every_chunk_is_built_by_make_chunk(self, method, tmp_path):
+    def test_token_count_is_counted_from_text_when_read(self, method, tmp_path):
         document = sentence_document()
-        counted = mock.Mock(side_effect=count_tokens)
-        with mock.patch.object(chunker, "count_tokens", counted):
-            chunks = CHUNKERS[method](document)
-        counted_texts = {call.args[0] for call in counted.call_args_list}
+        chunks = CHUNKERS[method](document)
         assert len(chunks) > 1
         for chunk in chunks:
             assert chunk.doc_id == document.doc_id
             assert chunk.token_count == count_tokens(chunk.text)
-            assert chunk.text in counted_texts  # make_chunk counts through chunker.count_tokens
+            counted = mock.Mock(return_value=-7)
+            with mock.patch.object(chunker, "count_tokens", counted):
+                assert chunk.token_count == -7
+            counted.assert_called_once_with(chunk.text)
         path = tmp_path / "chunks.jsonl"
         write_chunks(chunks, path)
         assert read_chunks(path) == chunks

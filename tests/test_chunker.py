@@ -453,27 +453,27 @@ class TestVerifyPartition:
 
     def test_rejects_gap(self):
         chunks = [
-            Chunk("d", 0, 1, 2, "x", 1),
-            Chunk("d", 1, 4, 5, "x", 1),
+            Chunk("d", 0, 1, 2, "x"),
+            Chunk("d", 1, 4, 5, "x"),
         ]
         with pytest.raises(ChunkerError):
             verify_partition(chunks, 5)
 
     def test_rejects_overlap(self):
         chunks = [
-            Chunk("d", 0, 1, 3, "x", 1),
-            Chunk("d", 1, 3, 5, "x", 1),
+            Chunk("d", 0, 1, 3, "x"),
+            Chunk("d", 1, 3, 5, "x"),
         ]
         with pytest.raises(ChunkerError):
             verify_partition(chunks, 5)
 
     def test_rejects_wrong_total(self):
         with pytest.raises(ChunkerError):
-            verify_partition([Chunk("d", 0, 1, 4, "x", 1)], 5)
+            verify_partition([Chunk("d", 0, 1, 4, "x")], 5)
 
     def test_rejects_start_after_one(self):
         with pytest.raises(ChunkerError):
-            verify_partition([Chunk("d", 0, 2, 5, "x", 1)], 5)
+            verify_partition([Chunk("d", 0, 2, 5, "x")], 5)
 
 
 class TestChunkStats:
@@ -482,8 +482,8 @@ class TestChunkStats:
 
     def test_known_values(self):
         chunks = [
-            Chunk("d", 0, 1, 2, "a", 100),
-            Chunk("d", 1, 3, 3, "b", 300),
+            Chunk("d", 0, 1, 2, words(75)),  # count_tokens: 100
+            Chunk("d", 1, 3, 3, words(225)),  # count_tokens: 300
         ]
         stats = chunk_stats(chunks)
         assert stats.count == 2
@@ -491,15 +491,16 @@ class TestChunkStats:
         assert (stats.min_tokens, stats.max_tokens) == (100, 300)
         assert stats.mean_paragraphs == 1.5
 
-    @given(spans=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 500)), min_size=1))
+    @given(spans=st.lists(st.tuples(st.integers(0, 2000), st.integers(1, 500)), min_size=1))
     @settings(max_examples=200, deadline=None)
     def test_means_are_statistics_fmean(self, spans):
-        chunks = [Chunk("d", i, 1, count, "x", tokens) for i, (tokens, count) in enumerate(spans)]
+        chunks = [Chunk("d", i, 1, count, words(n)) for i, (n, count) in enumerate(spans)]
+        tokens = [count_tokens(chunk.text) for chunk in chunks]
         stats = chunk_stats(chunks)
-        assert stats.mean_tokens == statistics.fmean(tokens for tokens, _ in spans)
+        assert stats.mean_tokens == statistics.fmean(tokens)
         assert stats.mean_paragraphs == statistics.fmean(count for _, count in spans)
         # stats.json writes these floats, so their text must match too
-        assert json.dumps(stats.mean_tokens) == json.dumps(statistics.fmean(t for t, _ in spans))
+        assert json.dumps(stats.mean_tokens) == json.dumps(statistics.fmean(tokens))
 
 
 class TestChunkSerialization:
@@ -510,7 +511,7 @@ class TestChunkSerialization:
         assert read_chunks(path) == chunks
 
     def test_unicode_text_survives(self, tmp_path):
-        chunk = Chunk("d", 0, 1, 1, "naïve café — ✓", 5)
+        chunk = Chunk("d", 0, 1, 1, "naïve café — ✓")
         path = tmp_path / "chunks.jsonl"
         write_chunks([chunk], path)
         assert read_chunks(path) == [chunk]

@@ -11,6 +11,7 @@ import threading
 import time
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -79,6 +80,14 @@ def seed_lumber_cache(records: Path, cache_path: Path, thetas=(550,)) -> None:
 
 
 class TestIngest:
+    def test_help_names_the_records_doc_id_as_the_default(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["ingest", "--help"])
+        assert info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps the help text
+        default = "(default: the records' doc_id, else the file stem)"
+        assert f"--doc-id DOC_ID document identifier {default}" in out
+
     def test_plain_text_round_trip(self, tmp_path, capsys):
         source = tmp_path / "book.txt"
         source.write_text("First paragraph here.\n\nSecond one.\n\nThird one.\n", encoding="utf-8")
@@ -2121,6 +2130,38 @@ def test_sweep_rejects_duplicate_cutoffs_before_chunking(
     error = _one_error_line(code, capsys.readouterr().err)
     assert error == "error: ks must be non-empty, distinct and each >= 1, got [5, 5, 1]"
     assert backend.calls == 0
+
+
+def test_sweep_rejects_a_repeated_theta_before_reading_input(
+    tmp_path, book_records, qa_file, monkeypatch, capsys
+):
+    backend = CountingBackend(last_id_responder)
+    monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+    monkeypatch.setattr(cli, "load_document", mock.Mock(side_effect=AssertionError("read")))
+    out_dir = tmp_path / "out"
+    code = main(
+        ["sweep", "--documents", str(book_records), "--qa", str(qa_file), "--thetas", "450", "450",
+         "--backend-url", "http://127.0.0.1:9", "--model", "m", "--output-dir", str(out_dir)]
+    )
+    assert _one_error_line(code, capsys.readouterr().err) == "error: --thetas repeats 450"
+    assert backend.calls == 0
+    assert not out_dir.exists()
+
+
+def test_eval_rejects_one_chunk_file_named_twice_before_reading_input(
+    tmp_path, book_records, qa_file, monkeypatch, capsys
+):
+    chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_qa", mock.Mock(side_effect=AssertionError("read")))
+    monkeypatch.setattr(cli, "iter_chunks", mock.Mock(side_effect=AssertionError("read")))
+    code = main(
+        ["eval", "--chunks", chunk_path.name, f"./{chunk_path.name}", "--qa", str(qa_file),
+         "--output-dir", "out"]
+    )
+    error = _one_error_line(code, capsys.readouterr().err)
+    assert error == "error: --chunks repeats paragraph.jsonl as ./paragraph.jsonl"
+    assert not (tmp_path / "out").exists()
 
 
 class TestSweepScoringFailure:

@@ -184,15 +184,12 @@ CASES = {
         {"out/run_config.json": {"command": "eval", "flags": EVAL | MOCK}},
     ),
     "eval-flags": (
-        ["eval", "--chunks", "{tmp}/paragraph.jsonl", "{tmp}/paragraph.jsonl",
-         "--qa", "{tmp}/qa.jsonl", "--ks", "1", "5",
+        ["eval", "--chunks", "{tmp}/paragraph.jsonl", "--qa", "{tmp}/qa.jsonl", "--ks", "1", "5",
          "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
         {
             "out/run_config.json": {
                 "command": "eval",
-                "flags": EVAL | MOCK | {"chunks": ["{tmp}/paragraph.jsonl",
-                                                   "{tmp}/paragraph.jsonl"],
-                                        "ks": [1, 5], "embed_cache": "{tmp}/embed.jsonl"},
+                "flags": EVAL | MOCK | {"ks": [1, 5], "embed_cache": "{tmp}/embed.jsonl"},
             },
         },
     ),
@@ -213,13 +210,13 @@ CASES = {
     ),
     "sweep-flags": (
         ["sweep", "--documents", "{tmp}/book.jsonl", "--qa", "{tmp}/qa.jsonl",
-         "--thetas", "650", "120", "650", "--ks", "1", *LIVE_FLAGS,
+         "--thetas", "650", "120", "--ks", "1", *LIVE_FLAGS,
          "--record-cache", "{tmp}/record.jsonl",
          "--embed-cache", "{tmp}/embed.jsonl", "--output-dir", "{tmp}/out"],
         {
             "out/run_config.json": {
                 "command": "sweep",
-                "flags": SWEEP | {"thetas": [650, 120, 650], "ks": [1]} | LIVE
+                "flags": SWEEP | {"thetas": [650, 120], "ks": [1]} | LIVE
                 | MOCK | {"embed_cache": "{tmp}/embed.jsonl"},
             },
         },

@@ -61,7 +61,7 @@ from lumberkit.index import cosine_topk, embed_chunks
 
 
 def chunk_of(text: str, chunk_id: int = 0, doc_id: str = "doc") -> Chunk:
-    return Chunk(doc_id, chunk_id, chunk_id + 1, chunk_id + 1, text, len(text.split()))
+    return Chunk(doc_id, chunk_id, chunk_id + 1, chunk_id + 1, text)
 
 
 def qa_of(passage: str, doc_id: str = "doc", question: str = "q?") -> QAPair:
@@ -399,7 +399,7 @@ def interleaved_corpus(seed: int, documents: int = 3, chunks_per_doc: int = 25):
         doc_id = f"doc{d}"
         for c in range(chunks_per_doc):
             text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(5, 40)))
-            chunks.append(Chunk(doc_id, c, c + 1, c + 1, text, len(text.split())))
+            chunks.append(Chunk(doc_id, c, c + 1, c + 1, text))
             texts.setdefault(doc_id, []).append(text)
     qa_pairs = []
     for q in range(60):
@@ -558,16 +558,12 @@ class TestSweepTheta:
             assert report.chunking_seconds >= 0.0
             assert report.query_count == 2
 
-    def test_duplicate_thetas_collapse(self):
+    def test_duplicate_thetas_rejected_before_chunking(self):
         documents, qas = self.make_inputs()
-        reports = sweep_theta(
-            documents,
-            qas,
-            [550, 550, 450],
-            ScriptedBackend(last_id_responder),
-            MockEmbeddingBackend(),
-        )
-        assert [r.theta for r in reports] == [450, 550]
+        backend = CountingBackend(last_id_responder)
+        with pytest.raises(ConfigError, match=r"distinct, got \[550, 550, 450\]"):
+            sweep_theta(documents, qas, [550, 550, 450], backend, MockEmbeddingBackend())
+        assert backend.calls == 0
 
     def test_deterministic_metrics(self):
         documents, qas = self.make_inputs()

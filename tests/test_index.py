@@ -37,10 +37,7 @@ from lumberkit.index import (
 
 
 def make_chunks(texts: list[str], doc_id: str = "doc") -> list[Chunk]:
-    return [
-        Chunk(doc_id, i, i + 1, i + 1, text, max(1, len(text.split())))
-        for i, text in enumerate(texts)
-    ]
+    return [Chunk(doc_id, i, i + 1, i + 1, text) for i, text in enumerate(texts)]
 
 
 class TestVectorIndex:

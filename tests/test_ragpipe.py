@@ -36,7 +36,7 @@ from lumberkit.ragpipe import (
 
 
 def chunk_of(text: str, chunk_id: int) -> Chunk:
-    return Chunk("doc", chunk_id, chunk_id + 1, chunk_id + 1, text, len(text.split()))
+    return Chunk("doc", chunk_id, chunk_id + 1, chunk_id + 1, text)
 
 
 class TestHeuristicMentions:
