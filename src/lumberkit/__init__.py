@@ -34,6 +34,7 @@ from .chunker import (
     LumberStep,
     build_group,
     chunk_stats,
+    iter_documents,
     lumber_steps,
     lumberchunk,
     parse_split_id,

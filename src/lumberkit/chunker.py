@@ -185,7 +185,10 @@ def parse_split_id(response: str, group: Group) -> int:
     match = _ANSWER_ID_RE.search(response) or _BARE_ID_RE.search(response)
     if match is None:
         raise ParseError("no paragraph ID found in response")
-    split_id = int(match.group(1))
+    try:
+        split_id = int(match.group(1))
+    except ValueError:  # more digits than int() converts
+        raise ParseError("paragraph ID has too many digits") from None
     if not group.start_index < split_id <= group.end_index:
         raise ParseError(
             f"ID {split_id} outside permitted range "
@@ -321,17 +324,16 @@ class ChunkStats:
     mean_paragraphs: float | None
 
 
-def chunk_stats(chunks: list[Chunk]) -> ChunkStats:
-    """Compute count plus token and paragraph-span statistics."""
+def chunk_stats(chunks: list[Chunk], token_counts: list[int]) -> ChunkStats:
+    """Compute count plus token and paragraph-span statistics from the chunks' token counts."""
     if not chunks:
         return ChunkStats(0, None, None, None, None)
-    tokens = [c.token_count for c in chunks]
     spans = [c.paragraph_count for c in chunks]
     return ChunkStats(
         count=len(chunks),
-        mean_tokens=math.fsum(tokens) / len(tokens),
-        min_tokens=min(tokens),
-        max_tokens=max(tokens),
+        mean_tokens=math.fsum(token_counts) / len(token_counts),
+        min_tokens=min(token_counts),
+        max_tokens=max(token_counts),
         mean_paragraphs=math.fsum(spans) / len(spans),
     )
 
@@ -346,39 +348,53 @@ CHUNK_FIELDS = {
 }
 
 
-def write_chunks(chunks: Iterable[Chunk], path: str | Path) -> None:
-    """Write chunk records as JSONL; identical chunks produce identical bytes."""
-    write_jsonl(({name: getattr(chunk, name) for name in CHUNK_FIELDS} for chunk in chunks), path)
+def write_chunks(chunks: Iterable[Chunk], path: str | Path) -> list[int]:
+    """Write chunk records as JSONL, identical chunks as identical bytes; return the
+    token_count written for each chunk, which is counted once."""
+    records = [{name: getattr(chunk, name) for name in CHUNK_FIELDS} for chunk in chunks]
+    write_jsonl(records, path)
+    return [record["token_count"] for record in records]
 
 
-def iter_chunks(path: str | Path) -> Iterator[Chunk]:
-    """Yield the chunk records written by write_chunks, one at a time.
+def iter_documents(path: str | Path) -> Iterator[list[Chunk]]:
+    """Yield the chunk records written by write_chunks, one document's list at a time.
 
-    A bad line, or a second record for one (doc_id, chunk_id), raises
-    MalformedRecordError; a file with no record raises CorpusError. Spans
-    may overlap: recursive neighbours can share a paragraph and proposition
-    chunks repeat their parent's span. A record's token_count must be a
-    non-negative int and is otherwise unused: a Chunk counts its own text.
+    A document's records are consecutive: a bad line, a second record for one
+    (doc_id, chunk_id), or a doc_id that reappears after another document's
+    records raises MalformedRecordError, and a file with no record CorpusError.
+    Spans may overlap (recursive neighbours, propositions). A record's
+    token_count must be a non-negative int and is otherwise unused.
     """
-    first_line: dict[tuple[str, int], int] = {}
+    finished: set[str] = set()
+    chunks: list[Chunk] = []
+    first_line: dict[int, int] = {}  # of each chunk_id in the current document
     for line_number, record in read_records(path, CHUNK_FIELDS):
-        key = (record["doc_id"], record["chunk_id"])
-        if key in first_line:
+        doc_id, chunk_id = key = record["doc_id"], record["chunk_id"]
+        if chunks and doc_id != chunks[0].doc_id:
+            finished.add(chunks[0].doc_id)
+            yield chunks
+            chunks, first_line = [], {}
+        if doc_id in finished:
             raise MalformedRecordError(
-                path, line_number, f"chunk {key} repeats the chunk on line {first_line[key]}"
+                path, line_number, f"document {doc_id!r} reappears after another document's records"
             )
-        first_line[key] = line_number
+        if chunk_id in first_line:
+            raise MalformedRecordError(
+                path, line_number, f"chunk {key} repeats the chunk on line {first_line[chunk_id]}"
+            )
+        first_line[chunk_id] = line_number
         try:
             chunk = Chunk(**{name: record[name] for name in CHUNK_FIELDS if name != "token_count"})
             if record["token_count"] < 0:
                 raise ValueError("token_count must be >= 0")
         except ValueError as exc:
             raise MalformedRecordError(path, line_number, f"bad chunk record: {exc}") from exc
-        yield chunk
-    if not first_line:
+        chunks.append(chunk)
+    if not chunks:
         raise CorpusError(f"{path} contains no chunk records")
+    yield chunks
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:
-    """Read every chunk record of a file, checked as iter_chunks checks them."""
-    return list(iter_chunks(path))
+    """Every chunk record of a file in file order, checked as iter_documents checks them."""
+    return [chunk for chunks in iter_documents(path) for chunk in chunks]

@@ -16,6 +16,7 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
+from operator import itemgetter
 from pathlib import Path
 
 from .backends import (
@@ -42,14 +43,7 @@ from .baselines import (
     recursive_chunks,
     semantic_chunks,
 )
-from .chunker import (
-    ChunkerConfig,
-    chunk_stats,
-    iter_chunks,
-    lumberchunk,
-    read_chunks,
-    write_chunks,
-)
+from .chunker import ChunkerConfig, chunk_stats, iter_documents, lumberchunk, write_chunks
 from .corpus import generate_qa, load_document, load_qa, write_document, write_jsonl, write_qa
 from .errors import LumberkitError
 from .evaluation import (
@@ -350,8 +344,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_chunks(chunks, out_dir / "chunks.jsonl")
-    stats = chunk_stats(chunks)
+    stats = chunk_stats(chunks, write_chunks(chunks, out_dir / "chunks.jsonl"))
     _write_json(asdict(stats), out_dir / "stats.json")
     _write_json({"seconds": seconds}, out_dir / "timing.json")
     print(
@@ -378,8 +371,9 @@ def _labels(paths: list[str]) -> list[str]:
 def cmd_eval(args: argparse.Namespace) -> int:
     check_ks(args.ks)
     qa_pairs = load_qa(args.qa)
-    # check every file before the first embed or HyDE call
-    doc_ids = {chunk.doc_id for chunk_path in args.chunks for chunk in iter_chunks(chunk_path)}
+    # check every file before the first embed or HyDE call; itemgetter(0) keeps
+    # one chunk of each document, so no two documents' chunks are held at once
+    doc_ids = {c.doc_id for path in args.chunks for c in map(itemgetter(0), iter_documents(path))}
     with (
         _embedder(args) as embedder,
         (_backend(args, "--hyde") if args.hyde else nullcontext()) as hyde_backend,
@@ -394,7 +388,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             ]
         reports = [
             evaluate(
-                read_chunks(chunk_path),
+                iter_documents(chunk_path),
                 qa_pairs,
                 embedder,
                 tuple(args.ks),
@@ -418,23 +412,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_rag(args: argparse.Namespace) -> int:
-    chunks = read_chunks(args.chunks)
     qa_pairs = load_qa(args.questions)
-    questions = [pair.question for pair in qa_pairs]
+    asked = {pair.doc_id for pair in qa_pairs}
+    documents = {
+        doc[0].doc_id: doc for doc in iter_documents(args.chunks) if doc[0].doc_id in asked
+    }
+    for position, pair in enumerate(qa_pairs, start=1):
+        if pair.doc_id not in documents:
+            where = f"{args.questions}, question {position}"
+            raise CliError(f"{where}: document {pair.doc_id!r} has no chunks in {args.chunks}")
     with _backend(args, "rag") as backend:
         with _embedder(args) as embedder:
-            vector_index = embed_chunks(chunks, embedder)
-            query_vectors = embed_texts(questions, embedder)
+            vectors = {doc_id: embed_chunks(doc, embedder) for doc_id, doc in documents.items()}
+            query_vectors = embed_texts([pair.question for pair in qa_pairs], embedder)
         # free the embedder and any --embed-cache store before BM25 raises the peak
         del embedder
-        bm25_index = bm25_build(chunks)
-        # ordered_map draws each retrieval on this thread while its workers
-        # rerank and answer earlier ones, so scoring overlaps the backend calls
+        bm25 = {doc_id: bm25_build(doc) for doc_id, doc in documents.items()}
+        # ordered_map draws each retrieval, within its question's document, on this
+        # thread while its workers rerank and answer earlier ones
         results = ordered_map(
             lambda retrieval: answer_question(retrieval, backend),
             (
-                retrieve(question, bm25_index, vector_index, query_vector)
-                for question, query_vector in zip(questions, query_vectors)
+                retrieve(pair.question, bm25[pair.doc_id], vectors[pair.doc_id], query_vector)
+                for pair, query_vector in zip(qa_pairs, query_vectors)
             ),
         )
     accuracy = qa_accuracy((result.answer, pair.answer) for result, pair in zip(results, qa_pairs))

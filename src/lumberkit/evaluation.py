@@ -143,53 +143,40 @@ def build_runs(
     *,
     depth: int = max(DEFAULT_KS),
 ) -> list[RetrievalRun]:
-    """Rank each question against its own document's chunks.
+    """Rank the questions of qa_pairs about one document against its chunks.
 
-    Chunks are grouped by doc_id and embedded once per document, in the order
-    the documents first appear among the questions; only documents with
-    questions are embedded, each document's questions through one embed_texts.
-    Questions whose doc_id has no chunks get an absent gold rank and a
-    warning. The gold rank is the first position, scanning down the ranking,
-    whose chunk judge_relevance accepts; each distinct text is normalized once
-    per document, and judge_relevance is looked up at every call. Runs come
-    back in question order.
+    Runs come back in question order. The chunks are embedded only if there
+    is such a question, the questions through one embed_texts. A gold rank is
+    the first ranked chunk that judge_relevance, looked up at every call,
+    accepts; each distinct text is normalized once per call.
     """
-    by_doc: dict[str, list[Chunk]] = {}
-    for chunk in chunks:
-        by_doc.setdefault(chunk.doc_id, []).append(chunk)
-    questions_by_doc: dict[str, list[int]] = {}
-    for position, qa in enumerate(qa_pairs):
-        questions_by_doc.setdefault(qa.doc_id, []).append(position)
-    runs: list[RetrievalRun | None] = [None] * len(qa_pairs)
-    missing = 0
-    for doc_id, positions in questions_by_doc.items():
-        doc_chunks = by_doc.get(doc_id)
-        if not doc_chunks:
-            for position in positions:
-                runs[position] = RetrievalRun(qa_pairs[position], (), None)
-            missing += len(positions)
-            continue
-        index = embed_chunks(doc_chunks, embed_backend)
-        query_vectors = embed_texts(
-            [qa_pairs[position].question for position in positions], embed_backend
-        )
-        normalize = functools.cache(normalize_for_matching)
-        for position, query_vector in zip(positions, query_vectors, strict=True):
-            qa = qa_pairs[position]
-            ranked = tuple(chunk for chunk, _score in cosine_topk(index, query_vector, depth))
-            passage = normalize(qa.supporting_passage)
-            gold_rank = next(
-                (
-                    rank
-                    for rank, chunk in enumerate(ranked, start=1)
-                    if judge_relevance(normalize(chunk.text), passage)
-                ),
-                None,
-            )
-            runs[position] = RetrievalRun(qa, ranked, gold_rank)
+    if not chunks:
+        raise EvaluationError("no chunks to rank against")
+    questions = [qa for qa in qa_pairs if qa.doc_id == chunks[0].doc_id]
+    if not questions:
+        return []
+    index = embed_chunks(chunks, embed_backend)
+    query_vectors = embed_texts([qa.question for qa in questions], embed_backend)
+    normalize = functools.cache(normalize_for_matching)
+    runs = []
+    for qa, query_vector in zip(questions, query_vectors, strict=True):
+        ranked = tuple(chunk for chunk, _score in cosine_topk(index, query_vector, depth))
+        passage = normalize(qa.supporting_passage)
+        judged = (judge_relevance(normalize(chunk.text), passage) for chunk in ranked)
+        gold_rank = next((rank for rank, hit in enumerate(judged, start=1) if hit), None)
+        runs.append(RetrievalRun(qa, ranked, gold_rank))
+    return runs
+
+
+def _report(qa_pairs: Sequence[QAPair], ranks: Mapping[str, list], ks, **fields) -> MetricsReport:
+    """Fold each scored document's gold ranks into a report over qa_pairs, in their
+    order; one warning counts the questions whose document was not scored."""
+    pending = {doc_id: iter(found) for doc_id, found in ranks.items()}
+    runs = [RetrievalRun(qa, (), next(pending.get(qa.doc_id, iter(())), None)) for qa in qa_pairs]
+    missing = sum(qa.doc_id not in pending for qa in qa_pairs)
     if missing:
         logger.warning("%d question(s) referenced documents with no chunks", missing)
-    return runs
+    return report_from_runs(runs, ks, **fields)
 
 
 def report_from_runs(
@@ -214,7 +201,7 @@ def report_from_runs(
 
 
 def evaluate(
-    chunks: Sequence[Chunk],
+    documents: Iterable[Sequence[Chunk]],
     qa_pairs: Sequence[QAPair],
     embed_backend: EmbeddingBackend,
     ks: Sequence[int] = DEFAULT_KS,
@@ -223,11 +210,20 @@ def evaluate(
 ) -> MetricsReport:
     """Score one chunking method: rank every question, then fold into metrics.
 
-    Ranking depth is max(ks). ks must be distinct.
+    documents yields each document's chunks once, as iter_documents does (a
+    second list for one doc_id raises EvaluationError), and each question is
+    ranked against its own document's chunks with build_runs. Ranking depth
+    is max(ks). ks must be distinct.
     """
     check_ks(ks)
-    runs = build_runs(chunks, qa_pairs, embed_backend, depth=max(ks))
-    return report_from_runs(runs, ks, method=method)
+    gold_ranks: dict[str, list[int | None]] = {}
+    for chunks in documents:
+        if chunks and chunks[0].doc_id in gold_ranks:
+            raise EvaluationError(f"document {chunks[0].doc_id!r} is given twice")
+        runs = build_runs(chunks, qa_pairs, embed_backend, depth=max(ks))
+        gold_ranks[chunks[0].doc_id] = [run.gold_rank for run in runs]
+        del chunks, runs  # hold no chunks while the next document is read
+    return _report(qa_pairs, gold_ranks, ks, method=method)
 
 
 def sweep_theta(
@@ -259,16 +255,12 @@ def sweep_theta(
     check_ks(ks)
     if not qa_pairs:
         raise EvaluationError("no questions to score")
-    questions_by_doc: dict[str, list[int]] = {}
-    for document in documents:
-        if document.doc_id in questions_by_doc:
-            raise EvaluationError(f"duplicate doc_id {document.doc_id!r} in sweep documents")
-        questions_by_doc[document.doc_id] = []
-    unswept: list[int] = []
-    for position, qa in enumerate(qa_pairs):
-        questions_by_doc.get(qa.doc_id, unswept).append(position)
+    doc_ids = [document.doc_id for document in documents]
+    repeated = [doc_id for doc_id in doc_ids if doc_ids.count(doc_id) > 1]
+    if repeated:
+        raise EvaluationError(f"duplicate doc_id {repeated[0]!r} in sweep documents")
     ordered = sorted(thetas)
-    runs: list[dict[int, RetrievalRun]] = [{} for _ in ordered]
+    gold_ranks: list[dict[str, list[int | None]]] = [{} for _ in ordered]
     seconds = [0.0] * len(ordered)
 
     def chunk_document(document: Document) -> Iterator[tuple[int, list[Chunk], float]]:
@@ -277,30 +269,18 @@ def sweep_theta(
             chunks = lumberchunk(document, ChunkerConfig(theta=theta), backend)
             yield step, chunks, time.perf_counter() - started
 
-    def score(step: int, chunks: Sequence[Chunk], positions: list[int]) -> None:
-        questions = [qa_pairs[position] for position in positions]
-        found = build_runs(chunks, questions, embed_backend, depth=max(ks))
-        runs[step].update(zip(positions, found))
-
-    def score_document(index: int, chunked: tuple[int, list[Chunk], float]) -> None:
+    def score_document(_index: int, chunked: tuple[int, list[Chunk], float]) -> None:
         step, chunks, took = chunked
         seconds[step] += took
-        score(step, chunks, questions_by_doc[documents[index].doc_id])
+        runs = build_runs(chunks, qa_pairs, embed_backend, depth=max(ks))
+        gold_ranks[step][chunks[0].doc_id] = [run.gold_rank for run in runs]
 
     stream_map(chunk_document, documents, score_document)
-    reports: list[MetricsReport] = []
-    for step, theta in enumerate(ordered):
-        score(step, (), unswept)  # no chunks: absent gold ranks and build_runs' warning
-        reports.append(
-            report_from_runs(
-                [runs[step][position] for position in range(len(qa_pairs))],
-                ks,
-                method=f"lumberchunker(θ={theta})",
-                chunking_seconds=seconds[step],
-                theta=theta,
-            )
-        )
-    return reports
+    return [
+        _report(qa_pairs, ranks, ks, method=f"lumberchunker(θ={theta})", theta=theta,
+                chunking_seconds=seconds[step])
+        for step, (theta, ranks) in enumerate(zip(ordered, gold_ranks))
+    ]
 
 
 def format_report_table(reports: Sequence[MetricsReport]) -> str:

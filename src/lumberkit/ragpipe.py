@@ -202,8 +202,11 @@ def rerank(chunks: Sequence[Chunk], query: str, backend: CompletionBackend) -> l
     documents = "\n".join(f"[{i}] {chunk.text}" for i, chunk in enumerate(chunks, start=1))
     prompt = RERANK_PROMPT_TEMPLATE.format(query=query, documents=documents)
     order: list[int] = []
-    for match in re.finditer(r"\d+", backend.complete(prompt)):
-        value = int(match.group())
+    for digits in re.findall(r"\d+", backend.complete(prompt)):
+        try:
+            value = int(digits)
+        except ValueError:  # more digits than int() converts: out of range anyway
+            continue
         if 1 <= value <= len(chunks) and value not in order:
             order.append(value)
     if not order:

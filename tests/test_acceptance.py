@@ -388,5 +388,5 @@ def test_criterion_9_live_backend_smoke():
         )
         chunks = lumberchunk(document, ChunkerConfig(), backend)
         verify_partition(chunks, len(document))
-        stats = chunk_stats(chunks)
+        stats = chunk_stats(chunks, [chunk.token_count for chunk in chunks])
         assert 150.0 <= stats.mean_tokens <= 600.0, f"mean {stats.mean_tokens:.1f} tokens"

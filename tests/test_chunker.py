@@ -478,14 +478,14 @@ class TestVerifyPartition:
 
 class TestChunkStats:
     def test_empty(self):
-        assert chunk_stats([]) == ChunkStats(0, None, None, None, None)
+        assert chunk_stats([], []) == ChunkStats(0, None, None, None, None)
 
     def test_known_values(self):
         chunks = [
             Chunk("d", 0, 1, 2, words(75)),  # count_tokens: 100
             Chunk("d", 1, 3, 3, words(225)),  # count_tokens: 300
         ]
-        stats = chunk_stats(chunks)
+        stats = chunk_stats(chunks, [chunk.token_count for chunk in chunks])
         assert stats.count == 2
         assert stats.mean_tokens == 200.0
         assert (stats.min_tokens, stats.max_tokens) == (100, 300)
@@ -496,7 +496,7 @@ class TestChunkStats:
     def test_means_are_statistics_fmean(self, spans):
         chunks = [Chunk("d", i, 1, count, words(n)) for i, (n, count) in enumerate(spans)]
         tokens = [count_tokens(chunk.text) for chunk in chunks]
-        stats = chunk_stats(chunks)
+        stats = chunk_stats(chunks, tokens)
         assert stats.mean_tokens == statistics.fmean(tokens)
         assert stats.mean_paragraphs == statistics.fmean(count for _, count in spans)
         # stats.json writes these floats, so their text must match too

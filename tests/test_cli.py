@@ -9,6 +9,7 @@ import json
 import re
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -22,8 +23,9 @@ from conftest import (
     RecordingEmbeddingBackend,
     make_document,
     prompt_ids,
+    words,
 )
-from lumberkit import backends, cli, parallel, ragpipe
+from lumberkit import backends, chunker, cli, parallel, ragpipe
 from lumberkit.backends import (
     BackendError,
     CompletionBackend,
@@ -34,10 +36,17 @@ from lumberkit.backends import (
     ScriptedBackend,
     prompt_key,
 )
-from lumberkit.baselines import HYDE_PROMPT_TEMPLATE, hyde_transform
+from lumberkit.baselines import HYDE_PROMPT_TEMPLATE, hyde_transform, paragraph_chunks
 from lumberkit.chunker import PROMPT_HEADER, ChunkerConfig, lumberchunk, read_chunks, write_chunks
 from lumberkit.cli import main
-from lumberkit.corpus import QAPair, generate_qa, load_document, write_document, write_qa
+from lumberkit.corpus import (
+    Document,
+    QAPair,
+    generate_qa,
+    load_document,
+    write_document,
+    write_qa,
+)
 from lumberkit.evaluation import evaluate, write_reports
 from lumberkit.index import bm25_build, embed_chunks
 from lumberkit.ragpipe import RERANK_PROMPT_TEMPLATE, answer_question, qa_accuracy, retrieve
@@ -160,6 +169,14 @@ class TestIngest:
 
 
 class TestChunkCommand:
+    def test_each_chunk_is_counted_once(self, tmp_path, book_records, monkeypatch):
+        counted = mock.Mock(side_effect=chunker.count_tokens)
+        monkeypatch.setattr(chunker, "count_tokens", counted)
+        argv = ["chunk", "--document", str(book_records), "--method", "paragraph"]
+        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+        assert counted.call_count == 12  # one per chunk, for the record and the stats
+        assert json.loads((tmp_path / "out" / "stats.json").read_text())["max_tokens"] == 54
+
     def test_paragraph_method(self, tmp_path, book_records, capsys):
         out_dir = tmp_path / "para"
         code = main(
@@ -390,7 +407,7 @@ class TestEvalCommand:
         from lumberkit.corpus import load_qa
 
         expected = evaluate(
-            paragraph_chunks(document),
+            [paragraph_chunks(document)],
             load_qa(qa_file),
             MockEmbeddingBackend(),
         )
@@ -471,7 +488,7 @@ class TestSweepCommand:
         chunks = lumberchunk(document, ChunkerConfig(theta=550), ScriptedBackend(last_id_responder))
         from lumberkit.corpus import load_qa
 
-        expected = evaluate(chunks, load_qa(qa_file), MockEmbeddingBackend())
+        expected = evaluate([chunks], load_qa(qa_file), MockEmbeddingBackend())
         assert rows[0]["dcg"] == {str(k): pytest.approx(v) for k, v in expected.dcg.items()}
         assert rows[0]["recall"] == {str(k): pytest.approx(v) for k, v in expected.recall.items()}
 
@@ -1470,7 +1487,7 @@ class TestHydeRewrites:
         rewritten = [dataclasses.replace(pair, question=rewrites[pair.question]) for pair in pairs]
         expected = [
             evaluate(
-                read_chunks(path), rewritten, MockEmbeddingBackend(), method=path.stem + "+hyde"
+                [read_chunks(path)], rewritten, MockEmbeddingBackend(), method=path.stem + "+hyde"
             )
             for path in chunk_files
         ]
@@ -1968,6 +1985,48 @@ class TestConflictingRecords:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "rag"])
+    def test_reappearing_document_names_its_line(
+        self, tmp_path, book_records, qa_file, command, capsys
+    ):
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        first, second, third, *_ = chunk_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        other = json.dumps({**json.loads(first), "doc_id": "other"}) + "\n"
+        interleaved = tmp_path / "interleaved.jsonl"
+        interleaved.write_text(first + second + other + third, encoding="utf-8")
+        code = main(self.argv(command, interleaved, qa_file, tmp_path))
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == (
+            f"error: {interleaved}, line 4: document 'book' reappears after another document's records"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_rag_question_without_chunks_is_refused_before_any_call(
+        self, tmp_path, book_records, qa_file, monkeypatch, capsys
+    ):
+        backend = FailingBackend()
+        embedders = []
+
+        def counting_embedder(args):
+            embedders.append(CountingEmbeddingBackend())
+            return embedders[-1]
+
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        monkeypatch.setattr(cli, "_embedding_backend", counting_embedder)
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        lines = qa_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        lost = json.dumps({**json.loads(lines[0]), "doc_id": "lost"}) + "\n"
+        qa_path = tmp_path / "lost.jsonl"
+        qa_path.write_text(lines[0] + lost + "".join(lines[1:]), encoding="utf-8")
+        code = main(["rag", "--chunks", str(chunk_path), "--questions", str(qa_path),
+                     "--backend-url", "http://127.0.0.1:9", "--model", "m",
+                     "--output-dir", str(tmp_path / "out")])
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == f"error: {qa_path}, question 2: document 'lost' has no chunks in {chunk_path}"
+        assert backend.calls == 0
+        assert sum(embedder.calls for embedder in embedders) == 0
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "rag"])
     @pytest.mark.parametrize(
         "lengths, lazy, reason",
         [
@@ -2154,7 +2213,7 @@ def test_eval_rejects_one_chunk_file_named_twice_before_reading_input(
     chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "load_qa", mock.Mock(side_effect=AssertionError("read")))
-    monkeypatch.setattr(cli, "iter_chunks", mock.Mock(side_effect=AssertionError("read")))
+    monkeypatch.setattr(cli, "iter_documents", mock.Mock(side_effect=AssertionError("read")))
     code = main(
         ["eval", "--chunks", chunk_path.name, f"./{chunk_path.name}", "--qa", str(qa_file),
          "--output-dir", "out"]
@@ -2270,3 +2329,94 @@ class TestSweepScoringFailure:
         # current theta (300) instead of chunking all four
         assert calls_at_exit == 2 * (per_theta[0] + per_theta[1])
         assert not (tmp_path / "out-2").exists()
+
+
+class TestNumbersTooLongForInt:
+    """A reply holding a run of more digits than int() converts is unusable, not
+    a traceback: a split answer falls back, a rerank index is dropped."""
+
+    LONG = "9" * 5000
+
+    def test_split_answer_retries_then_falls_back(self, tmp_path, book_records, monkeypatch):
+        backend = CountingBackend(lambda prompt: "Answer: ID " + self.LONG)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        out_dir = tmp_path / "out"
+        assert main(["chunk", "--document", str(book_records), "--method", "lumber",
+                     "--theta", "200", "--backend-url", "http://127.0.0.1:9", "--model", "m",
+                     "--output-dir", str(out_dir)]) == 0
+        chunks = read_chunks(out_dir / "chunks.jsonl")
+        # every window is asked 1 + MAX_RETRIES times, then becomes one chunk
+        assert backend.calls == 4 * sum(chunk.paragraph_count > 1 for chunk in chunks)
+        assert [(chunk.start_para, chunk.end_para) for chunk in chunks] == [
+            (1, 4), (5, 8), (9, 12)
+        ]
+
+    def test_rerank_index_is_dropped(self, tmp_path, book_records, qa_file, monkeypatch):
+        def respond(prompt):
+            return self.LONG if prompt.startswith("Order the numbered") else "an answer"
+
+        monkeypatch.setattr(
+            cli, "_completion_backend", lambda args, needed_for: ScriptedBackend(respond)
+        )
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        argv = ["rag", "--chunks", str(chunk_path), "--questions", str(qa_file),
+                "--backend-url", "http://127.0.0.1:9", "--model", "m", "--output-dir"]
+        assert main([*argv, str(tmp_path / "long")]) == 0
+        # a reply with no usable index keeps the retrieval order, as "none" does
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: ScriptedBackend(
+            lambda prompt: "none" if prompt.startswith("Order the numbered") else "an answer"
+        ))
+        assert main([*argv, str(tmp_path / "none")]) == 0
+        answers = (tmp_path / "long" / "answers.jsonl").read_text(encoding="utf-8")
+        assert answers == (tmp_path / "none" / "answers.jsonl").read_text(encoding="utf-8")
+
+
+class TestEvalMemory:
+    """eval holds the chunks of one document at a time, whatever the file holds."""
+
+    @staticmethod
+    def write_documents(path: Path, count: int) -> None:
+        # equal documents: the same texts under other doc_ids, so the mock
+        # embedder's token table is the same size for one document as for six;
+        # paragraphs share their words, so that table stays small
+        document = Document("doc", tuple(f"p{i} {words(99)}" for i in range(300)))
+        write_chunks(
+            [
+                dataclasses.replace(chunk, doc_id=f"doc{d}")
+                for d in range(count)
+                for chunk in paragraph_chunks(document)
+            ],
+            path,
+        )
+        questions = [
+            QAPair(f"doc{d}", "which words?", "a", document.paragraphs[7]) for d in range(count)
+        ]
+        write_qa(questions, path.with_suffix(".qa.jsonl"))
+
+    @staticmethod
+    def traced(work) -> tuple[int, int]:
+        """(retained, peak) bytes that work allocates, measured from zero."""
+        tracemalloc.start()
+        try:
+            result = work()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        return retained, peak
+
+    def test_peak_is_one_documents_chunks(self, tmp_path):
+        one, six = tmp_path / "one.jsonl", tmp_path / "six.jsonl"
+        self.write_documents(one, 1)
+        self.write_documents(six, 6)
+        document_bytes, _ = self.traced(lambda: read_chunks(one))
+
+        def peak_of_eval(path: Path) -> int:
+            argv = ["--quiet", "eval", "--chunks", str(path), "--qa",
+                    str(path.with_suffix(".qa.jsonl")), "--output-dir", str(path.with_suffix(""))]
+            return self.traced(lambda: main(argv))[1]
+
+        peak_of_eval(one)  # warm-up: imports and caches
+        assert document_bytes > 150_000
+        # holding a second document at once would add document_bytes
+        assert peak_of_eval(six) - peak_of_eval(one) < document_bytes / 2

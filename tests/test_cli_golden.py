@@ -6,7 +6,8 @@ spelled out below: the run record (run_config.json, or <output>.run.json for
 ingest and gen-qa) for every command, plus stats.json for chunk, summary.json
 and answers.jsonl for rag and the QA file of gen-qa. A second test runs every
 row of the CLI's flag table and checks that its run record lists exactly the
-flags the row reads.
+flags the row reads, and a third runs eval and rag over one chunk file that
+holds two documents.
 "{tmp}" stands for the test's tmp_path. A JSON record is expected as indent-2
 text with sorted keys, no ASCII escaping and a trailing newline; a JSONL file
 as one compact record per line.
@@ -20,13 +21,13 @@ import re
 
 import pytest
 
-from conftest import last_id_responder, make_document
+from conftest import last_id_responder, make_document, words
 from lumberkit import cli
 from lumberkit.backends import MockEmbeddingBackend, ScriptedBackend
 from lumberkit.baselines import RecursiveConfig, SemanticConfig, paragraph_chunks
 from lumberkit.chunker import PROMPT_HEADER, ChunkerConfig, write_chunks
 from lumberkit.cli import main
-from lumberkit.corpus import QAPair, write_document, write_qa
+from lumberkit.corpus import Document, QAPair, write_document, write_qa
 
 
 def golden_reply(prompt: str) -> str:
@@ -329,3 +330,64 @@ def test_run_record_lists_the_rows_flags_resolved(inputs, row, embed_http):
             assert flags[method_flag] == default and default is not None
     if "embed_url" in flags:
         assert flags["embed_url"] == ("http://127.0.0.1:9" if embed_http else None)
+
+
+# a chunk file that holds document a's paragraph chunks, then document b's
+TWO_DOC_QUESTIONS = [
+    QAPair("b", "What did Maye Haldeman find in b3?", "b3w1", "b3w0 b3w1 b3w2 b3w3"),
+    QAPair("a", "what came first?", "a1w1", "a1w0 a1w1 a1w2"),
+    QAPair("b", "what came last?", "b6w2", "b6w0 b6w1 b6w2 b6w3"),
+]
+TWO_DOC_THIRD = 33.333333333333336
+TWO_DOC_REPORT = {
+    "method": "two", "ks": KS,
+    "dcg": {"1": TWO_DOC_THIRD, "2": TWO_DOC_THIRD, "5": 60.58431217693116,
+            "10": 60.58431217693116, "20": 60.58431217693116},
+    "recall": {"1": TWO_DOC_THIRD, "2": TWO_DOC_THIRD, "5": 100.0, "10": 100.0, "20": 100.0},
+    "query_count": 3,
+}
+TWO_DOC_ANSWERS = [
+    {"question": "What did Maye Haldeman find in b3?", "mentions": ["Maye Haldeman"], "bm25_k": 3,
+     "retrieved": [0, 1, 4, 3, 2], "answer": "answer b2aaf57f"},
+    {"question": "what came first?", "mentions": [], "bm25_k": 1,
+     "retrieved": [1, 0, 2, 4, 3], "answer": "answer 6538fb94"},
+    {"question": "what came last?", "mentions": [], "bm25_k": 1,
+     "retrieved": [3, 4, 1, 0, 2], "answer": "answer 1d2546e5"},
+]
+
+
+def test_two_documents_in_one_chunk_file(inputs, monkeypatch):
+    """eval scores, and rag retrieves, each question among its own document's
+    chunks only: no prompt about one document holds text of the other."""
+    documents = [
+        Document(doc_id, tuple(words(30, tag=f"{doc_id}{i}w") for i in range(1, 7)))
+        for doc_id in ("a", "b")
+    ]
+    chunks = [chunk for document in documents for chunk in paragraph_chunks(document)]
+    write_chunks(chunks, inputs / "two.jsonl")
+    write_qa(TWO_DOC_QUESTIONS, inputs / "two-qa.jsonl")
+    prompts = []
+
+    def recording_reply(prompt):
+        prompts.append(prompt)
+        return golden_reply(prompt)
+
+    backend = ScriptedBackend(recording_reply)
+    monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+    files = ["--chunks", f"{inputs}/two.jsonl", "--output-dir"]
+    assert main(["eval", *files, f"{inputs}/eval", "--qa", f"{inputs}/two-qa.jsonl"]) == 0
+    assert main(["rag", *files, f"{inputs}/rag", "--questions", f"{inputs}/two-qa.jsonl",
+                 "--replay-cache", f"{inputs}/replay.jsonl"]) == 0
+    for name, expected in {
+        "eval/reports.jsonl": [TWO_DOC_REPORT],
+        "rag/answers.jsonl": TWO_DOC_ANSWERS,
+        "rag/summary.json": {"qa_accuracy": 0.0, "questions": 3},
+    }.items():
+        assert (inputs / name).read_text(encoding="utf-8") == expected_bytes(expected, inputs), name
+    # a rerank and an answer prompt per question, each holding only its document's text
+    assert len(prompts) == 2 * len(TWO_DOC_QUESTIONS)
+    for prompt in prompts:
+        (pair,) = [pair for pair in TWO_DOC_QUESTIONS if pair.question in prompt]
+        other = "b" if pair.doc_id == "a" else "a"
+        assert re.search(rf"\b{pair.doc_id}\d+w", prompt)
+        assert not re.search(rf"\b{other}\d+w", prompt)

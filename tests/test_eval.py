@@ -327,10 +327,11 @@ class TestBuildRuns:
     def test_unknown_doc_counts_as_absent_with_warning(self, caplog):
         chunks = [chunk_of("text", 0, doc_id="known")]
         qa = qa_of("text", doc_id="mystery")
+        assert build_runs(chunks, [qa], MockEmbeddingBackend()) == []
         with caplog.at_level(logging.WARNING, logger="lumberkit.evaluation"):
-            runs = build_runs(chunks, [qa], MockEmbeddingBackend())
-        assert runs[0].gold_rank is None
-        assert runs[0].ranked_chunks == ()
+            report = evaluate([chunks], [qa], MockEmbeddingBackend())
+        assert report.query_count == 1
+        assert report.recall[max(DEFAULT_KS)] == 0.0
         assert any("no chunks" in r.message for r in caplog.records)
 
     def test_gold_rank_is_first_accepted_position(self):
@@ -360,7 +361,8 @@ class TestBuildRuns:
             chunk_of("dockside morning", 0, doc_id="b"),
         ]
         qa = qa_of("dockside morning", doc_id="b")
-        runs = build_runs(chunks, [qa], MockEmbeddingBackend())
+        assert build_runs(chunks[:1], [qa], MockEmbeddingBackend()) == []
+        runs = build_runs(chunks[1:], [qa], MockEmbeddingBackend())
         assert runs[0].ranked_chunks[0].doc_id == "b"
         assert len(runs[0].ranked_chunks) == 1
 
@@ -381,6 +383,14 @@ def reference_runs(chunks, qa_pairs, backend, depth=max(DEFAULT_KS)):
         )
         runs.append(RetrievalRun(qa, tuple(ranked), gold_rank))
     return runs
+
+
+def by_document(chunks):
+    """chunks as one list per document, in order of first appearance."""
+    documents = {}
+    for chunk in chunks:
+        documents.setdefault(chunk.doc_id, []).append(chunk)
+    return list(documents.values())
 
 
 def interleaved_corpus(seed: int, documents: int = 3, chunks_per_doc: int = 25):
@@ -429,13 +439,12 @@ class TestBuildRunsExactness:
         chunks, qa_pairs = interleaved_corpus(seed)
         backend = MockEmbeddingBackend()
         expected = reference_runs(chunks, qa_pairs, backend)
-        runs = build_runs(chunks, qa_pairs, backend)
-        assert [run.qa for run in runs] == qa_pairs
-        assert [run.ranked_chunks for run in runs] == [run.ranked_chunks for run in expected]
-        assert [run.gold_rank for run in runs] == [run.gold_rank for run in expected]
-        found = [run.gold_rank for run in runs if run.gold_rank is not None]
+        for document in by_document(chunks):
+            runs = build_runs(document, qa_pairs, backend)
+            assert runs == [run for run in expected if run.qa.doc_id == document[0].doc_id]
+        found = [run.gold_rank for run in expected if run.gold_rank is not None]
         assert any(rank > 1 for rank in found)
-        assert sum(run.gold_rank is None for run in runs) > 1
+        assert sum(run.gold_rank is None for run in expected if run.ranked_chunks) > 1
 
     def test_judge_called_once_per_judged_pair(self, monkeypatch):
         chunks, qa_pairs = interleaved_corpus(0)
@@ -449,8 +458,11 @@ class TestBuildRunsExactness:
             return judge(text, passage)
 
         monkeypatch.setattr(evaluation, "judge_relevance", recording_judge)
-        runs = build_runs(chunks, qa_pairs, backend)
-        assert [run.gold_rank for run in runs] == [run.gold_rank for run in expected]
+        runs = [run for doc in by_document(chunks) for run in build_runs(doc, qa_pairs, backend)]
+        # documents doc0, doc1, doc2 in turn, each in question order
+        assert runs == sorted(
+            (run for run in expected if run.ranked_chunks), key=lambda run: run.qa.doc_id
+        )
         expected_pairs = sorted(
             (normalize_for_matching(chunk.text), normalize_for_matching(run.qa.supporting_passage))
             for run in expected
@@ -470,8 +482,8 @@ class TestQueryBatching:
             for q in range(210)
         ]
         backend = RecordingEmbeddingBackend()
-        runs = build_runs(chunks, qa_pairs, backend)
-        assert [run.qa for run in runs] == qa_pairs
+        runs = [run for doc in by_document(chunks) for run in build_runs(doc, qa_pairs, backend)]
+        assert [run.qa for run in runs] == sorted(qa_pairs, key=lambda qa: qa.doc_id)
         query_calls = [call for call in backend.calls if call[0].startswith("question")]
         assert [len(call) for call in query_calls] == [64, 6] * 3
         for d, (first, second) in enumerate(zip(query_calls[::2], query_calls[1::2])):
@@ -490,8 +502,8 @@ class TestEvaluate:
             qa_of("missing doc", doc_id="other"),
         ]
         backend = MockEmbeddingBackend()
-        report = evaluate(chunks, qas, backend, method="toy")
-        runs = build_runs(chunks, qas, backend)
+        report = evaluate([chunks], qas, backend, method="toy")
+        runs = build_runs(chunks, qas, backend) + [RetrievalRun(qas[2], (), None)]
         for k in DEFAULT_KS:
             assert report.dcg[k] == dcg_at_k(runs, k)
             assert report.recall[k] == recall_at_k(runs, k)
@@ -502,35 +514,40 @@ class TestEvaluate:
     def test_perfect_retrieval_scores_hundred(self):
         chunks = [chunk_of("only chunk", 0)]
         qa = qa_of("only chunk", question="only chunk")
-        report = evaluate(chunks, [qa], MockEmbeddingBackend())
+        report = evaluate([chunks], [qa], MockEmbeddingBackend())
         assert report.dcg[1] == 100.0
         assert report.recall[20] == 100.0
 
     def test_custom_ks(self):
         chunks = [chunk_of("only chunk", 0)]
         qa = qa_of("only chunk", question="only chunk")
-        report = evaluate(chunks, [qa], MockEmbeddingBackend(), ks=(1, 3))
+        report = evaluate([chunks], [qa], MockEmbeddingBackend(), ks=(1, 3))
         assert report.ks == (1, 3)
         assert set(report.dcg) == {1, 3}
 
     def test_empty_ks_rejected(self):
         with pytest.raises(ValueError):
-            evaluate([chunk_of("x")], [qa_of("x")], MockEmbeddingBackend(), ks=())
+            evaluate([[chunk_of("x")]], [qa_of("x")], MockEmbeddingBackend(), ks=())
 
     @pytest.mark.parametrize("ks", [(5, 5, 1), (0, 1), (1, -3)])
     def test_repeated_or_non_positive_ks_rejected(self, ks):
         with pytest.raises(ConfigError, match="distinct"):
-            evaluate([chunk_of("x")], [qa_of("x")], MockEmbeddingBackend(), ks=ks)
+            evaluate([[chunk_of("x")]], [qa_of("x")], MockEmbeddingBackend(), ks=ks)
+
+    def test_document_given_twice_is_refused(self):
+        halves = [[chunk_of("first half", 0)], [chunk_of("second half", 1)]]
+        with pytest.raises(EvaluationError, match="'doc' is given twice"):
+            evaluate(halves, [qa_of("second half")], MockEmbeddingBackend())
 
     def test_warm_embed_cache_skips_chunk_embedding(self, tmp_path):
         chunks = [chunk_of(f"chunk text {i}", i) for i in range(3)]
         qas = [qa_of("chunk text 0"), qa_of("chunk text 1")]
         backend = CountingEmbeddingBackend()
         cache = EmbeddingCache(tmp_path / "emb.jsonl", backend.backend_id)
-        evaluate(chunks, qas, CachingEmbedder(backend, cache))
+        evaluate([chunks], qas, CachingEmbedder(backend, cache))
         assert backend.texts_embedded == 4  # 3 chunks + 1 question, asked twice
         backend.texts_embedded = 0
-        evaluate(chunks, qas, CachingEmbedder(backend, cache))
+        evaluate([chunks], qas, CachingEmbedder(backend, cache))
         assert backend.texts_embedded == 0  # questions are cached too
 
 
@@ -670,9 +687,8 @@ class TestConcurrentSweep:
         reports = []
         for theta in self.THETAS:
             chunks = [
-                chunk
+                lumberchunk(document, ChunkerConfig(theta=theta), backend, cache=cache)
                 for document in documents
-                for chunk in lumberchunk(document, ChunkerConfig(theta=theta), backend, cache=cache)
             ]
             method = f"lumberchunker(θ={theta})"
             report = evaluate(chunks, qas, MockEmbeddingBackend(), method=method)
