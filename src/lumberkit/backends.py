@@ -123,8 +123,8 @@ class _JsonlStore:
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, "rb") as fh:
-            lines = fh.readlines()
+        # lines end at b"\n", b"\r" or b"\r\n", as input lines do (corpus.utf8_lines)
+        lines = self.path.read_bytes().splitlines(keepends=True)
         last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
         offset = 0
         for i, line in enumerate(lines):

@@ -44,7 +44,9 @@ from .baselines import (
     semantic_chunks,
 )
 from .chunker import ChunkerConfig, chunk_stats, iter_documents, lumberchunk, write_chunks
-from .corpus import generate_qa, load_document, load_qa, write_document, write_jsonl, write_qa
+from .corpus import (
+    generate_qa, load_document, load_numbered_qa, load_qa, write_document, write_jsonl, write_qa,
+)
 from .errors import LumberkitError
 from .evaluation import (
     DEFAULT_KS,
@@ -412,14 +414,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_rag(args: argparse.Namespace) -> int:
-    qa_pairs = load_qa(args.questions)
+    numbered = load_numbered_qa(args.questions)
+    qa_pairs = [pair for _line_number, pair in numbered]
     asked = {pair.doc_id for pair in qa_pairs}
     documents = {
         doc[0].doc_id: doc for doc in iter_documents(args.chunks) if doc[0].doc_id in asked
     }
-    for position, pair in enumerate(qa_pairs, start=1):
+    for line_number, pair in numbered:
         if pair.doc_id not in documents:
-            where = f"{args.questions}, question {position}"
+            where = f"{args.questions}, line {line_number}"
             raise CliError(f"{where}: document {pair.doc_id!r} has no chunks in {args.chunks}")
     with _backend(args, "rag") as backend:
         with _embedder(args) as embedder:

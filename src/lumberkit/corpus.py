@@ -272,7 +272,15 @@ def _iter_delimited_rows(path: Path, columns: list[str]) -> Iterator[tuple[int, 
 
 
 def load_qa(path: str | Path, columns: Mapping[str, str] | None = None) -> list[QAPair]:
-    """Load QA records from a .jsonl or delimited (.csv/.tsv) table.
+    """load_numbered_qa's pairs without their line numbers."""
+    return [pair for _line_number, pair in load_numbered_qa(path, columns)]
+
+
+def load_numbered_qa(
+    path: str | Path, columns: Mapping[str, str] | None = None
+) -> list[tuple[int, QAPair]]:
+    """Load QA records, each with the line it was read from, from a .jsonl or
+    delimited (.csv/.tsv) table.
 
     Required columns: doc_id, question, answer, supporting_passage; JSONL
     values must be strings. columns maps any of these names to the name the
@@ -291,14 +299,14 @@ def load_qa(path: str | Path, columns: Mapping[str, str] | None = None) -> list[
         rows = _iter_delimited_rows(path, names)
     else:
         rows = read_records(path, dict.fromkeys(names, str))
-    pairs: list[QAPair] = []
+    pairs: list[tuple[int, QAPair]] = []
     skipped = 0
-    for _line_number, row in rows:
+    for line_number, row in rows:
         doc_id, question, answer, passage = (row[name] for name in names)
         if not passage.strip():
             skipped += 1
             continue
-        pairs.append(QAPair(doc_id, question, answer, passage.strip()))
+        pairs.append((line_number, QAPair(doc_id, question, answer, passage.strip())))
     if skipped:
         logger.warning("skipped %d QA row(s) with empty supporting passages in %s", skipped, path)
     if not pairs:

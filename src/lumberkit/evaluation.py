@@ -40,15 +40,15 @@ class EvaluationError(LumberkitError):
 
 @dataclass(frozen=True)
 class RetrievalRun:
-    """One scored question: the ranking it saw and where the gold chunk sat."""
+    """One ranked question: the ranking it saw and where in it the gold chunk sat."""
 
     qa: QAPair
     ranked_chunks: tuple[Chunk, ...]
     gold_rank: int | None
 
     def __post_init__(self) -> None:
-        if self.gold_rank is not None and self.gold_rank < 1:
-            raise ValueError(f"gold_rank must be >= 1 or None, got {self.gold_rank}")
+        if self.gold_rank is not None and not 1 <= self.gold_rank <= len(self.ranked_chunks):
+            raise ValueError(f"gold_rank {self.gold_rank} is outside 1..{len(self.ranked_chunks)}")
 
 
 @dataclass(frozen=True)
@@ -112,28 +112,28 @@ def check_ks(ks: Sequence[int]) -> None:
         raise ConfigError(f"ks must be non-empty, distinct and each >= 1, got {list(ks)}")
 
 
-def _check_runs_and_k(runs: Sequence[RetrievalRun], k: int) -> None:
+def _check_ranks_and_k(ranks: Sequence[int | None], k: int) -> None:
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if not runs:
-        raise EvaluationError("no runs to score")
+    if not ranks:
+        raise EvaluationError("no questions to score")
 
 
-def dcg_at_k(runs: Sequence[RetrievalRun], k: int) -> float:
-    """Mean single-gold DCG on the 0-100 scale."""
-    _check_runs_and_k(runs, k)
+def dcg_at_k(ranks: Sequence[int | None], k: int) -> float:
+    """Mean single-gold DCG on the 0-100 scale over questions' gold ranks (None: not found)."""
+    _check_ranks_and_k(ranks, k)
     total = 0.0
-    for run in runs:
-        if run.gold_rank is not None and run.gold_rank <= k:
-            total += 100.0 / math.log2(run.gold_rank + 1)
-    return total / len(runs)
+    for rank in ranks:
+        if rank is not None and rank <= k:
+            total += 100.0 / math.log2(rank + 1)
+    return total / len(ranks)
 
 
-def recall_at_k(runs: Sequence[RetrievalRun], k: int) -> float:
-    """Percentage of runs whose gold chunk appears within the top k."""
-    _check_runs_and_k(runs, k)
-    within = sum(1 for run in runs if run.gold_rank is not None and run.gold_rank <= k)
-    return 100.0 * within / len(runs)
+def recall_at_k(ranks: Sequence[int | None], k: int) -> float:
+    """Percentage of questions whose gold rank (None: not found) is within the top k."""
+    _check_ranks_and_k(ranks, k)
+    within = sum(1 for rank in ranks if rank is not None and rank <= k)
+    return 100.0 * within / len(ranks)
 
 
 def build_runs(
@@ -169,34 +169,21 @@ def build_runs(
 
 
 def _report(qa_pairs: Sequence[QAPair], ranks: Mapping[str, list], ks, **fields) -> MetricsReport:
-    """Fold each scored document's gold ranks into a report over qa_pairs, in their
-    order; one warning counts the questions whose document was not scored."""
+    """Fold each scored document's gold ranks into metrics over qa_pairs, in their
+    order; one warning counts the questions whose document was not scored. fields
+    are the report's method and, for a sweep, its chunking_seconds and theta."""
     pending = {doc_id: iter(found) for doc_id, found in ranks.items()}
-    runs = [RetrievalRun(qa, (), next(pending.get(qa.doc_id, iter(())), None)) for qa in qa_pairs]
+    ordered = [next(pending.get(qa.doc_id, iter(())), None) for qa in qa_pairs]
     missing = sum(qa.doc_id not in pending for qa in qa_pairs)
     if missing:
         logger.warning("%d question(s) referenced documents with no chunks", missing)
-    return report_from_runs(runs, ks, **fields)
-
-
-def report_from_runs(
-    runs: Sequence[RetrievalRun],
-    ks: Sequence[int] = DEFAULT_KS,
-    *,
-    method: str = "",
-    chunking_seconds: float | None = None,
-    theta: int | None = None,
-) -> MetricsReport:
-    """Assemble the per-k metric tables from scored runs."""
     ks = tuple(ks)
     return MetricsReport(
-        method=method,
         ks=ks,
-        dcg={k: dcg_at_k(runs, k) for k in ks},
-        recall={k: recall_at_k(runs, k) for k in ks},
-        query_count=len(runs),
-        chunking_seconds=chunking_seconds,
-        theta=theta,
+        dcg={k: dcg_at_k(ordered, k) for k in ks},
+        recall={k: recall_at_k(ordered, k) for k in ks},
+        query_count=len(ordered),
+        **fields,
     )
 
 

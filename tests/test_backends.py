@@ -11,6 +11,7 @@ import socket
 import socketserver
 import ssl
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -40,7 +41,7 @@ from lumberkit.backends import (
     prompt_key,
 )
 from lumberkit.cli import main
-from lumberkit.corpus import write_document
+from lumberkit.corpus import utf8_lines, write_document
 from lumberkit.parallel import WORKERS
 
 
@@ -1061,6 +1062,52 @@ class TestCacheFileDamage:
         reloaded = make(path)
         assert len(reloaded) == 2
         np.testing.assert_array_equal(reloaded.get("second"), value)
+
+    @pytest.mark.parametrize("make, value", CACHE_KINDS)
+    def test_records_ending_in_a_bare_cr_all_load_and_a_put_appends(self, tmp_path, make, value):
+        path = tmp_path / "cache.jsonl"
+        with make(path) as cache:
+            cache.put("first", value)
+            cache.put("second", value)
+        cr_ended = path.read_bytes().replace(b"\n", b"\r")
+        path.write_bytes(cr_ended)
+        with make(path) as resumed:
+            assert len(resumed) == 2
+            resumed.put("third", value)
+        assert path.read_bytes().startswith(cr_ended)
+        reloaded = make(path)
+        assert len(reloaded) == 3
+        np.testing.assert_array_equal(reloaded.get("first"), value)
+
+    @given(
+        values=st.lists(st.text(alphabet="ab \u2028\u0085\x0b\x0c", max_size=6), max_size=5),
+        ends=st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=5, max_size=5),
+        torn_end=st.sampled_from(["", "\n", "\r", "\r\n"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cache_lines_end_where_input_lines_do(self, values, ends, torn_end):
+        """Both readers end a line at "\\n", "\\r" or "\\r\\n" only, so U+2028,
+        U+0085, "\\x0b" and "\\x0c" stay inside their record."""
+        records = [
+            json.dumps({"key": prompt_key("m", f"prompt {i}"), "response": value},
+                       ensure_ascii=False)
+            for i, value in enumerate(values)
+        ]
+        # a crash tore the final record, which holds raw the "\x0b" and "\x0c"
+        # that json.dumps would escape
+        lines = [record + end for record, end in zip(records, ends)]
+        lines.append('{"key": "torn \x0b\x0c\u2028\u0085' + torn_end)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.jsonl"
+            path.write_bytes("".join(lines).encode("utf-8"))
+            assert [line for _n, line in utf8_lines(path)] == lines
+            with ResponseCache(path, model_id="m") as cache:
+                assert [cache.get(f"prompt {i}") for i in range(len(values))] == values
+                assert len(cache) == len(values)
+                cache.put("next", "reply")
+            # the put cut the torn record off at the first byte of its line
+            appended = json.dumps({"key": prompt_key("m", "next"), "response": "reply"}) + "\n"
+            assert [line for _n, line in utf8_lines(path)] == lines[:-1] + [appended]
 
     def test_lone_surrogate_response_is_rejected_even_on_the_final_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"

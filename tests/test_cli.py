@@ -2021,10 +2021,34 @@ class TestConflictingRecords:
                      "--backend-url", "http://127.0.0.1:9", "--model", "m",
                      "--output-dir", str(tmp_path / "out")])
         error = _one_error_line(code, capsys.readouterr().err)
-        assert error == f"error: {qa_path}, question 2: document 'lost' has no chunks in {chunk_path}"
+        assert error == f"error: {qa_path}, line 2: document 'lost' has no chunks in {chunk_path}"
         assert backend.calls == 0
         assert sum(embedder.calls for embedder in embedders) == 0
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            # a blank line before the second question puts it on line 3
+            ("lost.jsonl", '{{"doc_id": "book", {fields}}}\n\n{{"doc_id": "lost", {fields}}}\n'),
+            # the header is line 1, so the second row is line 3
+            ("lost.csv", "doc_id,question,answer,supporting_passage\nbook,{row}\nlost,{row}\n"),
+        ],
+        ids=["jsonl-with-blank-line", "csv-with-header"],
+    )
+    def test_rag_question_without_chunks_is_named_by_its_line(
+        self, tmp_path, book_records, monkeypatch, capsys, name, text
+    ):
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: FailingBackend())
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        qa_path = tmp_path / name
+        fields = '"question": "q?", "answer": "a", "supporting_passage": "p"'
+        qa_path.write_text(text.format(fields=fields, row="q?,a,p"), encoding="utf-8")
+        code = main(["rag", "--chunks", str(chunk_path), "--questions", str(qa_path),
+                     "--backend-url", "http://127.0.0.1:9", "--model", "m",
+                     "--output-dir", str(tmp_path / "out")])
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == f"error: {qa_path}, line 3: document 'lost' has no chunks in {chunk_path}"
 
     @pytest.mark.parametrize("command", ["eval", "rag"])
     @pytest.mark.parametrize(

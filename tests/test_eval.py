@@ -52,7 +52,6 @@ from lumberkit.evaluation import (
     judge_relevance,
     normalize_for_matching,
     recall_at_k,
-    report_from_runs,
     report_to_record,
     sweep_theta,
     write_reports,
@@ -68,8 +67,10 @@ def qa_of(passage: str, doc_id: str = "doc", question: str = "q?") -> QAPair:
     return QAPair(doc_id, question, "an answer", passage)
 
 
-def run_with_rank(rank: int | None) -> RetrievalRun:
-    return RetrievalRun(qa_of("p"), (), rank)
+def report_of(ranks: list[int | None], ks=DEFAULT_KS, method: str = "", **fields):
+    """The report over one question per gold rank, all about one scored document."""
+    qa_pairs = [qa_of("p")] * len(ranks)
+    return evaluation._report(qa_pairs, {"doc": ranks}, ks, method=method, **fields)
 
 
 class TestNormalizeForMatching:
@@ -231,30 +232,30 @@ class TestJudgeExactness:
 
 class TestMetrics:
     def test_gold_rank_one_scores_hundred(self):
-        runs = [run_with_rank(1)]
-        assert dcg_at_k(runs, 1) == 100.0
-        assert dcg_at_k(runs, 5) == 100.0
-        assert recall_at_k(runs, 1) == 100.0
+        ranks = [1]
+        assert dcg_at_k(ranks, 1) == 100.0
+        assert dcg_at_k(ranks, 5) == 100.0
+        assert recall_at_k(ranks, 1) == 100.0
 
     def test_gold_rank_three_is_exactly_fifty(self):
-        assert dcg_at_k([run_with_rank(3)], 5) == 50.0
+        assert dcg_at_k([3], 5) == 50.0
 
     def test_mixed_ranks(self):
-        runs = [run_with_rank(1), run_with_rank(3), run_with_rank(None)]
-        assert dcg_at_k(runs, 5) == 50.0
-        assert recall_at_k(runs, 5) == pytest.approx(200.0 / 3)
-        assert recall_at_k(runs, 2) == pytest.approx(100.0 / 3)
-        assert dcg_at_k(runs, 2) == pytest.approx(100.0 / 3)
+        ranks = [1, 3, None]
+        assert dcg_at_k(ranks, 5) == 50.0
+        assert recall_at_k(ranks, 5) == pytest.approx(200.0 / 3)
+        assert recall_at_k(ranks, 2) == pytest.approx(100.0 / 3)
+        assert dcg_at_k(ranks, 2) == pytest.approx(100.0 / 3)
 
     def test_rank_outside_cutoff_scores_zero(self):
-        assert dcg_at_k([run_with_rank(6)], 5) == 0.0
-        assert recall_at_k([run_with_rank(6)], 5) == 0.0
+        assert dcg_at_k([6], 5) == 0.0
+        assert recall_at_k([6], 5) == 0.0
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            dcg_at_k([run_with_rank(1)], 0)
+            dcg_at_k([1], 0)
         with pytest.raises(ValueError):
-            recall_at_k([run_with_rank(1)], -1)
+            recall_at_k([1], -1)
 
     def test_empty_runs_rejected(self):
         with pytest.raises(EvaluationError):
@@ -263,8 +264,13 @@ class TestMetrics:
             recall_at_k([], 5)
 
     def test_run_validates_gold_rank(self):
-        with pytest.raises(ValueError):
-            run_with_rank(0)
+        ranked = (chunk_of("a", 0), chunk_of("b", 1))
+        assert RetrievalRun(qa_of("p"), ranked, 2).gold_rank == 2
+        assert RetrievalRun(qa_of("p"), (), None).gold_rank is None
+        for ranking, rank in [(ranked, 0), (ranked, 3), ((), 3)]:
+            outside = rf"gold_rank {rank} is outside 1\.\.{len(ranking)}"
+            with pytest.raises(ValueError, match=outside):
+                RetrievalRun(qa_of("p"), ranking, rank)
 
     @given(
         ranks=st.lists(
@@ -273,7 +279,6 @@ class TestMetrics:
     )
     @settings(max_examples=150, deadline=None)
     def test_oracle_equivalence_and_invariants(self, ranks):
-        runs = [run_with_rank(r) for r in ranks]
         for k in (1, 2, 5, 10, 20):
             expected_dcg = (
                 sum(100.0 / math.log2(r + 1) for r in ranks if r is not None and r <= k)
@@ -282,26 +287,50 @@ class TestMetrics:
             expected_recall = (
                 100.0 * sum(1 for r in ranks if r is not None and r <= k) / len(ranks)
             )
-            assert dcg_at_k(runs, k) == pytest.approx(expected_dcg, abs=1e-9)
-            assert recall_at_k(runs, k) == pytest.approx(expected_recall, abs=1e-9)
-            assert dcg_at_k(runs, k) <= recall_at_k(runs, k) + 1e-12
-        assert dcg_at_k(runs, 1) == recall_at_k(runs, 1)  # bitwise, not approximate
+            assert dcg_at_k(ranks, k) == pytest.approx(expected_dcg, abs=1e-9)
+            assert recall_at_k(ranks, k) == pytest.approx(expected_recall, abs=1e-9)
+            assert dcg_at_k(ranks, k) <= recall_at_k(ranks, k) + 1e-12
+        assert dcg_at_k(ranks, 1) == recall_at_k(ranks, 1)  # bitwise, not approximate
         for lo, hi in zip(DEFAULT_KS, DEFAULT_KS[1:]):
-            assert dcg_at_k(runs, lo) <= dcg_at_k(runs, hi) + 1e-12
-            assert recall_at_k(runs, lo) <= recall_at_k(runs, hi) + 1e-12
+            assert dcg_at_k(ranks, lo) <= dcg_at_k(ranks, hi) + 1e-12
+            assert recall_at_k(ranks, lo) <= recall_at_k(ranks, hi) + 1e-12
+
+    @given(
+        ranks=st.lists(st.one_of(st.none(), st.integers(1, 30)), min_size=1, max_size=40),
+        k=st.integers(1, 32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rank_metrics_match_the_run_based_formulas_bit_for_bit(self, ranks, k):
+        """The metrics once read gold ranks from RetrievalRuns; these are those formulas."""
+
+        def run_dcg(runs, k):
+            total = 0.0
+            for run in runs:
+                if run.gold_rank is not None and run.gold_rank <= k:
+                    total += 100.0 / math.log2(run.gold_rank + 1)
+            return total / len(runs)
+
+        def run_recall(runs, k):
+            within = sum(1 for run in runs if run.gold_rank is not None and run.gold_rank <= k)
+            return 100.0 * within / len(runs)
+
+        chunk = chunk_of("text")
+        runs = [RetrievalRun(qa_of("p"), (chunk,) * (rank or 0), rank) for rank in ranks]
+        assert dcg_at_k(ranks, k) == run_dcg(runs, k)
+        assert recall_at_k(ranks, k) == run_recall(runs, k)
+        assert dcg_at_k(ranks, 1) == run_recall(runs, 1) == recall_at_k(ranks, 1)
 
     @given(
         ranks=st.lists(st.one_of(st.none(), st.integers(1, 10**6)), min_size=1, max_size=60),
         ks=st.lists(st.integers(1, 10**6), min_size=1, max_size=5, unique=True),
     )
     @settings(max_examples=150, deadline=None)
-    def test_report_from_runs_stays_on_the_0_to_100_scale(self, ranks, ks):
-        runs = [run_with_rank(r) for r in ranks]
-        report = report_from_runs(runs, ks)
+    def test_report_stays_on_the_0_to_100_scale(self, ranks, ks):
+        report = report_of(ranks, ks)
         assert report.ks == tuple(ks) and report.query_count == len(ranks)
         for k in ks:
-            assert report.dcg[k] == dcg_at_k(runs, k)
-            assert report.recall[k] == recall_at_k(runs, k)
+            assert report.dcg[k] == dcg_at_k(ranks, k)
+            assert report.recall[k] == recall_at_k(ranks, k)
             assert 0.0 <= report.dcg[k] <= report.recall[k] <= 100.0
 
 
@@ -503,10 +532,10 @@ class TestEvaluate:
         ]
         backend = MockEmbeddingBackend()
         report = evaluate([chunks], qas, backend, method="toy")
-        runs = build_runs(chunks, qas, backend) + [RetrievalRun(qas[2], (), None)]
+        ranks = [run.gold_rank for run in build_runs(chunks, qas, backend)] + [None]
         for k in DEFAULT_KS:
-            assert report.dcg[k] == dcg_at_k(runs, k)
-            assert report.recall[k] == recall_at_k(runs, k)
+            assert report.dcg[k] == dcg_at_k(ranks, k)
+            assert report.recall[k] == recall_at_k(ranks, k)
         assert report.method == "toy"
         assert report.query_count == 3
         assert report.ks == DEFAULT_KS
@@ -761,12 +790,7 @@ class TestConcurrentSweep:
 
 class TestReportOutput:
     def make_reports(self):
-        runs_a = [run_with_rank(1), run_with_rank(3)]
-        runs_b = [run_with_rank(None), run_with_rank(2)]
-        return [
-            report_from_runs(runs_a, method="method-a"),
-            report_from_runs(runs_b, method="method-b"),
-        ]
+        return [report_of([1, 3], method="method-a"), report_of([None, 2], method="method-b")]
 
     def test_table_layout(self):
         table = format_report_table(self.make_reports())
@@ -783,23 +807,21 @@ class TestReportOutput:
         with pytest.raises(EvaluationError):
             format_report_table([])
         mixed = [
-            report_from_runs([run_with_rank(1)], ks=(1, 2), method="a"),
-            report_from_runs([run_with_rank(1)], ks=(1, 5), method="b"),
+            report_of([1], ks=(1, 2), method="a"),
+            report_of([1], ks=(1, 5), method="b"),
         ]
         with pytest.raises(EvaluationError):
             format_report_table(mixed)
 
     def test_record_shape_and_optional_fields(self):
-        report = report_from_runs([run_with_rank(1)], method="m")
+        report = report_of([1], method="m")
         record = report_to_record(report)
         assert record["method"] == "m"
         assert record["ks"] == list(DEFAULT_KS)
         assert record["dcg"]["1"] == 100.0
         assert "chunking_seconds" not in record
         assert "theta" not in record
-        timed = report_from_runs(
-            [run_with_rank(1)], method="m", chunking_seconds=1.25, theta=550
-        )
+        timed = report_of([1], method="m", chunking_seconds=1.25, theta=550)
         timed_record = report_to_record(timed)
         assert timed_record["chunking_seconds"] == 1.25
         assert timed_record["theta"] == 550
