@@ -118,6 +118,7 @@ class _JsonlStore:
         self._lock = threading.Lock()
         self._entries: dict = {}
         self._torn_at: int | None = None
+        self._lead = ""  # written before the next record
         self._handle = None
         if self.path.exists():
             self._load()
@@ -144,6 +145,8 @@ class _JsonlStore:
                     "%s, line %d: skipping torn final record: %s", self.path, i + 1, exc
                 )
                 self._torn_at = start
+        if self._torn_at is None and lines and not lines[-1].endswith((b"\n", b"\r")):
+            self._lead = "\n"  # the final record has no line end: end it before appending
 
     def _append(self, key: str, value, stored) -> None:
         line = json.dumps({"key": key, self.field: stored}, ensure_ascii=False)
@@ -156,7 +159,8 @@ class _JsonlStore:
                     self._torn_at = None
                 self._handle = open(self.path, "a", encoding="utf-8", newline="\n")
                 weakref.finalize(self, self._handle.close)
-            self._handle.write(line + "\n")
+            self._handle.write(self._lead + line + "\n")
+            self._lead = ""
             # a crash then tears at most the final line
             self._handle.flush()
 

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: ingest, chunk, eval, sweep, rag, gen-qa. Every run records its
-command and the resolved value of each flag it read next to its outputs, API
-keys are read only from the environment, and all offline paths (mock
+Subcommands: ingest, chunk, eval, sweep, rag, gen-qa. Every run whose flags
+are accepted, ok or failed, leaves one run record next to its outputs (_run),
+API keys are read only from the environment, and all offline paths (mock
 embeddings, replay backends) are deterministic given fixed seeds.
 """
 
@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, replace
 from operator import itemgetter
 from pathlib import Path
@@ -155,6 +155,9 @@ class CliError(LumberkitError):
     """A command was invoked with unusable arguments."""
 
 
+_REPORTED = (LumberkitError, OSError)  # main prints these as one "error: ..." line
+
+
 def _row(args: argparse.Namespace) -> str:
     """The row of _READS that args select."""
     if args.command == "chunk":
@@ -231,20 +234,30 @@ def _write_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_run_config(args: argparse.Namespace) -> None:
-    """Record the command and the resolved value of every flag it read.
+@contextmanager
+def _run(args: argparse.Namespace):
+    """Make the output location; write the run record there however the command ends.
 
-    The record is run_config.json in --output-dir, or <output>.run.json
-    beside --output for a row that reads no --output-dir.
+    The record, run_config.json in --output-dir or else <output>.run.json,
+    holds the command, each flag read with its value, "status" ("ok" or
+    "failed"), the "error" main prints (else the exception's repr), and
+    "seconds" of wall clock. A failed run's error stands if this write fails.
     """
     reads = _READS[_row(args)]
-    if "output_dir" in reads:
-        path = Path(args.output_dir) / "run_config.json"
-    else:
-        output = Path(args.output)
-        path = output.with_name(output.name + ".run.json")
-    flags = {name: getattr(args, name) for name in reads}
-    _write_json({"command": args.command, "flags": flags}, path)
+    in_dir = "output_dir" in reads
+    path = Path(args.output_dir, "run_config.json") if in_dir else Path(args.output + ".run.json")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    record = {"command": args.command, "flags": {name: getattr(args, name) for name in reads}}
+    started = time.perf_counter()
+    try:
+        yield
+    except BaseException as exc:
+        error = str(exc) if isinstance(exc, _REPORTED) else repr(exc)
+        record |= {"status": "failed", "error": error, "seconds": time.perf_counter() - started}
+        with suppress(OSError):
+            _write_json(record, path)
+        raise
+    _write_json(record | {"status": "ok", "seconds": time.perf_counter() - started}, path)
 
 
 def _completion_backend(args: argparse.Namespace, *, needed_for: str) -> CompletionBackend:
@@ -310,7 +323,6 @@ def _write_report(reports: list, output_dir: str) -> None:
     table = format_report_table(reports)
     print(table)
     out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(table + "\n")
     write_reports(reports, out_dir / "reports.jsonl")
@@ -318,16 +330,13 @@ def _write_report(reports: list, output_dir: str) -> None:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     document = load_document(args.input, args.format, doc_id=args.doc_id)
-    output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    write_document(document, output)
-    print(f"wrote {len(document)} paragraph record(s) to {output}")
+    write_document(document, args.output)
+    print(f"wrote {len(document)} paragraph record(s) to {Path(args.output)}")
     return 0
 
 
 def cmd_chunk(args: argparse.Namespace) -> int:
     document = load_document(args.document, "paragraph_records")
-    started = time.perf_counter()
     if args.method == "paragraph":
         chunks = paragraph_chunks(document)
     elif args.method == "recursive":
@@ -342,16 +351,12 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     else:  # proposition
         with _backend(args, "method 'proposition'") as backend:
             chunks = proposition_chunks(document, backend)
-    seconds = time.perf_counter() - started
-
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stats = chunk_stats(chunks, write_chunks(chunks, out_dir / "chunks.jsonl"))
     _write_json(asdict(stats), out_dir / "stats.json")
-    _write_json({"seconds": seconds}, out_dir / "timing.json")
     print(
         f"{args.method}: {stats.count} chunk(s) from {len(document)} paragraph(s) "
-        f"in {seconds:.2f}s -> {out_dir / 'chunks.jsonl'}"
+        f"-> {out_dir / 'chunks.jsonl'}"
     )
     return 0
 
@@ -442,7 +447,6 @@ def cmd_rag(args: argparse.Namespace) -> int:
         )
     accuracy = qa_accuracy((result.answer, pair.answer) for result, pair in zip(results, qa_pairs))
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_jsonl(
         (
             {
@@ -465,10 +469,8 @@ def cmd_gen_qa(args: argparse.Namespace) -> int:
     document = load_document(args.document, "paragraph_records")
     with _backend(args, "gen-qa") as backend:
         pairs = generate_qa(document, backend, args.n, seed=args.seed)
-    output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    write_qa(pairs, output)
-    print(f"wrote {len(pairs)} QA pair(s) to {output}")
+    write_qa(pairs, args.output)
+    print(f"wrote {len(pairs)} QA pair(s) to {Path(args.output)}")
     return 0
 
 
@@ -509,16 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.ERROR if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig sets no level once the root logger has a handler: set it on every call
+    logging.getLogger().setLevel(logging.ERROR if args.quiet else logging.INFO)
     try:
         _resolve_flags(args)
-        code = _COMMANDS[args.command][0](args)
-        _write_run_config(args)
-        return code
-    except (LumberkitError, OSError) as exc:
+        with _run(args):
+            return _COMMANDS[args.command][0](args)
+    except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import logging
 import re
 
 import numpy as np
+import pytest
 
 from lumberkit.backends import (
     BackendError,
@@ -13,6 +15,15 @@ from lumberkit.backends import (
     MockEmbeddingBackend,
 )
 from lumberkit.corpus import Document
+
+
+@pytest.fixture(autouse=True)
+def _root_log_level():
+    """cli.main sets the root logger's level on every call; restore it after each test."""
+    root = logging.getLogger()
+    level = root.level
+    yield
+    root.setLevel(level)
 
 
 def words(count: int, tag: str = "w") -> str:

@@ -1079,6 +1079,33 @@ class TestCacheFileDamage:
         assert len(reloaded) == 3
         np.testing.assert_array_equal(reloaded.get("first"), value)
 
+    @pytest.mark.parametrize("make, value", CACHE_KINDS)
+    def test_a_final_record_without_a_line_end_gets_one_before_a_put(self, tmp_path, make, value):
+        path = tmp_path / "cache.jsonl"
+        with make(path) as cache:
+            cache.put("first", value)
+            cache.put("second", value)
+        unended = path.read_bytes().removesuffix(b"\n")
+        path.write_bytes(unended)
+        with make(path) as resumed:
+            assert len(resumed) == 2
+            resumed.put("third", value)
+        assert path.read_bytes().startswith(unended + b"\n")
+        reloaded = make(path)
+        assert len(reloaded) == 3
+        for text in ("first", "second", "third"):
+            np.testing.assert_array_equal(reloaded.get(text), value)
+        # a torn final record, which has no line end either, is still cut off
+        intact = path.read_bytes()
+        with open(path, "ab") as fh:
+            fh.write(b'{"key": "9f2c", "resp')
+        with make(path) as resumed:
+            assert len(resumed) == 3
+            resumed.put("fourth", value)
+        appended = path.read_bytes().removeprefix(intact)
+        assert appended.count(b"\n") == 1 and appended.endswith(b"\n") and b"9f2c" not in appended
+        assert len(make(path)) == 4
+
     @given(
         values=st.lists(st.text(alphabet="ab \u2028\u0085\x0b\x0c", max_size=6), max_size=5),
         ends=st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=5, max_size=5),

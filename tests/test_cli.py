@@ -6,7 +6,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -196,8 +199,8 @@ class TestChunkCommand:
         stats = json.loads((out_dir / "stats.json").read_text())
         assert stats["count"] == 12
         assert stats["mean_tokens"] == pytest.approx(54.0)  # 40 words -> 54 tokens
-        timing = json.loads((out_dir / "timing.json").read_text())
-        assert timing["seconds"] >= 0.0
+        record = json.loads((out_dir / "run_config.json").read_text())
+        assert record["seconds"] >= 0.0
         assert "12 chunk(s)" in capsys.readouterr().out
 
     def test_deterministic_outputs_across_runs(self, tmp_path, book_records):
@@ -626,9 +629,10 @@ class TestRagCommand:
         out_dir = tmp_path / "out"
         code = main(["rag", "--chunks", str(chunk_path), "--questions", str(qa_path),
                      "--output-dir", str(out_dir)])
-        assert _one_error_line(code, capsys.readouterr().err) == "error: rerank endpoint down"
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error == "error: rerank endpoint down"
         assert backend.calls == 1
-        assert not out_dir.exists()
+        assert_failed_run(out_dir, error)
 
 
 class TestEmptyInputs:
@@ -681,7 +685,7 @@ class TestEmptyInputs:
         assert error == f"error: {paths[empty]} contains no {what}"
         assert backend.calls == 0
         assert sum(embedder.calls for embedder in embedders) == 0
-        assert not out.exists()
+        assert_failed_run(out, error)
 
 
 class TestGenQaCommand:
@@ -877,7 +881,7 @@ class TestConcurrentRag:
         # only the two questions retrieved before it reached the backend
         asked = {q for q in questions if any(q in prompt for prompt in backend.prompts)}
         assert asked <= set(questions[:2])
-        assert not (tmp_path / "rag").exists()
+        assert_failed_run(tmp_path / "rag", error)
 
     def test_backend_dying_mid_run_stops_queued_questions(self, tmp_path, inputs, monkeypatch, capsys):
         backend = JitteredBackend(fail_after=6)
@@ -997,6 +1001,155 @@ class TestRecordCacheFlag:
         assert len(ResponseCache(record)) == len(ResponseCache(tmp_path / "replay.jsonl"))
         run_config = json.loads((out / "run_config.json").read_text())
         assert run_config["flags"]["record_cache"] == str(record)
+
+
+class TestRunRecord:
+    """Every run whose flags are accepted leaves one run record, ok or failed."""
+
+    def test_a_failed_run_replaces_the_earlier_record(self, tmp_path, book_records, capsys):
+        out = tmp_path / "out"
+        chunk = ["chunk", "--document", str(book_records), "--output-dir", str(out), "--method"]
+        assert main([*chunk, "paragraph"]) == 0
+        assert json.loads((out / "run_config.json").read_text())["status"] == "ok"
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        code = main([*chunk, "lumber", "--theta", "120", "--replay-cache", str(empty)])
+        error = _one_error_line(code, capsys.readouterr().err)
+        record = json.loads((out / "run_config.json").read_text())
+        assert record["flags"]["method"] == "lumber"
+        assert record["status"] == "failed"
+        assert "error: " + record["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chunk", "--document", "{book}", "--method", "lumber", "--output-dir", "{blocker}"],
+            ["eval", "--chunks", "{chunks}", "--qa", "{qa}", "--hyde", "--output-dir", "{blocker}"],
+            ["sweep", "--documents", "{book}", "--qa", "{qa}", "--thetas", "120",
+             "--output-dir", "{blocker}"],
+            ["rag", "--chunks", "{chunks}", "--questions", "{qa}", "--output-dir", "{blocker}"],
+            ["gen-qa", "--document", "{book}", "-n", "2", "--output", "{blocker}/qa.jsonl"],
+        ],
+        ids=["chunk", "eval", "sweep", "rag", "gen-qa"],
+    )
+    def test_a_location_that_cannot_be_made_is_refused_before_any_work(
+        self, tmp_path, book_records, qa_file, monkeypatch, argv, capsys
+    ):
+        backend = CountingBackend(recordable_reply)
+        embedders = []
+
+        def counting_embedder(args):
+            embedders.append(CountingEmbeddingBackend())
+            return embedders[-1]
+
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        monkeypatch.setattr(cli, "_embedding_backend", counting_embedder)
+        chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"a file, not a directory")
+        files = sorted(tmp_path.iterdir())
+        paths = {"book": book_records, "chunks": chunk_path, "qa": qa_file, "blocker": blocker}
+        code = main([arg.format(**paths) for arg in argv]
+                    + ["--backend-url", "http://127.0.0.1:9", "--model", "m"])
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert f"File exists: {str(blocker)!r}" in error
+        assert backend.calls == 0
+        assert sum(embedder.calls for embedder in embedders) == 0
+        assert sorted(tmp_path.iterdir()) == files  # no record anywhere
+        assert blocker.read_bytes() == b"a file, not a directory"
+
+    def test_a_backend_dying_while_recording_records_the_resume_hint(
+        self, tmp_path, book_records, monkeypatch, capsys
+    ):
+        backend = FailingBackend(respond=last_id_responder, fail_after=2)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        cache_path, out = tmp_path / "splits.jsonl", tmp_path / "out"
+        code = main(
+            ["chunk", "--document", str(book_records), "--method", "lumber", "--theta", "120",
+             "--record-cache", str(cache_path), "--output-dir", str(out)]
+        )
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert error.endswith(
+            f"transport down; re-run the same command to resume from the 2 answers recorded in "
+            f"{cache_path}"
+        )
+        assert_failed_run(out, error)
+
+    def test_an_interrupt_is_recorded_and_still_raised(self, tmp_path, book_records, monkeypatch):
+        def interrupted(prompt):
+            raise KeyboardInterrupt
+
+        backend = CountingBackend(interrupted)
+        monkeypatch.setattr(cli, "_completion_backend", lambda args, needed_for: backend)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["chunk", "--document", str(book_records), "--method", "lumber",
+                  "--backend-url", "http://127.0.0.1:9", "--model", "m", "--output-dir", str(out)])
+        assert backend.calls == 1
+        record = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+        assert record["status"] == "failed"
+        assert "KeyboardInterrupt" in record["error"]
+
+    def test_a_record_that_cannot_be_written_leaves_the_runs_own_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "run_config.json").mkdir(parents=True)
+        missing = tmp_path / "absent.jsonl"
+        code = main(
+            ["chunk", "--document", str(missing), "--method", "paragraph", "--output-dir", str(out)]
+        )
+        error = _one_error_line(code, capsys.readouterr().err)
+        assert str(missing) in error and "run_config.json" not in error
+        assert (out / "run_config.json").is_dir()
+
+    def test_readme_example_is_what_chunk_records(self, tmp_path, book_records, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("- **Run records**", 1)[1].split("\n- **", 1)[0]
+        argv = re.search(r"```sh\n\s*lumberkit (.+)\n", section).group(1).split()
+        example = json.loads(re.search(r"```json\n(.+?)\n\s*```", section, re.S).group(1))
+        seed_lumber_cache(book_records, tmp_path / "splits.jsonl")
+        monkeypatch.chdir(tmp_path)
+        assert Path("book.jsonl").exists()
+        assert main(argv) == 0
+        record = json.loads(Path("out/run_config.json").read_text(encoding="utf-8"))
+        assert isinstance(record.pop("seconds"), float)
+        assert isinstance(example.pop("seconds"), float)
+        assert record == example
+
+
+# --quiet must hold for each main() call, not only for the first in a process,
+# so two calls run in a fresh interpreter: an ingest, then an eval whose QA
+# file has a row that is skipped with a warning; one of the two is --quiet.
+_QUIET_PROBE = """
+import sys
+from lumberkit.cli import main
+book, chunks, qa, work, quiet = sys.argv[1:]
+ingest = ["ingest", "--input", book, "--format", "paragraph_records", "--output", work + "/b.jsonl"]
+evaluate = ["eval", "--chunks", chunks, "--qa", qa, "--output-dir", work + "/eval"]
+runs = [ingest, ["--quiet", *evaluate]] if quiet == "eval" else [["--quiet", *ingest], evaluate]
+for argv in runs:
+    assert main(argv) == 0
+"""
+
+
+@pytest.mark.parametrize("quiet", ["eval", "ingest"], ids=["quiet-after-loud", "loud-after-quiet"])
+def test_quiet_holds_for_each_call_in_a_process(tmp_path, book_records, qa_file, quiet):
+    chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
+    qa_path = tmp_path / "qa-with-blank-passage.jsonl"
+    blank = {"doc_id": "book", "question": "q?", "answer": "a", "supporting_passage": " "}
+    qa_path.write_text(qa_file.read_text(encoding="utf-8") + json.dumps(blank) + "\n", "utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c", _QUIET_PROBE, str(book_records), str(chunk_path), str(qa_path),
+         str(tmp_path), quiet],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    warned = "WARNING lumberkit.corpus: skipped 1 QA row(s)" in probe.stderr
+    assert warned == (quiet == "ingest"), probe.stderr
 
 
 class TestUnusedCompletionFlags:
@@ -1221,10 +1374,11 @@ def test_eval_checks_every_chunk_file_before_any_call(
         ["eval", "--chunks", str(good), str(bad), "--qa", str(qa_file), "--hyde",
          "--output-dir", str(out)]
     )
-    assert _one_error_line(code, capsys.readouterr().err) == f"error: {bad}, line 2: {reason}"
+    error = _one_error_line(code, capsys.readouterr().err)
+    assert error == f"error: {bad}, line 2: {reason}"
     assert backend.calls == 0
     assert sum(embedder.calls for embedder in embedders) == 0
-    assert not out.exists()
+    assert_failed_run(out, error)
 
 
 class TestResumeHint:
@@ -1464,7 +1618,7 @@ class TestHydeRewrites:
         error = _one_error_line(code, capsys.readouterr().err)
         assert "ks must be non-empty, distinct and each >= 1, got [0]" in error
         assert backend.calls == {}
-        assert not out.exists()
+        assert_failed_run(out, error)
 
     def test_one_rewrite_per_question_for_all_chunk_files(
         self, tmp_path, book_records, monkeypatch
@@ -1759,6 +1913,21 @@ def _one_error_line(code: int, err: str) -> str:
     return errors[0]
 
 
+def assert_failed_run(out: Path, error: str) -> None:
+    """out, a failed run's output location, holds its run record and nothing else.
+
+    The record says "failed", and its "error" is error, the line the run
+    printed, without "error: ".
+    """
+    (path,) = out.iterdir()
+    assert path.name == "run_config.json" or path.name.endswith(".run.json")
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert record.keys() == {"command", "flags", "status", "error", "seconds"}
+    assert record["status"] == "failed"
+    assert "error: " + record["error"] == error
+    assert record["seconds"] >= 0
+
+
 class TestNonUtf8Input:
     """A 0xE9 byte in any input file is named with its file and line."""
 
@@ -1796,7 +1965,7 @@ class TestNonUtf8Input:
         code = main([arg.format(**paths) for arg in argv])
         error = _one_error_line(code, capsys.readouterr().err)
         assert error == f"error: {paths[bad]}, line 2: not valid UTF-8"
-        assert not (tmp_path / "out").exists()
+        assert_failed_run(tmp_path / "out", error)
 
     def test_delimited_qa_names_the_file(self, tmp_path, book_records, capsys):
         chunk_path = TestEvalCommand().make_chunk_files(tmp_path, book_records)[0]
@@ -1824,7 +1993,7 @@ class TestNonUtf8Input:
                      str(out)])
         error = _one_error_line(code, capsys.readouterr().err)
         assert error == f"error: {qa_path}, line 2: field larger than field limit (131072)"
-        assert not out.exists()
+        assert_failed_run(out, error)
 
     def test_delimited_qa_row_with_extra_cells_names_its_line(
         self, tmp_path, book_records, capsys
@@ -1839,7 +2008,7 @@ class TestNonUtf8Input:
                      str(out)])
         error = _one_error_line(code, capsys.readouterr().err)
         assert error == f"error: {qa_path}, line 2: 5 cells under a 4-column header"
-        assert not out.exists()
+        assert_failed_run(out, error)
 
     @pytest.mark.parametrize("name", ["qa.csv", "qa.tsv", "book.txt"])
     def test_bad_byte_past_the_first_read_names_its_line(
@@ -1862,7 +2031,7 @@ class TestNonUtf8Input:
         bad.write_bytes(b"".join(data))
         error = _one_error_line(main(argv), capsys.readouterr().err)
         assert error == f"error: {bad}, line 701: not valid UTF-8"
-        assert not out.exists()
+        assert_failed_run(out, error)
 
 
 LONE_SURROGATE = "a \\u escape holds a lone surrogate, which is not text"
@@ -1956,7 +2125,10 @@ class TestTextAndIdsThatOutputsCannotHold:
             return
         error = _one_error_line(code, err)
         assert error.startswith("error: " + named.format(**paths))
-        assert not paths["out"].exists()
+        if named.startswith("--"):  # refused with the flags, before the run begins
+            assert not paths["out"].exists()
+        else:
+            assert_failed_run(paths["out"], error)
 
 
 class TestConflictingRecords:
@@ -1982,7 +2154,7 @@ class TestConflictingRecords:
         code = main(self.argv(command, duplicated, qa_file, tmp_path))
         error = _one_error_line(code, capsys.readouterr().err)
         assert error == f"error: {duplicated}, line 3: chunk ('book', 0) repeats the chunk on line 1"
-        assert not (tmp_path / "out").exists()
+        assert_failed_run(tmp_path / "out", error)
 
     @pytest.mark.parametrize("command", ["eval", "rag"])
     def test_reappearing_document_names_its_line(
@@ -1998,7 +2170,7 @@ class TestConflictingRecords:
         assert error == (
             f"error: {interleaved}, line 4: document 'book' reappears after another document's records"
         )
-        assert not (tmp_path / "out").exists()
+        assert_failed_run(tmp_path / "out", error)
 
     def test_rag_question_without_chunks_is_refused_before_any_call(
         self, tmp_path, book_records, qa_file, monkeypatch, capsys
@@ -2024,7 +2196,7 @@ class TestConflictingRecords:
         assert error == f"error: {qa_path}, line 2: document 'lost' has no chunks in {chunk_path}"
         assert backend.calls == 0
         assert sum(embedder.calls for embedder in embedders) == 0
-        assert not (tmp_path / "out").exists()
+        assert_failed_run(tmp_path / "out", error)
 
     @pytest.mark.parametrize(
         "name, text",
@@ -2144,8 +2316,9 @@ class TestEmbedCache:
                 if path.name == "run_config.json":
                     record = json.loads(text.replace(str(out_dir), "{out}"))
                     assert record["flags"].pop("embed_cache") == (flags[1] if flags else None)
+                    assert record.pop("seconds") >= 0  # wall-clock seconds
                     outputs[path.name] = record
-                elif path.name != "timing.json":  # wall-clock seconds
+                else:
                     outputs[path.name] = re.sub(r', "chunking_seconds": [^,}]+', "", text)
             return outputs, embedders[-1].calls
 
@@ -2352,7 +2525,7 @@ class TestSweepScoringFailure:
         # two of the four documents were started, and each stopped after its
         # current theta (300) instead of chunking all four
         assert calls_at_exit == 2 * (per_theta[0] + per_theta[1])
-        assert not (tmp_path / "out-2").exists()
+        assert_failed_run(tmp_path / "out-2", error)
 
 
 class TestNumbersTooLongForInt:
